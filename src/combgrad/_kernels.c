@@ -1,0 +1,207 @@
+/* Compiled solver kernels for combgrad._kernels.
+ *
+ * Each function is a statement-for-statement port of the numpy reference in
+ * _kernels.py, looped over a C-contiguous stack of instances in one call.
+ * The arithmetic and its order match the reference, so with floating-point
+ * contraction disabled (-ffp-contract=off) the outputs are bitwise equal.
+ *
+ * Both return 0 on success and 1 when they cannot reproduce the reference
+ * (a workspace allocation fails, or costs overflow to infinity); the caller
+ * then re-solves the stack with the numpy reference.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* Assignment: port of _assign_core_py (Jonker-Volgenant shortest augmenting
+ * paths with potentials, 1-based with sentinel row and column 0) over a
+ * (k, n, n) stack.  Fails if an instance has no free column with a finite
+ * reduced cost. */
+int assign_many(const double *Cs, int64_t k, int64_t n, int64_t *perms, double *us, double *vs)
+{
+    double *u = malloc((3 * sizeof(double) + 2 * sizeof(int64_t) + 1) * (n + 1));
+    if (u == NULL)
+        return 1;
+    double *v = u + (n + 1), *minv = v + (n + 1);
+    int64_t *p = (int64_t *)(minv + (n + 1)), *way = p + (n + 1);
+    char *used = (char *)(way + (n + 1));
+    int status = 1;
+    for (int64_t t = 0; t < k; t++) {
+        const double *C = Cs + t * n * n;
+        for (int64_t j = 0; j <= n; j++) {
+            u[j] = 0.0;
+            v[j] = 0.0;
+            p[j] = 0;
+            way[j] = 0;
+        }
+        for (int64_t i = 1; i <= n; i++) {
+            p[0] = i;
+            int64_t j0 = 0;
+            for (int64_t j = 0; j <= n; j++) {
+                minv[j] = INFINITY;
+                used[j] = 0;
+            }
+            for (;;) {
+                used[j0] = 1;
+                int64_t i0 = p[j0], j1 = 0;
+                double delta = INFINITY;
+                for (int64_t j = 1; j <= n; j++) {
+                    if (!used[j]) {
+                        double cur = C[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
+                        if (cur < minv[j]) {
+                            minv[j] = cur;
+                            way[j] = j0;
+                        }
+                        if (minv[j] < delta) {
+                            delta = minv[j];
+                            j1 = j;
+                        }
+                    }
+                }
+                if (j1 == 0)
+                    goto done;
+                for (int64_t j = 0; j <= n; j++) {
+                    if (used[j]) {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if (p[j0] == 0)
+                    break;
+            }
+            do {
+                int64_t j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+            } while (j0 != 0);
+        }
+        for (int64_t j = 1; j <= n; j++) {
+            perms[t * n + p[j] - 1] = j - 1;
+            us[t * n + j - 1] = u[j];
+            vs[t * n + j - 1] = v[j];
+        }
+    }
+    status = 0;
+done:
+    free(u);
+    return status;
+}
+
+/* Alignment: port of _gsa_py (lattice DP with tie counting, then the
+ * backtrack) over a (nb, Tp, Tt) stack.  Per instance t it writes zs[t],
+ * the path arrays of length Tp + Tt at offset t * (Tp + Tt) (filled from
+ * the end, zero before pos[t]), pos[t] and unique[t].  Fails if the
+ * backtrack would leave the lattice, which only unreachable (infinite-cost)
+ * nodes cause. */
+int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double *zs, int8_t *kinds,
+             int64_t *eis, int64_t *eks, double *costs, int64_t *pos, int64_t *unique)
+{
+    int64_t W = Tt + 1, cells = (Tp + 1) * W, total = Tp + Tt;
+    double *dist = malloc((sizeof(double) + sizeof(int64_t) + 1) * cells);
+    if (dist == NULL)
+        return 1;
+    int64_t *npaths = (int64_t *)(dist + cells);
+    int8_t *choice = (int8_t *)(npaths + cells);
+    int status = 1;
+    for (int64_t t = 0; t < nb; t++) {
+        const double *m = ms + t * Tp * Tt;
+        int8_t *kd = kinds + t * total;
+        int64_t *ei = eis + t * total, *ek = eks + t * total;
+        double *cs = costs + t * total;
+        for (int64_t c = 0; c < cells; c++) {
+            dist[c] = INFINITY;
+            choice[c] = 0;
+            npaths[c] = 0;
+        }
+        dist[0] = 0.0;
+        npaths[0] = 1;
+        for (int64_t i = 0; i <= Tp; i++) {
+            for (int64_t k = 0; k <= Tt; k++) {
+                if (i == 0 && k == 0)
+                    continue;
+                double best = INFINITY;
+                int8_t ch = 0;
+                double cand_d = INFINITY, cand_h = INFINITY, cand_v = INFINITY;
+                if (i > 0 && k > 0) {
+                    cand_d = dist[(i - 1) * W + (k - 1)] + m[(i - 1) * Tt + (k - 1)];
+                    if (cand_d < best) {
+                        best = cand_d;
+                        ch = 1;
+                    }
+                }
+                if (k > 0) {
+                    int64_t ic = i < Tp ? i : Tp - 1;
+                    cand_h = dist[i * W + (k - 1)] + gamma * m[ic * Tt + (k - 1)];
+                    if (cand_h < best) {
+                        best = cand_h;
+                        ch = 2;
+                    }
+                }
+                if (i > 0) {
+                    int64_t kc = k < Tt ? k : Tt - 1;
+                    cand_v = dist[(i - 1) * W + k] + gamma * m[(i - 1) * Tt + kc];
+                    if (cand_v < best) {
+                        best = cand_v;
+                        ch = 3;
+                    }
+                }
+                dist[i * W + k] = best;
+                choice[i * W + k] = ch;
+                double tol = 1e-9 * (1.0 + fabs(best));
+                int64_t cnt = 0;
+                if (cand_d <= best + tol)
+                    cnt += npaths[(i - 1) * W + (k - 1)];
+                if (cand_h <= best + tol)
+                    cnt += npaths[i * W + (k - 1)];
+                if (cand_v <= best + tol)
+                    cnt += npaths[(i - 1) * W + k];
+                npaths[i * W + k] = cnt < 2 ? cnt : 2;
+            }
+        }
+        for (int64_t e = 0; e < total; e++) {
+            kd[e] = 0;
+            ei[e] = 0;
+            ek[e] = 0;
+            cs[e] = 0.0;
+        }
+        int64_t i = Tp, k = Tt, p = total;
+        while (i != 0 || k != 0) {
+            int8_t ch = choice[i * W + k];
+            p -= 1;
+            if (ch == 1) {
+                i -= 1;
+                k -= 1;
+                kd[p] = 1;
+                ei[p] = i;
+                ek[p] = k;
+                cs[p] = m[i * Tt + k];
+            } else if (ch == 2) {
+                k -= 1;
+                int64_t ic = i < Tp ? i : Tp - 1;
+                kd[p] = 2;
+                ei[p] = i;
+                ek[p] = k;
+                cs[p] = gamma * m[ic * Tt + k];
+            } else {
+                if (i == 0)
+                    goto done;
+                i -= 1;
+                int64_t kc = k < Tt ? k : Tt - 1;
+                kd[p] = 3;
+                ei[p] = i;
+                ek[p] = k;
+                cs[p] = gamma * m[i * Tt + kc];
+            }
+        }
+        zs[t] = dist[Tp * W + Tt];
+        pos[t] = p;
+        unique[t] = npaths[Tp * W + Tt] == 1 ? 1 : 0;
+    }
+    status = 0;
+done:
+    free(dist);
+    return status;
+}

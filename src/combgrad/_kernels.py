@@ -1,23 +1,24 @@
 """Hot solver kernels: assignment by shortest augmenting paths, alignment by lattice DP.
 
-Each kernel has a plain numpy/Python implementation that is the readable
-reference, plus compiled versions written with the same statement order, so
-every backend produces bitwise-identical outputs:
+Each problem has exactly two bodies:
 
-* ``numba``: ``@njit`` copies of every kernel, used when numba is importable;
-* ``c``: the assignment core in ``_assign.c``, compiled with the system C
-  compiler on first use (never on import) into a per-user cache directory
-  and loaded through ctypes; alignment runs the numpy path;
-* ``numpy``: the reference implementations.
+* the numpy reference (``_assign_core_py``, ``_gsa_py``), which is the
+  readable oracle;
+* a statement-for-statement C port (``assign_many``, ``gsa_many`` in
+  ``_kernels.c``), compiled with the system C compiler on first use (never
+  on import) into a per-user cache directory and loaded through ctypes.
 
-The default backend is the first of these that works: if numba is missing
-and the C library cannot be built, the package warns and runs on numpy.  The
-``COMBGRAD_BACKEND`` environment variable ("numba", "c" or "numpy") picks
-one per process, and :func:`set_backend` switches at runtime, which the
+Both follow the same arithmetic order, so the ``c`` and ``numpy`` backends
+produce bitwise-identical outputs.  The default backend is ``c``; if the
+library cannot be built, the package warns and runs on ``numpy``.  The
+``COMBGRAD_BACKEND`` environment variable ("c" or "numpy") picks one per
+process, and :func:`set_backend` switches at runtime, which the
 backend-comparison benchmark uses.
 
-Every dispatch increments an invocation counter per kernel kind so callers
-can assert how many solver runs a code path costs.
+Single-instance entry points run a stack of one, and both backends share
+the alignment gradient scatter, so every public kernel goes through one
+path per problem.  Every dispatch increments an invocation counter per
+kernel kind so callers can assert how many solver runs a code path costs.
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, NonSquare
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is an optional extra
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 _COUNTS = {"assignment": 0, "gsa": 0, "lp": 0}
 
@@ -67,19 +52,16 @@ def reset_invocations() -> None:
         _COUNTS[k] = 0
 
 
+_BACKENDS = ("c", "numpy")
+
+
 def _resolve_backend() -> str:
     raw = os.environ.get("COMBGRAD_BACKEND", "").strip().lower()
     if raw == "":
-        return "numba" if HAS_NUMBA else "c"
-    if raw in ("numba", "jit"):
-        if not HAS_NUMBA:
-            raise ImportError("COMBGRAD_BACKEND requests numba but numba is not importable")
-        return "numba"
-    if raw == "c":
         return "c"
-    if raw in ("numpy", "python", "nojit"):
-        return "numpy"
-    raise ValueError(f"unrecognized COMBGRAD_BACKEND value: {raw!r}")
+    if raw not in _BACKENDS:
+        raise ValueError(f"COMBGRAD_BACKEND must be 'c' or 'numpy', got {raw!r}")
+    return raw
 
 
 _BACKEND = _resolve_backend()
@@ -92,7 +74,7 @@ def get_backend() -> str:
     loads it then, and falls back to "numpy" for good if that fails.
     """
     global _BACKEND
-    if _BACKEND == "c" and c_kernel() is None:
+    if _BACKEND == "c" and c_library() is None:
         _BACKEND = "numpy"
     return _BACKEND
 
@@ -100,29 +82,32 @@ def get_backend() -> str:
 def set_backend(name: str) -> str:
     """Switch the active backend; returns the previous one."""
     global _BACKEND
-    if name not in ("numba", "c", "numpy"):
-        raise ValueError(f"backend must be 'numba', 'c' or 'numpy', got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
-    if name == "c" and c_kernel() is None:
-        raise ImportError("c backend requested but the C assignment kernel could not be built")
+    if name not in _BACKENDS:
+        raise ValueError(f"backend must be 'c' or 'numpy', got {name!r}")
+    if name == "c" and c_library() is None:
+        raise ImportError("c backend requested but the C kernel library could not be built")
     prev = get_backend()
     _BACKEND = name
     return prev
 
 
+def warmup() -> None:
+    """Build or load the C library if the active backend needs it."""
+    get_backend()
+
+
 # ---------------------------------------------------------------------------
-# The compiled C assignment core.
+# The compiled C library.
 # ---------------------------------------------------------------------------
 
-_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_assign.c")
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # No floating-point contraction: a fused multiply-add rounds differently from
-# the numpy mirror, and the backends must agree bit for bit.
+# the numpy reference, and the backends must agree bit for bit.
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _c_library_path() -> str:
-    """Path of the compiled assignment library, building it if no process has.
+    """Path of the compiled kernel library, building it if no process has.
 
     The file name carries a hash of the source and flags, so a library is
     compiled at most once per version.  The compiler writes to a temporary
@@ -134,7 +119,7 @@ def _c_library_path() -> str:
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "combgrad"
     )
-    path = os.path.join(cache, f"assign-{digest}.so")
+    path = os.path.join(cache, f"kernels-{digest}.so")
     if not os.path.exists(path):
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
@@ -149,16 +134,19 @@ def _c_library_path() -> str:
 
 
 @functools.cache
-def c_kernel():
-    """The compiled ``assign_many`` function, or None if it cannot be built here."""
+def c_library():
+    """The loaded kernel library, or None if it cannot be built here."""
     try:
-        fn = ctypes.CDLL(_c_library_path()).assign_many
+        lib = ctypes.CDLL(_c_library_path())
     except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn(f"C assignment kernel unavailable, using numpy: {exc}", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"C kernel library unavailable, using numpy: {exc}", RuntimeWarning, stacklevel=2)
         return None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = ctypes.c_int
-    return fn
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.assign_many.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
+    lib.assign_many.restype = ctypes.c_int
+    lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, *[ptr] * 7]
+    lib.gsa_many.restype = ctypes.c_int
+    return lib
 
 
 # ---------------------------------------------------------------------------
@@ -170,75 +158,15 @@ def c_kernel():
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _assign_core_nb(C, u, v, p, way, minv, used, perm):
+def _assign_core_py(C, u, v, p, way, minv, used, perm):
     # Workspace-reusing core: all arrays are caller-allocated and fully
-    # reset here, so batched callers pay no per-instance allocations.
+    # reset here, so batched callers pay no per-instance allocations.  The
+    # inner column scan is the only vectorized part and is elementwise, so
+    # results match assign_many in _kernels.c bit for bit.
     n = C.shape[0]
     u[:] = 0.0
     v[:] = 0.0
     p[:] = 0  # p[j]: row matched to column j (0 = free)
-    way[:] = 0
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv[:] = np.inf
-        used[:] = False
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = C[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-
-
-@njit(cache=True)
-def _assign_nb(C):
-    n = C.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
-    minv = np.empty(n + 1)
-    used = np.zeros(n + 1, np.bool_)
-    perm = np.empty(n, np.int64)
-    _assign_core_nb(C, u, v, p, way, minv, used, perm)
-    return perm, u[1:].copy(), v[1:].copy()
-
-
-def _assign_core_py(C, u, v, p, way, minv, used, perm):
-    # Statement-order mirror of _assign_core_nb and of _assign.c; the inner
-    # column scan is the only vectorized part and is elementwise, so results
-    # match the compiled kernels bit for bit.
-    n = C.shape[0]
-    u[:] = 0.0
-    v[:] = 0.0
-    p[:] = 0
     way[:] = 0
     cols = np.arange(1, n + 1)
     for i in range(1, n + 1):
@@ -273,40 +201,6 @@ def _assign_core_py(C, u, v, p, way, minv, used, perm):
         perm[p[j] - 1] = j - 1
 
 
-def _assign_py(C):
-    n = C.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
-    minv = np.empty(n + 1)
-    used = np.zeros(n + 1, np.bool_)
-    perm = np.empty(n, np.int64)
-    _assign_core_py(C, u, v, p, way, minv, used, perm)
-    return perm, u[1:].copy(), v[1:].copy()
-
-
-@njit(cache=True)
-def _assign_many_nb(Cs):
-    k, n, _ = Cs.shape
-    perms = np.empty((k, n), np.int64)
-    us = np.empty((k, n))
-    vs = np.empty((k, n))
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
-    minv = np.empty(n + 1)
-    used = np.zeros(n + 1, np.bool_)
-    perm = np.empty(n, np.int64)
-    for t in range(k):
-        _assign_core_nb(Cs[t], u, v, p, way, minv, used, perm)
-        perms[t] = perm
-        us[t] = u[1:]
-        vs[t] = v[1:]
-    return perms, us, vs
-
-
 def _assign_many_py(Cs):
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
@@ -328,42 +222,36 @@ def _assign_many_py(Cs):
 
 
 def _assign_many_c(Cs):
-    if Cs.ndim != 3:
-        raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
-    if Cs.shape[1] != Cs.shape[2]:
-        raise NonSquare(f"cost matrices must be square, got {Cs.shape[1:]}")
-    Cs = np.ascontiguousarray(Cs, dtype=np.float64)
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
     us = np.empty((k, n))
     vs = np.empty((k, n))
-    if c_kernel()(Cs.ctypes.data, k, n, perms.ctypes.data, us.ctypes.data, vs.ctypes.data):
+    if c_library().assign_many(Cs.ctypes.data, k, n, perms.ctypes.data, us.ctypes.data, vs.ctypes.data):
         # Allocation failed or a reduced cost overflowed: the reference decides.
         return _assign_many_py(Cs)
     return perms, us, vs
 
 
+def _assign_many(Cs):
+    if Cs.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
+    if Cs.shape[1] != Cs.shape[2]:
+        raise NonSquare(f"cost matrices must be square, got {Cs.shape[1:]}")
+    Cs = np.ascontiguousarray(Cs, dtype=np.float64)
+    return _assign_many_c(Cs) if get_backend() == "c" else _assign_many_py(Cs)
+
+
 def assignment_kernel(C: np.ndarray):
     """Solve one square assignment instance.  Returns (perm, u, v)."""
     increment("assignment")
-    backend = get_backend()
-    if backend == "numba":
-        return _assign_nb(C)
-    if backend == "c":
-        perms, us, vs = _assign_many_c(C[None, :, :])
-        return perms[0], us[0], vs[0]
-    return _assign_py(C)
+    perms, us, vs = _assign_many(C[None, :, :])
+    return perms[0], us[0], vs[0]
 
 
 def assignment_kernel_many(Cs: np.ndarray):
     """Solve a (k, n, n) stack of assignment instances in one dispatch."""
     increment("assignment", int(Cs.shape[0]))
-    backend = get_backend()
-    if backend == "numba":
-        return _assign_many_nb(Cs)
-    if backend == "c":
-        return _assign_many_c(Cs)
-    return _assign_many_py(Cs)
+    return _assign_many(Cs)
 
 
 # ---------------------------------------------------------------------------
@@ -376,91 +264,8 @@ def assignment_kernel_many(Cs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _gsa_nb(m, gamma):
-    Tp, Tt = m.shape
-    dist = np.full((Tp + 1, Tt + 1), np.inf)
-    choice = np.zeros((Tp + 1, Tt + 1), np.int8)
-    npaths = np.zeros((Tp + 1, Tt + 1), np.int64)
-    dist[0, 0] = 0.0
-    npaths[0, 0] = 1
-    for i in range(Tp + 1):
-        for k in range(Tt + 1):
-            if i == 0 and k == 0:
-                continue
-            best = np.inf
-            ch = 0
-            cand_d = np.inf
-            cand_h = np.inf
-            cand_v = np.inf
-            if i > 0 and k > 0:
-                cand_d = dist[i - 1, k - 1] + m[i - 1, k - 1]
-                if cand_d < best:
-                    best = cand_d
-                    ch = 1
-            if k > 0:
-                ic = i if i < Tp else Tp - 1
-                cand_h = dist[i, k - 1] + gamma * m[ic, k - 1]
-                if cand_h < best:
-                    best = cand_h
-                    ch = 2
-            if i > 0:
-                kc = k if k < Tt else Tt - 1
-                cand_v = dist[i - 1, k] + gamma * m[i - 1, kc]
-                if cand_v < best:
-                    best = cand_v
-                    ch = 3
-            dist[i, k] = best
-            choice[i, k] = ch
-            tol = 1e-9 * (1.0 + abs(best))
-            cnt = 0
-            if cand_d <= best + tol:
-                cnt += npaths[i - 1, k - 1]
-            if cand_h <= best + tol:
-                cnt += npaths[i, k - 1]
-            if cand_v <= best + tol:
-                cnt += npaths[i - 1, k]
-            if cnt > 2:
-                cnt = 2
-            npaths[i, k] = cnt
-    total = Tp + Tt
-    kinds = np.zeros(total, np.int8)
-    eis = np.zeros(total, np.int64)
-    eks = np.zeros(total, np.int64)
-    costs = np.zeros(total)
-    i = Tp
-    k = Tt
-    pos = total
-    while i != 0 or k != 0:
-        ch = choice[i, k]
-        pos -= 1
-        if ch == 1:
-            i -= 1
-            k -= 1
-            kinds[pos] = 1
-            eis[pos] = i
-            eks[pos] = k
-            costs[pos] = m[i, k]
-        elif ch == 2:
-            k -= 1
-            ic = i if i < Tp else Tp - 1
-            kinds[pos] = 2
-            eis[pos] = i
-            eks[pos] = k
-            costs[pos] = gamma * m[ic, k]
-        else:
-            i -= 1
-            kc = k if k < Tt else Tt - 1
-            kinds[pos] = 3
-            eis[pos] = i
-            eks[pos] = k
-            costs[pos] = gamma * m[i, kc]
-    unique = 1 if npaths[Tp, Tt] == 1 else 0
-    return dist[Tp, Tt], kinds, eis, eks, costs, pos, unique
-
-
 def _gsa_py(m, gamma):
-    # Plain-Python mirror of _gsa_nb with identical arithmetic order.
+    # The reference; gsa_many in _kernels.c repeats it statement for statement.
     Tp, Tt = m.shape
     dist = np.full((Tp + 1, Tt + 1), np.inf)
     choice = np.zeros((Tp + 1, Tt + 1), np.int8)
@@ -540,74 +345,69 @@ def _gsa_py(m, gamma):
     return float(dist[Tp, Tt]), kinds, eis, eks, costs, pos, unique
 
 
-@njit(cache=True)
-def _gsa_many_nb(ms, gamma):
-    # Batched solve-plus-gradient: returns objectives and the dense
-    # edge-coefficient matrices (1 per diagonal use, gamma per gap use).
-    nb, Tp, Tt = ms.shape
-    zs = np.empty(nb)
-    Gs = np.zeros((nb, Tp, Tt))
-    for t in range(nb):
-        z, kinds, eis, eks, costs, pos, unique = _gsa_nb(ms[t], gamma)
-        zs[t] = z
-        for e in range(pos, Tp + Tt):
-            i = eis[e]
-            k = eks[e]
-            if kinds[e] == 1:
-                Gs[t, i, k] += 1.0
-            elif kinds[e] == 2:
-                ic = i if i < Tp else Tp - 1
-                Gs[t, ic, k] += gamma
-            else:
-                kc = k if k < Tt else Tt - 1
-                Gs[t, i, kc] += gamma
-    return zs, Gs
+def _gsa_outputs(nb, total):
+    """Stacked result arrays of ``_gsa_py``: z, kinds, eis, eks, costs, pos, unique."""
+    return (
+        np.empty(nb),
+        np.empty((nb, total), np.int8),
+        np.empty((nb, total), np.int64),
+        np.empty((nb, total), np.int64),
+        np.empty((nb, total)),
+        np.empty(nb, np.int64),
+        np.empty(nb, np.int64),
+    )
 
 
 def _gsa_many_py(ms, gamma):
     nb, Tp, Tt = ms.shape
-    zs = np.empty(nb)
-    Gs = np.zeros((nb, Tp, Tt))
+    out = _gsa_outputs(nb, Tp + Tt)
     for t in range(nb):
-        z, kinds, eis, eks, costs, pos, unique = _gsa_py(ms[t], gamma)
-        zs[t] = z
-        for e in range(pos, Tp + Tt):
-            i = eis[e]
-            k = eks[e]
-            if kinds[e] == 1:
-                Gs[t, i, k] += 1.0
-            elif kinds[e] == 2:
-                ic = i if i < Tp else Tp - 1
-                Gs[t, ic, k] += gamma
-            else:
-                kc = k if k < Tt else Tt - 1
-                Gs[t, i, kc] += gamma
-    return zs, Gs
+        for stacked, x in zip(out, _gsa_py(ms[t], gamma)):
+            stacked[t] = x
+    return out
+
+
+def _gsa_many_c(ms, gamma):
+    nb, Tp, Tt = ms.shape
+    out = _gsa_outputs(nb, Tp + Tt)
+    if c_library().gsa_many(ms.ctypes.data, nb, Tp, Tt, gamma, *[a.ctypes.data for a in out]):
+        # Allocation failed or an infinite cost left a node unreachable: the
+        # reference decides.
+        return _gsa_many_py(ms, gamma)
+    return out
+
+
+def _gsa_many(ms, gamma):
+    if ms.ndim != 3 or ms.shape[1] < 1 or ms.shape[2] < 1:
+        raise DimensionMismatch(f"expected a (k, Tp, Tt) stack of non-empty grids, got shape {ms.shape}")
+    ms = np.ascontiguousarray(ms, dtype=np.float64)
+    gamma = float(gamma)
+    return _gsa_many_c(ms, gamma) if get_backend() == "c" else _gsa_many_py(ms, gamma)
+
+
+def _gsa_scatter(kinds, eis, eks, pos, Tp, Tt, gamma):
+    # Dense gradients from the path arrays: 1 per diagonal use and gamma per
+    # gap use, charged to the clamped source cell.  np.add.at accumulates in
+    # path order, as the per-edge loop it replaces did.
+    nb, total = kinds.shape
+    on_path = np.arange(total)[None, :] >= pos[:, None]
+    t = np.broadcast_to(np.arange(nb)[:, None], kinds.shape)[on_path]
+    rows = np.minimum(eis[on_path], Tp - 1)
+    cols = np.minimum(eks[on_path], Tt - 1)
+    Gs = np.zeros((nb, Tp, Tt))
+    np.add.at(Gs, (t, rows, cols), np.where(kinds[on_path] == 1, 1.0, gamma))
+    return Gs
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):
     """Solve one alignment grid.  Returns (z, kinds, eis, eks, costs, pos, unique)."""
     increment("gsa")
-    if _BACKEND == "numba":
-        return _gsa_nb(m, gamma)
-    return _gsa_py(m, gamma)
+    zs, kinds, eis, eks, costs, pos, unique = _gsa_many(m[None, :, :], gamma)
+    return float(zs[0]), kinds[0], eis[0], eks[0], costs[0], int(pos[0]), int(unique[0])
 
 
 def gsa_kernel_many(ms: np.ndarray, gamma: float):
     """Solve a (k, Tp, Tt) stack of grids; returns objectives and gradients."""
     increment("gsa", int(ms.shape[0]))
-    if _BACKEND == "numba":
-        return _gsa_many_nb(ms, gamma)
-    return _gsa_many_py(ms, gamma)
-
-
-def warmup() -> None:
-    """Compile or load the hot kernels of the active backend (no-op on numpy)."""
-    if get_backend() != "numba":
-        return
-    C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    _assign_nb(C)
-    _assign_many_nb(C[None, :, :])
-    m = np.array([[1.0, 5.0], [5.0, 1.0]])
-    _gsa_nb(m, 1.5)
-    _gsa_many_nb(m[None, :, :], 1.5)
+    zs, kinds, eis, eks, costs, pos, unique = _gsa_many(ms, gamma)
+    return zs, _gsa_scatter(kinds, eis, eks, pos, ms.shape[1], ms.shape[2], float(gamma))

@@ -23,7 +23,6 @@ from .errors import DimensionMismatch, NonFinite
 _LOG_FLOOR = 1e-12
 
 _KIND_NAMES = {1: "match", 2: "skip_target", 3: "skip_pred"}
-_KIND_LETTERS = {1: "D", 2: "P", 3: "T"}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Min-cost matching: solver, certificates, tie policy, and the set loss."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -100,7 +101,7 @@ def _kernel_stacks():
         yield "hard", np.outer(i, i)[None, :, :]
 
 
-@pytest.mark.skipif(_kernels.c_kernel() is None, reason="the C assignment kernel could not be built")
+@pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
 class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_mirror(self):
         # Bit patterns, not values: the locked accuracies and the determinism
@@ -130,6 +131,39 @@ class TestCompiledKernel:
 
         monkeypatch.setattr(_kernels.subprocess, "run", compiler)
         assert _kernels._c_library_path() == path
+
+
+class TestBackendOption:
+    def _import_with(self, value, tmp_path):
+        env = dict(os.environ, COMBGRAD_BACKEND=value, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        probe = "import combgrad; print(combgrad.get_backend())"
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+    def test_environment_selects_numpy(self, tmp_path):
+        proc = self._import_with("numpy", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "numpy"
+
+    @pytest.mark.parametrize("value", ["numba", "jit", "python", "nojit"])
+    def test_environment_rejects_other_values(self, value, tmp_path):
+        # The former backend names and aliases are refused, not remapped.
+        proc = self._import_with(value, tmp_path)
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
+        assert "'c' or 'numpy'" in proc.stderr and repr(value) in proc.stderr
+
+    def test_set_backend_accepts_only_c_and_numpy(self):
+        with pytest.raises(ValueError, match="'c' or 'numpy'"):
+            set_backend("numba")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings():
+    proc = subprocess.run(
+        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", _kernels._C_SOURCE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDualCertificates:
