@@ -4,7 +4,8 @@
 Runs the assignment and alignment kernels over a ladder of sizes on the
 ``c`` backend and on ``numpy``, prints a speedup table, and verifies the two
 backends produce bitwise-identical results (the C kernels port the
-reference statements operation for operation).
+reference statements operation for operation).  The check covers the
+kernels and ``gsa_loss`` on stacks of sequences, which is the training path.
 
 Usage: python benchmarks/compare_backends.py [--sizes 8..128] [--repeats 3]
 """
@@ -17,6 +18,7 @@ import time
 import numpy as np
 
 from combgrad import _kernels
+from combgrad.alignment import gsa_loss
 
 
 def _time_assignment(size: int, repeats: int, rng: np.random.Generator) -> float:
@@ -63,6 +65,16 @@ def _check_equivalence(rng: np.random.Generator) -> None:
         assert rj[0] == rp[0] and rj[5:] == rp[5:] and all(np.array_equal(a, b) for a, b in zip(rj[1:5], rp[1:5])), (
             "gsa backends disagree"
         )
+        B, Tp, Tt, d = (int(x) for x in rng.integers(1, 12, size=4))
+        logits = 4.0 * rng.standard_normal((B, Tp, d + 1))
+        logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        logP[:, ::3, 0] = -40.0  # entries below the 1e-12 log floor
+        Y = np.eye(d + 1)[rng.integers(0, d + 1, size=(B, Tt))]
+        _kernels.set_backend("c")
+        zj, gj = gsa_loss(logP, Y, 1.5)
+        _kernels.set_backend("numpy")
+        zp, gp = gsa_loss(logP, Y, 1.5)
+        assert zj.tobytes() == zp.tobytes() and gj.tobytes() == gp.tobytes(), "gsa_loss backends disagree"
 
 
 def main() -> int:

@@ -25,6 +25,34 @@ _LOG_FLOOR = 1e-12
 _KIND_NAMES = {1: "match", 2: "skip_target", 3: "skip_pred"}
 
 
+def check_gap_factor(gamma) -> float:
+    """gamma as a float; ValueError unless it is finite and greater than 1."""
+    if not np.isfinite(gamma) or gamma <= 1.0:
+        raise ValueError("gap factor must be a finite number greater than 1")
+    return float(gamma)
+
+
+def check_grids(ms: np.ndarray, gamma) -> float:
+    """Validate one (Tp, Tt) grid or a (B, Tp, Tt) stack for the lattice DP.
+
+    Returns gamma as a float.  A path takes Tp + Tt steps, each costing at
+    most gamma * max|m| in magnitude, so requiring twice that total to be
+    finite keeps every partial path cost, its rounding and the 1e-9 tie
+    tolerance on top of it finite.  Costs that pass elementwise can still
+    fail this: a gap on a 1e308 cost overflows.
+    """
+    if ms.size == 0:
+        raise DimensionMismatch("match-cost matrix must be 2-D and non-empty")
+    top = np.abs(ms).max()  # NaN or inf when any cost is
+    if not np.isfinite(top):
+        raise NonFinite("match costs must be finite")
+    gamma = check_gap_factor(gamma)
+    Tp, Tt = ms.shape[-2:]
+    if top > np.finfo(np.float64).max / (2.0 * (Tp + Tt) * gamma):
+        raise NonFinite(f"match costs up to {top:.3g} with gap factor {gamma} can overflow a path cost on a {Tp}x{Tt} grid")
+    return gamma
+
+
 @dataclass(frozen=True)
 class AlignGrid:
     """A ready-to-solve alignment instance: match costs plus the gap factor."""
@@ -34,14 +62,11 @@ class AlignGrid:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        if m.ndim != 2:
             raise DimensionMismatch("match-cost matrix must be 2-D and non-empty")
-        if not np.isfinite(m).all():
-            raise NonFinite("match costs must be finite")
-        if not np.isfinite(self.gamma) or self.gamma <= 1.0:
-            raise ValueError("gap factor must be a finite number greater than 1")
+        gamma = check_grids(m, self.gamma)
         object.__setattr__(self, "m", _freeze(m))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def pred_len(self) -> int:
@@ -142,6 +167,26 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult, *, gap_gradient: bool 
     return gsa_gengrad(grid, result, gap_gradient=gap_gradient).d_c.reshape(grid.m.shape)
 
 
+def _match_costs(logP: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """-(floor(logP) @ Yᵀ) for (Tp, d) and (Tt, d) rows or (B, Tp, d) and (B, Tt, d) stacks."""
+    if not (
+        logP.ndim == Y.ndim
+        and logP.ndim in (2, 3)
+        and logP.shape[:-2] == Y.shape[:-2]
+        and logP.shape[-1] == Y.shape[-1]
+    ):
+        raise DimensionMismatch(
+            "logP (Tp, d) and Y (Tt, d), or stacks (B, Tp, d) and (B, Tt, d), must share"
+            f" the class dimension, got {logP.shape} and {Y.shape}"
+        )
+    if not np.isfinite(Y).all():
+        raise NonFinite("reference rows must be finite")
+    if np.isnan(logP).any() or np.isposinf(logP).any():
+        raise NonFinite("log-probabilities must not contain NaN or +inf")
+    L = np.maximum(logP, np.log(_LOG_FLOOR))
+    return -(L @ np.swapaxes(Y, -1, -2))
+
+
 def build_grid(logP: np.ndarray, Y: np.ndarray, gamma: float) -> AlignGrid:
     """Match costs from predicted log-probabilities and one-hot targets.
 
@@ -151,33 +196,28 @@ def build_grid(logP: np.ndarray, Y: np.ndarray, gamma: float) -> AlignGrid:
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if logP.ndim != 2 or Y.ndim != 2 or logP.shape[1] != Y.shape[1]:
-        raise DimensionMismatch(
-            f"logP (Tp, d) and Y (Tt, d) must share the class dimension, got {logP.shape} and {Y.shape}"
-        )
-    if not np.isfinite(Y).all():
-        raise NonFinite("reference rows must be finite")
-    if np.isnan(logP).any() or np.isposinf(logP).any():
-        raise NonFinite("log-probabilities must not contain NaN or +inf")
-    L = np.maximum(logP, np.log(_LOG_FLOOR))
-    return AlignGrid(m=-(L @ Y.T), gamma=gamma)
+    return AlignGrid(m=_match_costs(logP, Y), gamma=gamma)
 
 
-def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float, *, gap_gradient: bool = True) -> tuple:
+def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     """Alignment loss for sequence prediction without teacher forcing.
 
-    Returns (loss, grad) where loss is the optimal alignment cost of the
-    predicted rows against the targets and grad has logP's shape:
-    grad[i] = -sum_k G[i, k] * Y[k] for the path's cell coefficients G.
+    For one prediction logP (Tp, d) against targets Y (Tt, d), returns
+    (loss, grad): the optimal alignment cost as a float, and grad shaped
+    like logP with grad[i] = -sum_k G[i, k] * Y[k] for the path's cell
+    coefficients G, zero wherever logP is at or below the log floor.  For
+    stacks (B, Tp, d) and (B, Tt, d) it returns the (B,) costs and the
+    (B, Tp, d) gradients.  Either way one batched kernel call solves every
+    grid.
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    grid = build_grid(logP, Y, gamma)
-    res = solve_gsa(grid, compute_unique=False)
-    G = gsa_grad_matrix(grid, res, gap_gradient=gap_gradient)
+    m = _match_costs(logP, Y)
+    ms = m if m.ndim == 3 else m[None]
+    zs, Gs = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))
     active = (logP > np.log(_LOG_FLOOR)).astype(np.float64)
-    grad = -(G @ Y) * active
-    return res.z_star, grad
+    grad = -(Gs.reshape(m.shape) @ Y) * active
+    return (zs if m.ndim == 3 else float(zs[0])), grad
 
 
 def gsa_layer(Y: np.ndarray, gamma: float, *, gap_gradient: bool = True) -> CombLayer:

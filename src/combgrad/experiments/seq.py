@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import tape
-from ..alignment import AlignGrid, gsa_loss, solve_gsa
+from .. import _kernels, tape
+from ..alignment import check_gap_factor, check_grids, gsa_loss
 from ..errors import CombgradError, NonFinite, TrainAborted
 from .common import MetricsRow, TrainConfig
 
@@ -196,20 +196,18 @@ def _batch_loss(
         for t in range(1, T):
             total = tape.add(total, tape.nll(logps[t], tgt[:, t]))
         return tape.scale(total, 1.0 / T)
-    eye = np.eye(vocab)
-    L = np.stack([lp.value for lp in logps])  # (T, B, vocab)
-    zs = 0.0
-    grads = np.zeros_like(L)
-    for e in range(B):
-        z, g = gsa_loss(L[:, e, :], eye[tgt[e]], config.gamma)
-        zs += z
-        grads[:, e, :] = g
+    L = np.stack([lp.value for lp in logps], axis=1)  # (B, T, vocab)
+    zs, grads = gsa_loss(L, np.eye(vocab)[tgt], config.gamma)
+    # Summed in example order: np.sum's pairwise order would change the bits.
+    total = 0.0
+    for z in zs.tolist():
+        total += z
     denom = B * T
     vjps = [
-        (lambda up, Gt=grads[t]: up * Gt / denom)
+        (lambda up, Gt=grads[:, t]: up * Gt / denom)
         for t in range(T)
     ]
-    return tape.custom_node(logps, zs / denom, vjps)
+    return tape.custom_node(logps, total / denom, vjps)
 
 
 def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: int):
@@ -250,7 +248,9 @@ def evaluate(
 
     Decoding runs until EOS (inclusive) with a hard cap of max_len + 4
     steps; the alignment cost compares the emitted rows against the target,
-    so length mismatches are scored rather than crashing.
+    so length mismatches are scored rather than crashing.  The rows of each
+    decode batch are solved in groups of equal (decode length, target
+    length), one batched kernel call per group.
     """
     steps = max_len + 4
     by_len: Dict[int, List[int]] = {}
@@ -263,13 +263,18 @@ def evaluate(
         idx = by_len[L]
         src = np.stack([pairs[i][0] for i in idx])
         logps, toks = _decode_greedy(store, src, vocab, steps)
+        groups: Dict[Tuple[int, int], List[int]] = {}
         for row, i in enumerate(idx):
             hit = np.flatnonzero(toks[row] == EOS)
             end = int(hit[0]) + 1 if hit.size else steps
             tgt = pairs[i][1]
-            grid = AlignGrid(m=-(logps[row, :end] @ eye[tgt].T), gamma=gamma)
-            costs[i] = solve_gsa(grid, compute_unique=False).z_star
             exact[i] = float(end == len(tgt) and bool(np.all(toks[row, :end] == tgt)))
+            groups.setdefault((end, len(tgt)), []).append(row)
+        for (end, _), rows in groups.items():
+            Y = eye[np.stack([pairs[idx[row]][1] for row in rows])]
+            ms = -(logps[rows, :end] @ np.swapaxes(Y, 1, 2))
+            zs, _ = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))
+            costs[[idx[row] for row in rows]] = zs
     return float(costs.mean()), float(exact.mean())
 
 
@@ -287,6 +292,9 @@ def train_seq(
     config.validate()
     if config.loss == "matching":
         raise ValueError("the matching loss does not apply to the sequence task")
+    # Held-out quality is an alignment cost whatever the loss, so gamma must
+    # be valid before any work starts.
+    check_gap_factor(config.gamma)
     if spec is None:
         spec = SeqTaskSpec(seed=config.seed)
     spec.validate()

@@ -25,6 +25,14 @@ from combgrad import (
 from combgrad import _kernels
 
 
+_BACKENDS = [
+    "numpy",
+    pytest.param(
+        "c", marks=pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
+    ),
+]
+
+
 def random_grid(rng, max_side=7):
     Tp = int(rng.integers(1, max_side + 1))
     Tt = int(rng.integers(1, max_side + 1))
@@ -205,6 +213,39 @@ class TestValidation:
         with pytest.raises(NonFinite):
             AlignGrid(m=np.array([[np.nan, 1.0]]), gamma=1.5)
 
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize(
+        "m, gamma",
+        [
+            ([[1e308, 1e308]], 1.5),  # gamma * m overflows on the gap step
+            ([[1e308], [1e308]], 3.7),
+            ([[5e307, 5e307, 5e307]], 1.5),  # gamma * m is finite; the path sum is not
+        ],
+    )
+    def test_costs_that_can_overflow_a_path_rejected(self, backend, m, gamma):
+        prev = set_backend(backend)
+        try:
+            m = np.array(m)
+            with pytest.raises(NonFinite, match="overflow"):
+                AlignGrid(m=m, gamma=gamma)
+            # gsa_loss builds its stacks without AlignGrid.  Rows at the log
+            # floor against scaled one-class targets give back the costs m.
+            Tp, Tt = m.shape
+            logP = np.full((Tp, 1), -50.0)
+            Y = np.full((Tt, 1), m.max() / -np.log(1e-12))
+            with pytest.raises(NonFinite, match="overflow"):
+                gsa_loss(logP, Y, gamma)
+            with pytest.raises(NonFinite, match="overflow"):
+                gsa_loss(logP[None], Y[None], gamma)
+        finally:
+            set_backend(prev)
+
+    def test_largest_costs_that_cannot_overflow_still_solve(self):
+        grid = AlignGrid(m=np.full((2, 3), 1e307), gamma=1.5)
+        res = solve_gsa(grid)
+        assert np.isfinite(res.z_star)
+        assert res.z_star == float((gsa_grad_matrix(grid, res) * grid.m).sum())
+
 
 class TestAlignmentLoss:
     def test_frozen_example(self):
@@ -237,6 +278,58 @@ class TestAlignmentLoss:
     def test_class_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             build_grid(np.zeros((2, 3)), np.eye(4), 1.5)
+        Y = np.eye(3)[None, [0, 1]]
+        for logP, Ys in [
+            (np.zeros((2, 2, 3)), Y),  # batch sizes differ
+            (np.zeros((1, 2, 4)), Y),  # class dimensions differ
+            (np.zeros((2, 3)), Y),  # a row block against a stack
+            (np.zeros((1, 1, 2, 3)), Y[None]),
+            (np.zeros((0, 3)), Y[0]),  # no predicted rows
+            (np.zeros((0, 2, 3)), Y[:0]),  # an empty stack
+        ]:
+            with pytest.raises(DimensionMismatch):
+                gsa_loss(logP, Ys, 1.5)
+
+    def test_gap_factor_validated(self):
+        for gamma in (1.0, np.nan):
+            with pytest.raises(ValueError, match="gap factor"):
+                gsa_loss(np.zeros((2, 3)), np.eye(3)[:2], gamma)
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_stack_is_bitwise_equal_to_single_calls(self, backend):
+        # One-hot targets make every product in L @ Y^T and G @ Y exact, so
+        # the batched loss must match the single calls, and the single call
+        # the old solve_gsa -> gsa_grad_matrix route, bit for bit.
+        rng = np.random.default_rng(20261018)
+        d, B = 6, 3
+        sides = [(1, n) for n in (1, 2, 7, 40)] + [(n, 1) for n in (2, 7, 40)]
+        sides += [(int(a), int(b)) for a, b in rng.integers(2, 41, size=(10, 2))]
+        prev = set_backend(backend)
+        try:
+            for gamma in (1.5, 1 + 1e-7, 3.7):
+                for Tp, Tt in sides:
+                    logits = 6.0 * rng.standard_normal((B, Tp, d))
+                    logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+                    logP[:, ::3, 1] = -40.0  # below the log floor: inactive entries
+                    logP[:, 1::4, 2] = -np.inf
+                    Y = np.eye(d)[rng.integers(0, d, size=(B, Tt))]
+                    where = (Tp, Tt, gamma)
+                    reset_invocations()
+                    zs, grads = gsa_loss(logP, Y, gamma)
+                    assert invocations()["gsa"] == B, where
+                    assert zs.shape == (B,) and grads.shape == logP.shape, where
+                    for b in range(B):
+                        z, g = gsa_loss(logP[b], Y[b], gamma)
+                        assert type(z) is float, where
+                        assert np.float64(z).tobytes() == zs[b].tobytes(), where
+                        assert g.tobytes() == grads[b].tobytes(), where
+                        grid = build_grid(logP[b], Y[b], gamma)
+                        res = solve_gsa(grid, compute_unique=False)
+                        active = (logP[b] > np.log(1e-12)).astype(np.float64)
+                        old = -(gsa_grad_matrix(grid, res) @ Y[b]) * active
+                        assert res.z_star == z and old.tobytes() == g.tobytes(), where
+        finally:
+            set_backend(prev)
 
 
 def _grid_stacks():

@@ -137,6 +137,15 @@ class TestSolve:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.mark.parametrize("costs, gamma", [([[1e308, 1e308]], 1.5), ([[1e308], [1e308]], 3.7)])
+    def test_gsa_costs_that_overflow_a_path_are_input_errors(self, tmp_path, capsys, costs, gamma):
+        inst = write_json(tmp_path / "g.json", {"match_costs": costs, "gamma": gamma})
+        code, out, err = run_cli(["solve", "gsa", inst], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[input]:") and "overflow" in err
+        assert len(err.splitlines()) == 1
+
     def test_infeasible_lp_exits_three(self, tmp_path, capsys):
         inst = write_json(tmp_path / "lp.json", {"c": [1.0], "A": [[1.0]], "b": [-1.0]})
         code, _, err = run_cli(["solve", "lp", inst], capsys)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from combgrad import TrainAborted
-from combgrad.experiments import TrainConfig, train_bags, train_seq
+from combgrad import NonFinite, TrainAborted, tape
+from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
+from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
     BagDatasetSpec,
     eval_accuracy,
@@ -236,6 +237,87 @@ class TestSeqTraining:
     def test_matching_loss_rejected(self):
         with pytest.raises(ValueError):
             train_seq(TrainConfig(loss="matching"))
+
+    def test_invalid_gap_factor_rejected_before_any_work(self, monkeypatch):
+        # Evaluation scores by alignment cost whatever the loss, so gamma is
+        # checked for the MLE baseline too, before the data is generated.
+        monkeypatch.setattr(seq, "gen_seq_dataset", lambda spec: pytest.fail("work started"))
+        for gamma in (1.0, np.inf):
+            with pytest.raises(ValueError, match="gap factor"):
+                train_seq(TrainConfig(loss="mle", gamma=gamma), self.small_spec())
+
+    @pytest.mark.parametrize("feed", ["softmax", "gumbel_st"])
+    def test_batch_loss_is_bitwise_equal_to_per_example_losses(self, feed):
+        config = TrainConfig(loss="gsa", feed=feed, gamma=1.1, seed=5)
+        spec = self.small_spec()
+        data = gen_seq_dataset(spec)
+        store = seq._init_store(config, spec.vocab)
+        batches = seq._bucketed_batches(data.train, config.batch_size, np.random.default_rng(0))
+        src, tgt = max(batches, key=lambda b: b[0].shape[0] * b[1].shape[1])
+        B, T = tgt.shape
+        assert B > 1
+
+        def run(loss_fn):
+            store.zero_grad()
+            loss = loss_fn(np.random.default_rng(7))
+            loss.backward()
+            return loss.value, {k: p.grad.copy() for k, p in store.params.items()}
+
+        def per_example(rng):
+            logps = seq._decode_train(store, seq._encode(store, src), T, spec.vocab, config, 2.0, rng)
+            L = np.stack([lp.value for lp in logps])
+            zs, grads = 0.0, np.zeros_like(L)
+            for e in range(B):
+                z, g = gsa_loss(L[:, e, :], np.eye(spec.vocab)[tgt[e]], config.gamma)
+                zs += z
+                grads[:, e, :] = g
+            vjps = [(lambda up, Gt=grads[t]: up * Gt / (B * T)) for t in range(T)]
+            return tape.custom_node(logps, zs / (B * T), vjps)
+
+        value, grads = run(lambda rng: seq._batch_loss(store, src, tgt, spec.vocab, config, 2.0, rng))
+        ref_value, ref_grads = run(per_example)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+
+    def test_evaluate_is_bitwise_equal_to_per_row_solves(self):
+        spec = self.small_spec()
+        _, store = train_seq(TrainConfig(loss="gsa", epochs=2, seed=4), spec)
+        pairs = gen_seq_dataset(spec).test
+        steps = spec.max_len + 4
+        eye = np.eye(spec.vocab)
+        costs, exact = np.empty(len(pairs)), np.empty(len(pairs))
+        groups = set()
+        # Decode in the same source-length batches as evaluate, then solve
+        # each row on its own.
+        for L in sorted({len(s) for s, _ in pairs}):
+            idx = [i for i, (s, _) in enumerate(pairs) if len(s) == L]
+            logps, toks = seq._decode_greedy(store, np.stack([pairs[i][0] for i in idx]), spec.vocab, steps)
+            for row, i in enumerate(idx):
+                hit = np.flatnonzero(toks[row] == seq.EOS)
+                end = int(hit[0]) + 1 if hit.size else steps
+                t = pairs[i][1]
+                groups.add((end, len(t)))
+                grid = AlignGrid(m=-(logps[row, :end] @ eye[t].T), gamma=1.5)
+                costs[i] = solve_gsa(grid, compute_unique=False).z_star
+                exact[i] = float(end == len(t) and bool(np.all(toks[row, :end] == t)))
+        assert len({end for end, _ in groups}) > 1
+        cost, match = seq.evaluate(store, pairs, spec.vocab, 1.5, spec.max_len)
+        assert cost == float(costs.mean()) and match == float(exact.mean())
+
+    def test_evaluate_validates_gap_factor_and_costs(self):
+        spec = self.small_spec()
+        config = TrainConfig(loss="gsa")
+        store = seq._init_store(config, spec.vocab)
+        pairs = gen_seq_dataset(spec).test
+        with pytest.raises(ValueError, match="gap factor"):
+            seq.evaluate(store, pairs, spec.vocab, 1.0, spec.max_len)
+        # Biases 1e307 apart give finite log-probabilities whose gap costs
+        # overflow a path sum.
+        store.params["bo"].value[:] = np.linspace(-1e307, 1e307, spec.vocab)
+        with pytest.raises(NonFinite, match="overflow"):
+            seq.evaluate(store, pairs, spec.vocab, 1.5, spec.max_len)
 
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(loss="gsa", feed="gumbel_st", epochs=2, seed=99)
