@@ -15,9 +15,7 @@ from .alignment import (
     AlignResult,
     PathEdge,
     build_grid,
-    gsa_gengrad,
     gsa_grad_matrix,
-    gsa_layer,
     gsa_loss,
     solve_gsa,
 )
@@ -25,23 +23,15 @@ from .assignment import (
     MatchingResult,
     assignment_gengrad,
     filter_bag,
-    matching_layer,
     matching_loss,
     solve_assignment,
 )
 from .core import (
     DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    ChainMaps,
-    CombLayer,
-    Dependence,
     GenGrad,
-    GradMode,
     LPSpec,
     SolverOutcome,
     SupergradReport,
-    assemble_gengrad,
-    comb_loss_backward,
     strong_duality_gap,
     supergradient_check,
 )
@@ -84,23 +74,15 @@ __all__ = [
     "LPSpec",
     "SolverOutcome",
     "GenGrad",
-    "GradMode",
-    "Dependence",
-    "ChainMaps",
-    "CombLayer",
     "SupergradReport",
-    "assemble_gengrad",
-    "comb_loss_backward",
     "strong_duality_gap",
     "supergradient_check",
     "DEFAULT_ATOL",
-    "DEFAULT_RTOL",
     # assignment
     "MatchingResult",
     "solve_assignment",
     "assignment_gengrad",
     "matching_loss",
-    "matching_layer",
     "filter_bag",
     # alignment
     "AlignGrid",
@@ -108,10 +90,8 @@ __all__ = [
     "PathEdge",
     "build_grid",
     "solve_gsa",
-    "gsa_gengrad",
     "gsa_grad_matrix",
     "gsa_loss",
-    "gsa_layer",
     # reference / oracles
     "solve_lp",
     "enumerate_vertices",

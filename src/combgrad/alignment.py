@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import CombLayer, ChainMaps, Dependence, GenGrad, SolverOutcome, _freeze
+from .core import _freeze
 from .errors import DimensionMismatch, NonFinite
 
 _LOG_FLOOR = 1e-12
@@ -142,29 +142,16 @@ def solve_gsa(grid: AlignGrid, *, compute_unique: bool = True) -> AlignResult:
     )
 
 
-def gsa_gengrad(grid: AlignGrid, result: AlignResult, *, gap_gradient: bool = True) -> GenGrad:
-    """Gradient of the optimal path cost in the flattened match-cost matrix.
+def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
+    """Gradient of the optimal path cost, shaped like the match-cost matrix.
 
-    gap_gradient=False drops the gap contributions, keeping only the
-    matched-cell coefficients; the default charges gamma per gap to the
-    clamped source cell, which is the exact gradient of the cost actually
-    paid.
+    Each matched cell gets 1 per visit and each gap charges gamma to its
+    clamped source cell: the exact gradient of the cost actually paid.
     """
     G = np.zeros(grid.m.shape)
     for (i, k), g in result.edge_grad.items():
         G[i, k] += g
-    if not gap_gradient:
-        Gm = np.zeros_like(G)
-        for e in result.path:
-            if e.kind == "match":
-                Gm[e.i, e.k] += 1.0
-        G = Gm
-    return GenGrad(d_c=G.ravel(), d_b=None, d_A=None)
-
-
-def gsa_grad_matrix(grid: AlignGrid, result: AlignResult, *, gap_gradient: bool = True) -> np.ndarray:
-    """Same as gsa_gengrad but shaped like the match-cost matrix."""
-    return gsa_gengrad(grid, result, gap_gradient=gap_gradient).d_c.reshape(grid.m.shape)
+    return G
 
 
 def _match_costs(logP: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -218,39 +205,3 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     active = (logP > np.log(_LOG_FLOOR)).astype(np.float64)
     grad = -(Gs.reshape(m.shape) @ Y) * active
     return (zs if m.ndim == 3 else float(zs[0])), grad
-
-
-def gsa_layer(Y: np.ndarray, gamma: float, *, gap_gradient: bool = True) -> CombLayer:
-    """Package the alignment loss as a pluggable optimal-value layer.
-
-    w is the flattened logP matrix; only the cost block depends on w.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-
-    def build(w: np.ndarray):
-        Tp = w.size // Y.shape[1]
-        return build_grid(w.reshape(Tp, Y.shape[1]), Y, gamma)
-
-    def solver(grid: AlignGrid) -> SolverOutcome:
-        res = solve_gsa(grid, compute_unique=False)
-        G = gsa_grad_matrix(grid, res, gap_gradient=gap_gradient)
-        return SolverOutcome(z_star=res.z_star, u_star=G.ravel(), v_star=None, unique=res.unique)
-
-    def chains(w: np.ndarray) -> ChainMaps:
-        d = Y.shape[1]
-        Tp = w.size // d
-        logP = w.reshape(Tp, d)
-        active = (logP > np.log(_LOG_FLOOR)).astype(np.float64)
-        Tt = Y.shape[0]
-        J = np.zeros((Tp * Tt, Tp * d))
-        for i in range(Tp):
-            for k in range(Tt):
-                J[i * Tt + k, i * d : (i + 1) * d] = -Y[k] * active[i]
-        return ChainMaps(dc_dw=J, db_dw=None, dA_dw=None)
-
-    return CombLayer(
-        dependence=Dependence.primal(),
-        build=build,
-        solver=solver,
-        chains=chains,
-    )

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
-from .core import CombLayer, ChainMaps, Dependence, GenGrad, SolverOutcome, _freeze
+from .core import GenGrad, _freeze
 from .errors import DimensionMismatch, NonFinite, NonSquare
 
 _LOG_FLOOR = 1e-12
@@ -54,16 +53,38 @@ def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *
     fixed = np.zeros(b, dtype=bool)
 
     def rematch(r: int, visited: np.ndarray) -> bool:
-        # Classic augmenting search; commits only along a successful path.
-        for j in cols[r]:
-            if visited[j]:
-                continue
-            visited[j] = True
-            owner = matchR[j]
-            if owner < 0 or (not fixed[owner] and rematch(int(owner), visited)):
-                matchL[r] = j
-                matchR[j] = r
-                return True
+        # Classic augmenting search, depth first with an explicit stack so a
+        # long chain of ties cannot exhaust the recursion limit.  rows[t]
+        # scans its tight columns from nxt[t]; via[t] is the column it tries,
+        # whose owner is rows[t + 1].  Commits only along a successful path.
+        rows, nxt, via = [r], [0], []
+        while rows:
+            r, k = rows[-1], nxt[-1]
+            cr = cols[r]
+            while k < cr.size:
+                j = cr[k]
+                k += 1
+                if visited[j]:
+                    continue
+                visited[j] = True
+                owner = matchR[j]
+                if owner < 0:
+                    via.append(j)
+                    for row, col in zip(rows, via):
+                        matchL[row] = col
+                        matchR[col] = row
+                    return True
+                if not fixed[owner]:
+                    nxt[-1] = k
+                    rows.append(int(owner))
+                    nxt.append(0)
+                    via.append(j)
+                    break
+            else:
+                rows.pop()
+                nxt.pop()
+                if via:
+                    via.pop()
         return False
 
     for i in range(b):
@@ -121,15 +142,6 @@ class MatchingResult:
     duals_u: np.ndarray
     duals_v: np.ndarray
     unique: Optional[bool]
-
-    def outcome(self) -> SolverOutcome:
-        """View as a generic solver outcome (primal witness = vec of M)."""
-        return SolverOutcome(
-            z_star=self.z_star,
-            u_star=self.M.ravel(),
-            v_star=np.concatenate([self.duals_u, self.duals_v]),
-            unique=self.unique,
-        )
 
 
 def solve_assignment(C: np.ndarray, *, compute_unique: bool = True, tol: float = 1e-9) -> MatchingResult:
@@ -205,46 +217,3 @@ def filter_bag(Y: np.ndarray, threshold: float) -> bool:
     b = Y.shape[0]
     distinct = np.unique(Y, axis=0).shape[0]
     return bool(distinct >= threshold * b - 1e-9)
-
-
-def matching_layer(Y: np.ndarray) -> CombLayer:
-    """Package the matching loss as a pluggable optimal-value layer.
-
-    The parameter vector w is the flattened logP matrix; the cost vector of
-    the underlying problem is c = vec(-logP_floored @ Y.T), and only c
-    depends on w, so the layer needs just the primal witness.  The chain map
-    dc/dw is the sparse matrix with dC[i,j]/dlogP[i,l] = -Y[j,l] (zeroed
-    where the floor clamps).
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    b, d = Y.shape
-
-    def build(w: np.ndarray):
-        logP = w.reshape(b, d)
-        L = np.maximum(logP, np.log(_LOG_FLOOR))
-        return -(L @ Y.T)
-
-    def solver(C: np.ndarray) -> SolverOutcome:
-        return solve_assignment(C, compute_unique=False).outcome()
-
-    def chains(w: np.ndarray) -> ChainMaps:
-        logP = w.reshape(b, d)
-        active = (logP > np.log(_LOG_FLOOR)).astype(np.float64)
-        rows, cols, vals = [], [], []
-        for i in range(b):
-            for j in range(b):
-                r = i * b + j
-                for l in range(d):
-                    if active[i, l] and Y[j, l] != 0.0:
-                        rows.append(r)
-                        cols.append(i * d + l)
-                        vals.append(-Y[j, l])
-        J = sp.csr_array((vals, (rows, cols)), shape=(b * b, b * d))
-        return ChainMaps(dc_dw=J, db_dw=None, dA_dw=None)
-
-    return CombLayer(
-        dependence=Dependence.primal(),
-        build=build,
-        solver=solver,
-        chains=chains,
-    )

@@ -10,30 +10,23 @@ that returns its optimum (assignment matrix, alignment path) therefore also
 returns a generalized gradient of its objective value, and a single solve
 feeds both the forward and the backward pass of a loss built on ``z*``.
 
-This module holds the shared types, the witness-to-gradient assembly, the
-chain-rule contraction onto upstream parameters, and a sampling check of the
-super/subgradient inequalities.
+This module holds the shared types (the LP data, a solver's witnesses, the
+gradient blocks they form) and a sampling check of the super/subgradient
+inequalities.  The chain rule onto model parameters is not here: each loss
+returns ``(z*, grad)`` from one solve, and ``tape.custom_node`` splices that
+pair into the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingWitness, NonFinite
 
 DEFAULT_ATOL = 1e-9
-DEFAULT_RTOL = 1e-9
-
-
-def close(a, b, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> bool:
-    """Scalar/array closeness with the package-default tolerances."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return bool(np.all(np.abs(a - b) <= atol + rtol * np.maximum(np.abs(a), np.abs(b))))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -121,147 +114,6 @@ class GenGrad:
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _freeze(np.asarray(val)))
-
-
-class GradMode(str, Enum):
-    """Which witness the backward pass needs."""
-
-    PRIMAL = "primal"
-    DUAL = "dual"
-    PRIMAL_DUAL = "primal_dual"
-
-
-@dataclass(frozen=True)
-class Dependence:
-    """Declares which data blocks of the problem vary with the parameters.
-
-    PRIMAL means only the cost vector c = c(w) (gradient needs the primal
-    witness), DUAL means only the right-hand side b = b(w) (needs the dual
-    witness), PRIMAL_DUAL allows any of c, b, A to vary (needs both).
-    """
-
-    mode: GradMode
-    on_c: bool = False
-    on_b: bool = False
-    on_A: bool = False
-
-    def __post_init__(self):
-        if self.mode == GradMode.PRIMAL:
-            if not self.on_c or self.on_b or self.on_A:
-                raise ValueError("PRIMAL dependence must declare c and only c")
-        elif self.mode == GradMode.DUAL:
-            if self.on_c or not self.on_b or self.on_A:
-                raise ValueError("DUAL dependence must declare b and only b")
-        else:
-            if not (self.on_c or self.on_b or self.on_A):
-                raise ValueError("PRIMAL_DUAL dependence must declare at least one block")
-
-    @classmethod
-    def primal(cls) -> "Dependence":
-        return cls(GradMode.PRIMAL, on_c=True)
-
-    @classmethod
-    def dual(cls) -> "Dependence":
-        return cls(GradMode.DUAL, on_b=True)
-
-    @classmethod
-    def primal_dual(cls, on_c: bool = True, on_b: bool = True, on_A: bool = True) -> "Dependence":
-        return cls(GradMode.PRIMAL_DUAL, on_c=on_c, on_b=on_b, on_A=on_A)
-
-
-def assemble_gengrad(outcome: SolverOutcome, dep: Dependence) -> GenGrad:
-    """Turn solver witnesses into the generalized gradient blocks that the
-    declared dependence requires.
-
-    Raises MissingWitness when the outcome lacks a needed witness.
-    """
-    need_u = dep.on_c or dep.on_A
-    need_v = dep.on_b or dep.on_A
-    if need_u and outcome.u_star is None:
-        raise MissingWitness("dependence on c or A needs the primal witness u*")
-    if need_v and outcome.v_star is None:
-        raise MissingWitness("dependence on b or A needs the dual witness v*")
-    d_c = outcome.u_star if dep.on_c else None
-    d_b = outcome.v_star if dep.on_b else None
-    d_A = None
-    if dep.on_A:
-        d_A = -np.outer(outcome.v_star, outcome.u_star)
-    return GenGrad(d_c=d_c, d_b=d_b, d_A=d_A)
-
-
-@dataclass(frozen=True)
-class ChainMaps:
-    """Jacobians of the problem data with respect to the parameter vector w.
-
-    Each map is a dense or scipy.sparse matrix whose column count is the
-    parameter dimension: dc_dw is (p, nw), db_dw is (m, nw), dA_dw is
-    (m*p, nw) acting on the row-major vectorization of A.  Absent maps
-    contribute nothing to the backward pass.
-    """
-
-    dc_dw: Optional[Any] = None
-    db_dw: Optional[Any] = None
-    dA_dw: Optional[Any] = None
-
-    def param_dim(self) -> int:
-        for m in (self.dc_dw, self.db_dw, self.dA_dw):
-            if m is not None:
-                return int(m.shape[1])
-        raise DimensionMismatch("no chain maps present; parameter dimension unknown")
-
-
-def comb_loss_backward(gg: GenGrad, chains: ChainMaps, upstream: float) -> np.ndarray:
-    """Chain the generalized gradient through the data Jacobians.
-
-    Returns upstream * (dc_dw^T d_c + db_dw^T d_b + dA_dw^T vec(d_A)); the
-    d_A block already carries its minus sign from assembly.  Linear in
-    upstream by construction.
-    """
-    nw = chains.param_dim()
-    out = np.zeros(nw)
-    used_any = False
-    for jac, block, label in (
-        (chains.dc_dw, gg.d_c, "c"),
-        (chains.db_dw, gg.d_b, "b"),
-        (chains.dA_dw, None if gg.d_A is None else np.asarray(gg.d_A).ravel(), "A"),
-    ):
-        if jac is None:
-            continue
-        if block is None:
-            raise MissingWitness(f"chain map for {label} given but gradient block is absent")
-        block = np.asarray(block, dtype=np.float64).ravel()
-        if jac.shape[0] != block.size or jac.shape[1] != nw:
-            raise DimensionMismatch(
-                f"chain map for {label} has shape {tuple(jac.shape)}, "
-                f"expected ({block.size}, {nw})"
-            )
-        term = jac.T @ block
-        out = out + np.asarray(term).ravel()
-        used_any = True
-    if not used_any:
-        raise DimensionMismatch("no chain maps present")
-    return float(upstream) * out
-
-
-@dataclass(frozen=True)
-class CombLayer:
-    """A parametric combinatorial problem exposed as a differentiable value.
-
-    ``build`` maps the parameter array to a problem instance, ``solver``
-    produces a SolverOutcome for it, and ``chains`` evaluates the data
-    Jacobians at the same parameters.  ``dependence`` states which data
-    blocks vary, hence which witnesses the backward pass will consume.
-    """
-
-    dependence: Dependence
-    build: Callable[[np.ndarray], Any]
-    solver: Callable[[Any], SolverOutcome]
-    chains: Callable[[np.ndarray], ChainMaps]
-
-    def run(self, w: np.ndarray) -> tuple[SolverOutcome, ChainMaps]:
-        instance = self.build(w)
-        outcome = self.solver(instance)
-        return outcome, self.chains(w)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Shared experiment plumbing: the training configuration, the metrics row
-format, and CSV/JSONL serialization.
+format, and CSV serialization.
 
 Metrics are written long-form with the header `epoch,split,metric,value,seconds`
 so that runs with different metric sets share one schema.  Values are
@@ -10,7 +10,6 @@ the same seed produce bitwise-identical files except for the seconds column.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Tuple
 
@@ -99,15 +98,3 @@ def load_metrics(path: str) -> Dict[Tuple[int, str, str], float]:
         for rec in csv.DictReader(f):
             out[(int(rec["epoch"]), rec["split"], rec["metric"])] = float(rec["value"])
     return out
-
-
-def save_jsonl(records: List[dict], path: str) -> None:
-    """Line-delimited JSON, one record per line."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_jsonl(path: str) -> List[dict]:
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]

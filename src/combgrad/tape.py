@@ -2,8 +2,10 @@
 
 Just enough autodiff to train the experiment models end to end: dense ops,
 log-softmax / NLL heads, an embedding gather, a straight-through Gumbel
-sampler, and `comb_node`, which splices an optimal-value layer (matching or
-alignment) into the graph using its witness-based gradient instead of
+sampler, and `custom_node`, which splices a value and its vector-Jacobian
+products computed off the tape into the graph.  The optimal-value losses
+enter this way: `matching_loss` and `gsa_loss` return `(z*, grad)` from one
+solve, and the node scales `grad` by the upstream gradient instead of
 differentiating through the solver.
 
 Values are ordinary numpy arrays; gradients accumulate into `.grad` during
@@ -19,7 +21,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import CombLayer, assemble_gengrad, comb_loss_backward
 from .errors import DimensionMismatch, NonFinite, ShapeMismatch
 
 
@@ -293,26 +294,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl = [slice(None)] * out.grad.ndim
             sl[axis] = slice(lo, hi)
             _acc(t, out.grad[tuple(sl)])
-
-    out._backward = _bw
-    return out
-
-
-def comb_node(w: Tensor, layer: CombLayer) -> Tensor:
-    """Splice an optimal-value layer into the graph.
-
-    Forward runs the layer's discrete solver on the parameters; backward
-    multiplies the upstream scalar through the witness-based gradient and
-    the layer's chain maps — one solve total, no differentiation through
-    the solver.
-    """
-    outcome, chains = layer.run(w.value.ravel())
-    out = Tensor(outcome.z_star, (w,))
-
-    def _bw():
-        gg = assemble_gengrad(outcome, layer.dependence)
-        gw = comb_loss_backward(gg, chains, float(out.grad))
-        _acc(w, gw.reshape(w.value.shape))
 
     out._backward = _bw
     return out

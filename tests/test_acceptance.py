@@ -29,7 +29,6 @@ from combgrad import (
     gsa_grad_matrix,
     gsa_loss,
     invocations,
-    matching_layer,
     matching_loss,
     random_lp,
     reset_invocations,
@@ -44,7 +43,6 @@ from combgrad.experiments.seq import SeqTaskSpec
 from combgrad.tape import (
     Tensor,
     add,
-    comb_node,
     concat,
     custom_node,
     embed,
@@ -254,14 +252,27 @@ def test_sampled_one_hot_backward_follows_the_tempered_surrogate():
 
 
 def test_optimal_value_node_passes_central_difference_checks():
+    # The optimal-value node as training builds it: custom_node over the
+    # (z*, grad) pair a loss returns from one solve, fed by a log-softmax.
     rng = np.random.default_rng(SEED + 7)
     d = 4
     Y = np.eye(d)[[0, 2, 1]]
-    layer = matching_layer(Y)
-    logits = rng.standard_normal((3, d))
-    logP = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    got, want = _tape_gradient_and_fd(lambda t: comb_node(t, layer), logP.ravel(), eps=1e-7)
-    assert rel_err(got, want) < 1e-5
+
+    def node(loss):
+        def build(t):
+            logp = log_softmax(t)
+            z, g = loss(logp.value)
+            return custom_node([logp], z, [lambda up: up * g])
+
+        return build
+
+    cases = {
+        "matching": node(lambda logp: matching_loss(logp, Y)),
+        "gsa": node(lambda logp: gsa_loss(logp, Y[:2], 1.5)),  # 3 predictions, 2 targets: a gap
+    }
+    for name, build in cases.items():
+        got, want = _tape_gradient_and_fd(build, rng.standard_normal((3, d)), eps=1e-7)
+        assert rel_err(got, want) < 1e-5, name
 
 
 def test_corrupted_gradient_fails_the_check():

@@ -13,12 +13,9 @@ from combgrad import (
     NonFinite,
     NonSquare,
     assignment_gengrad,
-    comb_loss_backward,
-    assemble_gengrad,
     enumerate_permutations,
     filter_bag,
     invocations,
-    matching_layer,
     matching_loss,
     reset_invocations,
     set_backend,
@@ -91,6 +88,32 @@ class TestOracleAgreement:
             saw_tie = saw_tie or len(argmins) > 1
         assert saw_tie  # the sampling really exercised degenerate optima
 
+    @pytest.mark.parametrize("b", [9, 32, 100, 256])
+    def test_matches_scipy_beyond_enumeration_size(self, b):
+        lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(b)
+        for C in (rng.uniform(-1.0, 1.0, size=(b, b)), rng.integers(0, 4, size=(b, b)).astype(np.float64)):
+            res = solve_assignment(C, compute_unique=False)
+            rows, cols = lsa(C)
+            assert abs(res.z_star - float(C[rows, cols].sum())) <= 1e-9
+            # The certificate holds at these sizes too.
+            u, v = res.duals_u, res.duals_v
+            assert (C - u[:, None] - v[None, :]).min() >= -1e-9
+            assert abs(float(u.sum() + v.sum()) - res.z_star) <= 1e-9
+
+    def test_long_tie_chain_refines_without_recursion(self):
+        # Zero cost on the diagonal and on (i, i+1 mod b), rows reversed: the
+        # lex-min refinement has to re-match along a chain of b tied rows,
+        # which a recursive search cannot do at b = 1000.
+        b = 1000
+        i = np.arange(b)
+        C = np.ones((b, b))
+        C[i, i] = 0.0
+        C[i, (i + 1) % b] = 0.0
+        res = solve_assignment(C[::-1], compute_unique=False)
+        assert res.z_star == 0.0
+        assert res.perm == (0, *range(b - 1, 0, -1))
+
 
 def _kernel_stacks():
     rng = np.random.default_rng(20240611)
@@ -121,8 +144,13 @@ class TestCompiledKernel:
     def test_built_once_and_never_on_import(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-        probe = "import combgrad, os, sys; sys.exit(os.path.exists(sys.argv[1]))"
-        assert subprocess.run([sys.executable, "-c", probe, str(tmp_path / "combgrad")]).returncode == 0
+        probe = (
+            "import combgrad, os, sys; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'importing combgrad loaded scipy'; "
+            "sys.exit(os.path.exists(sys.argv[1]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "combgrad")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         path = _kernels._c_library_path()
         assert os.path.dirname(path) == str(tmp_path / "combgrad")
 
@@ -295,6 +323,23 @@ class TestMatchingLoss:
         with pytest.raises(DimensionMismatch):
             matching_loss(np.zeros((2, 3)), np.eye(2))
 
+    def test_gradient_matches_central_differences(self):
+        # Differentiate through the log-softmax, since the loss only accepts
+        # normalized rows; random logits keep the optimum away from ties.
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            b, d = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            Y = np.eye(d)[rng.integers(0, d, size=b)]
+            logits = rng.standard_normal((b, d))
+
+            def f(x):
+                return matching_loss(x - np.log(np.exp(x).sum(axis=1, keepdims=True)), Y)[0]
+
+            logP = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            _, grad = matching_loss(logP, Y)
+            got = grad - np.exp(logP) * grad.sum(axis=1, keepdims=True)
+            assert np.allclose(got, central_fd(f, logits, eps=1e-7), atol=1e-6)
+
 
 class TestFilterBag:
     def test_accepts_distinct_and_rejects_collapsed(self):
@@ -315,39 +360,3 @@ class TestFilterBag:
     def test_one_dim_rejected(self):
         with pytest.raises(DimensionMismatch):
             filter_bag(np.ones(3), 0.5)
-
-
-class TestMatchingLayer:
-    def test_layer_gradient_matches_direct_loss(self):
-        rng = np.random.default_rng(31)
-        b, d = 3, 4
-        logits = rng.standard_normal((b, d))
-        logP = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        Y = np.eye(d)[[0, 1, 2]]
-        loss, grad = matching_loss(logP, Y)
-        layer = matching_layer(Y)
-        outcome, chains = layer.run(logP.ravel())
-        assert outcome.z_star == pytest.approx(loss, abs=1e-12)
-        gg = assemble_gengrad(outcome, layer.dependence)
-        gw = comb_loss_backward(gg, chains, 1.0)
-        assert np.allclose(gw.reshape(b, d), grad, atol=1e-12)
-
-    def test_layer_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(37)
-        b, d = 2, 3
-        logits = rng.standard_normal((b, d))
-        logP = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        Y = np.eye(d)[[2, 0]]
-        layer = matching_layer(Y)
-        outcome, chains = layer.run(logP.ravel())
-        gg = assemble_gengrad(outcome, layer.dependence)
-        gw = comb_loss_backward(gg, chains, 1.0)
-
-        def f(w):
-            # objective of the already-fixed matching is linear; the solver
-            # re-picks per point, which agrees locally away from ties
-            C = -(np.maximum(w.reshape(b, d), np.log(1e-12)) @ Y.T)
-            return solve_assignment(C, compute_unique=False).z_star
-
-        fd = central_fd(f, logP.ravel(), eps=1e-7)
-        assert np.allclose(gw, fd, atol=1e-6)

@@ -1,22 +1,15 @@
-"""Contract types: problem specs, witnesses, gradient assembly, chain rule."""
+"""Contract types: problem specs, witnesses, the duality audit, and the
+supergradient check."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from combgrad import (
-    ChainMaps,
-    CombLayer,
-    Dependence,
     DimensionMismatch,
-    GenGrad,
-    GradMode,
     LPSpec,
     MissingWitness,
     NonFinite,
     SolverOutcome,
-    assemble_gengrad,
-    comb_loss_backward,
     strong_duality_gap,
     supergradient_check,
 )
@@ -72,103 +65,6 @@ class TestStrongDuality:
         spec = small_spec()
         with pytest.raises(MissingWitness):
             strong_duality_gap(spec, SolverOutcome(z_star=1.0, u_star=[1.0, 0.0]))
-
-
-class TestDependence:
-    def test_factory_modes(self):
-        assert Dependence.primal().mode == GradMode.PRIMAL
-        assert Dependence.dual().mode == GradMode.DUAL
-        assert Dependence.primal_dual().on_A
-
-    def test_inconsistent_declarations_rejected(self):
-        with pytest.raises(ValueError):
-            Dependence(GradMode.PRIMAL, on_c=True, on_b=True)
-        with pytest.raises(ValueError):
-            Dependence(GradMode.DUAL, on_b=False)
-        with pytest.raises(ValueError):
-            Dependence(GradMode.PRIMAL_DUAL)
-
-
-class TestAssembleGengrad:
-    def outcome(self):
-        return SolverOutcome(z_star=1.0, u_star=[1.0, 0.0], v_star=[2.0])
-
-    def test_primal_only(self):
-        gg = assemble_gengrad(self.outcome(), Dependence.primal())
-        assert np.array_equal(gg.d_c, [1.0, 0.0])
-        assert gg.d_b is None and gg.d_A is None
-
-    def test_dual_only(self):
-        gg = assemble_gengrad(self.outcome(), Dependence.dual())
-        assert np.array_equal(gg.d_b, [2.0])
-        assert gg.d_c is None and gg.d_A is None
-
-    def test_matrix_block_is_negative_outer_product(self):
-        gg = assemble_gengrad(self.outcome(), Dependence.primal_dual())
-        assert np.array_equal(gg.d_A, -np.outer([2.0], [1.0, 0.0]))
-
-    def test_missing_witness_raises(self):
-        with pytest.raises(MissingWitness):
-            assemble_gengrad(SolverOutcome(z_star=1.0, v_star=[2.0]), Dependence.primal())
-        with pytest.raises(MissingWitness):
-            assemble_gengrad(SolverOutcome(z_star=1.0, u_star=[1.0, 0.0]), Dependence.dual())
-
-
-class TestChainRule:
-    def test_dense_contraction(self):
-        gg = GenGrad(d_c=[1.0, 0.0], d_b=[2.0])
-        chains = ChainMaps(dc_dw=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), db_dw=np.array([[0.0, 0.0, 3.0]]))
-        gw = comb_loss_backward(gg, chains, 1.0)
-        expect = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]).T @ [1.0, 0.0]
-        expect = expect + np.array([[0.0, 0.0, 3.0]]).T @ [2.0]
-        assert np.allclose(gw, expect.ravel())
-
-    def test_sparse_map_accepted(self):
-        gg = GenGrad(d_c=[1.0, 2.0])
-        J = sp.csr_array(np.array([[1.0, 0.0], [0.0, 4.0]]))
-        gw = comb_loss_backward(gg, ChainMaps(dc_dw=J), 1.0)
-        assert np.allclose(gw, [1.0, 8.0])
-
-    def test_linear_in_upstream(self):
-        gg = GenGrad(d_c=[1.0, 2.0])
-        chains = ChainMaps(dc_dw=np.eye(2))
-        g1 = comb_loss_backward(gg, chains, 1.0)
-        g3 = comb_loss_backward(gg, chains, 3.0)
-        assert np.allclose(g3, 3.0 * g1)
-
-    def test_matrix_block_uses_row_major_vec(self):
-        d_A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        gg = GenGrad(d_A=d_A)
-        chains = ChainMaps(dA_dw=np.eye(4))
-        gw = comb_loss_backward(gg, chains, 1.0)
-        assert np.allclose(gw, d_A.ravel())
-
-    def test_map_without_block_raises(self):
-        gg = GenGrad(d_c=[1.0, 2.0])
-        with pytest.raises(MissingWitness):
-            comb_loss_backward(gg, ChainMaps(db_dw=np.eye(2)), 1.0)
-
-    def test_shape_mismatch_raises(self):
-        gg = GenGrad(d_c=[1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            comb_loss_backward(gg, ChainMaps(dc_dw=np.eye(3)), 1.0)
-
-    def test_no_maps_raises(self):
-        with pytest.raises(DimensionMismatch):
-            comb_loss_backward(GenGrad(d_c=[1.0]), ChainMaps(), 1.0)
-
-
-class TestCombLayer:
-    def test_run_threads_parameters(self):
-        layer = CombLayer(
-            dependence=Dependence.primal(),
-            build=lambda w: w * 2.0,
-            solver=lambda inst: SolverOutcome(z_star=float(inst.sum()), u_star=np.ones_like(inst)),
-            chains=lambda w: ChainMaps(dc_dw=np.eye(w.size) * 2.0),
-        )
-        outcome, chains = layer.run(np.array([1.0, 2.0]))
-        assert outcome.z_star == 6.0
-        assert chains.dc_dw.shape == (2, 2)
 
 
 class TestSupergradientCheck:

@@ -12,7 +12,7 @@ from combgrad.experiments.bags import (
     gen_bag_dataset,
     make_bags,
 )
-from combgrad.experiments.common import MetricsRow, load_jsonl, load_metrics, save_jsonl, write_metrics
+from combgrad.experiments.common import MetricsRow, load_metrics, write_metrics
 from combgrad.experiments.seq import EOS, SeqTaskSpec, gen_seq_dataset
 
 
@@ -61,12 +61,6 @@ class TestMetricsSerialization:
         path = str(tmp_path / "m.csv")
         write_metrics([MetricsRow(epoch=1, train_loss=val)], path)
         assert load_metrics(path)[(1, "train", "loss")] == val
-
-    def test_jsonl_round_trip(self, tmp_path):
-        recs = [{"a": 1}, {"b": [1, 2, 3]}]
-        path = str(tmp_path / "r.jsonl")
-        save_jsonl(recs, path)
-        assert load_jsonl(path) == recs
 
 
 class TestBagDataset:

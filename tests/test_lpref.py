@@ -162,6 +162,26 @@ class TestGradientProbes:
             assert block.abs_err == pytest.approx(abs(block.analytic - block.numeric), abs=1e-15)
 
 
+class TestHighsOracle:
+    def test_value_and_duals_match_highs_beyond_enumeration_size(self):
+        # p = 11..29 is past the vertex oracle's cap.  Random continuous data
+        # give a unique nondegenerate optimum, so the dual is unique too and
+        # HiGHS's equality marginals must equal it.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            p = int(rng.integers(11, 30))
+            m = int(rng.integers(1, 9))
+            spec = random_lp(rng, p, m)
+            out = solve_lp(spec)
+            assert out.unique and int(np.sum(out.u_star > 1e-9)) == m
+            ref = linprog(spec.c, A_eq=spec.A, b_eq=spec.b, bounds=(0, None), method="highs")
+            assert ref.status == 0
+            assert abs(out.z_star - ref.fun) <= 1e-10 * max(1.0, abs(ref.fun))
+            v_ref = ref.eqlin.marginals
+            assert np.abs(out.v_star - v_ref).max() <= 1e-10 * max(1.0, np.abs(v_ref).max())
+
+
 class TestSampler:
     def test_random_lp_is_deterministic_per_seed(self):
         s1 = random_lp(np.random.default_rng(5), 4, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from combgrad import DimensionMismatch, NonFinite, ShapeMismatch, matching_layer
+from combgrad import DimensionMismatch, NonFinite, ShapeMismatch, matching_loss
 from combgrad import tape
 from combgrad.tape import (
     GumbelConfig,
@@ -11,7 +11,6 @@ from combgrad.tape import (
     Tensor,
     adam_step,
     add,
-    comb_node,
     concat,
     custom_node,
     embed,
@@ -193,30 +192,32 @@ class TestStraightThroughSampler:
 
 
 class TestOptimalValueNode:
-    def layer_and_point(self):
+    def node_and_point(self):
+        # custom_node over matching_loss's (z*, grad), fed by a log-softmax.
         d = 4
         Y = np.eye(d)[[0, 2, 1]]
         logits = RNG.standard_normal((3, d))
-        logP = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return matching_layer(Y), logP
+
+        def node(x):
+            logp = log_softmax(x)
+            z, g = matching_loss(logp.value, Y)
+            return custom_node([logp], z, [lambda up: up * g])
+
+        return node, logits
 
     def test_composite_gradient_matches_finite_differences(self):
-        layer, logP = self.layer_and_point()
-
-        def build(x):
-            return comb_node(x, layer)
-
-        fd_check(build, logP.ravel(), eps=1e-7, tol=1e-5)
+        node, logits = self.node_and_point()
+        fd_check(node, logits, eps=1e-7, tol=1e-5)
 
     def test_upstream_scaling_via_square(self):
-        layer, logP = self.layer_and_point()
-        xt = Tensor(logP.ravel().copy())
-        z = comb_node(xt, layer)
+        node, logits = self.node_and_point()
+        xt = Tensor(logits.copy())
+        z = node(xt)
         mul(z, z).backward()
         g_sq = xt.grad.copy()
 
-        xt2 = Tensor(logP.ravel().copy())
-        z2 = comb_node(xt2, layer)
+        xt2 = Tensor(logits.copy())
+        z2 = node(xt2)
         z2.backward()
         assert np.allclose(g_sq, 2.0 * z2.item() * xt2.grad, atol=1e-12)
 
