@@ -5,7 +5,8 @@ Runs the assignment and alignment kernels over a ladder of sizes on the
 ``c`` backend and on ``numpy``, prints a speedup table, and verifies the two
 backends produce bitwise-identical results (the C kernels port the
 reference statements operation for operation).  The check covers the
-kernels and ``gsa_loss`` on stacks of sequences, which is the training path.
+single and stacked kernels and ``gsa_loss`` on stacks of sequences, which is
+the training path.  Alignment timings include the gradient scatter.
 
 Usage: python benchmarks/compare_backends.py [--sizes 8..128] [--repeats 3]
 """
@@ -41,7 +42,8 @@ def _time_gsa(size: int, repeats: int, rng: np.random.Generator) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _kernels.gsa_kernel_many(batch, 1.5)
+        _, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
+        _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
         best = min(best, (time.perf_counter() - t0) / k)
     return best
 
@@ -66,6 +68,12 @@ def _check_equivalence(rng: np.random.Generator) -> None:
             "gsa backends disagree"
         )
         B, Tp, Tt, d = (int(x) for x in rng.integers(1, 12, size=4))
+        ms = rng.integers(0, 3, size=(B, Tp, Tt)).astype(np.float64)  # small integers: tied paths
+        _kernels.set_backend("c")
+        sj = _kernels.gsa_kernel_many(ms, 1.5)
+        _kernels.set_backend("numpy")
+        sp = _kernels.gsa_kernel_many(ms, 1.5)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(sj, sp)), "stacked gsa backends disagree"
         logits = 4.0 * rng.standard_normal((B, Tp, d + 1))
         logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
         logP[:, ::3, 0] = -40.0  # entries below the 1e-12 log floor

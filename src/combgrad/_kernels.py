@@ -15,10 +15,11 @@ library cannot be built, the package warns and runs on ``numpy``.  The
 process, and :func:`set_backend` switches at runtime, which the
 backend-comparison benchmark uses.
 
-Single-instance entry points run a stack of one, and both backends share
-the alignment gradient scatter, so every public kernel goes through one
-path per problem.  Every dispatch increments an invocation counter per
-kernel kind so callers can assert how many solver runs a code path costs.
+Single-instance entry points run a stack of one, so every public kernel
+goes through one path per problem.  Kernels only solve; :func:`gsa_grads`
+turns alignment path arrays into gradients.  Every dispatch increments an
+invocation counter per kernel kind so callers can assert how many solver
+runs a code path costs.
 """
 
 from __future__ import annotations
@@ -385,17 +386,17 @@ def _gsa_many(ms, gamma):
     return _gsa_many_c(ms, gamma) if get_backend() == "c" else _gsa_many_py(ms, gamma)
 
 
-def _gsa_scatter(kinds, eis, eks, pos, Tp, Tt, gamma):
-    # Dense gradients from the path arrays: 1 per diagonal use and gamma per
-    # gap use, charged to the clamped source cell.  np.add.at accumulates in
-    # path order, as the per-edge loop it replaces did.
+def gsa_grads(kinds, eis, eks, pos, Tp, Tt, gamma):
+    """Dense (k, Tp, Tt) gradients from stacked gsa path arrays: each step
+    from pos on adds 1 (match) or gamma (gap) to its clamped source cell,
+    accumulated in path order by np.add.at."""
     nb, total = kinds.shape
     on_path = np.arange(total)[None, :] >= pos[:, None]
     t = np.broadcast_to(np.arange(nb)[:, None], kinds.shape)[on_path]
     rows = np.minimum(eis[on_path], Tp - 1)
     cols = np.minimum(eks[on_path], Tt - 1)
     Gs = np.zeros((nb, Tp, Tt))
-    np.add.at(Gs, (t, rows, cols), np.where(kinds[on_path] == 1, 1.0, gamma))
+    np.add.at(Gs, (t, rows, cols), np.where(kinds[on_path] == 1, 1.0, float(gamma)))
     return Gs
 
 
@@ -407,7 +408,6 @@ def gsa_kernel(m: np.ndarray, gamma: float):
 
 
 def gsa_kernel_many(ms: np.ndarray, gamma: float):
-    """Solve a (k, Tp, Tt) stack of grids; returns objectives and gradients."""
+    """Solve a (k, Tp, Tt) stack of grids; returns gsa_kernel's outputs stacked."""
     increment("gsa", int(ms.shape[0]))
-    zs, kinds, eis, eks, costs, pos, unique = _gsa_many(ms, gamma)
-    return zs, _gsa_scatter(kinds, eis, eks, pos, ms.shape[1], ms.shape[2], float(gamma))
+    return _gsa_many(ms, gamma)

@@ -93,53 +93,44 @@ class PathEdge:
 
 @dataclass(frozen=True)
 class AlignResult:
-    """Optimal alignment path with its cost and cost-matrix gradient.
+    """Optimal alignment path with its cost.
 
-    edge_grad maps (i, k) cells of the match-cost matrix to d z*/d m[i, k]:
-    1 per matched visit and gamma per gap charged to that cell.  unique is
-    None when path counting was skipped.
+    The path is kept as the kernel's read-only arrays, one entry per step:
+    kinds (1 match, 2 skip-target, 3 skip-pred), the source node (eis, eks)
+    and the step's cost.  unique is None when the caller asked solve_gsa
+    not to report it.
     """
 
-    path: tuple
     z_star: float
-    edge_grad: dict
     unique: Optional[bool]
+    kinds: np.ndarray
+    eis: np.ndarray
+    eks: np.ndarray
+    costs: np.ndarray
+
+    @property
+    def path(self) -> tuple:
+        """The steps as PathEdge objects, built on each read."""
+        steps = zip(self.kinds.tolist(), self.eis.tolist(), self.eks.tolist(), self.costs.tolist())
+        return tuple(PathEdge(kind=_KIND_NAMES[kind], i=i, k=k, cost=cost) for kind, i, k, cost in steps)
 
     def step_string(self) -> str:
         """The path as one letter per step: D match, P skip-target, T skip-pred."""
-        letters = {"match": "D", "skip_target": "P", "skip_pred": "T"}
-        return "".join(letters[e.kind] for e in self.path)
+        return "".join(" DPT"[kind] for kind in self.kinds.tolist())
 
 
 def solve_gsa(grid: AlignGrid, *, compute_unique: bool = True) -> AlignResult:
     """Min-cost monotone path from (0, 0) to (Tp, Tt).
 
     Ties break deterministically: match beats skip-target beats skip-pred.
-    compute_unique=False skips the path-count pass (unique=None).
+    The kernel always counts optimal paths; compute_unique=False only
+    withholds the verdict (unique=None).
     """
     z, kinds, eis, eks, costs, pos, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
-    Tp, Tt = grid.pred_len, grid.target_len
-    edges = []
-    grad: dict = {}
-    for t in range(pos, kinds.shape[0]):
-        kind = int(kinds[t])
-        i, k = int(eis[t]), int(eks[t])
-        edges.append(PathEdge(kind=_KIND_NAMES[kind], i=i, k=k, cost=float(costs[t])))
-        if kind == 1:
-            cell = (i, k)
-            grad[cell] = grad.get(cell, 0.0) + 1.0
-        elif kind == 2:
-            cell = (min(i, Tp - 1), k)
-            grad[cell] = grad.get(cell, 0.0) + grid.gamma
-        else:
-            cell = (i, min(k, Tt - 1))
-            grad[cell] = grad.get(cell, 0.0) + grid.gamma
-    return AlignResult(
-        path=tuple(edges),
-        z_star=float(z),
-        edge_grad=grad,
-        unique=bool(unique) if compute_unique else None,
-    )
+    path = [a[pos:] for a in (kinds, eis, eks, costs)]
+    for a in path:
+        a.setflags(write=False)
+    return AlignResult(z, bool(unique) if compute_unique else None, *path)
 
 
 def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
@@ -148,10 +139,9 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     Each matched cell gets 1 per visit and each gap charges gamma to its
     clamped source cell: the exact gradient of the cost actually paid.
     """
-    G = np.zeros(grid.m.shape)
-    for (i, k), g in result.edge_grad.items():
-        G[i, k] += g
-    return G
+    # A stack of one whose path starts at step 0.
+    path = (result.kinds[None], result.eis[None], result.eks[None], np.zeros(1, np.int64))
+    return _kernels.gsa_grads(*path, grid.pred_len, grid.target_len, grid.gamma)[0]
 
 
 def _match_costs(logP: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -201,7 +191,9 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     Y = np.asarray(Y, dtype=np.float64)
     m = _match_costs(logP, Y)
     ms = m if m.ndim == 3 else m[None]
-    zs, Gs = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))
+    gamma = check_grids(ms, gamma)
+    zs, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(ms, gamma)
+    Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
     active = (logP > np.log(_LOG_FLOOR)).astype(np.float64)
     grad = -(Gs.reshape(m.shape) @ Y) * active
     return (zs if m.ndim == 3 else float(zs[0])), grad

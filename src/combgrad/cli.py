@@ -98,6 +98,15 @@ def _solve_assignment_doc(problem: dict) -> dict:
     }
 
 
+def _class_indices(targets, d: int) -> np.ndarray:
+    # Checked as floats: an integer cast would wrap -1, truncate 0.7 and
+    # overflow on -1e308 instead of rejecting them.
+    t = np.asarray(targets, dtype=np.float64)
+    if t.ndim != 1 or not np.all((t >= 0) & (t < d) & (t == np.floor(t))):
+        raise ValueError(f"'targets' must be a flat list of whole numbers in [0, {d})")
+    return t.astype(np.int64)
+
+
 def _gsa_grid(problem: dict) -> AlignGrid:
     gamma = problem.get("gamma")
     if gamma is None:
@@ -106,10 +115,9 @@ def _gsa_grid(problem: dict) -> AlignGrid:
         return AlignGrid(m=_matrix(problem, "match_costs"), gamma=float(gamma))
     if "logp" in problem:
         logp = _matrix(problem, "logp")
-        targets = np.asarray(problem.get("targets", None), dtype=np.int64)
-        if targets.ndim != 1:
-            raise ValueError("'targets' must be a flat list of class indices")
-        Y = np.eye(logp.shape[1])[targets]
+        if logp.ndim != 2 or logp.size == 0:
+            raise ValueError(f"'logp' must be a non-empty 2-D array, got shape {logp.shape}")
+        Y = np.eye(logp.shape[1])[_class_indices(problem.get("targets"), logp.shape[1])]
         return build_grid(logp, Y, float(gamma))
     raise ValueError("gsa input needs either 'match_costs' or 'logp'+'targets'")
 
@@ -517,7 +525,8 @@ def _cmd_bench(args) -> int:
             _kernels.gsa_kernel_many(batch, 1.5)
             for rep in range(args.repeats):
                 t0 = time.perf_counter()
-                zs, Gs = _kernels.gsa_kernel_many(batch, 1.5)
+                _, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
+                grads = _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
                 dt = (time.perf_counter() - t0) / k
                 w.writerow([args.kind, size, rep, "%.9f" % dt])
     _emit(buf.getvalue().rstrip("\n"), args.out)

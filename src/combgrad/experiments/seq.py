@@ -273,7 +273,7 @@ def evaluate(
         for (end, _), rows in groups.items():
             Y = eye[np.stack([pairs[idx[row]][1] for row in rows])]
             ms = -(logps[rows, :end] @ np.swapaxes(Y, 1, 2))
-            zs, _ = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))
+            zs = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))[0]
             costs[[idx[row] for row in rows]] = zs
     return float(costs.mean()), float(exact.mean())
 

@@ -21,7 +21,6 @@ import pytest
 from combgrad import (
     AlignGrid,
     DegenerateInstance,
-    build_grid,
     check_lp_grads,
     enumerate_path_costs,
     enumerate_permutations,

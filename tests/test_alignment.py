@@ -60,6 +60,13 @@ class TestFrozenInstances:
         assert res.z_star == pytest.approx(2.5)
         assert res.unique is False
 
+    def test_path_arrays_are_read_only(self):
+        res = solve_gsa(AlignGrid(m=np.array([[1.0, 5.0, 2.0], [5.0, 1.0, 9.0]]), gamma=1.5))
+        for a in (res.kinds, res.eis, res.eks, res.costs):
+            assert a.shape == (len(res.path),)
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_path_edges_sum_to_value(self):
         grid = AlignGrid(m=np.array([[1.0, 5.0, 2.0], [5.0, 1.0, 9.0]]), gamma=1.5)
         res = solve_gsa(grid)
@@ -355,7 +362,21 @@ class TestCompiledKernel:
                 else:
                     assert a == b, where
             # The gradient scatter is shared by both backends, so check it
-            # against the independent per-edge dict path as well.
+            # against an independent per-edge accumulation over the path.
+            _, kinds, eis, eks, _, pos, _ = many_c
+            Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
             for t, m in enumerate(ms):
                 grid = AlignGrid(m=m, gamma=gamma)
-                assert gsa_grad_matrix(grid, solve_gsa(grid)).tobytes() == many_c[1][t].tobytes(), where
+                grad = {}
+                for e in solve_gsa(grid).path:
+                    if e.kind == "match":
+                        cell, g = (e.i, e.k), 1.0
+                    elif e.kind == "skip_target":
+                        cell, g = (min(e.i, grid.pred_len - 1), e.k), gamma
+                    else:
+                        cell, g = (e.i, min(e.k, grid.target_len - 1)), gamma
+                    grad[cell] = grad.get(cell, 0.0) + g
+                G = np.zeros(m.shape)
+                for (i, k), g in grad.items():
+                    G[i, k] += g
+                assert G.tobytes() == Gs[t].tobytes(), where

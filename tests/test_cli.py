@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from combgrad.alignment import AlignGrid, build_grid, solve_gsa
+from combgrad.alignment import build_grid, solve_gsa
 from combgrad.cli import main
 
 
@@ -144,6 +144,25 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err.startswith("error[input]:") and "overflow" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "logp, targets",
+        [
+            ([[0.0]], [0, 1]),  # class index past the last class
+            (None, [0]),
+            ([0.0, -1.0], [0]),  # 1-D
+            ([[0.0, -1.0]], [-1e308]),
+            ([[0.0, -1.0]], [-1]),
+            ([[0.0, -1.0]], [0.7]),
+        ],
+    )
+    def test_gsa_bad_logp_or_targets_are_input_errors(self, tmp_path, capsys, logp, targets):
+        inst = write_json(tmp_path / "g.json", {"logp": logp, "targets": targets, "gamma": 1.5})
+        code, out, err = run_cli(["solve", "gsa", inst], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[input]:")
         assert len(err.splitlines()) == 1
 
     def test_infeasible_lp_exits_three(self, tmp_path, capsys):

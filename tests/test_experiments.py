@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from combgrad import NonFinite, TrainAborted, tape
+from combgrad import NonFinite, TrainAborted, _kernels, tape
 from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
 from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
@@ -299,6 +299,20 @@ class TestSeqTraining:
         assert len({end for end, _ in groups}) > 1
         cost, match = seq.evaluate(store, pairs, spec.vocab, 1.5, spec.max_len)
         assert cost == float(costs.mean()) and match == float(exact.mean())
+
+    def test_evaluate_builds_no_gradients(self, monkeypatch):
+        # Evaluation reads only the alignment costs, so it must not pay for
+        # the gradient scatter.
+        spec = self.small_spec()
+        store = seq._init_store(TrainConfig(loss="gsa"), spec.vocab)
+        pairs = gen_seq_dataset(spec).test
+
+        def forbidden(*args):
+            raise AssertionError("evaluate built alignment gradients")
+
+        monkeypatch.setattr(_kernels, "gsa_grads", forbidden)
+        cost, _ = seq.evaluate(store, pairs, spec.vocab, 1.5, spec.max_len)
+        assert np.isfinite(cost)
 
     def test_evaluate_validates_gap_factor_and_costs(self):
         spec = self.small_spec()

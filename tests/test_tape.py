@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from combgrad import DimensionMismatch, NonFinite, ShapeMismatch, matching_loss
-from combgrad import tape
 from combgrad.tape import (
     GumbelConfig,
     ParamStore,
