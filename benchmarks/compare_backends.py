@@ -5,8 +5,9 @@ Runs the assignment and alignment kernels over a ladder of sizes on the
 ``c`` backend and on ``numpy``, prints a speedup table, and verifies the two
 backends produce bitwise-identical results (the C kernels port the
 reference statements operation for operation).  The check covers the
-single and stacked kernels and ``gsa_loss`` on stacks of sequences, which is
-the training path.  Alignment timings include the gradient scatter.
+single and stacked kernels, ``gsa_loss`` on stacks of sequences and
+``matching_loss`` on stacks of bags with duplicate labels, which are the
+training paths.  Alignment timings include the gradient scatter.
 
 Usage: python benchmarks/compare_backends.py [--sizes 8..128] [--repeats 3]
 """
@@ -20,6 +21,7 @@ import numpy as np
 
 from combgrad import _kernels
 from combgrad.alignment import gsa_loss
+from combgrad.assignment import matching_loss
 
 
 def _time_assignment(size: int, repeats: int, rng: np.random.Generator) -> float:
@@ -83,6 +85,16 @@ def _check_equivalence(rng: np.random.Generator) -> None:
         _kernels.set_backend("numpy")
         zp, gp = gsa_loss(logP, Y, 1.5)
         assert zj.tobytes() == zp.tobytes() and gj.tobytes() == gp.tobytes(), "gsa_loss backends disagree"
+        # Bags drawing labels from few classes repeat them: tied optima.
+        k, b = int(rng.integers(1, 12)), int(rng.integers(1, 17))
+        logits = 4.0 * rng.standard_normal((k, b, d + 1))
+        logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        Y = np.eye(d + 1)[rng.integers(0, min(d + 1, 3), size=(k, b))]
+        _kernels.set_backend("c")
+        zj, gj = matching_loss(logP, Y)
+        _kernels.set_backend("numpy")
+        zp, gp = matching_loss(logP, Y)
+        assert zj.tobytes() == zp.tobytes() and gj.tobytes() == gp.tobytes(), "matching_loss backends disagree"
 
 
 def main() -> int:

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateInstance,
     DimensionMismatch,
     Infeasible,
+    IterationLimit,
     MissingWitness,
     NonFinite,
     NonSquare,
@@ -112,6 +113,7 @@ __all__ = [
     "NonFinite",
     "Infeasible",
     "Unbounded",
+    "IterationLimit",
     "DegenerateInstance",
     "TrainAborted",
 ]

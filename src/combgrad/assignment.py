@@ -21,6 +21,8 @@ from .core import GenGrad, _freeze
 from .errors import DimensionMismatch, NonFinite, NonSquare
 
 _LOG_FLOOR = 1e-12
+# Slack at or below which an edge counts as tight (tied with the optimum).
+_TOL = 1e-9
 
 
 def _validate_cost(C: np.ndarray) -> np.ndarray:
@@ -45,8 +47,11 @@ def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *
     """
     b = C.shape[0]
     slack = C - u[:, None] - v[None, :]
-    tight = slack <= tol
-    cols = [np.flatnonzero(tight[i]) for i in range(b)]
+    # Tight columns per row as Python lists: one nonzero pass, no per-row calls.
+    ti, tj = np.nonzero(slack <= tol)
+    ends = np.searchsorted(ti, np.arange(b + 1)).tolist()
+    tj = tj.tolist()
+    cols = [tj[ends[i] : ends[i + 1]] for i in range(b)]
     matchL = perm.copy()
     matchR = np.empty(b, dtype=np.int64)
     matchR[perm] = np.arange(b)
@@ -61,7 +66,7 @@ def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *
         while rows:
             r, k = rows[-1], nxt[-1]
             cr = cols[r]
-            while k < cr.size:
+            while k < len(cr):
                 j = cr[k]
                 k += 1
                 if visited[j]:
@@ -144,7 +149,7 @@ class MatchingResult:
     unique: Optional[bool]
 
 
-def solve_assignment(C: np.ndarray, *, compute_unique: bool = True, tol: float = 1e-9) -> MatchingResult:
+def solve_assignment(C: np.ndarray, *, compute_unique: bool = True, tol: float = _TOL) -> MatchingResult:
     """Min-cost perfect matching on a square cost matrix.
 
     Runs a single O(b^3) shortest-augmenting-path pass, then refines the
@@ -175,6 +180,23 @@ def assignment_gengrad(result: MatchingResult) -> GenGrad:
     return GenGrad(d_c=result.M.ravel(), d_b=None, d_A=None)
 
 
+def _tie_gate(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *, tol: float) -> np.ndarray:
+    """Which instances of a (k, b, b) stack _lex_refine could change.
+
+    Every matching _lex_refine can reach differs from perm by cycles of rows
+    that each take another row's column at slack <= tol.  So it returns perm
+    unchanged unless the digraph i -> r (row i may take perm[r], i != r) has
+    a cycle, which holds iff the tight graph has a second perfect matching.
+    A boolean Warshall closure finds the cycles of every instance at once.
+    """
+    b = C.shape[1]
+    slack = C - u[:, :, None] - v[:, None, :]
+    reach = np.take_along_axis(slack <= tol, perm[:, None, :], axis=2) & ~np.eye(b, dtype=bool)
+    for m in range(b):
+        reach |= reach[:, :, m, None] & reach[:, None, m, :]
+    return reach.diagonal(axis1=1, axis2=2).any(axis=1)
+
+
 def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     """Set-prediction loss: best bijection between predicted rows and targets.
 
@@ -183,37 +205,55 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     (floored) log-probabilities with the reference row, so with b = 1 this
     is exactly cross-entropy.  Returns (loss, grad) where grad[j] = -Y[sigma(j)]
     for the optimal matching sigma — the exact gradient of the optimal cost,
-    read off the matching with no extra solve.
+    read off the matching with no extra solve.  For stacks (k, b, d) it
+    returns the (k,) losses and the (k, b, d) gradients.  Either way one
+    batched kernel call solves every instance, and ties resolve to the
+    lexicographically smallest optimum exactly as solve_assignment does.
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if logP.ndim != 2 or Y.ndim != 2 or logP.shape != Y.shape:
-        raise DimensionMismatch(f"logP and Y must share a (b, d) shape, got {logP.shape} and {Y.shape}")
+    if not (logP.ndim in (2, 3) and logP.shape == Y.shape and 0 not in logP.shape[:-1]):
+        raise DimensionMismatch(
+            "logP and Y must share a (b, d) shape, or a (k, b, d) stack shape, with k, b >= 1;"
+            f" got {logP.shape} and {Y.shape}"
+        )
     if not np.isfinite(Y).all():
         raise NonFinite("reference rows must be finite")
     if np.isnan(logP).any() or np.isposinf(logP).any():
         raise NonFinite("log-probabilities must not contain NaN or +inf")
-    rowsum = np.abs(np.logaddexp.reduce(logP, axis=1))
+    rowsum = np.abs(np.logaddexp.reduce(logP, axis=-1))
     if np.any(rowsum > 1e-6):
         raise ValueError("each logP row must be a normalized log-distribution")
-    L = np.maximum(logP, np.log(_LOG_FLOOR))
-    C = -(L @ Y.T)
-    res = solve_assignment(C, compute_unique=False)
-    perm = np.asarray(res.perm)
-    grad = -Y[perm]
-    return res.z_star, grad
+    Ls = np.maximum(logP, np.log(_LOG_FLOOR)).reshape(-1, *logP.shape[-2:])
+    Ys = Y.reshape(Ls.shape)
+    Cs = -(Ls @ np.swapaxes(Ys, -1, -2))
+    if not np.isfinite(Cs).all():
+        raise NonFinite("cost matrix must be finite")
+    perms, us, vs = _kernels.assignment_kernel_many(Cs)
+    for t in np.flatnonzero(_tie_gate(Cs, perms, us, vs, tol=_TOL)):
+        perms[t] = _lex_refine(Cs[t], perms[t], us[t], vs[t], tol=_TOL)
+    zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    grad = -np.take_along_axis(Ys, perms[:, :, None], axis=1)
+    if logP.ndim == 2:
+        return float(zs[0]), grad[0]
+    return zs, grad
 
 
-def filter_bag(Y: np.ndarray, threshold: float) -> bool:
+def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
     """Accept a bag only if its share of distinct reference rows is high enough.
 
     Y is (b, d) one-hot; the bag passes when the number of distinct rows is
     at least threshold * b (with a tiny slack so threshold * b landing on an
-    integer is not rejected by roundoff).
+    integer is not rejected by roundoff).  A (k, b, d) stack of bags gives a
+    (k,) bool mask; one pairwise row comparison serves every bag.
     """
     Y = np.asarray(Y)
-    if Y.ndim != 2:
-        raise DimensionMismatch("Y must be 2-D")
-    b = Y.shape[0]
-    distinct = np.unique(Y, axis=0).shape[0]
-    return bool(distinct >= threshold * b - 1e-9)
+    if Y.ndim not in (2, 3):
+        raise DimensionMismatch(f"Y must be a 2-D bag or a 3-D stack of bags, got shape {Y.shape}")
+    Ys = Y.reshape(-1, *Y.shape[-2:])
+    b = Ys.shape[1]
+    same = (Ys[:, :, None, :] == Ys[:, None, :, :]).all(axis=3)
+    # A row counts once: when no earlier row of its bag equals it.
+    repeated = np.tril(same, -1).any(axis=2)
+    keep = b - repeated.sum(axis=1) >= threshold * b - 1e-9
+    return bool(keep[0]) if Y.ndim == 2 else keep

@@ -5,7 +5,7 @@ Commands: solve, gradcheck, train, bench.  Global flags: --seed (default
 1729), --tol, --out.  All outputs are machine-readable (JSON documents or
 CSV); every failure prints a single `error[kind]: message` line on stderr.
 Exit codes: 0 ok, 1 check failure, 2 input/config error, 3 solver failure
-(infeasible/unbounded), 4 training aborted.
+(infeasible, unbounded or out of simplex pivots), 4 training aborted.
 
 Input schemas (JSON):
   assignment  {"cost": [[...]]}
@@ -36,6 +36,7 @@ from .errors import (
     CombgradError,
     DegenerateInstance,
     Infeasible,
+    IterationLimit,
     TrainAborted,
     Unbounded,
 )
@@ -585,7 +586,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (Infeasible, Unbounded) as exc:
+    except (Infeasible, Unbounded, IterationLimit) as exc:
         _err("solver", f"{type(exc).__name__.lower()}: {exc}")
         return 3
     except FileNotFoundError as exc:

@@ -33,6 +33,10 @@ class Unbounded(CombgradError):
     """The objective is unbounded below on the feasible region."""
 
 
+class IterationLimit(CombgradError):
+    """A solver ran out of its iteration budget before reaching an optimum."""
+
+
 class DegenerateInstance(CombgradError):
     """The optimum is not unique (or the basis is degenerate), so a
     finite-difference check against a single witness is not meaningful."""

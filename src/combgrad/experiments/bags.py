@@ -102,15 +102,12 @@ def make_bags(
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     order = rng.permutation(n)
+    idx = order[: n - n % bag_size].reshape(-1, bag_size)
+    Ys = np.eye(num_classes)[y[idx]]
     bags: List[BagBatch] = []
-    eye = np.eye(num_classes)
-    for start in range(0, n - bag_size + 1, bag_size):
-        idx = order[start : start + bag_size]
-        Y0 = eye[y[idx]]
-        if not filter_bag(Y0, threshold):
-            continue
+    for t in np.flatnonzero(filter_bag(Ys, threshold)):
         sigma = rng.permutation(bag_size)
-        bags.append(BagBatch(X=x[idx], Y=Y0[sigma], hidden_sigma=sigma))
+        bags.append(BagBatch(X=x[idx[t]], Y=Ys[t][sigma], hidden_sigma=sigma))
     return bags
 
 
@@ -177,14 +174,15 @@ def train_bags(
                 store.zero_grad()
                 logp = _forward(store, X)
                 if config.loss == "matching":
+                    zs, G = matching_loss(
+                        logp.value.reshape(len(group), b, -1), np.stack([bag.Y for bag in group])
+                    )
+                    # Summed in bag order: np.sum's pairwise order would change the bits.
                     total = 0.0
-                    G = np.zeros_like(logp.value)
-                    for j, bag in enumerate(group):
-                        sl = slice(j * b, (j + 1) * b)
-                        z, g = matching_loss(logp.value[sl], bag.Y)
+                    for z in zs.tolist():
                         total += z
-                        G[sl] = g
                     value = total / n_union
+                    G = G.reshape(logp.value.shape)
                     loss = tape.custom_node(
                         [logp], value, [lambda up, G=G, n=n_union: up * G / n]
                     )

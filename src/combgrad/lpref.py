@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .core import LPSpec, SolverOutcome
-from .errors import DegenerateInstance, DimensionMismatch, Infeasible, NonFinite, Unbounded
+from .errors import DegenerateInstance, DimensionMismatch, Infeasible, IterationLimit, NonFinite, Unbounded
 
 _MAX_PIVOTS = 20000
 
@@ -36,7 +36,8 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray, tol: float) -
 
     T is (m, ncols+1) with the rhs in the last column and identity columns at
     the basis indices.  Raises Unbounded when an improving column has no
-    positive entry.
+    positive entry, and IterationLimit when _MAX_PIVOTS pivots do not reach
+    optimality.
     """
     m, ncols1 = T.shape
     ncols = ncols1 - 1
@@ -64,7 +65,7 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray, tol: float) -
         if leave < 0:
             raise Unbounded("improving direction with no blocking constraint")
         _pivot(T, basis, leave, entering)
-    raise RuntimeError("simplex did not terminate within the pivot budget")
+    raise IterationLimit(f"simplex did not terminate within the pivot budget of {_MAX_PIVOTS}")
 
 
 def solve_lp(spec: LPSpec, *, tol: float = 1e-9) -> SolverOutcome:

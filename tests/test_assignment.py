@@ -1,5 +1,6 @@
 """Min-cost matching: solver, certificates, tie policy, and the set loss."""
 
+import itertools
 import os
 import shutil
 import subprocess
@@ -22,6 +23,7 @@ from combgrad import (
     solve_assignment,
 )
 from combgrad import _kernels
+from combgrad.assignment import _lex_refine, _tie_gate
 
 from helpers import central_fd
 
@@ -341,6 +343,162 @@ class TestMatchingLoss:
             assert np.allclose(got, central_fd(f, logits, eps=1e-7), atol=1e-6)
 
 
+BACKENDS = [
+    "numpy",
+    pytest.param(
+        "c", marks=pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
+    ),
+]
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    prev = set_backend(request.param)
+    yield request.param
+    set_backend(prev)
+
+
+def _reference_matching_loss(logP, Y):
+    # Written out as the oracle: one kernel solve, then always the
+    # lexicographic refinement, then the matched reference rows.
+    C = -(np.maximum(logP, np.log(1e-12)) @ Y.T)
+    perm, u, v = _kernels.assignment_kernel(C)
+    perm = _lex_refine(C, perm, u, v, tol=1e-9)
+    return float(C[np.arange(C.shape[0]), perm].sum()), -Y[perm]
+
+
+def _log_softmax(x):
+    return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+
+
+def _bag_stacks():
+    rng = np.random.default_rng(41)
+    d = 6
+    for b in (1, 2, 4, 7, 16):
+        k = 9
+        labels = rng.integers(0, d, size=(k, b))
+        yield "random", _log_softmax(rng.standard_normal((k, b, d))), np.eye(d)[labels]
+        # Every row the same distribution: every bijection costs the same.
+        yield "uniform", np.full((k, b, d), -np.log(d)), np.eye(d)[labels]
+        yield "duplicate labels", _log_softmax(rng.standard_normal((k, b, d))), np.eye(d)[labels % 2]
+        # Entries at or below the log floor all cost the same after flooring.
+        floored = _log_softmax(np.where(rng.random((k, b, d)) < 0.5, -60.0, rng.standard_normal((k, b, d))))
+        yield "log floor", floored, np.eye(d)[labels]
+        soft = rng.dirichlet(np.ones(d), size=(k, b))
+        yield "soft targets", _log_softmax(rng.integers(-2, 2, size=(k, b, d)).astype(np.float64)), soft
+        # Distinct labels and 0/1 logits: ties between different labels,
+        # where the tie-break changes the gradient.
+        distinct = np.eye(16)[np.argsort(rng.random((k, 16)), axis=1)[:, :b]]
+        yield "tied distinct labels", _log_softmax(rng.integers(0, 2, size=(k, b, 16)).astype(np.float64)), distinct
+
+
+class TestStackedMatchingLoss:
+    def test_stack_is_bytewise_equal_to_single_calls_and_the_reference(self, backend):
+        refined = 0
+        for family, logP, Y in _bag_stacks():
+            zs, grads = matching_loss(logP, Y)
+            assert zs.dtype == np.float64 and zs.shape == (logP.shape[0],), family
+            assert grads.dtype == np.float64 and grads.shape == logP.shape, family
+            for t in range(logP.shape[0]):
+                z, g = matching_loss(logP[t], Y[t])
+                ref_z, ref_g = _reference_matching_loss(logP[t], Y[t])
+                assert type(z) is float, family
+                assert np.float64(z).tobytes() == zs[t].tobytes() == np.float64(ref_z).tobytes(), family
+                assert g.tobytes() == grads[t].tobytes() == ref_g.tobytes(), family
+                C = -(np.maximum(logP[t], np.log(1e-12)) @ Y[t].T)
+                refined += not np.array_equal(-Y[t][_kernels.assignment_kernel(C)[0]], ref_g)
+        # The families must include ties whose tie-break changes the answer.
+        assert refined > 0
+
+    def test_one_kernel_dispatch_counts_one_solve_per_bag(self, monkeypatch):
+        logP, Y = next(stack for stack in _bag_stacks() if stack[0] == "duplicate labels")[1:]
+        dispatches = []
+        many = _kernels.assignment_kernel_many
+
+        def counted(Cs):
+            dispatches.append(Cs.shape)
+            return many(Cs)
+
+        monkeypatch.setattr(_kernels, "assignment_kernel_many", counted)
+        reset_invocations()
+        matching_loss(logP, Y)
+        assert dispatches == [(logP.shape[0], logP.shape[1], logP.shape[1])]
+        assert invocations()["assignment"] == logP.shape[0]
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((2, 3, 4), (3, 3, 4)),  # stack sizes differ
+            ((2, 3, 4), (2, 2, 4)),  # bag sizes differ
+            ((3, 4), (1, 3, 4)),  # 2-D against 3-D
+            ((1, 2, 3, 4), (1, 2, 3, 4)),  # 4-D
+            ((0, 3, 4), (0, 3, 4)),  # empty stack
+            ((0, 4), (0, 4)),  # empty bag
+        ],
+    )
+    def test_bad_stack_shapes_rejected(self, shapes):
+        logP, Y = (np.full(shape, -np.log(shape[-1])) for shape in shapes)
+        with pytest.raises(DimensionMismatch):
+            matching_loss(logP, Y)
+
+    def test_invalid_entries_in_a_stack_rejected(self):
+        logP = np.full((3, 2, 2), -np.log(2.0))
+        bad = logP.copy()
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(NonFinite):
+            matching_loss(bad, np.eye(2)[None].repeat(3, axis=0))
+        with pytest.raises(ValueError):
+            matching_loss(logP + 0.5 * (np.arange(3) == 1)[:, None, None], np.eye(2)[None].repeat(3, axis=0))
+
+
+def _tight_matching_count(C, u, v, tol=1e-9):
+    # Enumeration: perfect matchings whose every edge has slack <= tol.
+    b = C.shape[0]
+    perms = np.array(list(itertools.permutations(range(b))))
+    slack = C - u[:, None] - v[None, :]
+    return int(np.all(slack[np.arange(b), perms] <= tol, axis=1).sum())
+
+
+def _gate_stacks():
+    rng = np.random.default_rng(97)
+    k = 300
+    for b in range(1, 7):
+        yield "uniform", rng.uniform(0.0, 1.0, size=(k, b, b))
+        yield "integer ties", rng.integers(0, 3, size=(k, b, b)).astype(np.float64)
+        near = rng.integers(0, 3, size=(k, b, b)) + 1e-10 * rng.integers(0, 2, size=(k, b, b))
+        yield "near ties", near
+        # Slacks that land exactly on the tolerance.
+        yield "at tolerance", 1e-9 * rng.integers(0, 2, size=(k, b, b))
+
+
+class TestTieGate:
+    def test_gate_holds_iff_the_tight_graph_has_a_second_perfect_matching(self):
+        for family, Cs in _gate_stacks():
+            perms, us, vs = _kernels.assignment_kernel_many(Cs)
+            gate = _tie_gate(Cs, perms, us, vs, tol=1e-9)
+            counts = [_tight_matching_count(C, u, v) for C, u, v in zip(Cs, us, vs)]
+            assert min(counts) >= 1, family
+            assert gate.tolist() == [c > 1 for c in counts], (family, Cs.shape)
+            assert gate.any() or family == "uniform" or Cs.shape[1] == 1, family
+
+    def test_refinement_leaves_every_ungated_instance_unchanged(self):
+        for family, Cs in _gate_stacks():
+            perms, us, vs = _kernels.assignment_kernel_many(Cs)
+            gate = _tie_gate(Cs, perms, us, vs, tol=1e-9)
+            for t in np.flatnonzero(~gate):
+                assert np.array_equal(_lex_refine(Cs[t], perms[t], us[t], vs[t], tol=1e-9), perms[t]), family
+
+    def test_edges_inside_the_tolerance_are_gated_even_when_the_sum_is_not(self):
+        # The alternative matching costs 1.2e-9 more than the optimum, beyond
+        # tol, but each of its edges is tight, so refinement switches to it.
+        C = np.array([[0.6e-9, 0.0], [0.0, 0.6e-9]])
+        perms, us, vs = _kernels.assignment_kernel_many(C[None])
+        assert perms[0].tolist() == [1, 0]
+        assert _tie_gate(C[None], perms, us, vs, tol=1e-9).tolist() == [True]
+        assert _lex_refine(C, perms[0], us[0], vs[0], tol=1e-9).tolist() == [0, 1]
+        assert matching_loss(np.log(np.full((2, 2), 0.5)), np.eye(2))[1].tolist() == (-np.eye(2)).tolist()
+
+
 class TestFilterBag:
     def test_accepts_distinct_and_rejects_collapsed(self):
         Y = np.eye(4)
@@ -360,3 +518,7 @@ class TestFilterBag:
     def test_one_dim_rejected(self):
         with pytest.raises(DimensionMismatch):
             filter_bag(np.ones(3), 0.5)
+
+    def test_other_ranks_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            filter_bag(np.ones((1, 2, 3, 4)), 0.5)

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from combgrad import lpref
 from combgrad.alignment import build_grid, solve_gsa
 from combgrad.cli import main
 
@@ -181,6 +182,15 @@ class TestSolve:
         assert code == 3
         assert err.startswith("error[solver]:")
         assert "unbounded" in err
+
+    def test_exhausted_pivot_budget_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lpref, "_MAX_PIVOTS", 1)
+        inst = write_json(tmp_path / "lp.json", {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "b": [1.0]})
+        code, out, err = run_cli(["solve", "lp", inst], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error[solver]:") and "pivot budget" in err
+        assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

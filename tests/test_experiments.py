@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from combgrad import NonFinite, TrainAborted, _kernels, tape
+from combgrad import NonFinite, TrainAborted, _kernels, filter_bag, tape
 from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
 from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
+    BagBatch,
     BagDatasetSpec,
     eval_accuracy,
     gen_bag_dataset,
@@ -129,6 +130,72 @@ class TestMakeBags:
         for ba, bb in zip(a, b):
             assert np.array_equal(ba.Y, bb.Y)
             assert np.array_equal(ba.hidden_sigma, bb.hidden_sigma)
+
+
+def _unique_rows_rule(Y, threshold):
+    # The per-bag rule written out: distinct rows by np.unique.
+    return np.unique(Y, axis=0).shape[0] >= threshold * Y.shape[0] - 1e-9
+
+
+def _reference_make_bags(x, y, num_classes, bag_size, threshold, seed):
+    # One bag at a time, filtered as it is cut.
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(x.shape[0])
+    out = []
+    for start in range(0, x.shape[0] - bag_size + 1, bag_size):
+        idx = order[start : start + bag_size]
+        Y0 = np.eye(num_classes)[y[idx]]
+        if not _unique_rows_rule(Y0, threshold):
+            continue
+        sigma = rng.permutation(bag_size)
+        out.append(BagBatch(X=x[idx], Y=Y0[sigma], hidden_sigma=sigma))
+    return out
+
+
+class TestStackedBagFilter:
+    @pytest.mark.parametrize("rows", ["one-hot", "soft"])
+    def test_stack_matches_the_per_bag_unique_rule(self, rows):
+        rng = np.random.default_rng(71)
+        for b in (1, 2, 3, 4, 7, 16):
+            if rows == "one-hot":
+                Ys = np.eye(5)[rng.integers(0, 5, size=(60, b))]
+            else:
+                # Few distinct soft rows, so repeats are common.
+                Ys = rng.dirichlet(np.ones(4), size=3)[rng.integers(0, 3, size=(60, b))]
+            for threshold in (0.2, 0.5, 0.75, 1.0):
+                mask = filter_bag(Ys, threshold)
+                assert mask.tolist() == [_unique_rows_rule(Y, threshold) for Y in Ys], (b, threshold)
+
+    @pytest.mark.parametrize("bag_size,threshold", [(1, 1.0), (3, 0.6), (4, 0.75), (5, 0.5), (7, 0.25), (500, 0.01)])
+    def test_make_bags_is_bytewise_equal_to_a_per_bag_loop(self, bag_size, threshold):
+        rng = np.random.default_rng(73)
+        x = rng.standard_normal((503, 4))
+        y = rng.integers(0, 5, size=503)
+        got = make_bags(x, y, 5, bag_size, threshold, seed=[2, bag_size])
+        want = _reference_make_bags(x, y, 5, bag_size, threshold, [2, bag_size])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for field in ("X", "Y", "hidden_sigma"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    def test_training_makes_one_kernel_dispatch_per_optimizer_step(self, monkeypatch):
+        calls = {"many": 0, "single": 0, "steps": 0}
+        many, single, step = _kernels.assignment_kernel_many, _kernels.assignment_kernel, tape.adam_step
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_kernels, "assignment_kernel_many", counted("many", many))
+        monkeypatch.setattr(_kernels, "assignment_kernel", counted("single", single))
+        monkeypatch.setattr(tape, "adam_step", counted("steps", step))
+        train_bags(TrainConfig(loss="matching", bag_size=4, epochs=2, threshold=0.25), BagDatasetSpec(n=400))
+        assert calls["steps"] > 2
+        assert calls["many"] == calls["steps"] and calls["single"] == 0
 
 
 class TestBagTraining:

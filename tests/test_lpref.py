@@ -7,6 +7,7 @@ from combgrad import (
     DegenerateInstance,
     DimensionMismatch,
     Infeasible,
+    IterationLimit,
     LPSpec,
     Unbounded,
     check_lp_grads,
@@ -16,6 +17,7 @@ from combgrad import (
     random_lp,
     reset_invocations,
     solve_lp,
+    lpref,
     strong_duality_gap,
 )
 
@@ -37,6 +39,11 @@ class TestFrozenInstances:
         out = solve_lp(LPSpec(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0]))
         assert out.z_star == pytest.approx(1.0, abs=1e-12)
         assert out.unique is False
+
+    def test_exhausted_pivot_budget_raises_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(lpref, "_MAX_PIVOTS", 1)
+        with pytest.raises(IterationLimit, match="pivot budget"):
+            solve_lp(frozen_spec())
 
     def test_negative_rhs_rows_are_normalized(self):
         out = solve_lp(LPSpec(c=[1.0, 2.0], A=[[-1.0, -1.0]], b=[-1.0]))
