@@ -122,8 +122,9 @@ def _init_store(config: TrainConfig, feature_dim: int, num_classes: int) -> tape
 
 
 def _forward(store: tape.ParamStore, x: np.ndarray) -> tape.Tensor:
-    h = tape.tanh(tape.add(tape.matmul(tape.Tensor(x), store.params["W1"]), store.params["b1"]))
-    return tape.log_softmax(tape.add(tape.matmul(h, store.params["W2"]), store.params["b2"]))
+    p = store.params
+    h = tape.tanh(tape.affine(tape.Tensor(x), p["W1"], p["b1"]))
+    return tape.log_softmax(tape.affine(h, p["W2"], p["b2"]))
 
 
 def eval_accuracy(store: tape.ParamStore, x: np.ndarray, y: np.ndarray) -> float:

@@ -119,9 +119,7 @@ def _encode(store: tape.ParamStore, src: np.ndarray) -> tape.Tensor:
     h = tape.Tensor(np.zeros((B, _HIDDEN)))
     for t in range(L):
         x = tape.embed(p["E"], src[:, t])
-        h = tape.tanh(
-            tape.add(tape.add(tape.matmul(x, p["Wxe"]), tape.matmul(h, p["Whe"])), p["bhe"])
-        )
+        h = tape.rnn_cell(x, p["Wxe"], h, p["Whe"], p["bhe"])
     return h
 
 
@@ -144,10 +142,8 @@ def _decode_train(
     logps = []
     for _ in range(steps):
         x = tape.matmul(feed, p["E"])
-        h = tape.tanh(
-            tape.add(tape.add(tape.matmul(x, p["Wxd"]), tape.matmul(h, p["Whd"])), p["bhd"])
-        )
-        logits = tape.add(tape.matmul(h, p["Wo"]), p["bo"])
+        h = tape.rnn_cell(x, p["Wxd"], h, p["Whd"], p["bhd"])
+        logits = tape.affine(h, p["Wo"], p["bo"])
         logps.append(tape.log_softmax(logits))
         if config.feed == "gumbel_st":
             feed = tape.gumbel_softmax_st(logits, tau, noise_rng)

@@ -1,12 +1,13 @@
 """A small reverse-mode tape over float64 numpy arrays.
 
 Just enough autodiff to train the experiment models end to end: dense ops,
-log-softmax / NLL heads, an embedding gather, a straight-through Gumbel
-sampler, and `custom_node`, which splices a value and its vector-Jacobian
-products computed off the tape into the graph.  The optimal-value losses
-enter this way: `matching_loss` and `gsa_loss` return `(z*, grad)` from one
-solve, and the node scales `grad` by the upstream gradient instead of
-differentiating through the solver.
+fused affine and recurrent-step nodes, log-softmax / NLL heads, an
+embedding gather, a straight-through Gumbel sampler, and `custom_node`,
+which splices a value and its vector-Jacobian products computed off the
+tape into the graph.  The optimal-value losses enter this way:
+`matching_loss` and `gsa_loss` return `(z*, grad)` from one solve, and the
+node scales `grad` by the upstream gradient instead of differentiating
+through the solver.
 
 Values are ordinary numpy arrays; gradients accumulate into `.grad` during
 `backward()`, which runs an iterative topological sort (no recursion-depth
@@ -140,11 +141,37 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0.0), (a,))
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one node; values and gradients equal add(matmul(x, W), b)
+    bit for bit."""
+    out = Tensor(x.value @ W.value + b.value, (x, W, b))
 
     def _bw():
-        _acc(a, out.grad * (a.value > 0.0))
+        g = out.grad
+        _acc(b, g)
+        _acc(x, g @ W.value.T)
+        _acc(W, x.value.T @ g)
+
+    out._backward = _bw
+    return out
+
+
+def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
+    """One recurrent step tanh((x @ Wx + h @ Wh) + b) as one node.
+
+    Same arithmetic and the same per-parent backward terms, in the same
+    order, as tanh(add(add(matmul(x, Wx), matmul(h, Wh)), b)), so values
+    and gradients equal that chain's bit for bit."""
+    y = np.tanh(x.value @ Wx.value + h.value @ Wh.value + b.value)
+    out = Tensor(y, (x, Wx, h, Wh, b))
+
+    def _bw():
+        g = out.grad * (1.0 - y * y)
+        _acc(b, g)
+        _acc(x, g @ Wx.value.T)
+        _acc(Wx, x.value.T @ g)
+        _acc(h, g @ Wh.value.T)
+        _acc(Wh, h.value.T @ g)
 
     out._backward = _bw
     return out
@@ -259,16 +286,6 @@ def tsum(a: Tensor) -> Tensor:
     return out
 
 
-def tmean(a: Tensor) -> Tensor:
-    out = Tensor(a.value.mean(), (a,))
-
-    def _bw():
-        _acc(a, np.full_like(a.value, float(out.grad) / a.value.size))
-
-    out._backward = _bw
-    return out
-
-
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather table[ids]; backward scatter-adds (repeats accumulate)."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -278,22 +295,6 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
         g = np.zeros_like(table.value)
         np.add.at(g, ids, out.grad)
         _acc(table, g)
-
-    out._backward = _bw
-    return out
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [t.value for t in tensors]
-    out = Tensor(np.concatenate(parts, axis=axis), tuple(tensors))
-    sizes = [p.shape[axis] for p in parts]
-
-    def _bw():
-        offs = np.cumsum([0] + sizes)
-        for t, lo, hi in zip(tensors, offs[:-1], offs[1:]):
-            sl = [slice(None)] * out.grad.ndim
-            sl[axis] = slice(lo, hi)
-            _acc(t, out.grad[tuple(sl)])
 
     out._backward = _bw
     return out
@@ -338,19 +339,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
-
-    def collect_grads(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for name, t in self.params.items():
-            out[name] = np.zeros_like(t.value) if t.grad is None else t.grad
-        return out
-
-
-def sgd_step(store: ParamStore, lr: float) -> None:
-    for t in store.params.values():
-        if t.grad is not None:
-            t.value -= lr * t.grad
-    store.step += 1
 
 
 def adam_step(

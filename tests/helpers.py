@@ -1,6 +1,9 @@
-"""Shared test utilities: central finite differences and error measures."""
+"""Shared test utilities: central finite differences, error measures, and
+the unfused tape chains that serve as oracles for the fused nodes."""
 
 import numpy as np
+
+from combgrad import tape
 
 
 def central_fd(f, x, eps=1e-6):
@@ -26,3 +29,13 @@ def rel_err(a, b):
     denom = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0, float(np.max(np.abs(b))) if b.size else 0.0)
     diff = float(np.max(np.abs(a - b))) if a.size else 0.0
     return diff / denom
+
+
+def chain_rnn_cell(x, Wx, h, Wh, b):
+    """The matmul/add/tanh chain that tape.rnn_cell fuses."""
+    return tape.tanh(tape.add(tape.add(tape.matmul(x, Wx), tape.matmul(h, Wh)), b))
+
+
+def chain_affine(x, W, b):
+    """The matmul/add chain that tape.affine fuses."""
+    return tape.add(tape.matmul(x, W), b)

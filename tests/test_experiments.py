@@ -16,6 +16,8 @@ from combgrad.experiments.bags import (
 from combgrad.experiments.common import MetricsRow, load_metrics, write_metrics
 from combgrad.experiments.seq import EOS, SeqTaskSpec, gen_seq_dataset
 
+from helpers import chain_affine, chain_rnn_cell
+
 
 class TestTrainConfig:
     def test_round_trip(self):
@@ -233,6 +235,48 @@ class TestBagTraining:
         data = gen_bag_dataset(BagDatasetSpec(n=200))
         acc = eval_accuracy(store, data.x_test, data.y_test)
         assert acc == rows[-1].metrics[("test", "accuracy")]
+
+
+class TestFusedNodesInTraining:
+    """Training with tape.rnn_cell and tape.affine swapped for the chains
+    they replace (the oracle) gives the same bytes."""
+
+    @staticmethod
+    def unfused(monkeypatch, calls):
+        for name, chain in (("rnn_cell", chain_rnn_cell), ("affine", chain_affine)):
+
+            def counted(*args, name=name, chain=chain):
+                calls.append(name)
+                return chain(*args)
+
+            monkeypatch.setattr(tape, name, counted)
+
+    @staticmethod
+    def fingerprint(rows, store):
+        return (
+            [(r.epoch, r.train_loss.hex(), {k: v.hex() for k, v in r.metrics.items()}) for r in rows],
+            {k: t.value.tobytes() for k, t in store.params.items()},
+        )
+
+    def check(self, monkeypatch, train, uses):
+        fused = self.fingerprint(*train())
+        calls = []
+        with monkeypatch.context() as m:
+            self.unfused(m, calls)
+            unfused = self.fingerprint(*train())
+        assert set(calls) == uses
+        assert fused == unfused
+
+    @pytest.mark.parametrize("loss,feed", [("gsa", "softmax"), ("gsa", "gumbel_st"), ("mle", "softmax")])
+    def test_train_seq(self, monkeypatch, loss, feed):
+        spec = SeqTaskSpec(n=120, min_len=3, max_len=5, seed=3)
+        config = TrainConfig(loss=loss, feed=feed, epochs=2, seed=3)
+        self.check(monkeypatch, lambda: train_seq(config, spec), {"rnn_cell", "affine"})
+
+    @pytest.mark.parametrize("loss", ["matching", "mle"])
+    def test_train_bags(self, monkeypatch, loss):
+        config = TrainConfig(loss=loss, bag_size=4, epochs=2, seed=3, threshold=0.25)
+        self.check(monkeypatch, lambda: train_bags(config, BagDatasetSpec(n=400, seed=3)), {"affine"})
 
 
 class TestSeqDataset:
