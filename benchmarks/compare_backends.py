@@ -5,9 +5,11 @@ Runs the assignment and alignment kernels over a ladder of sizes on the
 ``c`` backend and on ``numpy``, prints a speedup table, and verifies the two
 backends produce bitwise-identical results (the C kernels port the
 reference statements operation for operation).  The check covers the
-single and stacked kernels, ``gsa_loss`` on stacks of sequences and
-``matching_loss`` on stacks of bags with duplicate labels, which are the
-training paths.  Alignment timings include the gradient scatter.
+single and stacked kernels, ``solve_assignment`` on tied integer costs
+(its uniqueness certificate reads the kernel's duals), ``gsa_loss`` on
+stacks of sequences and ``matching_loss`` on stacks of bags with duplicate
+labels, which are the training paths.  Alignment timings include the
+gradient scatter.
 
 Usage: python benchmarks/compare_backends.py [--sizes 8..128] [--repeats 3]
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from combgrad import _kernels
 from combgrad.alignment import gsa_loss
-from combgrad.assignment import matching_loss
+from combgrad.assignment import matching_loss, solve_assignment
 
 
 def _time_assignment(size: int, repeats: int, rng: np.random.Generator) -> float:
@@ -61,6 +63,16 @@ def _check_equivalence(rng: np.random.Generator) -> None:
         assert np.array_equal(pj, pp) and np.array_equal(uj, up) and np.array_equal(vj, vp), (
             "assignment backends disagree"
         )
+        C = rng.integers(0, 3, size=(b, b)).astype(np.float64)  # small integers: tied optima
+        _kernels.set_backend("c")
+        aj = solve_assignment(C)
+        _kernels.set_backend("numpy")
+        ap = solve_assignment(C)
+        assert (aj.perm, np.float64(aj.z_star).tobytes(), aj.unique) == (
+            ap.perm,
+            np.float64(ap.z_star).tobytes(),
+            ap.unique,
+        ), "solve_assignment backends disagree"
         m = rng.uniform(0.05, 3.0, size=(int(rng.integers(1, 10)), int(rng.integers(1, 10))))
         _kernels.set_backend("c")
         rj = _kernels.gsa_kernel(m, 1.5)

@@ -12,7 +12,6 @@ edge-count matrix accumulated along the winning path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -97,12 +96,12 @@ class AlignResult:
 
     The path is kept as the kernel's read-only arrays, one entry per step:
     kinds (1 match, 2 skip-target, 3 skip-pred), the source node (eis, eks)
-    and the step's cost.  unique is None when the caller asked solve_gsa
-    not to report it.
+    and the step's cost.  unique is True when the kernel counted exactly one
+    optimal path, so the path's edge counts are the whole gradient.
     """
 
     z_star: float
-    unique: Optional[bool]
+    unique: bool
     kinds: np.ndarray
     eis: np.ndarray
     eks: np.ndarray
@@ -119,18 +118,18 @@ class AlignResult:
         return "".join(" DPT"[kind] for kind in self.kinds.tolist())
 
 
-def solve_gsa(grid: AlignGrid, *, compute_unique: bool = True) -> AlignResult:
+def solve_gsa(grid: AlignGrid) -> AlignResult:
     """Min-cost monotone path from (0, 0) to (Tp, Tt).
 
     Ties break deterministically: match beats skip-target beats skip-pred.
-    The kernel always counts optimal paths; compute_unique=False only
-    withholds the verdict (unique=None).
+    The same kernel pass counts the optimal paths, so the uniqueness verdict
+    costs nothing extra.
     """
     z, kinds, eis, eks, costs, pos, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
     path = [a[pos:] for a in (kinds, eis, eks, costs)]
     for a in path:
         a.setflags(write=False)
-    return AlignResult(z, bool(unique) if compute_unique else None, *path)
+    return AlignResult(z, bool(unique), *path)
 
 
 def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:

@@ -12,7 +12,6 @@ matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,14 +24,34 @@ _LOG_FLOOR = 1e-12
 _TOL = 1e-9
 
 
+def _check_cost_range(Cs: np.ndarray) -> None:
+    """Reject costs whose sums can overflow, for one matrix or a stack.
+
+    A phase of the kernel ends with every column's v in [-2 max|C|, 0] (a
+    column it never scanned keeps v = 0 and bounds the others through dual
+    feasibility) and every u within 3 max|C|, and no step inside a phase
+    moves them by more than max|C|.  So reduced costs stay within
+    8 max|C|, and each edge of the certificate's swap graph within
+    16 max|C|.  The closure adds two paths of at most b edges, and a
+    matching sums b costs, so requiring 32 b max|C| to be finite keeps
+    the duals, z* and every cycle sum finite.  Costs that pass elementwise
+    can still fail this: a sum of 5e307 costs overflows.
+    """
+    b = Cs.shape[-1]
+    top = np.abs(Cs).max(initial=0.0)  # NaN or inf when any cost is
+    if not np.isfinite(top):
+        raise NonFinite("cost matrix must be finite")
+    if top > np.finfo(np.float64).max / (32.0 * max(b, 1)):
+        raise NonFinite(f"costs up to {top:.3g} can overflow a sum over a {b}x{b} matching")
+
+
 def _validate_cost(C: np.ndarray) -> np.ndarray:
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2:
         raise DimensionMismatch("cost matrix must be 2-D")
     if C.shape[0] != C.shape[1]:
         raise NonSquare(f"cost matrix must be square, got {C.shape}")
-    if not np.isfinite(C).all():
-        raise NonFinite("cost matrix must be finite")
+    _check_cost_range(C)
     return C
 
 
@@ -114,21 +133,22 @@ def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *
     return matchL
 
 
-def _unique_sweep(C: np.ndarray, perm: np.ndarray, z: float, *, tol: float) -> bool:
-    """Certify uniqueness: forbid each matched edge in turn and re-solve.
+def _min_cycle(W: np.ndarray) -> np.ndarray:
+    """Weight of the lightest directed cycle in each graph of a (k, b, b) stack.
 
-    The optimum is unique iff every alternative matching costs strictly
-    more than z + tol.  Costs one extra solve per row and is therefore
-    opt-in on hot paths.
+    W[t, i, j] weighs the edge i -> j (inf: no edge); the diagonal is
+    ignored.  A min-plus Floyd-Warshall closure through m = 0..b-1 leaves
+    D[t, i, i] the lightest closed walk through i, and every closed walk is
+    a union of cycles, so the diagonal's minimum is the lightest cycle (inf
+    when the graph has none).  b vectorized steps of O(k b^2) work each.
     """
-    b = C.shape[0]
-    big = 2.0 * (b + 1.0) * (1.0 + float(np.abs(C).max(initial=0.0))) + 1.0
-    Cs = np.repeat(C[None, :, :], b, axis=0)
-    for i in range(b):
-        Cs[i, i, perm[i]] = big
-    perms, _, _ = _kernels.assignment_kernel_many(Cs)
-    zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    return bool(np.all(zs > z + tol))
+    k, b, _ = W.shape
+    D = np.array(W, dtype=np.float64, order="C")
+    diag = D.reshape(k, b * b)[:, :: b + 1]
+    diag[...] = np.inf
+    for m in range(b):
+        np.minimum(D, D[:, :, m, None] + D[:, None, m, :], out=D)
+    return diag.min(axis=1, initial=np.inf)
 
 
 @dataclass(frozen=True)
@@ -137,8 +157,8 @@ class MatchingResult:
 
     perm maps row i to column perm[i]; M is the 0/1 matrix of the matching;
     duals satisfy u[i] + v[j] <= C[i, j] with equality on matched pairs and
-    sum(u) + sum(v) == z_star.  unique is None when the certificate sweep
-    was skipped.
+    sum(u) + sum(v) == z_star.  unique is True when every other matching
+    costs more than z_star + tol, so M is the whole gradient.
     """
 
     perm: tuple
@@ -146,16 +166,17 @@ class MatchingResult:
     z_star: float
     duals_u: np.ndarray
     duals_v: np.ndarray
-    unique: Optional[bool]
+    unique: bool
 
 
-def solve_assignment(C: np.ndarray, *, compute_unique: bool = True, tol: float = _TOL) -> MatchingResult:
-    """Min-cost perfect matching on a square cost matrix.
+def solve_assignment(C: np.ndarray, *, tol: float = _TOL) -> MatchingResult:
+    """Min-cost perfect matching on a square cost matrix, certified.
 
     Runs a single O(b^3) shortest-augmenting-path pass, then refines the
     matching to the lexicographically smallest optimal one so equal-cost
-    inputs always yield the same answer.  compute_unique=False skips the
-    uniqueness sweep (unique=None) and keeps this a single kernel call.
+    inputs always yield the same answer.  Any other matching differs from
+    perm by cycles of rows i taking column perm[r], so one O(b^3) closure
+    over those swaps' costs certifies uniqueness without a second solve.
     """
     C = _validate_cost(C)
     b = C.shape[0]
@@ -164,14 +185,17 @@ def solve_assignment(C: np.ndarray, *, compute_unique: bool = True, tol: float =
     z = float(C[np.arange(b), perm].sum())
     M = np.zeros((b, b))
     M[np.arange(b), perm] = 1.0
-    unique = _unique_sweep(C, perm, z, tol=tol) if compute_unique else None
+    # W[i, r]: the extra cost of row i taking perm[r].  Refinement may leave
+    # perm's own edges up to tol slack, so that slack is subtracted.
+    slack = C[:, perm] - u[:, None] - v[perm]
+    W = slack - np.diagonal(slack)
     return MatchingResult(
         perm=tuple(int(j) for j in perm),
         M=_freeze(M),
         z_star=z,
         duals_u=_freeze(u),
         duals_v=_freeze(v),
-        unique=unique,
+        unique=bool(_min_cycle(W[None])[0] > tol),
     )
 
 
@@ -187,14 +211,12 @@ def _tie_gate(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *, 
     that each take another row's column at slack <= tol.  So it returns perm
     unchanged unless the digraph i -> r (row i may take perm[r], i != r) has
     a cycle, which holds iff the tight graph has a second perfect matching.
-    A boolean Warshall closure finds the cycles of every instance at once.
+    Weight 0 on those edges and inf on the rest makes _min_cycle read 0
+    exactly when such a cycle exists.
     """
-    b = C.shape[1]
     slack = C - u[:, :, None] - v[:, None, :]
-    reach = np.take_along_axis(slack <= tol, perm[:, None, :], axis=2) & ~np.eye(b, dtype=bool)
-    for m in range(b):
-        reach |= reach[:, :, m, None] & reach[:, None, m, :]
-    return reach.diagonal(axis1=1, axis2=2).any(axis=1)
+    tight = np.take_along_axis(slack <= tol, perm[:, None, :], axis=2)
+    return _min_cycle(np.where(tight, 0.0, np.inf)) == 0.0
 
 
 def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
@@ -227,8 +249,7 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     Ls = np.maximum(logP, np.log(_LOG_FLOOR)).reshape(-1, *logP.shape[-2:])
     Ys = Y.reshape(Ls.shape)
     Cs = -(Ls @ np.swapaxes(Ys, -1, -2))
-    if not np.isfinite(Cs).all():
-        raise NonFinite("cost matrix must be finite")
+    _check_cost_range(Cs)
     perms, us, vs = _kernels.assignment_kernel_many(Cs)
     for t in np.flatnonzero(_tie_gate(Cs, perms, us, vs, tol=_TOL)):
         perms[t] = _lex_refine(Cs[t], perms[t], us[t], vs[t], tol=_TOL)
@@ -248,8 +269,8 @@ def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
     (k,) bool mask; one pairwise row comparison serves every bag.
     """
     Y = np.asarray(Y)
-    if Y.ndim not in (2, 3):
-        raise DimensionMismatch(f"Y must be a 2-D bag or a 3-D stack of bags, got shape {Y.shape}")
+    if Y.ndim not in (2, 3) or 0 in Y.shape[-2:]:
+        raise DimensionMismatch(f"Y must be a 2-D bag or a 3-D stack of non-empty bags, got shape {Y.shape}")
     Ys = Y.reshape(-1, *Y.shape[-2:])
     b = Ys.shape[1]
     same = (Ys[:, :, None, :] == Ys[:, None, :, :]).all(axis=3)

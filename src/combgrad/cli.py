@@ -203,7 +203,7 @@ def _gradcheck_assignment_instance(problem: dict, candidate, args) -> dict:
         g = _inflate(g)
 
     def f(w: np.ndarray) -> float:
-        return solve_assignment(w.reshape(C.shape), compute_unique=False).z_star
+        return solve_assignment(w.reshape(C.shape)).z_star
 
     rep = supergradient_check(
         f, C.ravel(), g, trials=args.trials, sense="concave", tol=args.tol, seed=args.seed
@@ -225,10 +225,10 @@ def _gradcheck_assignment_suite(args) -> dict:
     for _ in range(args.trials):
         b = int(rng.integers(2, 7))
         C = rng.uniform(-1.0, 1.0, size=(b, b))
-        res = solve_assignment(C, compute_unique=False)
+        res = solve_assignment(C)
 
         def f(w: np.ndarray, b=b) -> float:
-            return solve_assignment(w.reshape(b, b), compute_unique=False).z_star
+            return solve_assignment(w.reshape(b, b)).z_star
 
         g = res.M.ravel()
         if args.perturb_grad:
@@ -251,7 +251,7 @@ def _gradcheck_assignment_suite(args) -> dict:
 def _gradcheck_gsa_instance(problem: dict, candidate, args) -> dict:
     grid = _gsa_grid(problem)
     if candidate is None:
-        res = solve_gsa(grid, compute_unique=False)
+        res = solve_gsa(grid)
         G = gsa_grad_matrix(grid, res)
     else:
         G = np.asarray(candidate["d_match_costs"], dtype=np.float64)
@@ -260,7 +260,7 @@ def _gradcheck_gsa_instance(problem: dict, candidate, args) -> dict:
         g = _inflate(g)
 
     def f(w: np.ndarray) -> float:
-        return solve_gsa(AlignGrid(m=w.reshape(grid.m.shape), gamma=grid.gamma), compute_unique=False).z_star
+        return solve_gsa(AlignGrid(m=w.reshape(grid.m.shape), gamma=grid.gamma)).z_star
 
     # Keep probes inside the valid domain (match costs may need to stay
     # meaningful, but any finite values are legal, so full radius is fine).
@@ -282,13 +282,13 @@ def _gradcheck_gsa_suite(args) -> dict:
         tt = int(rng.integers(2, 6))
         m = rng.uniform(0.1, 2.0, size=(tp, tt))
         grid = AlignGrid(m=m, gamma=1.5)
-        res = solve_gsa(grid, compute_unique=False)
+        res = solve_gsa(grid)
         g = gsa_grad_matrix(grid, res).ravel()
         if args.perturb_grad:
             g = _inflate(g)
 
         def f(w: np.ndarray, shape=m.shape) -> float:
-            return solve_gsa(AlignGrid(m=w.reshape(shape), gamma=1.5), compute_unique=False).z_star
+            return solve_gsa(AlignGrid(m=w.reshape(shape), gamma=1.5)).z_star
 
         rep = supergradient_check(f, m.ravel(), g, trials=20, sense="concave", tol=args.tol, rng=rng)
         worst = max(worst, rep.worst_violation)

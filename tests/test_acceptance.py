@@ -75,7 +75,7 @@ def test_assignment_matches_enumeration_for_all_small_sizes():
     for b in range(2, 9):
         for _ in range(200):
             C = rng.uniform(-1.0, 1.0, size=(b, b))
-            z_solver = solve_assignment(C, compute_unique=False).z_star
+            z_solver = solve_assignment(C).z_star
             z_oracle, _ = enumerate_permutations(C)
             assert abs(z_solver - z_oracle) <= 1e-9
     assert time.perf_counter() - t0 < 30.0
@@ -86,7 +86,7 @@ def test_every_assignment_solve_carries_valid_dual_certificates():
     for b in range(2, 9):
         for _ in range(200):
             C = rng.uniform(-1.0, 1.0, size=(b, b))
-            res = solve_assignment(C, compute_unique=False)
+            res = solve_assignment(C)
             slack = C - res.duals_u[:, None] - res.duals_v[None, :]
             assert slack.min() >= -1e-9  # dual feasibility
             matched = slack[np.arange(b), list(res.perm)]
@@ -107,7 +107,7 @@ def test_alignment_matches_path_enumeration_up_to_seven_by_seven():
         for tt in range(1, 8):
             for _ in range(200):
                 m = rng.uniform(0.1, 2.0, size=(tp, tt))
-                z_dp = solve_gsa(AlignGrid(m=m, gamma=1.5), compute_unique=False).z_star
+                z_dp = solve_gsa(AlignGrid(m=m, gamma=1.5)).z_star
                 z_oracle = enumerate_path_costs(m, 1.5).min()
                 assert abs(z_dp - z_oracle) <= 1e-9
     assert time.perf_counter() - t0 < 30.0
@@ -152,8 +152,8 @@ def test_matching_gradient_is_a_supergradient_on_random_pairs():
         b = int(rng.integers(2, 8))
         C = rng.uniform(-1.0, 1.0, size=(b, b))
         C2 = rng.uniform(-1.0, 1.0, size=(b, b))
-        res = solve_assignment(C, compute_unique=False)
-        z2 = solve_assignment(C2, compute_unique=False).z_star
+        res = solve_assignment(C)
+        z2 = solve_assignment(C2).z_star
         slack = res.z_star + float((res.M * (C2 - C)).sum()) - z2
         assert slack >= -1e-9
 
@@ -166,9 +166,9 @@ def test_alignment_gradient_is_a_supergradient_on_random_pairs():
         m = rng.uniform(0.1, 2.0, size=(tp, tt))
         m2 = rng.uniform(0.1, 2.0, size=(tp, tt))
         grid = AlignGrid(m=m, gamma=1.5)
-        res = solve_gsa(grid, compute_unique=False)
+        res = solve_gsa(grid)
         G = gsa_grad_matrix(grid, res)
-        z2 = solve_gsa(AlignGrid(m=m2, gamma=1.5), compute_unique=False).z_star
+        z2 = solve_gsa(AlignGrid(m=m2, gamma=1.5)).z_star
         slack = res.z_star + float((G * (m2 - m)).sum()) - z2
         assert slack >= -1e-9
 

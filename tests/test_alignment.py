@@ -125,7 +125,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         for _ in range(40):
             grid = random_grid(rng)
-            res = solve_gsa(grid, compute_unique=False)
+            res = solve_gsa(grid)
             G = gsa_grad_matrix(grid, res)
             assert float((G * grid.m).sum()) == pytest.approx(res.z_star, abs=1e-9)
 
@@ -139,8 +139,8 @@ class TestGradients:
                 continue
             D = rng.standard_normal(grid.m.shape)
             eps = 1e-7
-            hi = solve_gsa(AlignGrid(grid.m + eps * D, grid.gamma), compute_unique=False).z_star
-            lo = solve_gsa(AlignGrid(grid.m - eps * D, grid.gamma), compute_unique=False).z_star
+            hi = solve_gsa(AlignGrid(grid.m + eps * D, grid.gamma)).z_star
+            lo = solve_gsa(AlignGrid(grid.m - eps * D, grid.gamma)).z_star
             G = gsa_grad_matrix(grid, res)
             assert abs((hi - lo) / (2 * eps) - float((G * D).sum())) <= 1e-5
             done += 1
@@ -148,11 +148,11 @@ class TestGradients:
     def test_supergradient_inequality(self):
         rng = np.random.default_rng(17)
         grid = random_grid(rng)
-        res = solve_gsa(grid, compute_unique=False)
+        res = solve_gsa(grid)
         G = gsa_grad_matrix(grid, res)
 
         def f(mflat):
-            return solve_gsa(AlignGrid(mflat.reshape(grid.m.shape), grid.gamma), compute_unique=False).z_star
+            return solve_gsa(AlignGrid(mflat.reshape(grid.m.shape), grid.gamma)).z_star
 
         rep = supergradient_check(f, grid.m.ravel(), G.ravel(), trials=100, radius=0.5, sense="concave")
         assert rep.passed
@@ -196,10 +196,10 @@ class TestGradients:
         while done < 10:
             n = int(rng.integers(1, 6))
             m = rng.uniform(0.1, 1.0, size=(n, n))
-            res15 = solve_gsa(AlignGrid(m, 1.5), compute_unique=False)
+            res15 = solve_gsa(AlignGrid(m, 1.5))
             if set(res15.step_string()) != {"D"}:
                 continue
-            res2 = solve_gsa(AlignGrid(m, 2.0), compute_unique=False)
+            res2 = solve_gsa(AlignGrid(m, 2.0))
             assert res2.z_star == pytest.approx(res15.z_star, abs=1e-12)
             assert res2.step_string() == res15.step_string()
             done += 1
@@ -319,7 +319,7 @@ class TestAlignmentLoss:
                         assert np.float64(z).tobytes() == zs[b].tobytes(), where
                         assert g.tobytes() == grads[b].tobytes(), where
                         grid = build_grid(logP[b], Y[b], gamma)
-                        res = solve_gsa(grid, compute_unique=False)
+                        res = solve_gsa(grid)
                         active = (logP[b] > np.log(1e-12)).astype(np.float64)
                         old = -(gsa_grad_matrix(grid, res) @ Y[b]) * active
                         assert res.z_star == z and old.tobytes() == g.tobytes(), where

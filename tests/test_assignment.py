@@ -23,7 +23,7 @@ from combgrad import (
     solve_assignment,
 )
 from combgrad import _kernels
-from combgrad.assignment import _lex_refine, _tie_gate
+from combgrad.assignment import _lex_refine, _min_cycle, _tie_gate
 
 from helpers import central_fd
 
@@ -95,7 +95,7 @@ class TestOracleAgreement:
         lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
         rng = np.random.default_rng(b)
         for C in (rng.uniform(-1.0, 1.0, size=(b, b)), rng.integers(0, 4, size=(b, b)).astype(np.float64)):
-            res = solve_assignment(C, compute_unique=False)
+            res = solve_assignment(C)
             rows, cols = lsa(C)
             assert abs(res.z_star - float(C[rows, cols].sum())) <= 1e-9
             # The certificate holds at these sizes too.
@@ -106,15 +106,22 @@ class TestOracleAgreement:
     def test_long_tie_chain_refines_without_recursion(self):
         # Zero cost on the diagonal and on (i, i+1 mod b), rows reversed: the
         # lex-min refinement has to re-match along a chain of b tied rows,
-        # which a recursive search cannot do at b = 1000.
-        b = 1000
-        i = np.arange(b)
-        C = np.ones((b, b))
-        C[i, i] = 0.0
-        C[i, (i + 1) % b] = 0.0
-        res = solve_assignment(C[::-1], compute_unique=False)
-        assert res.z_star == 0.0
-        assert res.perm == (0, *range(b - 1, 0, -1))
+        # which a recursive search cannot do at b = 1000.  The chain is one
+        # zero-cost cycle, so the certificate must find the tie, and in
+        # O(b^2) memory: a b^3 stack alone would take 8 GB.  Peak RSS is
+        # per process, hence the subprocess.
+        probe = (
+            "import resource, numpy as np; from combgrad import solve_assignment; "
+            "b = 1000; i = np.arange(b); C = np.ones((b, b)); C[i, i] = 0.0; C[i, (i + 1) % b] = 0.0; "
+            "res = solve_assignment(C[::-1]); "
+            "assert res.z_star == 0.0 and res.unique is False; "
+            "assert res.perm == (0, *range(b - 1, 0, -1)); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def _kernel_stacks():
@@ -142,6 +149,18 @@ class TestCompiledKernel:
             for a, b in zip(run("c", Cs), run("numpy", Cs)):
                 assert a.dtype == b.dtype and a.shape == b.shape, (family, Cs.shape)
                 assert a.tobytes() == b.tobytes(), (family, Cs.shape)
+
+    def test_compare_backends_script_passes(self):
+        # The script's bitwise checks cover solve_assignment, gsa_loss and
+        # matching_loss on both backends; one small size keeps it quick.
+        script = os.path.join(os.path.dirname(SRC), "benchmarks", "compare_backends.py")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        env.pop("COMBGRAD_BACKEND", None)
+        proc = subprocess.run(
+            [sys.executable, script, "--sizes", "8..8", "--repeats", "1"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "bitwise equivalence check ... ok" in proc.stdout
 
     def test_built_once_and_never_on_import(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -210,13 +229,93 @@ class TestDualCertificates:
             assert abs(res.duals_u.sum() + res.duals_v.sum() - res.z_star) <= 1e-9
 
 
+def _sweep_unique(C, perm, z, tol=1e-9):
+    # The former certificate, kept as the oracle: forbid each matched edge in
+    # turn, re-solve all b copies at once, and call the optimum unique iff
+    # every alternative costs more than z + tol.  O(b^4) time, b^3 memory.
+    b = C.shape[0]
+    big = 2.0 * (b + 1.0) * (1.0 + float(np.abs(C).max(initial=0.0))) + 1.0
+    Cs = np.repeat(C[None, :, :], b, axis=0)
+    for i in range(b):
+        Cs[i, i, perm[i]] = big
+    perms, _, _ = _kernels.assignment_kernel_many(Cs)
+    zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return bool(np.all(zs > z + tol))
+
+
+def _certificate_instances(sizes, seed):
+    rng = np.random.default_rng(seed)
+    for b, k in sizes:
+        for _ in range(k):
+            yield "uniform", rng.uniform(-1.0, 1.0, size=(b, b))
+            yield "integer ties", rng.integers(0, 3, size=(b, b)).astype(np.float64)
+            yield "integers x 1e-10", 1e-10 * rng.integers(0, 4, size=(b, b))
+            # Integer multiples of these land just off tol = 1e-9, and
+            # refinement moves onto edges with slack up to tol.
+            for scale in (0.3e-9, 0.35e-9, 0.45e-9, 0.6e-9):
+                yield f"integers x {scale:g}", scale * rng.integers(0, 4, size=(b, b))
+
+
+class TestUniquenessCertificate:
+    def test_agrees_with_enumeration(self, backend):
+        seen = set()
+        for family, C in _certificate_instances([(b, 6) for b in range(1, 9)], seed=61):
+            res = solve_assignment(C)
+            z, argmins = enumerate_permutations(C)
+            # Unique: the returned matching is the only one within tol of the
+            # minimum.  Refinement may land above the minimum (the 0.35e-9
+            # and 0.6e-9 families do), and then the optimum is not unique.
+            assert res.unique == (argmins == [res.perm]), (family, C.shape)
+            seen.add((family, res.unique))
+        assert len(seen) == 13  # every family but uniform shows both verdicts
+
+    def test_agrees_with_the_sweep_and_keeps_every_other_output(self):
+        sizes = [(b, 3) for b in range(1, 13)] + [(16, 2), (24, 1), (32, 1)]
+        for family, C in _certificate_instances(sizes, seed=67):
+            res = solve_assignment(C)
+            perm, u, v = _kernels.assignment_kernel(C)
+            perm = _lex_refine(C, perm, u, v, tol=1e-9)
+            z = float(C[np.arange(C.shape[0]), perm].sum())
+            assert res.unique == _sweep_unique(C, perm, z), (family, C.shape)
+            assert np.array(res.perm).tobytes() == perm.tobytes(), family
+            assert np.float64(res.z_star).tobytes() == np.float64(z).tobytes(), family
+            assert res.duals_u.tobytes() == u.tobytes() and res.duals_v.tobytes() == v.tobytes(), family
+            assert res.M.tobytes() == np.eye(C.shape[0])[perm].tobytes(), family
+
+    def test_an_alternative_exactly_tol_dearer_is_a_tie(self):
+        # Unique means every other matching costs strictly more than z* + tol.
+        assert solve_assignment(np.array([[0.0, 1e-9], [0.0, 0.0]])).unique is False
+        assert solve_assignment(np.array([[0.0, 1.5e-9], [0.0, 0.0]])).unique is True
+
+    def test_min_cycle_matches_cycle_enumeration(self):
+        # Every simple directed cycle, weighed edge by edge: the closure must
+        # find the lightest, ignore the diagonal and read inf when acyclic.
+        rng = np.random.default_rng(71)
+        for b in range(1, 6):
+            W = rng.integers(-2, 6, size=(40, b, b)).astype(np.float64)
+            W[rng.random((40, b, b)) < 0.5] = np.inf
+            best = np.full(40, np.inf)
+            for n in range(2, b + 1):
+                for cyc in itertools.permutations(range(b), n):
+                    if cyc[0] != min(cyc):
+                        continue
+                    best = np.minimum(best, sum(W[:, i, j] for i, j in zip(cyc, cyc[1:] + cyc[:1])))
+            got = _min_cycle(W)
+            # Negative cycles make the closure's walks lighter than any cycle;
+            # only the sign of the lightest cycle matters then.
+            neg = best < 0
+            assert np.array_equal(got[~neg], best[~neg]), b
+            assert (got[neg] < 0).all(), b
+
+
 class TestSolverInterface:
-    def test_skipping_uniqueness_uses_one_kernel_call(self):
-        C = np.random.default_rng(3).standard_normal((5, 5))
-        reset_invocations()
-        res = solve_assignment(C, compute_unique=False)
-        assert res.unique is None
-        assert invocations()["assignment"] == 1
+    def test_certified_solve_uses_one_kernel_call(self):
+        rng = np.random.default_rng(3)
+        for C in (rng.standard_normal((5, 5)), np.ones((5, 5))):
+            reset_invocations()
+            res = solve_assignment(C)
+            assert isinstance(res.unique, bool)
+            assert invocations()["assignment"] == 1
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(17)
@@ -242,8 +341,8 @@ class TestSolverInterface:
                 continue
             D = rng.standard_normal((b, b))
             eps = 1e-6
-            hi = solve_assignment(C + eps * D, compute_unique=False).z_star
-            lo = solve_assignment(C - eps * D, compute_unique=False).z_star
+            hi = solve_assignment(C + eps * D).z_star
+            lo = solve_assignment(C - eps * D).z_star
             deriv = (hi - lo) / (2 * eps)
             assert abs(deriv - float((res.M * D).sum())) <= 1e-6
             done += 1
@@ -262,6 +361,33 @@ class TestSolverInterface:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFinite):
             solve_assignment(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[1e308, -1e308], [-1e308, 1e308]],
+            [[1e308] * 2] * 2,
+            [[5e307] * 4] * 4,  # every entry finite, the sum is not
+        ],
+    )
+    def test_costs_whose_sums_overflow_rejected(self, C):
+        with pytest.raises(NonFinite, match="overflow"):
+            solve_assignment(np.array(C))
+
+    def test_largest_admissible_costs_solve_without_overflow(self, backend):
+        rng = np.random.default_rng(43)
+        for b in (1, 2, 3, 4, 7, 16, 33):
+            top = np.finfo(np.float64).max / (32.0 * b)
+            for S in (np.ones((b, b)), -np.ones((b, b)), np.sign(rng.standard_normal((b, b))), 2 * np.eye(b) - 1):
+                with np.errstate(all="raise"):
+                    res = solve_assignment(top * S)
+                assert np.isfinite(res.duals_u).all() and np.isfinite(res.duals_v).all(), b
+                # Entries of +-1 put every alternative 0 or >= 2 away, at either scale.
+                small = solve_assignment(S)
+                assert res.perm == small.perm and res.unique == small.unique, b
+                assert res.z_star == pytest.approx(top * small.z_star, rel=1e-15, abs=1e-15 * b * top), b
+            with pytest.raises(NonFinite):
+                solve_assignment(np.full((b, b), np.nextafter(top, np.inf)))
 
 
 class TestMatchingLoss:
@@ -284,7 +410,7 @@ class TestMatchingLoss:
             Y = np.eye(d)[rng.integers(0, d, size=b)]
             loss, grad = matching_loss(logP, Y)
             C = -(np.maximum(logP, np.log(1e-12)) @ Y.T)
-            res = solve_assignment(C, compute_unique=False)
+            res = solve_assignment(C)
             assert loss == pytest.approx(res.z_star, abs=1e-12)
             assert np.array_equal(grad, -Y[list(res.perm)])
 
@@ -324,6 +450,11 @@ class TestMatchingLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             matching_loss(np.zeros((2, 3)), np.eye(2))
+
+    def test_costs_whose_sums_overflow_rejected(self):
+        # Each pair cost is a finite 1.4e308; the loss, a sum of two, is not.
+        with pytest.raises(NonFinite, match="overflow"):
+            matching_loss(np.log(np.full((2, 2), 0.5)), np.full((2, 2), 1e308))
 
     def test_gradient_matches_central_differences(self):
         # Differentiate through the log-softmax, since the loss only accepts
@@ -522,3 +653,12 @@ class TestFilterBag:
     def test_other_ranks_rejected(self):
         with pytest.raises(DimensionMismatch):
             filter_bag(np.ones((1, 2, 3, 4)), 0.5)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    def test_bag_without_rows_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            filter_bag(np.zeros(shape), 0.5)
+
+    def test_empty_stack_gives_an_empty_mask(self):
+        mask = filter_bag(np.zeros((0, 4, 3)), 0.5)
+        assert mask.shape == (0,) and mask.dtype == bool

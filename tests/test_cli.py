@@ -147,6 +147,15 @@ class TestSolve:
         assert err.startswith("error[input]:") and "overflow" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("cost", [[[1e308, -1e308], [-1e308, 1e308]], [[1e308] * 2] * 2, [[5e307] * 4] * 4])
+    def test_assignment_costs_that_overflow_a_sum_are_input_errors(self, tmp_path, capsys, cost):
+        inst = write_json(tmp_path / "a.json", {"cost": cost})
+        code, out, err = run_cli(["solve", "assignment", inst], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[input]:") and "overflow" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "logp, targets",
         [
