@@ -5,11 +5,14 @@ Runs the assignment and alignment kernels over a ladder of sizes on the
 ``c`` backend and on ``numpy``, prints a speedup table, and verifies the two
 backends produce bitwise-identical results (the C kernels port the
 reference statements operation for operation).  The check covers the
-single and stacked kernels, ``solve_assignment`` on tied integer costs
-(its uniqueness certificate reads the kernel's duals), ``gsa_loss`` on
-stacks of sequences and ``matching_loss`` on stacks of bags with duplicate
-labels, which are the training paths.  Alignment timings include the
-gradient scatter.
+single and stacked kernels, the stacked assignment kernel on tie-heavy
+integer costs and on integer multiples of 0.3e-9 to 0.6e-9, where edges
+land on and just off the tie tolerance and the lexicographic refinement
+moves the matching, ``solve_assignment`` on tied integer costs (its
+uniqueness certificate reads the kernel's duals), ``gsa_loss`` on stacks
+of sequences and ``matching_loss`` on stacks of bags with duplicate
+labels, which are the training paths.  Assignment timings include the
+lexicographic refinement; alignment timings include the gradient scatter.
 
 Usage: python benchmarks/compare_backends.py [--sizes 8..128] [--repeats 3]
 """
@@ -63,6 +66,14 @@ def _check_equivalence(rng: np.random.Generator) -> None:
         assert np.array_equal(pj, pp) and np.array_equal(uj, up) and np.array_equal(vj, vp), (
             "assignment backends disagree"
         )
+        k = int(rng.integers(1, 12))
+        for scale in (1.0, 0.3e-9, 0.45e-9, 0.6e-9):
+            Cs = scale * rng.integers(0, 4, size=(k, b, b))  # tied optima, or slacks near the tolerance
+            _kernels.set_backend("c")
+            mj = _kernels.assignment_kernel_many(Cs)
+            _kernels.set_backend("numpy")
+            mp = _kernels.assignment_kernel_many(Cs)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(mj, mp)), "stacked assignment backends disagree"
         C = rng.integers(0, 3, size=(b, b)).astype(np.float64)  # small integers: tied optima
         _kernels.set_backend("c")
         aj = solve_assignment(C)

@@ -13,18 +13,114 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* Assignment: port of _assign_core_py (Jonker-Volgenant shortest augmenting
- * paths with potentials, 1-based with sentinel row and column 0) over a
- * (k, n, n) stack.  Fails if an instance has no free column with a finite
- * reduced cost. */
-int assign_many(const double *Cs, int64_t k, int64_t n, int64_t *perms, double *us, double *vs)
+/* Augmenting search of _lex_refine's rematch: re-match row r along tight
+ * columns, depth first with explicit stacks, skipping visited columns and
+ * never displacing a fixed row.  rows[s] scans its tight columns from
+ * nxt[s]; via[s] is the column it tries, whose owner is rows[s + 1], so
+ * via holds depth - 1 columns.  Commits only along a successful path. */
+static int rematch(int64_t r, const int64_t *cols, const int64_t *ends, int64_t *matchL, int64_t *matchR,
+                   const char *fixed, char *visited, int64_t *rows, int64_t *nxt, int64_t *via)
 {
-    double *u = malloc((3 * sizeof(double) + 2 * sizeof(int64_t) + 1) * (n + 1));
+    int64_t depth = 1;
+    rows[0] = r;
+    nxt[0] = 0;
+    while (depth > 0) {
+        int64_t row = rows[depth - 1], k = nxt[depth - 1], len = ends[row + 1] - ends[row];
+        const int64_t *cr = cols + ends[row];
+        int pushed = 0;
+        while (k < len) {
+            int64_t j = cr[k];
+            k += 1;
+            if (visited[j])
+                continue;
+            visited[j] = 1;
+            int64_t owner = matchR[j];
+            if (owner < 0) {
+                via[depth - 1] = j;
+                for (int64_t s = 0; s < depth; s++) {
+                    matchL[rows[s]] = via[s];
+                    matchR[via[s]] = rows[s];
+                }
+                return 1;
+            }
+            if (!fixed[owner]) {
+                nxt[depth - 1] = k;
+                via[depth - 1] = j;
+                rows[depth] = owner;
+                nxt[depth] = 0;
+                depth += 1;
+                pushed = 1;
+                break;
+            }
+        }
+        if (!pushed)
+            depth -= 1;
+    }
+    return 0;
+}
+
+/* Port of _lex_refine: turn the optimal matching matchL of the n x n costs
+ * C into the lexicographically smallest perfect matching of the tight graph
+ * {(i, j) : (C[i, j] - u[i]) - v[j] <= tol}, fixing rows in order.  u and v
+ * are the solve's 1-based potentials.  cols holds each row's tight columns
+ * in ascending order, row i's from ends[i] to ends[i + 1]. */
+static void lex_refine(const double *C, int64_t n, double tol, const double *u, const double *v, int64_t *matchL,
+                       int64_t *cols, int64_t *ends, int64_t *matchR, int64_t *rows, int64_t *nxt, int64_t *via,
+                       char *fixed, char *visited)
+{
+    int64_t e = 0;
+    for (int64_t i = 0; i < n; i++) {
+        ends[i] = e;
+        for (int64_t j = 0; j < n; j++)
+            if ((C[i * n + j] - u[i + 1]) - v[j + 1] <= tol)
+                cols[e++] = j;
+    }
+    ends[n] = e;
+    for (int64_t i = 0; i < n; i++) {
+        matchR[matchL[i]] = i;
+        fixed[i] = 0;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t c = ends[i]; c < ends[i + 1]; c++) {
+            int64_t j = cols[c];
+            if (j == matchL[i])
+                break;
+            int64_t r = matchR[j];
+            if (fixed[r])
+                continue;
+            int64_t old = matchL[i];
+            matchL[i] = j;
+            matchR[j] = i;
+            matchR[old] = -1;
+            for (int64_t col = 0; col < n; col++)
+                visited[col] = 0;
+            visited[j] = 1;
+            if (rematch(r, cols, ends, matchL, matchR, fixed, visited, rows, nxt, via))
+                break;
+            matchL[i] = old;
+            matchR[old] = i;
+            matchR[j] = r;
+        }
+        fixed[i] = 1;
+    }
+}
+
+/* Assignment: port of _assign_many_py over a (k, n, n) stack.  Each
+ * instance is solved as in _assign_core_py (Jonker-Volgenant shortest
+ * augmenting paths with potentials, 1-based with sentinel row and column
+ * 0), then its matching is refined by lex_refine.  One workspace serves
+ * every instance.  Fails if an instance has no free column with a finite
+ * reduced cost. */
+int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *us, double *vs)
+{
+    double *u = malloc(3 * sizeof(double) * (n + 1) + sizeof(int64_t) * (n * n + 7 * n + 6) + 3 * n + 1);
     if (u == NULL)
         return 1;
     double *v = u + (n + 1), *minv = v + (n + 1);
     int64_t *p = (int64_t *)(minv + (n + 1)), *way = p + (n + 1);
-    char *used = (char *)(way + (n + 1));
+    int64_t *ends = way + (n + 1), *rows = ends + (n + 1), *nxt = rows + (n + 1), *via = nxt + (n + 1);
+    int64_t *matchR = via + (n + 1), *cols = matchR + n;
+    char *used = (char *)(cols + n * n), *fixed = used + (n + 1), *visited = fixed + n;
     int status = 1;
     for (int64_t t = 0; t < k; t++) {
         const double *C = Cs + t * n * n;
@@ -83,6 +179,7 @@ int assign_many(const double *Cs, int64_t k, int64_t n, int64_t *perms, double *
             us[t * n + j - 1] = u[j];
             vs[t * n + j - 1] = v[j];
         }
+        lex_refine(C, n, tol, u, v, perms + t * n, cols, ends, matchR, rows, nxt, via, fixed, visited);
     }
     status = 0;
 done:

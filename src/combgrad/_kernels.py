@@ -16,10 +16,13 @@ process, and :func:`set_backend` switches at runtime, which the
 backend-comparison benchmark uses.
 
 Single-instance entry points run a stack of one, so every public kernel
-goes through one path per problem.  Kernels only solve; :func:`gsa_grads`
-turns alignment path arrays into gradients.  Every dispatch increments an
-invocation counter per kernel kind so callers can assert how many solver
-runs a code path costs.
+goes through one path per problem.  The assignment kernel solves and then
+refines each matching to the lexicographically smallest tight optimum
+(``_lex_refine``, ported as ``lex_refine`` in C), so every caller gets the
+same tie-break without a Python pass per instance.  The alignment kernel
+only solves; :func:`gsa_grads` turns its path arrays into gradients.  Every
+dispatch increments an invocation counter per kernel kind so callers can
+assert how many solver runs a code path costs.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def c_library():
         warnings.warn(f"C kernel library unavailable, using numpy: {exc}", RuntimeWarning, stacklevel=2)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.assign_many.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
+    lib.assign_many.argtypes = [ptr, i64, i64, ctypes.c_double, ptr, ptr, ptr]
     lib.assign_many.restype = ctypes.c_int
     lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, *[ptr] * 7]
     lib.gsa_many.restype = ctypes.c_int
@@ -151,19 +154,23 @@ def c_library():
 
 
 # ---------------------------------------------------------------------------
-# Assignment: Jonker-Volgenant style shortest augmenting paths with potentials.
+# Assignment: Jonker-Volgenant style shortest augmenting paths with potentials,
+# then a lexicographic refinement of the matching.
 #
 # Indices are 1-based internally (row/column 0 is a sentinel).  The final
 # potentials (u, v) are feasible duals: u[j] + v[k] <= C[j, k] everywhere,
 # with equality on matched edges, so sum(u) + sum(v) equals the optimal cost.
 # ---------------------------------------------------------------------------
 
+# Slack at or below which an edge counts as tight (tied with the optimum).
+_TOL = 1e-9
+
 
 def _assign_core_py(C, u, v, p, way, minv, used, perm):
     # Workspace-reusing core: all arrays are caller-allocated and fully
     # reset here, so batched callers pay no per-instance allocations.  The
     # inner column scan is the only vectorized part and is elementwise, so
-    # results match assign_many in _kernels.c bit for bit.
+    # results match the solve in assign_many (_kernels.c) bit for bit.
     n = C.shape[0]
     u[:] = 0.0
     v[:] = 0.0
@@ -202,7 +209,85 @@ def _assign_core_py(C, u, v, p, way, minv, used, perm):
         perm[p[j] - 1] = j - 1
 
 
-def _assign_many_py(Cs):
+def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *, tol: float) -> np.ndarray:
+    """Refine an optimal matching to the lexicographically smallest one.
+
+    Every optimal matching is a perfect matching of the tight graph
+    {(i, j) : C[i, j] - u[i] - v[j] <= tol}, so the lex-min optimum is found
+    by fixing rows in order: hand row i the smallest tight column for which
+    the displaced rows can re-match (never disturbing already-fixed rows),
+    then freeze it.  The reference for lex_refine in _kernels.c.
+    """
+    b = C.shape[0]
+    slack = C - u[:, None] - v[None, :]
+    # Tight columns per row as Python lists: one nonzero pass, no per-row calls.
+    ti, tj = np.nonzero(slack <= tol)
+    ends = np.searchsorted(ti, np.arange(b + 1)).tolist()
+    tj = tj.tolist()
+    cols = [tj[ends[i] : ends[i + 1]] for i in range(b)]
+    matchL = perm.copy()
+    matchR = np.empty(b, dtype=np.int64)
+    matchR[perm] = np.arange(b)
+    fixed = np.zeros(b, dtype=bool)
+
+    def rematch(r: int, visited: np.ndarray) -> bool:
+        # Classic augmenting search, depth first with an explicit stack so a
+        # long chain of ties cannot exhaust the recursion limit.  rows[t]
+        # scans its tight columns from nxt[t]; via[t] is the column it tries,
+        # whose owner is rows[t + 1].  Commits only along a successful path.
+        rows, nxt, via = [r], [0], []
+        while rows:
+            r, k = rows[-1], nxt[-1]
+            cr = cols[r]
+            while k < len(cr):
+                j = cr[k]
+                k += 1
+                if visited[j]:
+                    continue
+                visited[j] = True
+                owner = matchR[j]
+                if owner < 0:
+                    via.append(j)
+                    for row, col in zip(rows, via):
+                        matchL[row] = col
+                        matchR[col] = row
+                    return True
+                if not fixed[owner]:
+                    nxt[-1] = k
+                    rows.append(int(owner))
+                    nxt.append(0)
+                    via.append(j)
+                    break
+            else:
+                rows.pop()
+                nxt.pop()
+                if via:
+                    via.pop()
+        return False
+
+    for i in range(b):
+        for j in cols[i]:
+            if j == matchL[i]:
+                break
+            r = int(matchR[j])
+            if fixed[r]:
+                continue
+            old = matchL[i]
+            matchL[i] = j
+            matchR[j] = i
+            matchR[old] = -1
+            visited = np.zeros(b, dtype=bool)
+            visited[j] = True
+            if rematch(r, visited):
+                break
+            matchL[i] = old
+            matchR[old] = i
+            matchR[j] = r
+        fixed[i] = True
+    return matchL
+
+
+def _assign_many_py(Cs, tol):
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
     us = np.empty((k, n))
@@ -216,43 +301,55 @@ def _assign_many_py(Cs):
     perm = np.empty(n, np.int64)
     for t in range(k):
         _assign_core_py(Cs[t], u, v, p, way, minv, used, perm)
-        perms[t] = perm
+        perms[t] = _lex_refine(Cs[t], perm, u[1:], v[1:], tol=tol)
         us[t] = u[1:]
         vs[t] = v[1:]
     return perms, us, vs
 
 
-def _assign_many_c(Cs):
+def _assign_many_c(Cs, tol):
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
     us = np.empty((k, n))
     vs = np.empty((k, n))
-    if c_library().assign_many(Cs.ctypes.data, k, n, perms.ctypes.data, us.ctypes.data, vs.ctypes.data):
+    if c_library().assign_many(Cs.ctypes.data, k, n, tol, perms.ctypes.data, us.ctypes.data, vs.ctypes.data):
         # Allocation failed or a reduced cost overflowed: the reference decides.
-        return _assign_many_py(Cs)
+        return _assign_many_py(Cs, tol)
     return perms, us, vs
 
 
-def _assign_many(Cs):
+def _assign_many(Cs, tol):
     if Cs.ndim != 3:
         raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
     if Cs.shape[1] != Cs.shape[2]:
         raise NonSquare(f"cost matrices must be square, got {Cs.shape[1:]}")
     Cs = np.ascontiguousarray(Cs, dtype=np.float64)
-    return _assign_many_c(Cs) if get_backend() == "c" else _assign_many_py(Cs)
+    tol = float(tol)
+    return _assign_many_c(Cs, tol) if get_backend() == "c" else _assign_many_py(Cs, tol)
 
 
-def assignment_kernel(C: np.ndarray):
-    """Solve one square assignment instance.  Returns (perm, u, v)."""
+def assignment_kernel(C: np.ndarray, tol: float = _TOL):
+    """Solve one square assignment instance.  Returns (perm, u, v).
+
+    (u, v) are feasible duals of the exact optimum.  perm is the
+    lexicographically smallest perfect matching on edges whose slack
+    C[i, j] - u[i] - v[j] is at most tol.  On exact ties that is the
+    lex-min optimum; an edge within tol of tight can make it cost up to
+    b * tol more than the minimum.
+    """
     increment("assignment")
-    perms, us, vs = _assign_many(C[None, :, :])
+    perms, us, vs = _assign_many(C[None, :, :], tol)
     return perms[0], us[0], vs[0]
 
 
-def assignment_kernel_many(Cs: np.ndarray):
-    """Solve a (k, n, n) stack of assignment instances in one dispatch."""
+def assignment_kernel_many(Cs: np.ndarray, tol: float = _TOL):
+    """Solve a (k, n, n) stack of assignment instances in one dispatch.
+
+    Returns assignment_kernel's outputs stacked: each perm is its
+    instance's lex-min tol-tight matching.
+    """
     increment("assignment", int(Cs.shape[0]))
-    return _assign_many(Cs)
+    return _assign_many(Cs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from .core import GenGrad, _freeze
 from .errors import DimensionMismatch, NonFinite, NonSquare
 
 _LOG_FLOOR = 1e-12
-# Slack at or below which an edge counts as tight (tied with the optimum).
-_TOL = 1e-9
+_TOL = _kernels._TOL
 
 
 def _check_cost_range(Cs: np.ndarray) -> None:
@@ -53,84 +52,6 @@ def _validate_cost(C: np.ndarray) -> np.ndarray:
         raise NonSquare(f"cost matrix must be square, got {C.shape}")
     _check_cost_range(C)
     return C
-
-
-def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *, tol: float) -> np.ndarray:
-    """Refine an optimal matching to the lexicographically smallest one.
-
-    Every optimal matching is a perfect matching of the tight graph
-    {(i, j) : C[i, j] - u[i] - v[j] <= tol}, so the lex-min optimum is found
-    by fixing rows in order: hand row i the smallest tight column for which
-    the displaced rows can re-match (never disturbing already-fixed rows),
-    then freeze it.
-    """
-    b = C.shape[0]
-    slack = C - u[:, None] - v[None, :]
-    # Tight columns per row as Python lists: one nonzero pass, no per-row calls.
-    ti, tj = np.nonzero(slack <= tol)
-    ends = np.searchsorted(ti, np.arange(b + 1)).tolist()
-    tj = tj.tolist()
-    cols = [tj[ends[i] : ends[i + 1]] for i in range(b)]
-    matchL = perm.copy()
-    matchR = np.empty(b, dtype=np.int64)
-    matchR[perm] = np.arange(b)
-    fixed = np.zeros(b, dtype=bool)
-
-    def rematch(r: int, visited: np.ndarray) -> bool:
-        # Classic augmenting search, depth first with an explicit stack so a
-        # long chain of ties cannot exhaust the recursion limit.  rows[t]
-        # scans its tight columns from nxt[t]; via[t] is the column it tries,
-        # whose owner is rows[t + 1].  Commits only along a successful path.
-        rows, nxt, via = [r], [0], []
-        while rows:
-            r, k = rows[-1], nxt[-1]
-            cr = cols[r]
-            while k < len(cr):
-                j = cr[k]
-                k += 1
-                if visited[j]:
-                    continue
-                visited[j] = True
-                owner = matchR[j]
-                if owner < 0:
-                    via.append(j)
-                    for row, col in zip(rows, via):
-                        matchL[row] = col
-                        matchR[col] = row
-                    return True
-                if not fixed[owner]:
-                    nxt[-1] = k
-                    rows.append(int(owner))
-                    nxt.append(0)
-                    via.append(j)
-                    break
-            else:
-                rows.pop()
-                nxt.pop()
-                if via:
-                    via.pop()
-        return False
-
-    for i in range(b):
-        for j in cols[i]:
-            if j == matchL[i]:
-                break
-            r = int(matchR[j])
-            if fixed[r]:
-                continue
-            old = matchL[i]
-            matchL[i] = j
-            matchR[j] = i
-            matchR[old] = -1
-            visited = np.zeros(b, dtype=bool)
-            visited[j] = True
-            if rematch(r, visited):
-                break
-            matchL[i] = old
-            matchR[old] = i
-            matchR[j] = r
-        fixed[i] = True
-    return matchL
 
 
 def _min_cycle(W: np.ndarray) -> np.ndarray:
@@ -172,16 +93,15 @@ class MatchingResult:
 def solve_assignment(C: np.ndarray, *, tol: float = _TOL) -> MatchingResult:
     """Min-cost perfect matching on a square cost matrix, certified.
 
-    Runs a single O(b^3) shortest-augmenting-path pass, then refines the
-    matching to the lexicographically smallest optimal one so equal-cost
+    Runs a single O(b^3) shortest-augmenting-path pass, whose kernel refines
+    the matching to the lexicographically smallest optimal one so equal-cost
     inputs always yield the same answer.  Any other matching differs from
     perm by cycles of rows i taking column perm[r], so one O(b^3) closure
     over those swaps' costs certifies uniqueness without a second solve.
     """
     C = _validate_cost(C)
     b = C.shape[0]
-    perm, u, v = _kernels.assignment_kernel(C)
-    perm = _lex_refine(C, perm, u, v, tol=tol)
+    perm, u, v = _kernels.assignment_kernel(C, tol)
     z = float(C[np.arange(b), perm].sum())
     M = np.zeros((b, b))
     M[np.arange(b), perm] = 1.0
@@ -202,21 +122,6 @@ def solve_assignment(C: np.ndarray, *, tol: float = _TOL) -> MatchingResult:
 def assignment_gengrad(result: MatchingResult) -> GenGrad:
     """Gradient of the optimal cost in the cost matrix: the matching itself."""
     return GenGrad(d_c=result.M.ravel(), d_b=None, d_A=None)
-
-
-def _tie_gate(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *, tol: float) -> np.ndarray:
-    """Which instances of a (k, b, b) stack _lex_refine could change.
-
-    Every matching _lex_refine can reach differs from perm by cycles of rows
-    that each take another row's column at slack <= tol.  So it returns perm
-    unchanged unless the digraph i -> r (row i may take perm[r], i != r) has
-    a cycle, which holds iff the tight graph has a second perfect matching.
-    Weight 0 on those edges and inf on the rest makes _min_cycle read 0
-    exactly when such a cycle exists.
-    """
-    slack = C - u[:, :, None] - v[:, None, :]
-    tight = np.take_along_axis(slack <= tol, perm[:, None, :], axis=2)
-    return _min_cycle(np.where(tight, 0.0, np.inf)) == 0.0
 
 
 def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
@@ -250,9 +155,7 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     Ys = Y.reshape(Ls.shape)
     Cs = -(Ls @ np.swapaxes(Ys, -1, -2))
     _check_cost_range(Cs)
-    perms, us, vs = _kernels.assignment_kernel_many(Cs)
-    for t in np.flatnonzero(_tie_gate(Cs, perms, us, vs, tol=_TOL)):
-        perms[t] = _lex_refine(Cs[t], perms[t], us[t], vs[t], tol=_TOL)
+    perms, _, _ = _kernels.assignment_kernel_many(Cs, _TOL)
     zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
     grad = -np.take_along_axis(Ys, perms[:, :, None], axis=1)
     if logP.ndim == 2:

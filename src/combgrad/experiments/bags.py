@@ -80,8 +80,10 @@ def gen_bag_dataset(spec: BagDatasetSpec) -> BagDataset:
 
 @dataclass(frozen=True)
 class BagBatch:
-    """One bag: features, label rows in a hidden random order, and (for
-    analysis only) the permutation that scrambled them."""
+    """A stack of m bags: features X (m, b, dim), label rows Y (m, b,
+    classes) in a hidden random order per bag, and (for analysis only) the
+    (m, b) permutations that scrambled them, so that row r of Y[t] is the
+    label of sample hidden_sigma[t, r] of X[t]."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -95,20 +97,21 @@ def make_bags(
     bag_size: int,
     threshold: float,
     seed,
-) -> List[BagBatch]:
+) -> BagBatch:
     """Shuffle the samples, cut them into bags of bag_size, drop the
     remainder, keep only bags meeting the distinct-class threshold, and
-    scramble each kept bag's label rows by a hidden permutation."""
+    scramble each kept bag's label rows by a hidden permutation.  Returns
+    the kept bags as one stack."""
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     order = rng.permutation(n)
     idx = order[: n - n % bag_size].reshape(-1, bag_size)
     Ys = np.eye(num_classes)[y[idx]]
-    bags: List[BagBatch] = []
-    for t in np.flatnonzero(filter_bag(Ys, threshold)):
-        sigma = rng.permutation(bag_size)
-        bags.append(BagBatch(X=x[idx[t]], Y=Ys[t][sigma], hidden_sigma=sigma))
-    return bags
+    kept = filter_bag(Ys, threshold)
+    idx, Ys = idx[kept], Ys[kept]
+    # Row by row, permuted draws the stream of one rng.permutation per bag.
+    sigma = rng.permuted(np.broadcast_to(np.arange(bag_size), idx.shape), axis=1)
+    return BagBatch(X=x[idx], Y=np.take_along_axis(Ys, sigma[:, :, None], axis=1), hidden_sigma=sigma)
 
 
 def _init_store(config: TrainConfig, feature_dim: int, num_classes: int) -> tape.ParamStore:
@@ -166,18 +169,21 @@ def train_bags(
                 config.threshold,
                 [config.seed, 7919, epoch],
             )
+            if config.loss == "mle":
+                # Unscrambled: Y[t][argsort(sigma[t])] is bag t's labels in sample order.
+                unsorted = np.argsort(bags.hidden_sigma, axis=1)
+                labels = np.take_along_axis(bags.Y, unsorted[:, :, None], axis=1).argmax(axis=2)
             loss_sum = 0.0
             seen = 0
-            for start in range(0, len(bags), bags_per_step):
-                group = bags[start : start + bags_per_step]
-                X = np.concatenate([bag.X for bag in group])
+            for start in range(0, bags.X.shape[0], bags_per_step):
+                step = slice(start, start + bags_per_step)
+                X = bags.X[step].reshape(-1, bags.X.shape[2])
                 n_union = X.shape[0]
                 store.zero_grad()
                 logp = _forward(store, X)
                 if config.loss == "matching":
-                    zs, G = matching_loss(
-                        logp.value.reshape(len(group), b, -1), np.stack([bag.Y for bag in group])
-                    )
+                    Y = bags.Y[step]
+                    zs, G = matching_loss(logp.value.reshape(Y.shape[0], b, -1), Y)
                     # Summed in bag order: np.sum's pairwise order would change the bits.
                     total = 0.0
                     for z in zs.tolist():
@@ -188,10 +194,7 @@ def train_bags(
                         [logp], value, [lambda up, G=G, n=n_union: up * G / n]
                     )
                 else:
-                    labels = np.concatenate(
-                        [bag.Y[np.argsort(bag.hidden_sigma)].argmax(axis=1) for bag in group]
-                    )
-                    loss = tape.nll(logp, labels, reduction="mean")
+                    loss = tape.nll(logp, labels[step].ravel(), reduction="mean")
                 if not np.isfinite(loss.value):
                     raise NonFinite("training loss became non-finite")
                 loss.backward()

@@ -26,7 +26,12 @@ from .errors import DimensionMismatch, NonFinite, ShapeMismatch
 
 
 class Tensor:
-    """One node of the tape: a value, its parents, and a backward closure."""
+    """One node of the tape: a value, its parents, and a backward closure.
+
+    The closure is called with the node's gradient rather than reading it
+    off the node, so it holds no reference back to its node: a graph has no
+    reference cycles and is freed as soon as the last reference to it goes.
+    """
 
     __slots__ = ("value", "grad", "_parents", "_backward")
 
@@ -69,7 +74,7 @@ class Tensor:
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,9 +94,9 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.value @ b.value, (a, b))
 
-    def _bw():
-        _acc(a, out.grad @ b.value.T)
-        _acc(b, a.value.T @ out.grad)
+    def _bw(g):
+        _acc(a, g @ b.value.T)
+        _acc(b, a.value.T @ g)
 
     out._backward = _bw
     return out
@@ -100,9 +105,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.value + b.value, (a, b))
 
-    def _bw():
-        _acc(a, out.grad)
-        _acc(b, out.grad)
+    def _bw(g):
+        _acc(a, g)
+        _acc(b, g)
 
     out._backward = _bw
     return out
@@ -111,9 +116,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.value * b.value, (a, b))
 
-    def _bw():
-        _acc(a, out.grad * b.value)
-        _acc(b, out.grad * a.value)
+    def _bw(g):
+        _acc(a, g * b.value)
+        _acc(b, g * a.value)
 
     out._backward = _bw
     return out
@@ -123,8 +128,8 @@ def scale(a: Tensor, alpha: float) -> Tensor:
     alpha = float(alpha)
     out = Tensor(a.value * alpha, (a,))
 
-    def _bw():
-        _acc(a, out.grad * alpha)
+    def _bw(g):
+        _acc(a, g * alpha)
 
     out._backward = _bw
     return out
@@ -134,8 +139,8 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
     out = Tensor(y, (a,))
 
-    def _bw():
-        _acc(a, out.grad * (1.0 - y * y))
+    def _bw(g):
+        _acc(a, g * (1.0 - y * y))
 
     out._backward = _bw
     return out
@@ -146,8 +151,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     bit for bit."""
     out = Tensor(x.value @ W.value + b.value, (x, W, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _acc(b, g)
         _acc(x, g @ W.value.T)
         _acc(W, x.value.T @ g)
@@ -165,8 +169,8 @@ def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
     y = np.tanh(x.value @ Wx.value + h.value @ Wh.value + b.value)
     out = Tensor(y, (x, Wx, h, Wh, b))
 
-    def _bw():
-        g = out.grad * (1.0 - y * y)
+    def _bw(gy):
+        g = gy * (1.0 - y * y)
         _acc(b, g)
         _acc(x, g @ Wx.value.T)
         _acc(Wx, x.value.T @ g)
@@ -184,11 +188,12 @@ def log_softmax(a: Tensor) -> Tensor:
     x = a.value
     shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor(shifted - lse, (a,))
+    y = shifted - lse
+    out = Tensor(y, (a,))
 
-    def _bw():
-        soft = np.exp(out.value)
-        _acc(a, out.grad - soft * out.grad.sum(axis=1, keepdims=True))
+    def _bw(g):
+        soft = np.exp(y)
+        _acc(a, g - soft * g.sum(axis=1, keepdims=True))
 
     out._backward = _bw
     return out
@@ -206,8 +211,7 @@ def softmax_t(a: Tensor, tau: float) -> Tensor:
     y = e / e.sum(axis=1, keepdims=True)
     out = Tensor(y, (a,))
 
-    def _bw():
-        gy = out.grad
+    def _bw(gy):
         _acc(a, (y / tau) * (gy - (gy * y).sum(axis=1, keepdims=True)))
 
     out._backward = _bw
@@ -234,8 +238,7 @@ def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> T
     hard[np.arange(soft.shape[0]), noisy.argmax(axis=1)] = 1.0
     out = Tensor(hard, (logits,))
 
-    def _bw():
-        gy = out.grad
+    def _bw(gy):
         _acc(logits, (soft / tau) * (gy - (gy * soft).sum(axis=1, keepdims=True)))
 
     out._backward = _bw
@@ -264,8 +267,8 @@ def nll(logp: Tensor, targets: np.ndarray, *, reduction: str = "mean") -> Tensor
         val /= n
     out = Tensor(val, (logp,))
 
-    def _bw():
-        w = float(out.grad)
+    def _bw(g):
+        w = float(g)
         if reduction == "mean":
             w /= n
         g = np.zeros_like(logp.value)
@@ -279,8 +282,8 @@ def nll(logp: Tensor, targets: np.ndarray, *, reduction: str = "mean") -> Tensor
 def tsum(a: Tensor) -> Tensor:
     out = Tensor(a.value.sum(), (a,))
 
-    def _bw():
-        _acc(a, np.full_like(a.value, float(out.grad)))
+    def _bw(g):
+        _acc(a, np.full_like(a.value, float(g)))
 
     out._backward = _bw
     return out
@@ -291,10 +294,10 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     out = Tensor(table.value[ids], (table,))
 
-    def _bw():
-        g = np.zeros_like(table.value)
-        np.add.at(g, ids, out.grad)
-        _acc(table, g)
+    def _bw(g):
+        gt = np.zeros_like(table.value)
+        np.add.at(gt, ids, g)
+        _acc(table, gt)
 
     out._backward = _bw
     return out
@@ -307,9 +310,9 @@ def custom_node(parents: Sequence[Tensor], value, vjps: Sequence[Callable]) -> T
         raise ShapeMismatch("one vjp per parent required")
     out = Tensor(value, tuple(parents))
 
-    def _bw():
+    def _bw(g):
         for p, vjp in zip(parents, vjps):
-            _acc(p, np.asarray(vjp(out.grad), dtype=np.float64))
+            _acc(p, np.asarray(vjp(g), dtype=np.float64))
 
     out._backward = _bw
     return out

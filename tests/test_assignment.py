@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combgrad import (
     DimensionMismatch,
@@ -23,7 +25,8 @@ from combgrad import (
     solve_assignment,
 )
 from combgrad import _kernels
-from combgrad.assignment import _lex_refine, _min_cycle, _tie_gate
+from combgrad._kernels import _assign_core_py, _lex_refine
+from combgrad.assignment import _min_cycle
 
 from helpers import central_fd
 
@@ -131,6 +134,12 @@ def _kernel_stacks():
         yield "uniform", rng.uniform(-1.0, 1.0, size=(3, n, n))
         yield "tied", rng.integers(0, 4, size=(3, n, n)).astype(np.float64)
         yield "hard", np.outer(i, i)[None, :, :]
+        # Integer multiples land on and just off tol, where refinement moves;
+        # on the offsets, slacks near tol round differently in another order.
+        for scale in (0.3e-9, 0.35e-9, 0.45e-9, 0.6e-9, 1e-9):
+            yield f"integers x {scale:g}", scale * rng.integers(0, 4, size=(3, n, n))
+        offsets = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 3.3], size=(3, n, n))
+        yield "offsets + integers x 1e-9", offsets + 1e-9 * rng.integers(0, 3, size=(3, n, n))
 
 
 @pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
@@ -229,16 +238,36 @@ class TestDualCertificates:
             assert abs(res.duals_u.sum() + res.duals_v.sum() - res.z_star) <= 1e-9
 
 
+def _raw_kernel_many(Cs):
+    # The solve without the lexicographic refinement: the numpy core, one
+    # instance at a time.  Returns (perms, us, vs) like assignment_kernel_many.
+    k, n, _ = Cs.shape
+    perms, us, vs = np.empty((k, n), np.int64), np.empty((k, n)), np.empty((k, n))
+    u, v, minv = np.zeros(n + 1), np.zeros(n + 1), np.empty(n + 1)
+    p, way, used = np.zeros(n + 1, np.int64), np.zeros(n + 1, np.int64), np.zeros(n + 1, np.bool_)
+    for t in range(k):
+        _assign_core_py(Cs[t], u, v, p, way, minv, used, perms[t])
+        us[t], vs[t] = u[1:], v[1:]
+    return perms, us, vs
+
+
+def _refined_reference(C, tol=1e-9):
+    # The kernel's contract written out: the raw solve, then _lex_refine.
+    perms, us, vs = _raw_kernel_many(C[None])
+    return _lex_refine(C, perms[0], us[0], vs[0], tol=tol), us[0], vs[0]
+
+
 def _sweep_unique(C, perm, z, tol=1e-9):
     # The former certificate, kept as the oracle: forbid each matched edge in
     # turn, re-solve all b copies at once, and call the optimum unique iff
     # every alternative costs more than z + tol.  O(b^4) time, b^3 memory.
+    # It needs exact optima, so it reads the unrefined solve.
     b = C.shape[0]
     big = 2.0 * (b + 1.0) * (1.0 + float(np.abs(C).max(initial=0.0))) + 1.0
     Cs = np.repeat(C[None, :, :], b, axis=0)
     for i in range(b):
         Cs[i, i, perm[i]] = big
-    perms, _, _ = _kernels.assignment_kernel_many(Cs)
+    perms, _, _ = _raw_kernel_many(Cs)
     zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
     return bool(np.all(zs > z + tol))
 
@@ -273,8 +302,7 @@ class TestUniquenessCertificate:
         sizes = [(b, 3) for b in range(1, 13)] + [(16, 2), (24, 1), (32, 1)]
         for family, C in _certificate_instances(sizes, seed=67):
             res = solve_assignment(C)
-            perm, u, v = _kernels.assignment_kernel(C)
-            perm = _lex_refine(C, perm, u, v, tol=1e-9)
+            perm, u, v = _refined_reference(C)
             z = float(C[np.arange(C.shape[0]), perm].sum())
             assert res.unique == _sweep_unique(C, perm, z), (family, C.shape)
             assert np.array(res.perm).tobytes() == perm.tobytes(), family
@@ -490,11 +518,10 @@ def backend(request):
 
 
 def _reference_matching_loss(logP, Y):
-    # Written out as the oracle: one kernel solve, then always the
-    # lexicographic refinement, then the matched reference rows.
+    # Written out as the oracle: the raw numpy solve, then the lexicographic
+    # refinement, then the matched reference rows.
     C = -(np.maximum(logP, np.log(1e-12)) @ Y.T)
-    perm, u, v = _kernels.assignment_kernel(C)
-    perm = _lex_refine(C, perm, u, v, tol=1e-9)
+    perm = _refined_reference(C)[0]
     return float(C[np.arange(C.shape[0]), perm].sum()), -Y[perm]
 
 
@@ -537,7 +564,7 @@ class TestStackedMatchingLoss:
                 assert np.float64(z).tobytes() == zs[t].tobytes() == np.float64(ref_z).tobytes(), family
                 assert g.tobytes() == grads[t].tobytes() == ref_g.tobytes(), family
                 C = -(np.maximum(logP[t], np.log(1e-12)) @ Y[t].T)
-                refined += not np.array_equal(-Y[t][_kernels.assignment_kernel(C)[0]], ref_g)
+                refined += not np.array_equal(-Y[t][_raw_kernel_many(C[None])[0][0]], ref_g)
         # The families must include ties whose tie-break changes the answer.
         assert refined > 0
 
@@ -546,9 +573,9 @@ class TestStackedMatchingLoss:
         dispatches = []
         many = _kernels.assignment_kernel_many
 
-        def counted(Cs):
+        def counted(Cs, tol):
             dispatches.append(Cs.shape)
-            return many(Cs)
+            return many(Cs, tol)
 
         monkeypatch.setattr(_kernels, "assignment_kernel_many", counted)
         reset_invocations()
@@ -582,51 +609,49 @@ class TestStackedMatchingLoss:
             matching_loss(logP + 0.5 * (np.arange(3) == 1)[:, None, None], np.eye(2)[None].repeat(3, axis=0))
 
 
-def _tight_matching_count(C, u, v, tol=1e-9):
-    # Enumeration: perfect matchings whose every edge has slack <= tol.
-    b = C.shape[0]
-    perms = np.array(list(itertools.permutations(range(b))))
-    slack = C - u[:, None] - v[None, :]
-    return int(np.all(slack[np.arange(b), perms] <= tol, axis=1).sum())
+@st.composite
+def _tie_heavy_costs(draw):
+    b = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 1e-10, 0.3e-9, 0.45e-9, 0.6e-9, 1e-9]))
+    cells = draw(st.lists(st.integers(0, 3), min_size=b * b, max_size=b * b))
+    return scale * np.array(cells, dtype=np.float64).reshape(b, b)
 
 
-def _gate_stacks():
-    rng = np.random.default_rng(97)
-    k = 300
-    for b in range(1, 7):
-        yield "uniform", rng.uniform(0.0, 1.0, size=(k, b, b))
-        yield "integer ties", rng.integers(0, 3, size=(k, b, b)).astype(np.float64)
-        near = rng.integers(0, 3, size=(k, b, b)) + 1e-10 * rng.integers(0, 2, size=(k, b, b))
-        yield "near ties", near
-        # Slacks that land exactly on the tolerance.
-        yield "at tolerance", 1e-9 * rng.integers(0, 2, size=(k, b, b))
+class TestLexRefinedKernel:
+    def test_slack_is_rounded_in_the_reference_order(self, backend):
+        # Slacks here land within rounding of tol: (C - u) - v and
+        # C - (u + v) disagree on which edges are tight, and so on the
+        # refined matching.  Both backends take numpy's order.
+        C = np.array(
+            [
+                [0.300000002, 0.2, 0.300000002, 0.700000002, 0.1],
+                [0.3, 0.2, 0.100000001, 0.700000002, 0.100000001],
+                [0.100000002, 3.3, 1.100000002, 1.1000000010000002, 0.700000002],
+                [0.2, 0.7, 0.1, 0.7, 0.1],
+                [3.3, 1.100000002, 0.1, 0.7, 1.1000000010000002],
+            ]
+        )
+        assert _kernels.assignment_kernel(C)[0].tolist() == _refined_reference(C)[0].tolist() == [1, 2, 0, 4, 3]
 
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(C=_tie_heavy_costs())
+    def test_perm_is_the_lex_min_perfect_matching_of_the_tight_graph(self, C):
+        # Enumeration in lexicographic order: the first permutation whose
+        # every edge has slack <= tol under the kernel's own duals.
+        perm, u, v = _kernels.assignment_kernel(C)
+        slack = C - u[:, None] - v[None, :]
+        b = C.shape[0]
+        want = next(p for p in itertools.permutations(range(b)) if all(slack[i, p[i]] <= 1e-9 for i in range(b)))
+        assert tuple(perm.tolist()) == want
 
-class TestTieGate:
-    def test_gate_holds_iff_the_tight_graph_has_a_second_perfect_matching(self):
-        for family, Cs in _gate_stacks():
-            perms, us, vs = _kernels.assignment_kernel_many(Cs)
-            gate = _tie_gate(Cs, perms, us, vs, tol=1e-9)
-            counts = [_tight_matching_count(C, u, v) for C, u, v in zip(Cs, us, vs)]
-            assert min(counts) >= 1, family
-            assert gate.tolist() == [c > 1 for c in counts], (family, Cs.shape)
-            assert gate.any() or family == "uniform" or Cs.shape[1] == 1, family
-
-    def test_refinement_leaves_every_ungated_instance_unchanged(self):
-        for family, Cs in _gate_stacks():
-            perms, us, vs = _kernels.assignment_kernel_many(Cs)
-            gate = _tie_gate(Cs, perms, us, vs, tol=1e-9)
-            for t in np.flatnonzero(~gate):
-                assert np.array_equal(_lex_refine(Cs[t], perms[t], us[t], vs[t], tol=1e-9), perms[t]), family
-
-    def test_edges_inside_the_tolerance_are_gated_even_when_the_sum_is_not(self):
+    def test_edges_within_tol_are_refined_though_the_sum_is_not(self):
         # The alternative matching costs 1.2e-9 more than the optimum, beyond
-        # tol, but each of its edges is tight, so refinement switches to it.
+        # tol, but each of its edges is tight, so the kernel switches to it.
         C = np.array([[0.6e-9, 0.0], [0.0, 0.6e-9]])
-        perms, us, vs = _kernels.assignment_kernel_many(C[None])
-        assert perms[0].tolist() == [1, 0]
-        assert _tie_gate(C[None], perms, us, vs, tol=1e-9).tolist() == [True]
-        assert _lex_refine(C, perms[0], us[0], vs[0], tol=1e-9).tolist() == [0, 1]
+        assert _raw_kernel_many(C[None])[0][0].tolist() == [1, 0]
+        perms, _, _ = _kernels.assignment_kernel_many(C[None])
+        assert perms[0].tolist() == [0, 1]
+        assert _kernels.assignment_kernel(C)[0].tolist() == [0, 1]
         assert matching_loss(np.log(np.full((2, 2), 0.5)), np.eye(2))[1].tolist() == (-np.eye(2)).tolist()
 
 

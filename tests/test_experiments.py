@@ -7,7 +7,6 @@ from combgrad import NonFinite, TrainAborted, _kernels, filter_bag, tape
 from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
 from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
-    BagBatch,
     BagDatasetSpec,
     eval_accuracy,
     gen_bag_dataset,
@@ -104,12 +103,13 @@ class TestMakeBags:
         x = rng.standard_normal((200, 5))
         y = rng.integers(0, 6, size=200)
         bags = make_bags(x, y, num_classes=6, bag_size=4, threshold=0.75, seed=11)
-        assert bags
-        for bag in bags:
-            assert bag.X.shape == (4, 5)
-            distinct = np.unique(bag.Y, axis=0).shape[0]
+        m = bags.X.shape[0]
+        assert m > 0
+        assert bags.X.shape == (m, 4, 5) and bags.Y.shape == (m, 4, 6) and bags.hidden_sigma.shape == (m, 4)
+        for Y, sigma in zip(bags.Y, bags.hidden_sigma):
+            distinct = np.unique(Y, axis=0).shape[0]
             assert distinct >= 0.75 * 4 - 1e-9
-            assert sorted(bag.hidden_sigma) == [0, 1, 2, 3]
+            assert sorted(sigma) == [0, 1, 2, 3]
 
     def test_bag_labels_match_features(self):
         rng = np.random.default_rng(5)
@@ -117,9 +117,9 @@ class TestMakeBags:
         y = rng.integers(0, 4, size=120)
         lookup = {tuple(np.round(x[i], 9)): y[i] for i in range(120)}
         bags = make_bags(x, y, num_classes=4, bag_size=3, threshold=0.5, seed=7)
-        for bag in bags:
-            true_labels = np.array([lookup[tuple(np.round(r, 9))] for r in bag.X])
-            recovered = bag.Y[np.argsort(bag.hidden_sigma)].argmax(axis=1)
+        for X, Y, sigma in zip(bags.X, bags.Y, bags.hidden_sigma):
+            true_labels = np.array([lookup[tuple(np.round(r, 9))] for r in X])
+            recovered = Y[np.argsort(sigma)].argmax(axis=1)
             assert np.array_equal(recovered, true_labels)
 
     def test_deterministic_per_seed(self):
@@ -128,10 +128,8 @@ class TestMakeBags:
         y = rng.integers(0, 4, size=60)
         a = make_bags(x, y, 4, 4, 0.5, seed=2)
         b = make_bags(x, y, 4, 4, 0.5, seed=2)
-        assert len(a) == len(b)
-        for ba, bb in zip(a, b):
-            assert np.array_equal(ba.Y, bb.Y)
-            assert np.array_equal(ba.hidden_sigma, bb.hidden_sigma)
+        for field in ("X", "Y", "hidden_sigma"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def _unique_rows_rule(Y, threshold):
@@ -150,7 +148,7 @@ def _reference_make_bags(x, y, num_classes, bag_size, threshold, seed):
         if not _unique_rows_rule(Y0, threshold):
             continue
         sigma = rng.permutation(bag_size)
-        out.append(BagBatch(X=x[idx], Y=Y0[sigma], hidden_sigma=sigma))
+        out.append({"X": x[idx], "Y": Y0[sigma], "hidden_sigma": sigma})
     return out
 
 
@@ -168,17 +166,21 @@ class TestStackedBagFilter:
                 mask = filter_bag(Ys, threshold)
                 assert mask.tolist() == [_unique_rows_rule(Y, threshold) for Y in Ys], (b, threshold)
 
-    @pytest.mark.parametrize("bag_size,threshold", [(1, 1.0), (3, 0.6), (4, 0.75), (5, 0.5), (7, 0.25), (500, 0.01)])
+    @pytest.mark.parametrize(
+        "bag_size,threshold", [(1, 1.0), (3, 0.6), (4, 0.75), (5, 0.5), (7, 0.25), (500, 0.01), (600, 0.01)]
+    )
     def test_make_bags_is_bytewise_equal_to_a_per_bag_loop(self, bag_size, threshold):
         rng = np.random.default_rng(73)
         x = rng.standard_normal((503, 4))
         y = rng.integers(0, 5, size=503)
         got = make_bags(x, y, 5, bag_size, threshold, seed=[2, bag_size])
         want = _reference_make_bags(x, y, 5, bag_size, threshold, [2, bag_size])
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
+        # The stacks hold the per-bag arrays in order, byte for byte.
+        assert got.X.shape == (len(want), bag_size, 4)
+        assert got.Y.shape == (len(want), bag_size, 5) and got.hidden_sigma.shape == (len(want), bag_size)
+        for t, w in enumerate(want):
             for field in ("X", "Y", "hidden_sigma"):
-                a, b = getattr(g, field), getattr(w, field)
+                a, b = getattr(got, field)[t], w[field]
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
     def test_training_makes_one_kernel_dispatch_per_optimizer_step(self, monkeypatch):

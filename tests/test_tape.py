@@ -1,5 +1,7 @@
 """Reverse-mode tape: primitive gradients, optimizers, checkpoints."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,26 @@ class TestPrimitiveGradients:
             y = add(y, x)
         tsum(y).backward()
         assert x.grad is not None
+
+    def test_a_graph_holds_no_reference_cycles(self):
+        # Every primitive in one graph, run backward and dropped: with the
+        # cyclic collector off, reference counting alone must free it, so
+        # a training step's graph never waits for a collection.
+        rng = np.random.default_rng(5)
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(rng.standard_normal((3, 4)))
+            W, b = Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal(4))
+            h = rnn_cell(x, W, tanh(affine(x, W, b)), W, b)
+            h = embed(add(matmul(h, W), mul(h, scale(h, 0.5))), np.array([0, 2, 2]))
+            logp = log_softmax(add(softmax_t(h, 0.7), gumbel_softmax_st(h, 0.5, rng)))
+            loss = add(nll(logp, np.array([0, 1, 3])), tsum(custom_node([logp], 0.0, [lambda up: up * logp.value])))
+            loss.backward()
+            del x, W, b, h, logp, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFusedNodesMatchTheirChains:
