@@ -13,7 +13,6 @@ from ._kernels import get_backend, invocations, reset_invocations, set_backend, 
 from .alignment import (
     AlignGrid,
     AlignResult,
-    PathEdge,
     build_grid,
     gsa_grad_matrix,
     gsa_loss,
@@ -88,7 +87,6 @@ __all__ = [
     # alignment
     "AlignGrid",
     "AlignResult",
-    "PathEdge",
     "build_grid",
     "solve_gsa",
     "gsa_grad_matrix",

@@ -16,12 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _freeze
+from .core import _freeze, _log_costs
 from .errors import DimensionMismatch, NonFinite
-
-_LOG_FLOOR = 1e-12
-
-_KIND_NAMES = {1: "match", 2: "skip_target", 3: "skip_pred"}
 
 
 def check_gap_factor(gamma) -> float:
@@ -77,20 +73,6 @@ class AlignGrid:
 
 
 @dataclass(frozen=True)
-class PathEdge:
-    """One step of an alignment path.
-
-    kind is 'match', 'skip_target' or 'skip_pred'; (i, k) is the lattice
-    node the step leaves from; cost is the step's contribution to the total.
-    """
-
-    kind: str
-    i: int
-    k: int
-    cost: float
-
-
-@dataclass(frozen=True)
 class AlignResult:
     """Optimal alignment path with its cost.
 
@@ -106,12 +88,6 @@ class AlignResult:
     eis: np.ndarray
     eks: np.ndarray
     costs: np.ndarray
-
-    @property
-    def path(self) -> tuple:
-        """The steps as PathEdge objects, built on each read."""
-        steps = zip(self.kinds.tolist(), self.eis.tolist(), self.eks.tolist(), self.costs.tolist())
-        return tuple(PathEdge(kind=_KIND_NAMES[kind], i=i, k=k, cost=cost) for kind, i, k, cost in steps)
 
     def step_string(self) -> str:
         """The path as one letter per step: D match, P skip-target, T skip-pred."""
@@ -143,8 +119,9 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     return _kernels.gsa_grads(*path, grid.pred_len, grid.target_len, grid.gamma)[0]
 
 
-def _match_costs(logP: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """-(floor(logP) @ Yᵀ) for (Tp, d) and (Tt, d) rows or (B, Tp, d) and (B, Tt, d) stacks."""
+def _match_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
+    """The match costs and above-floor mask of core._log_costs, for (Tp, d)
+    and (Tt, d) rows or (B, Tp, d) and (B, Tt, d) stacks."""
     if not (
         logP.ndim == Y.ndim
         and logP.ndim in (2, 3)
@@ -155,12 +132,7 @@ def _match_costs(logP: np.ndarray, Y: np.ndarray) -> np.ndarray:
             "logP (Tp, d) and Y (Tt, d), or stacks (B, Tp, d) and (B, Tt, d), must share"
             f" the class dimension, got {logP.shape} and {Y.shape}"
         )
-    if not np.isfinite(Y).all():
-        raise NonFinite("reference rows must be finite")
-    if np.isnan(logP).any() or np.isposinf(logP).any():
-        raise NonFinite("log-probabilities must not contain NaN or +inf")
-    L = np.maximum(logP, np.log(_LOG_FLOOR))
-    return -(L @ np.swapaxes(Y, -1, -2))
+    return _log_costs(logP, Y)
 
 
 def build_grid(logP: np.ndarray, Y: np.ndarray, gamma: float) -> AlignGrid:
@@ -172,7 +144,7 @@ def build_grid(logP: np.ndarray, Y: np.ndarray, gamma: float) -> AlignGrid:
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    return AlignGrid(m=_match_costs(logP, Y), gamma=gamma)
+    return AlignGrid(m=_match_costs(logP, Y)[0], gamma=gamma)
 
 
 def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
@@ -188,11 +160,10 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    m = _match_costs(logP, Y)
+    m, active = _match_costs(logP, Y)
     ms = m if m.ndim == 3 else m[None]
     gamma = check_grids(ms, gamma)
     zs, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(ms, gamma)
     Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
-    active = (logP > np.log(_LOG_FLOOR)).astype(np.float64)
     grad = -(Gs.reshape(m.shape) @ Y) * active
     return (zs if m.ndim == 3 else float(zs[0])), grad

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import GenGrad, _freeze
+from .core import GenGrad, _freeze, _log_costs
 from .errors import DimensionMismatch, NonFinite, NonSquare
 
-_LOG_FLOOR = 1e-12
 _TOL = _kernels._TOL
 
 
@@ -129,9 +128,10 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
 
     logP is (b, d) of row log-probabilities, Y is (b, d) one-hot (or soft)
     reference rows.  The pair cost is the negative inner product of the
-    (floored) log-probabilities with the reference row, so with b = 1 this
-    is exactly cross-entropy.  Returns (loss, grad) where grad[j] = -Y[sigma(j)]
-    for the optimal matching sigma — the exact gradient of the optimal cost,
+    log-probabilities, floored at log 1e-12, with the reference row, so with
+    b = 1 this is exactly cross-entropy.  Returns (loss, grad) where
+    grad[j] = -Y[sigma(j)] for the optimal matching sigma, zero wherever
+    logP is at or below the floor — the exact gradient of the optimal cost,
     read off the matching with no extra solve.  For stacks (k, b, d) it
     returns the (k,) losses and the (k, b, d) gradients.  Either way one
     batched kernel call solves every instance, and ties resolve to the
@@ -144,20 +144,15 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
             "logP and Y must share a (b, d) shape, or a (k, b, d) stack shape, with k, b >= 1;"
             f" got {logP.shape} and {Y.shape}"
         )
-    if not np.isfinite(Y).all():
-        raise NonFinite("reference rows must be finite")
-    if np.isnan(logP).any() or np.isposinf(logP).any():
-        raise NonFinite("log-probabilities must not contain NaN or +inf")
+    Ys = Y.reshape(-1, *Y.shape[-2:])
+    Cs, active = _log_costs(logP.reshape(Ys.shape), Ys)
     rowsum = np.abs(np.logaddexp.reduce(logP, axis=-1))
     if np.any(rowsum > 1e-6):
         raise ValueError("each logP row must be a normalized log-distribution")
-    Ls = np.maximum(logP, np.log(_LOG_FLOOR)).reshape(-1, *logP.shape[-2:])
-    Ys = Y.reshape(Ls.shape)
-    Cs = -(Ls @ np.swapaxes(Ys, -1, -2))
     _check_cost_range(Cs)
     perms, _, _ = _kernels.assignment_kernel_many(Cs, _TOL)
     zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    grad = -np.take_along_axis(Ys, perms[:, :, None], axis=1)
+    grad = -np.take_along_axis(Ys, perms[:, :, None], axis=1) * active
     if logP.ndim == 2:
         return float(zs[0]), grad[0]
     return zs, grad

@@ -262,8 +262,6 @@ def _gradcheck_gsa_instance(problem: dict, candidate, args) -> dict:
     def f(w: np.ndarray) -> float:
         return solve_gsa(AlignGrid(m=w.reshape(grid.m.shape), gamma=grid.gamma)).z_star
 
-    # Keep probes inside the valid domain (match costs may need to stay
-    # meaningful, but any finite values are legal, so full radius is fine).
     rep = supergradient_check(
         f, grid.m.ravel(), g, trials=args.trials, sense="concave", tol=args.tol, seed=args.seed
     )
@@ -382,24 +380,13 @@ def _cmd_gradcheck(args) -> int:
         doc = _load_json(args.input)
         problem = doc.get("problem", doc)
         candidate = doc.get("gengrad")
-    if args.kind == "assignment":
-        report = (
-            _gradcheck_assignment_instance(problem, candidate, args)
-            if problem is not None
-            else _gradcheck_assignment_suite(args)
-        )
-    elif args.kind == "gsa":
-        report = (
-            _gradcheck_gsa_instance(problem, candidate, args)
-            if problem is not None
-            else _gradcheck_gsa_suite(args)
-        )
-    else:
-        report = (
-            _gradcheck_lp_instance(problem, candidate, args)
-            if problem is not None
-            else _gradcheck_lp_suite(args)
-        )
+    checks = {
+        "assignment": (_gradcheck_assignment_instance, _gradcheck_assignment_suite),
+        "gsa": (_gradcheck_gsa_instance, _gradcheck_gsa_suite),
+        "lp": (_gradcheck_lp_instance, _gradcheck_lp_suite),
+    }
+    instance, suite = checks[args.kind]
+    report = suite(args) if problem is None else instance(problem, candidate, args)
     _emit_json(report, args.out)
     if not report["passed"]:
         _err("check", f"{args.kind} gradient check failed")
@@ -423,15 +410,13 @@ def _cmd_train(args) -> int:
     if args.task == "bags":
         spec = BagDatasetSpec(**dataset_cfg) if dataset_cfg else BagDatasetSpec(seed=config.seed)
         runner = lambda: train_bags(config, spec)
-        dataset_doc = spec.__dict__
     else:
         spec = SeqTaskSpec(**dataset_cfg) if dataset_cfg else SeqTaskSpec(seed=config.seed)
         runner = lambda: train_seq(config, spec)
-        dataset_doc = spec.__dict__
     echo = {
         "task": args.task,
         "config": config.to_dict(),
-        "dataset": dict(dataset_doc),
+        "dataset": dict(spec.__dict__),
         "metrics_path": out,
         "checkpoint_path": ckpt,
     }
@@ -470,7 +455,7 @@ def _parse_sizes(text: str) -> list:
     return sizes
 
 
-def _bench_instance(kind: str, size: int, family: str, rng: np.random.Generator) -> np.ndarray:
+def _bench_instance(size: int, family: str, rng: np.random.Generator) -> np.ndarray:
     if family == "hard":
         # Dense product costs: a classic worst-case family for
         # shortest-augmenting-path assignment solvers, so the measured
@@ -505,7 +490,7 @@ def _cmd_bench(args) -> int:
         # at larger sizes would otherwise bend the measured exponent.
         if args.kind == "assignment":
             k = min(1024, max(1, 2**18 // size**3))
-            base = _bench_instance("assignment", size, args.family, rng)
+            base = _bench_instance(size, args.family, rng)
             batch = np.repeat(base[None, :, :], k, axis=0)
             # One untimed pass per size primes caches and branch predictors so
             # the first timed repeat is not inflated at small sizes.

@@ -11,10 +11,10 @@ returns a generalized gradient of its objective value, and a single solve
 feeds both the forward and the backward pass of a loss built on ``z*``.
 
 This module holds the shared types (the LP data, a solver's witnesses, the
-gradient blocks they form) and a sampling check of the super/subgradient
-inequalities.  The chain rule onto model parameters is not here: each loss
-returns ``(z*, grad)`` from one solve, and ``tape.custom_node`` splices that
-pair into the graph.
+gradient blocks they form), the pair-cost build both losses share, and a
+sampling check of the super/subgradient inequalities.  The chain rule onto
+model parameters is not here: each loss returns ``(z*, grad)`` from one
+solve, and ``tape.custom_node`` splices that pair into the graph.
 """
 
 from __future__ import annotations
@@ -33,6 +33,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
+
+
+_LOG_FLOOR = 1e-12
+
+
+def _log_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
+    """The pair costs both optimal-value losses score, and where they move.
+
+    Returns C = -(floor(logP) @ Yᵀ), with log-probabilities floored at
+    log 1e-12, and the 0/1 mask of entries above the floor: a floored
+    entry does not change C, so its gradient is zero.  Works on single
+    (n, d) rows or (k, n, d) stacks; the callers check shapes.
+    """
+    if not np.isfinite(Y).all():
+        raise NonFinite("reference rows must be finite")
+    if np.isnan(logP).any() or np.isposinf(logP).any():
+        raise NonFinite("log-probabilities must not contain NaN or +inf")
+    floor = np.log(_LOG_FLOOR)
+    C = -(np.maximum(logP, floor) @ np.swapaxes(Y, -1, -2))
+    return C, (logP > floor).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -124,17 +124,15 @@ def _init_store(config: TrainConfig, feature_dim: int, num_classes: int) -> tape
     return store
 
 
-def _forward(store: tape.ParamStore, x: np.ndarray) -> tape.Tensor:
+def _logits(store: tape.ParamStore, x: np.ndarray) -> tape.Tensor:
     p = store.params
     h = tape.tanh(tape.affine(tape.Tensor(x), p["W1"], p["b1"]))
-    return tape.log_softmax(tape.affine(h, p["W2"], p["b2"]))
+    return tape.affine(h, p["W2"], p["b2"])
 
 
 def eval_accuracy(store: tape.ParamStore, x: np.ndarray, y: np.ndarray) -> float:
-    """Per-sample test accuracy from a plain numpy forward pass."""
-    h = np.tanh(x @ store.params["W1"].value + store.params["b1"].value)
-    logits = h @ store.params["W2"].value + store.params["b2"].value
-    return float(np.mean(logits.argmax(axis=1) == y))
+    """Per-sample test accuracy: the argmax of the training model's logits."""
+    return float(np.mean(_logits(store, x).value.argmax(axis=1) == y))
 
 
 def train_bags(
@@ -180,7 +178,7 @@ def train_bags(
                 X = bags.X[step].reshape(-1, bags.X.shape[2])
                 n_union = X.shape[0]
                 store.zero_grad()
-                logp = _forward(store, X)
+                logp = tape.log_softmax(_logits(store, X))
                 if config.loss == "matching":
                     Y = bags.Y[step]
                     zs, G = matching_loss(logp.value.reshape(Y.shape[0], b, -1), Y)

@@ -33,6 +33,15 @@ _EMB = 16
 _HIDDEN = 48
 _NOISE_TAG = 15485863
 _SHUFFLE_TAG = 104729
+_TAU_START = 5.0
+_TAU_STEP = 0.5
+_TAU_FLOOR = 1.0
+
+
+def _tau_at(epoch: int) -> float:
+    """Feed temperature of a training epoch (epochs count from 1): linear
+    descent to a floor."""
+    return max(_TAU_START - _TAU_STEP * (epoch - 1), _TAU_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,16 @@ def _encode(store: tape.ParamStore, src: np.ndarray) -> tape.Tensor:
     return h
 
 
+def _decoder_step(
+    p: Dict[str, tape.Tensor], feed: tape.Tensor, h: tape.Tensor
+) -> Tuple[tape.Tensor, tape.Tensor]:
+    """One decoder step from the previous output rows `feed`; returns the
+    new state and the output logits."""
+    x = tape.matmul(feed, p["E"])
+    h = tape.rnn_cell(x, p["Wxd"], h, p["Whd"], p["bhd"])
+    return h, tape.affine(h, p["Wo"], p["bo"])
+
+
 def _decode_train(
     store: tape.ParamStore,
     h: tape.Tensor,
@@ -141,9 +160,7 @@ def _decode_train(
     feed = tape.Tensor(start)
     logps = []
     for _ in range(steps):
-        x = tape.matmul(feed, p["E"])
-        h = tape.rnn_cell(x, p["Wxd"], h, p["Whd"], p["bhd"])
-        logits = tape.affine(h, p["Wo"], p["bo"])
+        h, logits = _decoder_step(p, feed, h)
         logps.append(tape.log_softmax(logits))
         if config.feed == "gumbel_st":
             feed = tape.gumbel_softmax_st(logits, tau, noise_rng)
@@ -207,24 +224,21 @@ def _batch_loss(
 
 
 def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: int):
-    """Forward-only batched greedy decode: returns per-step log-probs
-    (B, steps, vocab) and argmax tokens (B, steps)."""
-    p = {k: t.value for k, t in store.params.items()}
-    B, Ls = src.shape
-    h = np.zeros((B, _HIDDEN))
-    for t in range(Ls):
-        x = p["E"][src[:, t]]
-        h = np.tanh(x @ p["Wxe"] + h @ p["Whe"] + p["bhe"])
+    """Batched greedy decode with the training model's encoder and decoder
+    step: returns per-step log-probs (B, steps, vocab) and argmax tokens
+    (B, steps).  Each step starts from a detached state, so no graph is
+    kept."""
+    p = store.params
+    B = src.shape[0]
+    h = tape.Tensor(_encode(store, src).value)
     feed = np.zeros((B, vocab))
     feed[:, EOS] = 1.0
     logps = np.empty((B, steps, vocab))
     toks = np.empty((B, steps), dtype=np.int64)
     for t in range(steps):
-        x = feed @ p["E"]
-        h = np.tanh(x @ p["Wxd"] + h @ p["Whd"] + p["bhd"])
-        logits = h @ p["Wo"] + p["bo"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        h, logits = _decoder_step(p, tape.Tensor(feed), h)
+        h = tape.Tensor(h.value)
+        lp = tape.log_softmax(logits).value
         logps[:, t] = lp
         pick = lp.argmax(axis=1)
         toks[:, t] = pick
@@ -277,7 +291,6 @@ def evaluate(
 def train_seq(
     config: TrainConfig,
     spec: Optional[SeqTaskSpec] = None,
-    gumbel: Optional[tape.GumbelConfig] = None,
 ) -> Tuple[List[MetricsRow], tape.ParamStore]:
     """Run the sequence experiment; returns (metrics rows, trained params).
 
@@ -294,31 +307,24 @@ def train_seq(
     if spec is None:
         spec = SeqTaskSpec(seed=config.seed)
     spec.validate()
-    if gumbel is None:
-        gumbel = tape.GumbelConfig()
     data = gen_seq_dataset(spec)
     store = _init_store(config, spec.vocab)
     rows: List[MetricsRow] = []
-
-    def noise_gen(epoch: int) -> np.random.Generator:
-        return np.random.default_rng([config.seed, _NOISE_TAG, epoch])
-
     try:
         for epoch in range(config.epochs + 1):
             t0 = time.perf_counter()
-            tau = gumbel.tau_at(max(epoch, 1))
+            tau = _tau_at(max(epoch, 1))
             shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_TAG, epoch])
             batches = _bucketed_batches(data.train, config.batch_size, shuffle_rng)
-            stream = noise_gen(epoch)
+            noise_rng = np.random.default_rng([config.seed, _NOISE_TAG, epoch])
             loss_sum = 0.0
             seen = 0
             for src, tgt in batches:
-                rng = stream if (epoch == 0 or gumbel.resample_per_step) else noise_gen(epoch)
                 if epoch == 0:
-                    loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, rng)
+                    loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng)
                 else:
                     store.zero_grad()
-                    loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, rng)
+                    loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng)
                     if not np.isfinite(loss.value):
                         raise NonFinite("training loss became non-finite")
                     loss.backward()

@@ -423,21 +423,3 @@ def load_checkpoint(path: str) -> ParamStore:
             raise ValueError(f"unrecognized checkpoint line: {line!r}")
     return store
 
-
-@dataclass(frozen=True)
-class GumbelConfig:
-    """Temperature schedule for the straight-through sampler.
-
-    tau_at(epoch) anneals linearly from `start` by `step` per epoch, never
-    below `floor`; epochs count from 1.  resample_per_step=False reuses one
-    noise draw per epoch instead of drawing fresh noise every optimizer
-    step.
-    """
-
-    start: float = 5.0
-    step: float = 0.5
-    floor: float = 1.0
-    resample_per_step: bool = True
-
-    def tau_at(self, epoch: int) -> float:
-        return max(self.start - self.step * (epoch - 1), self.floor)

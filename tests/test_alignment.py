@@ -13,6 +13,7 @@ from combgrad import (
     gsa_grad_matrix,
     gsa_loss,
     invocations,
+    matching_loss,
     reset_invocations,
     solve_gsa,
     supergradient_check,
@@ -20,6 +21,8 @@ from combgrad import (
 )
 from combgrad import _kernels
 
+# AlignResult.kinds codes for a diagonal step and a target-skipping step.
+MATCH, SKIP_TARGET = 1, 2
 
 _BACKENDS = [
     "numpy",
@@ -63,14 +66,14 @@ class TestFrozenInstances:
     def test_path_arrays_are_read_only(self):
         res = solve_gsa(AlignGrid(m=np.array([[1.0, 5.0, 2.0], [5.0, 1.0, 9.0]]), gamma=1.5))
         for a in (res.kinds, res.eis, res.eks, res.costs):
-            assert a.shape == (len(res.path),)
+            assert a.shape == (len(res.step_string()),)
             with pytest.raises(ValueError):
                 a[0] = 0
 
     def test_path_edges_sum_to_value(self):
         grid = AlignGrid(m=np.array([[1.0, 5.0, 2.0], [5.0, 1.0, 9.0]]), gamma=1.5)
         res = solve_gsa(grid)
-        assert sum(e.cost for e in res.path) == pytest.approx(res.z_star, abs=1e-12)
+        assert sum(res.costs.tolist()) == pytest.approx(res.z_star, abs=1e-12)
 
     def test_path_is_monotone_and_complete(self):
         rng = np.random.default_rng(5)
@@ -78,11 +81,11 @@ class TestFrozenInstances:
             grid = random_grid(rng)
             res = solve_gsa(grid)
             i = k = 0
-            for e in res.path:
-                assert (e.i, e.k) == (i, k)
-                if e.kind == "match":
+            for kind, ei, ek in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
+                assert (ei, ek) == (i, k)
+                if kind == MATCH:
                     i, k = i + 1, k + 1
-                elif e.kind == "skip_target":
+                elif kind == SKIP_TARGET:
                     k += 1
                 else:
                     i += 1
@@ -166,11 +169,11 @@ class TestGradients:
         G_full = gsa_grad_matrix(grid, res)
         Tp, Tt = grid.m.shape
         G_diag = G_full.copy()
-        for e in res.path:
-            if e.kind != "match":
-                G_diag[min(e.i, Tp - 1), min(e.k, Tt - 1)] -= grid.gamma
-        n_matches = sum(1 for e in res.path if e.kind == "match")
-        n_gaps = len(res.path) - n_matches
+        for kind, ei, ek in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
+            if kind != MATCH:
+                G_diag[min(ei, Tp - 1), min(ek, Tt - 1)] -= grid.gamma
+        n_matches = int(np.count_nonzero(res.kinds == MATCH))
+        n_gaps = res.kinds.size - n_matches
         assert n_gaps > 0
         assert float(G_full.sum()) == pytest.approx(n_matches + grid.gamma * n_gaps, abs=1e-12)
         assert set(np.unique(G_diag)).issubset({0.0, 1.0})
@@ -326,6 +329,32 @@ class TestAlignmentLoss:
         finally:
             set_backend(prev)
 
+    def test_single_row_agrees_with_the_matching_loss(self):
+        # One row against one target: a 1x1 grid's best path is the match
+        # whenever its cost -<floor(logP), Y> is >= 0, which every logP <= 0
+        # and Y >= 0 guarantee.  So both losses must score and differentiate
+        # it identically, floored entries included.
+        rng = np.random.default_rng(11)
+        floor = np.log(1e-12)
+        # -inf, far below the floor, at it, and just above and below it.
+        special = [-np.inf, -60.0, floor, np.nextafter(floor, 0.0), np.nextafter(floor, -np.inf)]
+        special += [floor + 1e-9, floor - 1e-9]
+        for trial in range(200):
+            d = int(rng.integers(2, 7))
+            row = np.array([special[i] for i in rng.integers(0, len(special), size=d)])
+            free = rng.random(d) < 0.5
+            free[rng.integers(0, d)] = True
+            # The free entries carry the mass the floored-scale ones leave.
+            logits = 3.0 * rng.standard_normal(int(free.sum()))
+            rest = np.log1p(-np.exp(row[~free]).sum())
+            row[free] = logits - np.log(np.exp(logits).sum()) + rest
+            logP = row[None]
+            Y = np.eye(d)[[rng.integers(0, d)]] if trial % 2 else rng.dirichlet(np.ones(d), size=1)
+            z_m, g_m = matching_loss(logP, Y)
+            z_a, g_a = gsa_loss(logP, Y, 1.5)
+            assert np.float64(z_m).tobytes() == np.float64(z_a).tobytes(), (logP, Y)
+            assert g_m.tobytes() == g_a.tobytes(), (logP, Y)
+
 
 def _grid_stacks():
     rng = np.random.default_rng(20241017)
@@ -368,13 +397,14 @@ class TestCompiledKernel:
             for t, m in enumerate(ms):
                 grid = AlignGrid(m=m, gamma=gamma)
                 grad = {}
-                for e in solve_gsa(grid).path:
-                    if e.kind == "match":
-                        cell, g = (e.i, e.k), 1.0
-                    elif e.kind == "skip_target":
-                        cell, g = (min(e.i, grid.pred_len - 1), e.k), gamma
+                res = solve_gsa(grid)
+                for kind, ei, ek in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
+                    if kind == MATCH:
+                        cell, g = (ei, ek), 1.0
+                    elif kind == SKIP_TARGET:
+                        cell, g = (min(ei, grid.pred_len - 1), ek), gamma
                     else:
-                        cell, g = (e.i, min(e.k, grid.target_len - 1)), gamma
+                        cell, g = (ei, min(ek, grid.target_len - 1)), gamma
                     grad[cell] = grad.get(cell, 0.0) + g
                 G = np.zeros(m.shape)
                 for (i, k), g in grad.items():

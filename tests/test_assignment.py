@@ -501,6 +501,24 @@ class TestMatchingLoss:
             got = grad - np.exp(logP) * grad.sum(axis=1, keepdims=True)
             assert np.allclose(got, central_fd(f, logits, eps=1e-7), atol=1e-6)
 
+    def test_floored_matched_entry_has_zero_gradient(self):
+        # logP[0, 1] = log 1e-15 is below the log floor, so the loss is flat
+        # in it; the matched reference must not leak a gradient there.
+        logP = np.log(np.array([[1.0 - 1e-15, 1e-15]]))
+        Y = np.array([[0.0, 1.0]])
+
+        def f(t):
+            x = logP.copy()
+            x[0, 1] = t
+            return matching_loss(x, Y)[0]
+
+        _, grad = matching_loss(logP, Y)
+        eps = 1e-3
+        fd = (f(logP[0, 1] + eps) - f(logP[0, 1] - eps)) / (2.0 * eps)
+        assert fd == 0.0
+        assert grad[0, 1] == fd
+        assert np.array_equal(grad, np.zeros((1, 2)))
+
 
 BACKENDS = [
     "numpy",
@@ -519,10 +537,10 @@ def backend(request):
 
 def _reference_matching_loss(logP, Y):
     # Written out as the oracle: the raw numpy solve, then the lexicographic
-    # refinement, then the matched reference rows.
+    # refinement, then the matched reference rows, zero where logP is floored.
     C = -(np.maximum(logP, np.log(1e-12)) @ Y.T)
     perm = _refined_reference(C)[0]
-    return float(C[np.arange(C.shape[0]), perm].sum()), -Y[perm]
+    return float(C[np.arange(C.shape[0]), perm].sum()), -Y[perm] * (logP > np.log(1e-12))
 
 
 def _log_softmax(x):
@@ -564,7 +582,8 @@ class TestStackedMatchingLoss:
                 assert np.float64(z).tobytes() == zs[t].tobytes() == np.float64(ref_z).tobytes(), family
                 assert g.tobytes() == grads[t].tobytes() == ref_g.tobytes(), family
                 C = -(np.maximum(logP[t], np.log(1e-12)) @ Y[t].T)
-                refined += not np.array_equal(-Y[t][_raw_kernel_many(C[None])[0][0]], ref_g)
+                raw_g = -Y[t][_raw_kernel_many(C[None])[0][0]] * (logP[t] > np.log(1e-12))
+                refined += not np.array_equal(raw_g, ref_g)
         # The families must include ties whose tie-break changes the answer.
         assert refined > 0
 

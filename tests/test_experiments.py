@@ -8,6 +8,7 @@ from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
 from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
     BagDatasetSpec,
+    _init_store as init_bag_store,
     eval_accuracy,
     gen_bag_dataset,
     make_bags,
@@ -281,6 +282,43 @@ class TestFusedNodesInTraining:
         self.check(monkeypatch, lambda: train_bags(config, BagDatasetSpec(n=400, seed=3)), {"affine"})
 
 
+class TestEvaluationRunsTheTrainingModel:
+    """Evaluation calls the tape ops training does, so a second copy of a
+    model cannot drift from the one trained."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"rnn_cell": 0, "affine": 0}
+        for name in calls:
+
+            def op(*args, name=name, fn=getattr(tape, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(tape, name, op)
+        return calls
+
+    def test_seq_evaluate(self, monkeypatch):
+        spec = SeqTaskSpec(n=120, min_len=3, max_len=5)
+        store = seq._init_store(TrainConfig(loss="gsa"), spec.vocab)
+        pairs = gen_seq_dataset(spec).test
+        calls = self.counted(monkeypatch)
+        seq.evaluate(store, pairs, spec.vocab, 1.5, spec.max_len)
+        # One decode batch per source length: an encoder step per source
+        # token, then max_len + 4 decoder steps.
+        lengths = {len(s) for s, _ in pairs}
+        steps = len(lengths) * (spec.max_len + 4)
+        assert calls == {"rnn_cell": sum(lengths) + steps, "affine": steps}
+
+    def test_bags_eval_accuracy(self, monkeypatch):
+        spec = BagDatasetSpec(n=200)
+        store = init_bag_store(TrainConfig(), spec.feature_dim, spec.num_classes)
+        data = gen_bag_dataset(spec)
+        calls = self.counted(monkeypatch)
+        eval_accuracy(store, data.x_test, data.y_test)
+        assert calls == {"rnn_cell": 0, "affine": 2}
+
+
 class TestSeqDataset:
     def test_noise_free_targets_copy_the_source(self):
         spec = SeqTaskSpec(p_drop=0.0, p_insert=0.0, n=200)
@@ -315,6 +353,14 @@ class TestSeqDataset:
         b = gen_seq_dataset(SeqTaskSpec(n=50, seed=3))
         for (sa, ta), (sb, tb) in zip(a.train, b.train):
             assert np.array_equal(sa, sb) and np.array_equal(ta, tb)
+
+
+class TestTemperatureSchedule:
+    def test_linear_descent_to_floor(self):
+        assert seq._tau_at(1) == 5.0
+        assert seq._tau_at(2) == 4.5
+        assert seq._tau_at(9) == 1.0
+        assert seq._tau_at(50) == 1.0
 
 
 class TestSeqTraining:

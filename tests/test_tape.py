@@ -7,7 +7,6 @@ import pytest
 
 from combgrad import DimensionMismatch, NonFinite, ShapeMismatch, matching_loss
 from combgrad.tape import (
-    GumbelConfig,
     ParamStore,
     Tensor,
     adam_step,
@@ -405,12 +404,3 @@ class TestCheckpoints:
             f.write("something else\n")
         with pytest.raises(ValueError):
             load_checkpoint(path)
-
-
-class TestTemperatureSchedule:
-    def test_linear_descent_to_floor(self):
-        cfg = GumbelConfig(start=5.0, step=0.5, floor=1.0)
-        assert cfg.tau_at(1) == 5.0
-        assert cfg.tau_at(2) == 4.5
-        assert cfg.tau_at(9) == 1.0
-        assert cfg.tau_at(50) == 1.0
