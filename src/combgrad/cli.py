@@ -1,9 +1,15 @@
 """Command-line interface: solve instances, check gradients, run the
 training experiments, and benchmark solver scaling.
 
-Commands: solve, gradcheck, train, bench.  Global flags: --seed (default
-1729), --tol, --out.  All outputs are machine-readable (JSON documents or
-CSV); every failure prints a single `error[kind]: message` line on stderr.
+Commands: solve KIND INPUT; gradcheck KIND [INPUT] with --seed, --tol,
+--trials, --perturb-grad and (lp only) --eps; train TASK CONFIG with --seed;
+bench KIND with --seed, --sizes, --repeats, --family.  Every command takes
+--out; --seed defaults to 1729.  gradcheck's --trials counts supergradient
+probes on an INPUT instance, and drawn instances (20 probes each) in the
+random suite run without INPUT, whose report has kind, passed, instances,
+failed, degenerate_flagged, worst_violation (assignment, gsa) and
+worst_certificate_violation (assignment).  All outputs are machine-readable
+(JSON or CSV); every failure prints one `error[kind]: message` line on stderr.
 Exit codes: 0 ok, 1 check failure, 2 input/config error, 3 solver failure
 (infeasible, unbounded or out of simplex pivots), 4 training aborted.
 
@@ -24,6 +30,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -31,7 +38,7 @@ import numpy as np
 from . import _kernels
 from .alignment import AlignGrid, build_grid, gsa_grad_matrix, solve_gsa
 from .assignment import solve_assignment
-from .core import LPSpec, SolverOutcome, supergradient_check
+from .core import LPSpec, supergradient_check
 from .errors import (
     CombgradError,
     DegenerateInstance,
@@ -195,76 +202,48 @@ def _assignment_certificate(C: np.ndarray, res) -> dict:
     }
 
 
-def _gradcheck_assignment_instance(problem: dict, candidate, args) -> dict:
+# Each kind has one check, which tests the candidate gradient (the solver's
+# own when `candidate` is None) on one problem, and one draw, which makes a
+# random problem for the suite.  Instance mode runs the check once; the suite
+# runs it on `--trials` drawn problems, all sharing one generator.
+
+
+def _check_assignment(problem: dict, candidate, args, rng, trials: int) -> dict:
     C = _matrix(problem, "cost")
     res = solve_assignment(C)
     g = res.M.ravel() if candidate is None else np.asarray(candidate["d_cost"], dtype=np.float64).ravel()
-    if args.perturb_grad:
-        g = _inflate(g)
+    g = _inflate(g) if args.perturb_grad else g
 
     def f(w: np.ndarray) -> float:
         return solve_assignment(w.reshape(C.shape)).z_star
 
-    rep = supergradient_check(
-        f, C.ravel(), g, trials=args.trials, sense="concave", tol=args.tol, seed=args.seed
-    )
+    rep = supergradient_check(f, C.ravel(), g, trials=trials, sense="concave", tol=args.tol, rng=rng)
     cert = _assignment_certificate(C, res)
-    cert_ok = max(cert.values()) <= args.tol + 1e-12
     return {
         "kind": "assignment",
-        "passed": bool(rep.passed and cert_ok),
+        "passed": bool(rep.passed and max(cert.values()) <= args.tol + 1e-12),
         "supergradient": {"worst_violation": rep.worst_violation, "trials": rep.trials},
         "certificate": cert,
     }
 
 
-def _gradcheck_assignment_suite(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    cert_worst = 0.0
-    for _ in range(args.trials):
-        b = int(rng.integers(2, 7))
-        C = rng.uniform(-1.0, 1.0, size=(b, b))
-        res = solve_assignment(C)
-
-        def f(w: np.ndarray, b=b) -> float:
-            return solve_assignment(w.reshape(b, b)).z_star
-
-        g = res.M.ravel()
-        if args.perturb_grad:
-            g = _inflate(g)
-        rep = supergradient_check(
-            f, C.ravel(), g, trials=20, sense="concave", tol=args.tol, rng=rng
-        )
-        worst = max(worst, rep.worst_violation)
-        cert_worst = max(cert_worst, max(_assignment_certificate(C, res).values()))
-    passed = worst <= args.tol and cert_worst <= args.tol + 1e-12
-    return {
-        "kind": "assignment",
-        "passed": bool(passed),
-        "instances": args.trials,
-        "worst_violation": worst,
-        "worst_certificate_violation": cert_worst,
-    }
+def _draw_assignment(rng: np.random.Generator) -> dict:
+    b = int(rng.integers(2, 7))
+    return {"cost": rng.uniform(-1.0, 1.0, size=(b, b))}
 
 
-def _gradcheck_gsa_instance(problem: dict, candidate, args) -> dict:
+def _check_gsa(problem: dict, candidate, args, rng, trials: int) -> dict:
     grid = _gsa_grid(problem)
     if candidate is None:
-        res = solve_gsa(grid)
-        G = gsa_grad_matrix(grid, res)
+        G = gsa_grad_matrix(grid, solve_gsa(grid))
     else:
         G = np.asarray(candidate["d_match_costs"], dtype=np.float64)
-    g = G.ravel()
-    if args.perturb_grad:
-        g = _inflate(g)
+    g = _inflate(G.ravel()) if args.perturb_grad else G.ravel()
 
     def f(w: np.ndarray) -> float:
         return solve_gsa(AlignGrid(m=w.reshape(grid.m.shape), gamma=grid.gamma)).z_star
 
-    rep = supergradient_check(
-        f, grid.m.ravel(), g, trials=args.trials, sense="concave", tol=args.tol, seed=args.seed
-    )
+    rep = supergradient_check(f, grid.m.ravel(), g, trials=trials, sense="concave", tol=args.tol, rng=rng)
     return {
         "kind": "gsa",
         "passed": bool(rep.passed),
@@ -272,121 +251,79 @@ def _gradcheck_gsa_instance(problem: dict, candidate, args) -> dict:
     }
 
 
-def _gradcheck_gsa_suite(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        tp = int(rng.integers(2, 6))
-        tt = int(rng.integers(2, 6))
-        m = rng.uniform(0.1, 2.0, size=(tp, tt))
-        grid = AlignGrid(m=m, gamma=1.5)
-        res = solve_gsa(grid)
-        g = gsa_grad_matrix(grid, res).ravel()
-        if args.perturb_grad:
-            g = _inflate(g)
-
-        def f(w: np.ndarray, shape=m.shape) -> float:
-            return solve_gsa(AlignGrid(m=w.reshape(shape), gamma=1.5)).z_star
-
-        rep = supergradient_check(f, m.ravel(), g, trials=20, sense="concave", tol=args.tol, rng=rng)
-        worst = max(worst, rep.worst_violation)
-    return {
-        "kind": "gsa",
-        "passed": bool(worst <= args.tol),
-        "instances": args.trials,
-        "worst_violation": worst,
-    }
+def _draw_gsa(rng: np.random.Generator) -> dict:
+    tp = int(rng.integers(2, 6))
+    tt = int(rng.integers(2, 6))
+    return {"match_costs": rng.uniform(0.1, 2.0, size=(tp, tt)), "gamma": 1.5}
 
 
-def _lp_block_report(rep) -> dict:
-    return {
-        "analytic": rep.analytic,
-        "numeric": rep.numeric,
-        "abs_err": rep.abs_err,
-        "rel_err": rep.rel_err,
-        "passed": rep.passed,
-    }
-
-
-def _gradcheck_lp_instance(problem: dict, candidate, args) -> dict:
+def _check_lp(problem: dict, candidate, args, rng, trials: int) -> dict:
+    # Central differences along one random direction per block; `trials`
+    # has no role here.
     spec = _lp_spec(problem)
     out = solve_lp(spec)
+    u, v = out.u_star, out.v_star
     if candidate is not None:
         u = np.asarray(candidate["d_c"], dtype=np.float64)
         v = np.asarray(candidate["d_b"], dtype=np.float64)
-        out = SolverOutcome(z_star=out.z_star, u_star=u, v_star=v, unique=out.unique)
     if args.perturb_grad:
-        out = SolverOutcome(
-            z_star=out.z_star,
-            u_star=_inflate(out.u_star),
-            v_star=_inflate(out.v_star),
-            unique=out.unique,
-        )
+        u, v = _inflate(u), _inflate(v)
     try:
-        chk = check_lp_grads(spec, out, eps=args.eps, seed=args.seed)
+        chk = check_lp_grads(spec, replace(out, u_star=u, v_star=v), eps=args.eps, rng=rng)
     except DegenerateInstance as exc:
         return {"kind": "lp", "passed": True, "degenerate": True, "note": str(exc)}
-    return {
-        "kind": "lp",
-        "passed": bool(chk.passed),
-        "degenerate": False,
-        "c_block": _lp_block_report(chk.c_block),
-        "b_block": _lp_block_report(chk.b_block),
-        "A_block": _lp_block_report(chk.A_block),
-    }
+    return {"kind": "lp", "passed": bool(chk.passed), "degenerate": False, **asdict(chk)}
 
 
-def _gradcheck_lp_suite(args) -> dict:
+def _draw_lp(rng: np.random.Generator) -> dict:
+    p = int(rng.integers(2, 9))
+    m = int(rng.integers(1, min(p, 5) + 1))
+    spec = random_lp(rng, p, m)
+    return {"c": spec.c, "A": spec.A, "b": spec.b}
+
+
+_GRADCHECKS = {
+    "assignment": (_check_assignment, _draw_assignment),
+    "gsa": (_check_gsa, _draw_gsa),
+    "lp": (_check_lp, _draw_lp),
+}
+
+
+def _gradcheck_suite(args, check, draw) -> dict:
     rng = np.random.default_rng(args.seed)
-    degenerate = 0
-    failed = 0
+    reports = []
     for _ in range(args.trials):
-        p = int(rng.integers(2, 9))
-        m = int(rng.integers(1, min(p, 5) + 1))
-        spec = random_lp(rng, p, m)
+        problem = draw(rng)
         try:
-            out = solve_lp(spec)
-            chk = check_lp_grads(spec, out, eps=args.eps, rng=rng)
-        except DegenerateInstance:
-            degenerate += 1
-            continue
+            reports.append(check(problem, None, args, rng, 20))
         except (Infeasible, Unbounded):
-            degenerate += 1
-            continue
-        ok = chk.passed
-        if args.perturb_grad:
-            pert = SolverOutcome(
-                z_star=out.z_star,
-                u_star=_inflate(out.u_star),
-                v_star=_inflate(out.v_star),
-                unique=out.unique,
-            )
-            ok = check_lp_grads(spec, pert, eps=args.eps, rng=rng).passed
-        if not ok:
-            failed += 1
-    return {
-        "kind": "lp",
-        "passed": bool(failed == 0),
+            # A drawn LP the simplex cannot solve has no gradient to check.
+            reports.append({"passed": True, "degenerate": True})
+    failed = sum(not r["passed"] for r in reports)
+    doc = {
+        "kind": args.kind,
+        "passed": failed == 0,
         "instances": args.trials,
-        "degenerate_flagged": degenerate,
         "failed": failed,
+        "degenerate_flagged": sum(r.get("degenerate", False) for r in reports),
     }
+    probes = [r["supergradient"]["worst_violation"] for r in reports if "supergradient" in r]
+    if probes:
+        doc["worst_violation"] = max([0.0] + probes)
+    certs = [max(r["certificate"].values()) for r in reports if "certificate" in r]
+    if certs:
+        doc["worst_certificate_violation"] = max([0.0] + certs)
+    return doc
 
 
 def _cmd_gradcheck(args) -> int:
-    candidate = None
-    problem = None
+    check, draw = _GRADCHECKS[args.kind]
     if args.input:
         doc = _load_json(args.input)
-        problem = doc.get("problem", doc)
-        candidate = doc.get("gengrad")
-    checks = {
-        "assignment": (_gradcheck_assignment_instance, _gradcheck_assignment_suite),
-        "gsa": (_gradcheck_gsa_instance, _gradcheck_gsa_suite),
-        "lp": (_gradcheck_lp_instance, _gradcheck_lp_suite),
-    }
-    instance, suite = checks[args.kind]
-    report = suite(args) if problem is None else instance(problem, candidate, args)
+        rng = np.random.default_rng(args.seed)
+        report = check(doc.get("problem", doc), doc.get("gengrad"), args, rng, args.trials)
+    else:
+        report = _gradcheck_suite(args, check, draw)
     _emit_json(report, args.out)
     if not report["passed"]:
         _err("check", f"{args.kind} gradient check failed")
@@ -443,39 +380,56 @@ def _parse_sizes(text: str) -> list:
         lo, hi = int(lo_s), int(hi_s)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad size range {text!r}")
-        sizes = []
-        s = lo
-        while s <= hi:
-            sizes.append(s)
-            s *= 2
-        return sizes
-    sizes = [int(x) for x in text.split(",") if x.strip()]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"bad sizes {text!r}")
+        sizes = [lo << i for i in range((hi // lo).bit_length())]
+    else:
+        sizes = [int(x) for x in text.split(",") if x.strip()]
+        if not sizes or any(s < 1 for s in sizes):
+            raise ValueError(f"bad sizes {text!r}")
+    if max(sizes) > 512:
+        raise ValueError("sizes above 512 are not supported")
     return sizes
 
 
-def _bench_instance(size: int, family: str, rng: np.random.Generator) -> np.ndarray:
-    if family == "hard":
+# Each kind supplies, for one size, its batch size, its base instance and its
+# solve-plus-gradient call on the batch.  Batches are sized so every row does
+# about the same work (O(size^3) per assignment, O(size^2) per alignment): a
+# fixed per-call cost spread over fewer instances at larger sizes would
+# otherwise bend the measured exponent.
+
+
+def _bench_assignment(size: int, args, rng: np.random.Generator) -> tuple:
+    k = min(1024, max(1, 2**18 // size**3))
+    if args.family == "hard":
         # Dense product costs: a classic worst-case family for
         # shortest-augmenting-path assignment solvers, so the measured
         # exponent reflects the O(size^3) bound rather than lucky early
         # exits on uniform noise.
         i = np.arange(1.0, size + 1.0)
-        return np.outer(i, i)
-    return rng.uniform(0.0, 1.0, size=(size, size))
+        base = np.outer(i, i)
+    else:
+        base = rng.uniform(0.0, 1.0, size=(size, size))
+    rows_idx = np.arange(size)[None, :]
+    batch_idx = np.arange(k)[:, None]
+
+    def solve_grad(batch: np.ndarray) -> None:
+        perms, _, _ = _kernels.assignment_kernel_many(batch)
+        grads = np.zeros((k, size, size))
+        grads[batch_idx, rows_idx, perms] = 1.0
+
+    return k, base, solve_grad
+
+
+def _bench_gsa(size: int, args, rng: np.random.Generator) -> tuple:
+    def solve_grad(batch: np.ndarray) -> None:
+        _, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
+        _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
+
+    return max(1, 4096 // (size * size)), rng.uniform(0.1, 2.0, size=(size, size)), solve_grad
 
 
 def _cmd_bench(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-    except ValueError as exc:
-        _err("input", str(exc))
-        return 2
-    cap = 512
-    if max(sizes) > cap:
-        _err("input", f"sizes above {cap} are not supported")
-        return 2
+    sizes = _parse_sizes(args.sizes)
+    setup = {"assignment": _bench_assignment, "gsa": _bench_gsa}[args.kind]
     rng = np.random.default_rng(args.seed)
     _kernels.warmup()
     buf = io.StringIO()
@@ -484,37 +438,17 @@ def _cmd_bench(args) -> int:
     for size in sizes:
         # Amortize timer resolution and call overhead over a batch of
         # identical instances solved by the vectorized kernel; the reported
-        # seconds are per solve-plus-gradient.  Batches are sized so every
-        # row does about the same work (O(size^3) per assignment, O(size^2)
-        # per alignment): a fixed per-call cost spread over fewer instances
-        # at larger sizes would otherwise bend the measured exponent.
-        if args.kind == "assignment":
-            k = min(1024, max(1, 2**18 // size**3))
-            base = _bench_instance(size, args.family, rng)
-            batch = np.repeat(base[None, :, :], k, axis=0)
-            # One untimed pass per size primes caches and branch predictors so
-            # the first timed repeat is not inflated at small sizes.
-            _kernels.assignment_kernel_many(batch)
-            rows_idx = np.arange(size)
-            batch_idx = np.arange(k)[:, None]
-            for rep in range(args.repeats):
-                t0 = time.perf_counter()
-                perms, _, _ = _kernels.assignment_kernel_many(batch)
-                grads = np.zeros((k, size, size))
-                grads[batch_idx, rows_idx[None, :], perms] = 1.0
-                dt = (time.perf_counter() - t0) / k
-                w.writerow([args.kind, size, rep, "%.9f" % dt])
-        else:
-            k = max(1, 4096 // (size * size))
-            base = rng.uniform(0.1, 2.0, size=(size, size))
-            batch = np.repeat(base[None, :, :], k, axis=0)
-            _kernels.gsa_kernel_many(batch, 1.5)
-            for rep in range(args.repeats):
-                t0 = time.perf_counter()
-                _, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
-                grads = _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
-                dt = (time.perf_counter() - t0) / k
-                w.writerow([args.kind, size, rep, "%.9f" % dt])
+        # seconds are per solve-plus-gradient.  One untimed pass per size
+        # primes caches and branch predictors so the first timed repeat is
+        # not inflated at small sizes.
+        k, base, solve_grad = setup(size, args, rng)
+        batch = np.repeat(base[None, :, :], k, axis=0)
+        solve_grad(batch)
+        for rep in range(args.repeats):
+            t0 = time.perf_counter()
+            solve_grad(batch)
+            dt = (time.perf_counter() - t0) / k
+            w.writerow([args.kind, size, rep, "%.9f" % dt])
     _emit(buf.getvalue().rstrip("\n"), args.out)
     return 0
 
@@ -524,37 +458,70 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="deterministic seed (default %(default)s)")
-    common.add_argument("--tol", type=float, default=1e-9, help="check tolerance (default %(default)s)")
-    common.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
+def _bounded(cast, ok, expected: str):
+    """An argparse type: `cast` the text, then reject values failing `ok`."""
 
-    p = argparse.ArgumentParser(prog="combgrad", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    def parse(text: str):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = None
+        if x is None or not ok(x):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return x
+
+    return parse
+
+
+_COUNT = _bounded(int, lambda n: n >= 1, "a whole number >= 1")
+_TOL = _bounded(float, lambda x: 0 <= x < np.inf, "a finite number >= 0")
+_STEP = _bounded(float, lambda x: 0 < x < np.inf, "a finite number > 0")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # One protocol line instead of argparse's usage text.
+        _err("usage", f"invalid command line: {message}")
+        self.exit(2)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED, help="deterministic seed (default %(default)s)")
+
+    p = _Parser(prog="combgrad", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", parents=[common], help="solve one instance and print value, witnesses, gradient")
+    ps = sub.add_parser("solve", parents=[out], help="solve one instance and print value, witnesses, gradient")
     ps.add_argument("kind", choices=["assignment", "gsa", "lp"])
     ps.add_argument("input", help="path to a JSON instance (see module docstring for schemas)")
     ps.set_defaults(func=_cmd_solve)
 
-    pg = sub.add_parser("gradcheck", parents=[common], help="finite-difference / supergradient verification")
+    pg = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference / supergradient verification")
     pg.add_argument("kind", choices=["assignment", "gsa", "lp"])
     pg.add_argument("input", nargs="?", default=None, help="instance or solve-output JSON; omit for a random suite")
-    pg.add_argument("--eps", type=float, default=1e-5, help="finite-difference step (default %(default)s)")
-    pg.add_argument("--trials", type=int, default=100, help="random trials (default %(default)s)")
+    pg.add_argument("--tol", type=_TOL, default=1e-9, help="check tolerance (default %(default)s)")
+    pg.add_argument("--eps", type=_STEP, default=1e-5, help="lp only: finite-difference step (default %(default)s)")
+    pg.add_argument(
+        "--trials",
+        type=_COUNT,
+        default=100,
+        help="supergradient probes on one instance, or drawn instances (20 probes each) in the suite (default %(default)s)",
+    )
     pg.add_argument("--perturb-grad", action="store_true", help="negative control: corrupt the gradient, expect failure")
     pg.set_defaults(func=_cmd_gradcheck)
 
-    pt = sub.add_parser("train", parents=[common], help="run a training experiment from a JSON config")
+    pt = sub.add_parser("train", parents=[seeded], help="run a training experiment from a JSON config")
     pt.add_argument("task", choices=["bags", "seq"])
     pt.add_argument("config", help="path to a JSON TrainConfig (plus optional 'dataset' object)")
     pt.set_defaults(func=_cmd_train)
 
-    pb = sub.add_parser("bench", parents=[common], help="time solve+gradient across instance sizes (CSV)")
+    pb = sub.add_parser("bench", parents=[seeded], help="time solve+gradient across instance sizes (CSV)")
     pb.add_argument("kind", choices=["assignment", "gsa"])
     pb.add_argument("--sizes", type=str, default="8..64", help="'a..b' doubling or comma list (default %(default)s)")
-    pb.add_argument("--repeats", type=int, default=5, help="rows per size (default %(default)s)")
+    pb.add_argument("--repeats", type=_COUNT, default=5, help="rows per size (default %(default)s)")
     pb.add_argument("--family", choices=["hard", "random"], default="hard", help="assignment instance family")
     pb.set_defaults(func=_cmd_bench)
     return p
@@ -565,10 +532,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if exc.code in (0, None):
-            return 0
-        _err("usage", "invalid command line")
-        return 2
+        return 2 if exc.code else 0
     try:
         return args.func(args)
     except (Infeasible, Unbounded, IterationLimit) as exc:

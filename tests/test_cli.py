@@ -5,13 +5,19 @@ console script uses) and asserts on exit codes, stdout/stderr protocol, and
 written files.  One subprocess test confirms ``python -m combgrad`` works.
 """
 
+import contextlib
 import csv
+import io
 import json
+import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combgrad import lpref
 from combgrad.alignment import build_grid, solve_gsa
@@ -309,6 +315,63 @@ class TestGradcheck:
         assert "error[check]:" in err
         assert json.loads(out)["passed"] is False
 
+    # Reports frozen from the implementation with one check and one suite
+    # loop per kind written twice; a rewrite must reproduce them bitwise.
+    @pytest.mark.parametrize(
+        "kind,flags,expected",
+        [
+            ("assignment", ["--trials", "40"], {
+                "certificate": {"complementary_slackness_violation": 0.0, "dual_feasibility_violation": 0.0, "duality_gap": 0.0},
+                "kind": "assignment", "passed": True, "supergradient": {"trials": 40, "worst_violation": 0.0},
+            }),
+            ("assignment", ["--trials", "60", "--perturb-grad"], {
+                "certificate": {"complementary_slackness_violation": 0.0, "dual_feasibility_violation": 0.0, "duality_gap": 0.0},
+                "kind": "assignment", "passed": False, "supergradient": {"trials": 60, "worst_violation": 0.15241753736252717},
+            }),
+            ("gsa", ["--trials", "40"], {
+                "kind": "gsa", "passed": True, "supergradient": {"trials": 40, "worst_violation": 0.0},
+            }),
+            ("gsa", ["--trials", "60", "--perturb-grad"], {
+                "kind": "gsa", "passed": False, "supergradient": {"trials": 60, "worst_violation": 0.18533677260305736},
+            }),
+            ("lp", [], {
+                "A_block": {"abs_err": 2.5445312523686425e-11, "analytic": -0.6821783624678455, "numeric": -0.6821783624932908, "passed": True, "rel_err": 2.5445312523686425e-11},
+                "b_block": {"abs_err": 3.1413760481768804e-12, "analytic": 0.7901850990112651, "numeric": 0.7901850990144065, "passed": True, "rel_err": 3.1413760481768804e-12},
+                "c_block": {"abs_err": 3.3439362390197402e-12, "analytic": -0.2281576374629646, "numeric": -0.22815763746630854, "passed": True, "rel_err": 3.3439362390197402e-12},
+                "degenerate": False, "kind": "lp", "passed": True,
+            }),
+            ("lp", ["--perturb-grad"], {
+                "A_block": {"abs_err": 0.3837253288627177, "analytic": -1.0659036913560085, "numeric": -0.6821783624932908, "passed": False, "rel_err": 0.3599999999761279},
+                "b_block": {"abs_err": 0.1975462747496749, "analytic": 0.9877313737640814, "numeric": 0.7901850990144065, "passed": False, "rel_err": 0.1975462747496749},
+                "c_block": {"abs_err": 0.057039409362397236, "analytic": -0.2851970468287058, "numeric": -0.22815763746630854, "passed": False, "rel_err": 0.057039409362397236},
+                "degenerate": False, "kind": "lp", "passed": False,
+            }),
+        ],
+    )
+    def test_roundtrip_report_is_byte_identical_to_the_frozen_report(self, tmp_path, capsys, kind, flags, expected):
+        problems = {
+            "assignment": {"cost": [[0.0, 1.0], [2.0, 0.0]]},
+            "gsa": {"match_costs": [[0.3, 1.2, 0.4], [0.9, 0.2, 1.1]], "gamma": 1.5},
+            "lp": {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "b": [1.0]},
+        }
+        solved = self._solve_to_file(tmp_path, capsys, kind, problems[kind])
+        _, out, _ = run_cli(["gradcheck", kind, solved] + flags, capsys)
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "kind,expected",
+        [
+            ("assignment", {"instances": 6, "kind": "assignment", "passed": True, "worst_certificate_violation": 0.0, "worst_violation": 4.440892098500626e-16}),
+            ("gsa", {"instances": 6, "kind": "gsa", "passed": True, "worst_violation": 8.881784197001252e-16}),
+        ],
+    )
+    def test_suite_report_keeps_every_frozen_field(self, capsys, kind, expected):
+        _, out, _ = run_cli(["gradcheck", kind, "--trials", "6"], capsys)
+        doc = json.loads(out)
+        assert {key: doc[key] for key in expected} == expected
+        assert doc["failed"] == 0 and doc["degenerate_flagged"] == 0
+        assert set(doc) == set(expected) | {"failed", "degenerate_flagged"}
+
 
 # ---------------------------------------------------------------------------
 # train
@@ -480,6 +543,57 @@ class TestBench:
 
 
 # ---------------------------------------------------------------------------
+# numeric flags
+# ---------------------------------------------------------------------------
+
+
+def _assignment_instance(tmp_path):
+    return write_json(tmp_path / "a.json", {"cost": [[0.0, 1.0], [2.0, 0.0]]})
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "assignment", "INSTANCE", "--trials", "0", "--perturb-grad"],
+            ["gradcheck", "assignment", "--trials", "-3"],
+            ["gradcheck", "gsa", "--trials", "2.5"],
+            ["bench", "gsa", "--sizes", "4", "--repeats", "0"],
+            ["bench", "assignment", "--sizes", "4", "--repeats", "-1"],
+            ["gradcheck", "lp", "--eps", "0"],
+            ["gradcheck", "lp", "--eps", "-1e-5"],
+            ["gradcheck", "lp", "--eps", "nan"],
+            ["gradcheck", "lp", "--eps", "inf"],
+            ["gradcheck", "assignment", "INSTANCE", "--tol", "-1e-9"],
+            ["gradcheck", "assignment", "INSTANCE", "--tol", "nan"],
+            ["gradcheck", "assignment", "INSTANCE", "--tol", "inf", "--perturb-grad"],
+        ],
+    )
+    def test_vacuous_or_undefined_values_are_usage_errors(self, tmp_path, capsys, argv):
+        argv = [_assignment_instance(tmp_path) if a == "INSTANCE" else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[usage]:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "assignment", "INSTANCE", "--tol", "1e-6"],
+            ["solve", "assignment", "INSTANCE", "--seed", "3"],
+            ["train", "bags", "INSTANCE", "--tol", "1e-6"],
+            ["bench", "assignment", "--sizes", "4", "--tol", "1e-6"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, capsys, argv):
+        argv = [_assignment_instance(tmp_path) if a == "INSTANCE" else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[usage]:") and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
 # entry point / usage
 # ---------------------------------------------------------------------------
 
@@ -492,7 +606,6 @@ class TestEntryPoint:
     def test_unknown_command_exits_two(self, capsys):
         code, _, err = run_cli(["transmogrify"], capsys)
         assert code == 2
-        # argparse prints its own usage text first; the protocol line follows.
         assert "error[usage]: invalid command line" in err
 
     def test_module_invocation(self, tmp_path):
@@ -505,3 +618,78 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["z_star"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# fuzz: no input or flag value ends in a traceback
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 1.5, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e-300]),
+    st.floats(-4.0, 4.0),
+)
+_JUNK = st.one_of(
+    _NUMBERS,
+    st.none(),
+    st.text(max_size=2),
+    st.lists(_NUMBERS, max_size=3),
+    st.lists(st.lists(_NUMBERS, max_size=3), max_size=3),  # ragged
+)
+_FLAG_VALUES = st.sampled_from(["-3", "0", "1", "3", "1e-9", "1e-5", "0.5", "1e308", "5e-324", "nan", "inf", "-inf", "x"])
+_PROTOCOL_LINE = re.compile(r"error\[(usage|input|check|solver)\]: [^\n]+\n")
+
+
+@st.composite
+def _documents(draw):
+    """Shaped instances of every kind, then damaged: keys dropped or replaced
+    by junk, and sometimes wrapped as a solve output with a junk gradient."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def vector(size):
+        return draw(st.lists(_NUMBERS, min_size=size, max_size=size))
+
+    def matrix(rows, cols):
+        return [vector(cols) for _ in range(rows)]
+
+    doc = {
+        "cost": matrix(n, n),
+        "match_costs": matrix(m, n),
+        "gamma": draw(_NUMBERS),
+        "logp": matrix(m, n),
+        "targets": draw(st.lists(st.one_of(st.integers(-1, 3), _NUMBERS), max_size=3)),
+        "c": vector(n),
+        "A": matrix(m, n),
+        "b": vector(m),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JUNK)
+    if draw(st.booleans()):
+        keys = st.sampled_from(["d_cost", "d_match_costs", "d_c", "d_b"])
+        doc = {"problem": doc, "gengrad": draw(st.one_of(st.dictionaries(keys, _JUNK), _JUNK))}
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "gradcheck"]),
+    kind=st.sampled_from(["assignment", "gsa", "lp"]),
+    doc=_documents(),
+    flags=st.dictionaries(st.sampled_from(["--trials", "--eps", "--tol", "--repeats"]), _FLAG_VALUES, max_size=3),
+)
+def test_random_documents_and_flags_end_in_an_exit_code_and_one_protocol_line(
+    tmp_path_factory, command, kind, doc, flags
+):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, kind, str(path)] + [tok for item in flags.items() for tok in item]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert _PROTOCOL_LINE.fullmatch(err.getvalue()), err.getvalue()
