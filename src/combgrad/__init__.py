@@ -39,6 +39,7 @@ from .errors import (
     DegenerateInstance,
     DimensionMismatch,
     Infeasible,
+    InvalidInput,
     IterationLimit,
     MissingWitness,
     NonFinite,
@@ -104,6 +105,7 @@ __all__ = [
     "enumerate_path_costs",
     # errors
     "CombgradError",
+    "InvalidInput",
     "DimensionMismatch",
     "ShapeMismatch",
     "MissingWitness",

@@ -61,10 +61,11 @@ static int rematch(int64_t r, const int64_t *cols, const int64_t *ends, int64_t 
 
 /* Port of _lex_refine: turn the optimal matching matchL of the n x n costs
  * C into the lexicographically smallest perfect matching of the tight graph
- * {(i, j) : (C[i, j] - u[i]) - v[j] <= tol}, fixing rows in order.  u and v
- * are the solve's 1-based potentials.  cols holds each row's tight columns
- * in ascending order, row i's from ends[i] to ends[i + 1]. */
-static void lex_refine(const double *C, int64_t n, double tol, const double *u, const double *v, int64_t *matchL,
+ * {(i, j) : (C[i, j] - u[i]) - v[j] <= tight}, fixing rows in order, where
+ * tight is tol / n.  u and v are the solve's 1-based potentials.  cols holds
+ * each row's tight columns in ascending order, row i's from ends[i] to
+ * ends[i + 1]. */
+static void lex_refine(const double *C, int64_t n, double tight, const double *u, const double *v, int64_t *matchL,
                        int64_t *cols, int64_t *ends, int64_t *matchR, int64_t *rows, int64_t *nxt, int64_t *via,
                        char *fixed, char *visited)
 {
@@ -72,7 +73,7 @@ static void lex_refine(const double *C, int64_t n, double tol, const double *u, 
     for (int64_t i = 0; i < n; i++) {
         ends[i] = e;
         for (int64_t j = 0; j < n; j++)
-            if ((C[i * n + j] - u[i + 1]) - v[j + 1] <= tol)
+            if ((C[i * n + j] - u[i + 1]) - v[j + 1] <= tight)
                 cols[e++] = j;
     }
     ends[n] = e;
@@ -105,22 +106,61 @@ static void lex_refine(const double *C, int64_t n, double tol, const double *u, 
     }
 }
 
+/* np.minimum(a, b): the smaller of a and b, and NaN when either is NaN (of
+ * two equal zeros it may return the other sign, which no comparison sees).
+ * Written as two selects the compiler emits without branches: the closure's
+ * comparisons are data dependent, and a mispredicted branch costs more than
+ * the whole step. */
+static double np_minimum(double a, double b)
+{
+    double m = b < a ? b : a;
+    return b != b ? b : m;
+}
+
+/* Port of _min_cycle for one n x n graph D, which it overwrites: the weight
+ * of the lightest directed cycle, inf when there is none.  numpy forms the
+ * whole sum D[:, m] + D[m, :] before it takes the minimum, so step m reads
+ * column m and row m from copies taken before the step (col and row). */
+static double min_cycle(double *D, int64_t n, double *col, double *row)
+{
+    for (int64_t i = 0; i < n; i++)
+        D[i * n + i] = INFINITY;
+    for (int64_t m = 0; m < n; m++) {
+        for (int64_t i = 0; i < n; i++) {
+            col[i] = D[i * n + m];
+            row[i] = D[m * n + i];
+        }
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t j = 0; j < n; j++)
+                D[i * n + j] = np_minimum(D[i * n + j], col[i] + row[j]);
+    }
+    double best = INFINITY;
+    for (int64_t i = 0; i < n; i++)
+        best = np_minimum(best, D[i * n + i]);
+    return best;
+}
+
 /* Assignment: port of _assign_many_py over a (k, n, n) stack.  Each
  * instance is solved as in _assign_core_py (Jonker-Volgenant shortest
  * augmenting paths with potentials, 1-based with sentinel row and column
- * 0), then its matching is refined by lex_refine.  One workspace serves
- * every instance.  Fails if an instance has no free column with a finite
- * reduced cost. */
-int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *us, double *vs)
+ * 0), its matching is refined by lex_refine, and it is certified as in
+ * _certify: unique[t] is 1 when min_cycle over the swap costs
+ * W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] exceeds tol, with
+ * slack = (C - u) - v.  The stacked u come first in uvs, then the stacked
+ * v.  One workspace serves every instance.  Fails if an instance has no
+ * free column with a finite reduced cost. */
+int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *uvs, char *unique)
 {
-    double *u = malloc(3 * sizeof(double) * (n + 1) + sizeof(int64_t) * (n * n + 7 * n + 6) + 3 * n + 1);
+    double *us = uvs, *vs = uvs + k * n;
+    double *u = malloc(sizeof(double) * (n * n + 5 * n + 3) + sizeof(int64_t) * (n * n + 7 * n + 6) + 3 * n + 1);
     if (u == NULL)
         return 1;
-    double *v = u + (n + 1), *minv = v + (n + 1);
-    int64_t *p = (int64_t *)(minv + (n + 1)), *way = p + (n + 1);
+    double *v = u + (n + 1), *minv = v + (n + 1), *D = minv + (n + 1), *col = D + n * n, *row = col + n;
+    int64_t *p = (int64_t *)(row + n), *way = p + (n + 1);
     int64_t *ends = way + (n + 1), *rows = ends + (n + 1), *nxt = rows + (n + 1), *via = nxt + (n + 1);
     int64_t *matchR = via + (n + 1), *cols = matchR + n;
     char *used = (char *)(cols + n * n), *fixed = used + (n + 1), *visited = fixed + n;
+    const double tight = tol / (double)(n > 1 ? n : 1);
     int status = 1;
     for (int64_t t = 0; t < k; t++) {
         const double *C = Cs + t * n * n;
@@ -179,7 +219,15 @@ int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *per
             us[t * n + j - 1] = u[j];
             vs[t * n + j - 1] = v[j];
         }
-        lex_refine(C, n, tol, u, v, perms + t * n, cols, ends, matchR, rows, nxt, via, fixed, visited);
+        int64_t *perm = perms + t * n;
+        lex_refine(C, n, tight, u, v, perm, cols, ends, matchR, rows, nxt, via, fixed, visited);
+        for (int64_t i = 0; i < n; i++) {
+            for (int64_t r = 0; r < n; r++) {
+                int64_t j = perm[r];
+                D[i * n + r] = ((C[i * n + j] - u[i + 1]) - v[j + 1]) - ((C[r * n + j] - u[r + 1]) - v[j + 1]);
+            }
+        }
+        unique[t] = min_cycle(D, n, col, row) > tol;
     }
     status = 0;
 done:

@@ -16,13 +16,15 @@ process, and :func:`set_backend` switches at runtime, which the
 backend-comparison benchmark uses.
 
 Single-instance entry points run a stack of one, so every public kernel
-goes through one path per problem.  The assignment kernel solves and then
-refines each matching to the lexicographically smallest tight optimum
-(``_lex_refine``, ported as ``lex_refine`` in C), so every caller gets the
-same tie-break without a Python pass per instance.  The alignment kernel
-only solves; :func:`gsa_grads` turns its path arrays into gradients.  Every
-dispatch increments an invocation counter per kernel kind so callers can
-assert how many solver runs a code path costs.
+goes through one path per problem.  Each kernel decides its own ties.  The
+assignment kernel solves, refines each matching to the lexicographically
+smallest near-optimal one (``_lex_refine``, ported as ``lex_refine`` in C)
+and certifies it (``_min_cycle``, ported as ``min_cycle``): the matching
+costs at most its dual sum plus ``_TOL``, and ``unique`` says whether every
+other matching costs more than that matching plus ``_TOL``.  The alignment
+kernel solves and counts tied paths; :func:`gsa_grads` turns its path arrays
+into gradients.  Every dispatch increments an invocation counter per kernel
+kind so callers can assert how many solver runs a code path costs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonSquare
+from .errors import DimensionMismatch, InvalidInput, NonSquare
 
 _COUNTS = {"assignment": 0, "gsa": 0, "lp": 0}
 
@@ -64,7 +66,7 @@ def _resolve_backend() -> str:
     if raw == "":
         return "c"
     if raw not in _BACKENDS:
-        raise ValueError(f"COMBGRAD_BACKEND must be 'c' or 'numpy', got {raw!r}")
+        raise InvalidInput(f"COMBGRAD_BACKEND must be 'c' or 'numpy', got {raw!r}")
     return raw
 
 
@@ -87,7 +89,7 @@ def set_backend(name: str) -> str:
     """Switch the active backend; returns the previous one."""
     global _BACKEND
     if name not in _BACKENDS:
-        raise ValueError(f"backend must be 'c' or 'numpy', got {name!r}")
+        raise InvalidInput(f"backend must be 'c' or 'numpy', got {name!r}")
     if name == "c" and c_library() is None:
         raise ImportError("c backend requested but the C kernel library could not be built")
     prev = get_backend()
@@ -155,14 +157,17 @@ def c_library():
 
 # ---------------------------------------------------------------------------
 # Assignment: Jonker-Volgenant style shortest augmenting paths with potentials,
-# then a lexicographic refinement of the matching.
+# then a lexicographic refinement of the matching and its certificate.
 #
 # Indices are 1-based internally (row/column 0 is a sentinel).  The final
 # potentials (u, v) are feasible duals: u[j] + v[k] <= C[j, k] everywhere,
 # with equality on matched edges, so sum(u) + sum(v) equals the optimal cost.
 # ---------------------------------------------------------------------------
 
-# Slack at or below which an edge counts as tight (tied with the optimum).
+# The one tie tolerance.  A matching within _TOL of the optimum is tied with
+# it: refinement counts an edge as tight when its slack is at most _TOL / b,
+# so b tight edges cost at most sum(u) + sum(v) + _TOL, and the certificate
+# calls a matching unique when every other one costs more than it + _TOL.
 _TOL = 1e-9
 
 
@@ -209,19 +214,20 @@ def _assign_core_py(C, u, v, p, way, minv, used, perm):
         perm[p[j] - 1] = j - 1
 
 
-def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *, tol: float) -> np.ndarray:
-    """Refine an optimal matching to the lexicographically smallest one.
+def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Refine an optimal matching to the lexicographically smallest tight one.
 
-    Every optimal matching is a perfect matching of the tight graph
-    {(i, j) : C[i, j] - u[i] - v[j] <= tol}, so the lex-min optimum is found
-    by fixing rows in order: hand row i the smallest tight column for which
-    the displaced rows can re-match (never disturbing already-fixed rows),
-    then freeze it.  The reference for lex_refine in _kernels.c.
+    The tight graph is {(i, j) : C[i, j] - u[i] - v[j] <= _TOL / b}: every
+    exact optimum is a perfect matching of it, and every perfect matching of
+    it costs at most sum(u) + sum(v) + _TOL.  Its lex-min perfect matching
+    is found by fixing rows in order: hand row i the smallest tight column
+    for which the displaced rows can re-match (never disturbing already-fixed
+    rows), then freeze it.  The reference for lex_refine in _kernels.c.
     """
     b = C.shape[0]
     slack = C - u[:, None] - v[None, :]
     # Tight columns per row as Python lists: one nonzero pass, no per-row calls.
-    ti, tj = np.nonzero(slack <= tol)
+    ti, tj = np.nonzero(slack <= _TOL / max(b, 1))
     ends = np.searchsorted(ti, np.arange(b + 1)).tolist()
     tj = tj.tolist()
     cols = [tj[ends[i] : ends[i + 1]] for i in range(b)]
@@ -287,7 +293,41 @@ def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray, *
     return matchL
 
 
-def _assign_many_py(Cs, tol):
+def _min_cycle(W: np.ndarray) -> np.ndarray:
+    """Weight of the lightest directed cycle in each graph of a (k, b, b) stack.
+
+    W[t, i, j] weighs the edge i -> j (inf: no edge); the diagonal is
+    ignored.  A min-plus Floyd-Warshall closure through m = 0..b-1 leaves
+    D[t, i, i] the lightest closed walk through i, and every closed walk is
+    a union of cycles, so the diagonal's minimum is the lightest cycle (inf
+    when the graph has none).  b vectorized steps of O(k b^2) work each.
+    The reference for min_cycle in _kernels.c.
+    """
+    k, b, _ = W.shape
+    D = np.array(W, dtype=np.float64, order="C")
+    diag = D.reshape(k, b * b)[:, :: b + 1]
+    diag[...] = np.inf
+    for m in range(b):
+        np.minimum(D, D[:, :, m, None] + D[:, None, m, :], out=D)
+    return diag.min(axis=1, initial=np.inf)
+
+
+def _certify(Cs, perms, us, vs):
+    """Per instance: does every other matching cost more than perm's + _TOL?
+
+    Any other matching differs from perm by cycles of rows i taking column
+    perm[r].  W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] is the extra
+    cost of one such swap (perm's own edges may keep up to _TOL / b slack,
+    which is subtracted), so a cycle of W weighs what its matching costs
+    beyond perm's.
+    """
+    slack = Cs - us[:, :, None] - vs[:, None, :]
+    S = np.take_along_axis(slack, perms[:, None, :], axis=2)
+    W = S - np.diagonal(S, axis1=1, axis2=2)[:, None, :]
+    return _min_cycle(W) > _TOL
+
+
+def _assign_many_py(Cs):
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
     us = np.empty((k, n))
@@ -301,55 +341,52 @@ def _assign_many_py(Cs, tol):
     perm = np.empty(n, np.int64)
     for t in range(k):
         _assign_core_py(Cs[t], u, v, p, way, minv, used, perm)
-        perms[t] = _lex_refine(Cs[t], perm, u[1:], v[1:], tol=tol)
+        perms[t] = _lex_refine(Cs[t], perm, u[1:], v[1:])
         us[t] = u[1:]
         vs[t] = v[1:]
-    return perms, us, vs
+    return perms, us, vs, _certify(Cs, perms, us, vs)
 
 
-def _assign_many_c(Cs, tol):
+def _assign_many_c(Cs):
     k, n, _ = Cs.shape
-    perms = np.empty((k, n), np.int64)
-    us = np.empty((k, n))
-    vs = np.empty((k, n))
-    if c_library().assign_many(Cs.ctypes.data, k, n, tol, perms.ctypes.data, us.ctypes.data, vs.ctypes.data):
+    perms, uvs, unique = np.empty((k, n), np.int64), np.empty((2, k, n)), np.empty(k, np.bool_)
+    # u and v share one buffer: each pointer lookup costs about 1.5 us.
+    if c_library().assign_many(Cs.ctypes.data, k, n, _TOL, perms.ctypes.data, uvs.ctypes.data, unique.ctypes.data):
         # Allocation failed or a reduced cost overflowed: the reference decides.
-        return _assign_many_py(Cs, tol)
-    return perms, us, vs
+        return _assign_many_py(Cs)
+    return perms, uvs[0], uvs[1], unique
 
 
-def _assign_many(Cs, tol):
+def _assign_many(Cs):
     if Cs.ndim != 3:
         raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
     if Cs.shape[1] != Cs.shape[2]:
         raise NonSquare(f"cost matrices must be square, got {Cs.shape[1:]}")
     Cs = np.ascontiguousarray(Cs, dtype=np.float64)
-    tol = float(tol)
-    return _assign_many_c(Cs, tol) if get_backend() == "c" else _assign_many_py(Cs, tol)
+    return _assign_many_c(Cs) if get_backend() == "c" else _assign_many_py(Cs)
 
 
-def assignment_kernel(C: np.ndarray, tol: float = _TOL):
-    """Solve one square assignment instance.  Returns (perm, u, v).
+def assignment_kernel(C: np.ndarray):
+    """Solve and certify one square assignment instance.
 
-    (u, v) are feasible duals of the exact optimum.  perm is the
-    lexicographically smallest perfect matching on edges whose slack
-    C[i, j] - u[i] - v[j] is at most tol.  On exact ties that is the
-    lex-min optimum; an edge within tol of tight can make it cost up to
-    b * tol more than the minimum.
+    Returns (perm, u, v, unique).  (u, v) are feasible duals of the exact
+    optimum.  perm is the lexicographically smallest matching whose edges
+    each have slack C[i, j] - u[i] - v[j] of at most _TOL / b, so it costs
+    at most sum(u) + sum(v) + _TOL, within _TOL of the minimum; on exact
+    ties it is the lex-min optimum.  unique is True when every other
+    matching costs more than perm's cost + _TOL.
     """
     increment("assignment")
-    perms, us, vs = _assign_many(C[None, :, :], tol)
-    return perms[0], us[0], vs[0]
+    perms, us, vs, unique = _assign_many(C[None, :, :])
+    return perms[0], us[0], vs[0], unique[0]
 
 
-def assignment_kernel_many(Cs: np.ndarray, tol: float = _TOL):
-    """Solve a (k, n, n) stack of assignment instances in one dispatch.
-
-    Returns assignment_kernel's outputs stacked: each perm is its
-    instance's lex-min tol-tight matching.
-    """
+def assignment_kernel_many(Cs: np.ndarray):
+    """Solve and certify a (k, n, n) stack of assignment instances in one
+    dispatch; returns assignment_kernel's outputs stacked (unique as a (k,)
+    bool array)."""
     increment("assignment", int(Cs.shape[0]))
-    return _assign_many(Cs, tol)
+    return _assign_many(Cs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import _kernels
 from .core import _freeze, _log_costs
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
 def check_gap_factor(gamma) -> float:
-    """gamma as a float; ValueError unless it is finite and greater than 1."""
+    """gamma as a float; InvalidInput unless it is finite and greater than 1."""
     if not np.isfinite(gamma) or gamma <= 1.0:
-        raise ValueError("gap factor must be a finite number greater than 1")
+        raise InvalidInput("gap factor must be a finite number greater than 1")
     return float(gamma)
 
 
@@ -165,5 +165,10 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     gamma = check_grids(ms, gamma)
     zs, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(ms, gamma)
     Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
-    grad = -(Gs.reshape(m.shape) @ Y) * active
+    # A cell's coefficient sums its path steps, up to (Tp + Tt) * gamma, so
+    # finite reference rows near 1e308 can still overflow the gradient.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = -(Gs.reshape(m.shape) @ Y) * active
+    if not np.isfinite(grad).all():
+        raise NonFinite("reference rows this large overflow the alignment gradient")
     return (zs if m.ndim == 3 else float(zs[0])), grad

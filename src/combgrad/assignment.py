@@ -17,9 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .core import GenGrad, _freeze, _log_costs
-from .errors import DimensionMismatch, NonFinite, NonSquare
-
-_TOL = _kernels._TOL
+from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
 
 
 def _check_cost_range(Cs: np.ndarray) -> None:
@@ -53,32 +51,16 @@ def _validate_cost(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _min_cycle(W: np.ndarray) -> np.ndarray:
-    """Weight of the lightest directed cycle in each graph of a (k, b, b) stack.
-
-    W[t, i, j] weighs the edge i -> j (inf: no edge); the diagonal is
-    ignored.  A min-plus Floyd-Warshall closure through m = 0..b-1 leaves
-    D[t, i, i] the lightest closed walk through i, and every closed walk is
-    a union of cycles, so the diagonal's minimum is the lightest cycle (inf
-    when the graph has none).  b vectorized steps of O(k b^2) work each.
-    """
-    k, b, _ = W.shape
-    D = np.array(W, dtype=np.float64, order="C")
-    diag = D.reshape(k, b * b)[:, :: b + 1]
-    diag[...] = np.inf
-    for m in range(b):
-        np.minimum(D, D[:, :, m, None] + D[:, None, m, :], out=D)
-    return diag.min(axis=1, initial=np.inf)
-
-
 @dataclass(frozen=True)
 class MatchingResult:
     """Optimal assignment with its certificate.
 
-    perm maps row i to column perm[i]; M is the 0/1 matrix of the matching;
-    duals satisfy u[i] + v[j] <= C[i, j] with equality on matched pairs and
-    sum(u) + sum(v) == z_star.  unique is True when every other matching
-    costs more than z_star + tol, so M is the whole gradient.
+    perm maps row i to column perm[i]; M is the 0/1 matrix of the matching.
+    The duals satisfy u[i] + v[j] <= C[i, j] and sum to the minimum cost;
+    z_star, perm's cost, is within tol = 1e-9 of it: each matched pair has
+    slack C[i, j] - u[i] - v[j] of at most tol / b.  unique is True when
+    every other matching costs more than z_star + tol, so M is the whole
+    gradient.
     """
 
     perm: tuple
@@ -89,32 +71,28 @@ class MatchingResult:
     unique: bool
 
 
-def solve_assignment(C: np.ndarray, *, tol: float = _TOL) -> MatchingResult:
+def solve_assignment(C: np.ndarray) -> MatchingResult:
     """Min-cost perfect matching on a square cost matrix, certified.
 
-    Runs a single O(b^3) shortest-augmenting-path pass, whose kernel refines
-    the matching to the lexicographically smallest optimal one so equal-cost
-    inputs always yield the same answer.  Any other matching differs from
-    perm by cycles of rows i taking column perm[r], so one O(b^3) closure
-    over those swaps' costs certifies uniqueness without a second solve.
+    One kernel call runs a single O(b^3) shortest-augmenting-path pass,
+    refines the matching to the lexicographically smallest one within tol
+    of the optimum, so equal-cost inputs always yield the same answer, and
+    certifies it: any other matching differs from perm by cycles of swaps,
+    and an O(b^3) closure over the swaps' costs finds the cheapest without
+    a second solve.
     """
     C = _validate_cost(C)
     b = C.shape[0]
-    perm, u, v = _kernels.assignment_kernel(C, tol)
-    z = float(C[np.arange(b), perm].sum())
+    perm, u, v, unique = _kernels.assignment_kernel(C)
     M = np.zeros((b, b))
     M[np.arange(b), perm] = 1.0
-    # W[i, r]: the extra cost of row i taking perm[r].  Refinement may leave
-    # perm's own edges up to tol slack, so that slack is subtracted.
-    slack = C[:, perm] - u[:, None] - v[perm]
-    W = slack - np.diagonal(slack)
     return MatchingResult(
         perm=tuple(int(j) for j in perm),
         M=_freeze(M),
-        z_star=z,
+        z_star=float(C[np.arange(b), perm].sum()),
         duals_u=_freeze(u),
         duals_v=_freeze(v),
-        unique=bool(_min_cycle(W[None])[0] > tol),
+        unique=bool(unique),
     )
 
 
@@ -139,18 +117,18 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if not (logP.ndim in (2, 3) and logP.shape == Y.shape and 0 not in logP.shape[:-1]):
+    if not (logP.ndim in (2, 3) and logP.shape == Y.shape and 0 not in logP.shape):
         raise DimensionMismatch(
-            "logP and Y must share a (b, d) shape, or a (k, b, d) stack shape, with k, b >= 1;"
+            "logP and Y must share a (b, d) shape, or a (k, b, d) stack shape, with k, b, d >= 1;"
             f" got {logP.shape} and {Y.shape}"
         )
     Ys = Y.reshape(-1, *Y.shape[-2:])
     Cs, active = _log_costs(logP.reshape(Ys.shape), Ys)
     rowsum = np.abs(np.logaddexp.reduce(logP, axis=-1))
     if np.any(rowsum > 1e-6):
-        raise ValueError("each logP row must be a normalized log-distribution")
+        raise InvalidInput("each logP row must be a normalized log-distribution")
     _check_cost_range(Cs)
-    perms, _, _ = _kernels.assignment_kernel_many(Cs, _TOL)
+    perms = _kernels.assignment_kernel_many(Cs)[0]
     zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
     grad = -np.take_along_axis(Ys, perms[:, :, None], axis=1) * active
     if logP.ndim == 2:

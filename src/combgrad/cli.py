@@ -44,6 +44,7 @@ from .errors import (
     DegenerateInstance,
     Infeasible,
     IterationLimit,
+    NonFinite,
     TrainAborted,
     Unbounded,
 )
@@ -155,7 +156,10 @@ def _lp_spec(problem: dict) -> LPSpec:
 def _solve_lp_doc(problem: dict) -> dict:
     spec = _lp_spec(problem)
     out = solve_lp(spec)
-    dA = -np.outer(out.v_star, out.u_star)
+    with np.errstate(over="ignore"):
+        dA = -np.outer(out.v_star, out.u_star)
+    if not np.isfinite(dA).all():
+        raise NonFinite("the gradient in A, -outer(v*, u*), overflows")
     return {
         "kind": "lp",
         "problem": {"c": spec.c.tolist(), "A": spec.A.tolist(), "b": spec.b.tolist()},
@@ -412,7 +416,7 @@ def _bench_assignment(size: int, args, rng: np.random.Generator) -> tuple:
     batch_idx = np.arange(k)[:, None]
 
     def solve_grad(batch: np.ndarray) -> None:
-        perms, _, _ = _kernels.assignment_kernel_many(batch)
+        perms = _kernels.assignment_kernel_many(batch)[0]
         grads = np.zeros((k, size, size))
         grads[batch_idx, rows_idx, perms] = 1.0
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingWitness, NonFinite
+from .errors import DimensionMismatch, InvalidInput, MissingWitness, NonFinite
 
 DEFAULT_ATOL = 1e-9
 
@@ -48,10 +48,13 @@ def _log_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
     """
     if not np.isfinite(Y).all():
         raise NonFinite("reference rows must be finite")
-    if np.isnan(logP).any() or np.isposinf(logP).any():
+    if not (logP < np.inf).all():  # one pass: False at NaN and at +inf
         raise NonFinite("log-probabilities must not contain NaN or +inf")
     floor = np.log(_LOG_FLOOR)
-    C = -(np.maximum(logP, floor) @ np.swapaxes(Y, -1, -2))
+    # Finite entries near 1e308 can still overflow a product or a sum; the
+    # callers' range checks reject the non-finite costs that result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = -(np.maximum(logP, floor) @ np.swapaxes(Y, -1, -2))
     return C, (logP > floor).astype(np.float64)
 
 
@@ -163,7 +166,7 @@ def supergradient_check(
     Reports the worst violation found (positive = violated).
     """
     if sense not in ("concave", "convex"):
-        raise ValueError("sense must be 'concave' or 'convex'")
+        raise InvalidInput("sense must be 'concave' or 'convex'")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:

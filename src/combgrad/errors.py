@@ -5,6 +5,10 @@ class CombgradError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(CombgradError, ValueError):
+    """An argument is outside the values the function accepts."""
+
+
 class DimensionMismatch(CombgradError):
     """Array dimensions are inconsistent with the declared problem."""
 

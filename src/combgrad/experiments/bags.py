@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import tape
 from ..assignment import filter_bag, matching_loss
-from ..errors import CombgradError, NonFinite, TrainAborted
+from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
 from .common import MetricsRow, TrainConfig
 
 _HIDDEN = 64
@@ -37,11 +37,11 @@ class BagDatasetSpec:
 
     def validate(self) -> None:
         if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise InvalidInput("need at least 2 classes")
         if self.n < self.num_classes:
-            raise ValueError("need at least one sample per class")
+            raise InvalidInput("need at least one sample per class")
         if self.feature_dim < 1:
-            raise ValueError("feature_dim must be positive")
+            raise InvalidInput("feature_dim must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def train_bags(
     """
     config.validate()
     if config.loss == "gsa":
-        raise ValueError("the alignment loss does not apply to the bag task")
+        raise InvalidInput("the alignment loss does not apply to the bag task")
     if spec is None:
         spec = BagDatasetSpec(seed=config.seed)
     data = gen_bag_dataset(spec)

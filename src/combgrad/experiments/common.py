@@ -13,6 +13,8 @@ import csv
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Tuple
 
+from ..errors import InvalidInput
+
 _LOSSES = ("mle", "matching", "gsa")
 _FEEDS = ("softmax", "gumbel_st")
 
@@ -39,28 +41,28 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.loss not in _LOSSES:
-            raise ValueError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
+            raise InvalidInput(f"loss must be one of {_LOSSES}, got {self.loss!r}")
         if self.feed not in _FEEDS:
-            raise ValueError(f"feed must be one of {_FEEDS}, got {self.feed!r}")
+            raise InvalidInput(f"feed must be one of {_FEEDS}, got {self.feed!r}")
         if self.bag_size < 1:
-            raise ValueError("bag_size must be at least 1")
+            raise InvalidInput("bag_size must be at least 1")
         if self.loss == "gsa" and not self.gamma > 1.0:
-            raise ValueError("the gap factor gamma must be > 1 for the alignment loss")
+            raise InvalidInput("the gap factor gamma must be > 1 for the alignment loss")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise InvalidInput("epochs must be at least 1")
         if not self.lr > 0:
-            raise ValueError("lr must be positive")
+            raise InvalidInput("lr must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise InvalidInput("batch_size must be at least 1")
         if not (0.0 < self.threshold <= 1.0):
-            raise ValueError("threshold must lie in (0, 1]")
+            raise InvalidInput("threshold must lie in (0, 1]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**d)
         cfg.validate()
         return cfg

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import _kernels, tape
-from ..alignment import check_gap_factor, check_grids, gsa_loss
-from ..errors import CombgradError, NonFinite, TrainAborted
+from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
+from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
 from .common import MetricsRow, TrainConfig
 
 PAD = 0
@@ -63,13 +63,13 @@ class SeqTaskSpec:
 
     def validate(self) -> None:
         if self.vocab < 3:
-            raise ValueError("vocab must be at least 3 (PAD and EOS are reserved)")
+            raise InvalidInput("vocab must be at least 3 (PAD and EOS are reserved)")
         if self.min_len < 1 or self.max_len < self.min_len:
-            raise ValueError("need 1 <= min_len <= max_len")
+            raise InvalidInput("need 1 <= min_len <= max_len")
         if not (0.0 <= self.p_drop < 1.0 and 0.0 <= self.p_insert < 1.0):
-            raise ValueError("corruption probabilities must lie in [0, 1)")
+            raise InvalidInput("corruption probabilities must lie in [0, 1)")
         if self.n < 2:
-            raise ValueError("need at least 2 examples")
+            raise InvalidInput("need at least 2 examples")
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,11 @@ def evaluate(
     """(mean alignment cost, exact-match rate) of greedy decodes.
 
     Decoding runs until EOS (inclusive) with a hard cap of max_len + 4
-    steps; the alignment cost compares the emitted rows against the target,
-    so length mismatches are scored rather than crashing.  The rows of each
-    decode batch are solved in groups of equal (decode length, target
-    length), one batched kernel call per group.
+    steps; the alignment cost compares the emitted rows against the target
+    with the floored match costs gsa_loss trains on, so length mismatches
+    are scored rather than crashing.  The rows of each decode batch are
+    solved in groups of equal (decode length, target length), one batched
+    kernel call per group.
     """
     steps = max_len + 4
     by_len: Dict[int, List[int]] = {}
@@ -282,7 +283,7 @@ def evaluate(
             groups.setdefault((end, len(tgt)), []).append(row)
         for (end, _), rows in groups.items():
             Y = eye[np.stack([pairs[idx[row]][1] for row in rows])]
-            ms = -(logps[rows, :end] @ np.swapaxes(Y, 1, 2))
+            ms = _match_costs(logps[rows, :end], Y)[0]
             zs = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))[0]
             costs[[idx[row] for row in rows]] = zs
     return float(costs.mean()), float(exact.mean())
@@ -300,7 +301,7 @@ def train_seq(
     """
     config.validate()
     if config.loss == "matching":
-        raise ValueError("the matching loss does not apply to the sequence task")
+        raise InvalidInput("the matching loss does not apply to the sequence task")
     # Held-out quality is an alignment cost whatever the loss, so gamma must
     # be valid before any work starts.
     check_gap_factor(config.gamma)

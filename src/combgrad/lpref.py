@@ -75,9 +75,18 @@ def solve_lp(spec: LPSpec, *, tol: float = 1e-9) -> SolverOutcome:
     duals v* recovered from the optimal basis, and a uniqueness flag that is
     True iff every nonbasic reduced cost is strictly positive.
 
-    Raises Infeasible or Unbounded.
+    Raises Infeasible or Unbounded, and NonFinite when finite data still
+    overflow the arithmetic (entries near 1e308).
     """
     _kernels.increment("lp")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _two_phase(spec, tol)
+    except FloatingPointError as exc:
+        raise NonFinite(f"LP data overflow the simplex arithmetic ({exc})") from None
+
+
+def _two_phase(spec: LPSpec, tol: float) -> SolverOutcome:
     m, p = spec.num_constraints, spec.num_vars
     sign = np.where(spec.b < 0, -1.0, 1.0)
     A = spec.A * sign[:, None]

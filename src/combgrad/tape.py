@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, ShapeMismatch
+from .errors import DimensionMismatch, InvalidInput, NonFinite, ShapeMismatch
 
 
 class Tensor:
@@ -250,7 +250,7 @@ def nll(logp: Tensor, targets: np.ndarray, *, reduction: str = "mean") -> Tensor
 
     targets may be integer class ids (n,) or one-hot rows (n, d)."""
     if reduction not in ("mean", "sum"):
-        raise ValueError("reduction must be 'mean' or 'sum'")
+        raise InvalidInput("reduction must be 'mean' or 'sum'")
     targets = np.asarray(targets)
     if targets.ndim == 2:
         if targets.shape != logp.value.shape:
@@ -334,7 +334,7 @@ class ParamStore:
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
+            raise InvalidInput(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(value, dtype=np.float64))
         self.params[name] = t
         return t
@@ -397,7 +397,7 @@ def load_checkpoint(path: str) -> ParamStore:
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
-        raise ValueError("not a recognized checkpoint file")
+        raise InvalidInput("not a recognized checkpoint file")
     store = ParamStore()
     i = 1
     while i < len(lines):
@@ -420,6 +420,6 @@ def load_checkpoint(path: str) -> ParamStore:
             store.add(name, vals.reshape(shape))
             i += 2
         else:
-            raise ValueError(f"unrecognized checkpoint line: {line!r}")
+            raise InvalidInput(f"unrecognized checkpoint line: {line!r}")
     return store
 

@@ -25,8 +25,7 @@ from combgrad import (
     solve_assignment,
 )
 from combgrad import _kernels
-from combgrad._kernels import _assign_core_py, _lex_refine
-from combgrad.assignment import _min_cycle
+from combgrad._kernels import _assign_core_py, _lex_refine, _min_cycle
 
 from helpers import central_fd
 
@@ -208,7 +207,7 @@ class TestBackendOption:
         # The former backend names and aliases are refused, not remapped.
         proc = self._import_with(value, tmp_path)
         assert proc.returncode != 0
-        assert "ValueError" in proc.stderr
+        assert "InvalidInput" in proc.stderr
         assert "'c' or 'numpy'" in proc.stderr and repr(value) in proc.stderr
 
     def test_set_backend_accepts_only_c_and_numpy(self):
@@ -251,10 +250,10 @@ def _raw_kernel_many(Cs):
     return perms, us, vs
 
 
-def _refined_reference(C, tol=1e-9):
+def _refined_reference(C):
     # The kernel's contract written out: the raw solve, then _lex_refine.
     perms, us, vs = _raw_kernel_many(C[None])
-    return _lex_refine(C, perms[0], us[0], vs[0], tol=tol), us[0], vs[0]
+    return _lex_refine(C, perms[0], us[0], vs[0]), us[0], vs[0]
 
 
 def _sweep_unique(C, perm, z, tol=1e-9):
@@ -279,8 +278,8 @@ def _certificate_instances(sizes, seed):
             yield "uniform", rng.uniform(-1.0, 1.0, size=(b, b))
             yield "integer ties", rng.integers(0, 3, size=(b, b)).astype(np.float64)
             yield "integers x 1e-10", 1e-10 * rng.integers(0, 4, size=(b, b))
-            # Integer multiples of these land just off tol = 1e-9, and
-            # refinement moves onto edges with slack up to tol.
+            # Integer multiples of these land just off tol = 1e-9 and off
+            # tol / b, and refinement moves onto edges with slack up to tol / b.
             for scale in (0.3e-9, 0.35e-9, 0.45e-9, 0.6e-9):
                 yield f"integers x {scale:g}", scale * rng.integers(0, 4, size=(b, b))
 
@@ -292,8 +291,8 @@ class TestUniquenessCertificate:
             res = solve_assignment(C)
             z, argmins = enumerate_permutations(C)
             # Unique: the returned matching is the only one within tol of the
-            # minimum.  Refinement may land above the minimum (the 0.35e-9
-            # and 0.6e-9 families do), and then the optimum is not unique.
+            # minimum.  Refinement may land up to tol above the minimum (the
+            # families scaled below tol do), and then the optimum is not unique.
             assert res.unique == (argmins == [res.perm]), (family, C.shape)
             seen.add((family, res.unique))
         assert len(seen) == 13  # every family but uniform shows both verdicts
@@ -592,9 +591,9 @@ class TestStackedMatchingLoss:
         dispatches = []
         many = _kernels.assignment_kernel_many
 
-        def counted(Cs, tol):
+        def counted(Cs):
             dispatches.append(Cs.shape)
-            return many(Cs, tol)
+            return many(Cs)
 
         monkeypatch.setattr(_kernels, "assignment_kernel_many", counted)
         reset_invocations()
@@ -638,40 +637,52 @@ def _tie_heavy_costs(draw):
 
 class TestLexRefinedKernel:
     def test_slack_is_rounded_in_the_reference_order(self, backend):
-        # Slacks here land within rounding of tol: (C - u) - v and
-        # C - (u + v) disagree on which edges are tight, and so on the
-        # refined matching.  Both backends take numpy's order.
+        # Slacks here land within rounding of the tight threshold tol / 5:
+        # (C - u) - v and C - (u + v) disagree on which edges are tight, and
+        # so on the refined matching.  Both backends take numpy's order.
         C = np.array(
             [
-                [0.300000002, 0.2, 0.300000002, 0.700000002, 0.1],
-                [0.3, 0.2, 0.100000001, 0.700000002, 0.100000001],
-                [0.100000002, 3.3, 1.100000002, 1.1000000010000002, 0.700000002],
-                [0.2, 0.7, 0.1, 0.7, 0.1],
-                [3.3, 1.100000002, 0.1, 0.7, 1.1000000010000002],
+                [0.10000000020000001, 0.1, 1.1000000002, 0.10000000020000001, 0.20000000010000002],
+                [0.3, 0.3000000001, 3.3000000002, 0.3000000002, 0.2],
+                [1.1, 0.10000000020000001, 3.3, 0.7, 0.10000000020000001],
+                [0.7000000001, 0.7, 1.1000000002, 0.2000000002, 0.1000000001],
+                [0.3000000002, 0.7, 3.3000000002, 1.1000000002, 0.2],
             ]
         )
-        assert _kernels.assignment_kernel(C)[0].tolist() == _refined_reference(C)[0].tolist() == [1, 2, 0, 4, 3]
+        assert _kernels.assignment_kernel(C)[0].tolist() == _refined_reference(C)[0].tolist() == [3, 0, 1, 2, 4]
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(C=_tie_heavy_costs())
     def test_perm_is_the_lex_min_perfect_matching_of_the_tight_graph(self, C):
         # Enumeration in lexicographic order: the first permutation whose
-        # every edge has slack <= tol under the kernel's own duals.
-        perm, u, v = _kernels.assignment_kernel(C)
+        # every edge has slack <= tol / b under the kernel's own duals.
+        perm, u, v, _ = _kernels.assignment_kernel(C)
         slack = C - u[:, None] - v[None, :]
         b = C.shape[0]
-        want = next(p for p in itertools.permutations(range(b)) if all(slack[i, p[i]] <= 1e-9 for i in range(b)))
+        want = next(p for p in itertools.permutations(range(b)) if all(slack[i, p[i]] <= 1e-9 / b for i in range(b)))
         assert tuple(perm.tolist()) == want
 
-    def test_edges_within_tol_are_refined_though_the_sum_is_not(self):
-        # The alternative matching costs 1.2e-9 more than the optimum, beyond
-        # tol, but each of its edges is tight, so the kernel switches to it.
+    def test_a_matching_dearer_by_more_than_tol_is_not_taken(self, backend):
+        # The lex-smaller matching costs 1.2e-9 more than the optimum, beyond
+        # tol.  Each of its edges has slack 0.6e-9 <= tol, but above tol / 2,
+        # so the kernel keeps the optimum and certifies it unique.
         C = np.array([[0.6e-9, 0.0], [0.0, 0.6e-9]])
         assert _raw_kernel_many(C[None])[0][0].tolist() == [1, 0]
-        perms, _, _ = _kernels.assignment_kernel_many(C[None])
-        assert perms[0].tolist() == [0, 1]
-        assert _kernels.assignment_kernel(C)[0].tolist() == [0, 1]
+        perms, _, _, unique = _kernels.assignment_kernel_many(C[None])
+        assert perms[0].tolist() == [1, 0] and unique.tolist() == [True]
+        res = solve_assignment(C)
+        assert res.perm == (1, 0) and res.z_star == 0.0 and res.unique is True
         assert matching_loss(np.log(np.full((2, 2), 0.5)), np.eye(2))[1].tolist() == (-np.eye(2)).tolist()
+
+    def test_tie_break_keeps_the_optimum(self, backend):
+        # The refined matching costs at most the dual sum + tol, so within
+        # tol of the minimum, on the families whose slacks sit near tol.
+        for family, C in _certificate_instances([(b, 10) for b in range(1, 9)], seed=73):
+            res = solve_assignment(C)
+            z, argmins = enumerate_permutations(C)
+            assert res.z_star <= z + 1e-9, (family, C.shape)
+            assert abs(res.duals_u.sum() + res.duals_v.sum() - res.z_star) <= 1e-9, (family, C.shape)
+            assert res.unique == (argmins == [res.perm]), (family, C.shape)
 
 
 class TestFilterBag:

@@ -181,6 +181,24 @@ class TestSolve:
         assert err.startswith("error[input]:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"c": [1e308, 1e308], "A": [[1, 1]], "b": [1e308]},  # z* = c.u* overflows
+            {"c": [1], "A": [[1e-5]], "b": [1e300]},  # z* is finite, -outer(v*, u*) is not
+        ],
+    )
+    def test_lp_data_that_overflow_are_one_input_error_line(self, tmp_path, problem):
+        # A subprocess, so numpy warnings would reach stderr as they do for a
+        # user instead of being collected by pytest.
+        inst = write_json(tmp_path / "lp.json", problem)
+        proc = subprocess.run(
+            [sys.executable, "-m", "combgrad", "solve", "lp", inst], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error\[input\]: [^\n]*overflow[^\n]*\n", proc.stderr), proc.stderr
+
     def test_infeasible_lp_exits_three(self, tmp_path, capsys):
         inst = write_json(tmp_path / "lp.json", {"c": [1.0], "A": [[1.0]], "b": [-1.0]})
         code, _, err = run_cli(["solve", "lp", inst], capsys)

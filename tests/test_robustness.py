@@ -1,0 +1,171 @@
+"""Bad input ends in a typed error.
+
+Every argument check in the library raises a ``CombgradError`` (the
+argument checks raise ``InvalidInput``, which is also a ``ValueError``), and
+random damaged arrays fed to the public entry points either give a result
+or raise a ``CombgradError``: never another exception, never a numpy
+warning.  Assignment results also keep the tie contract: z* is within tol
+of the minimum found by enumeration.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from combgrad import (
+    AlignGrid,
+    CombgradError,
+    InvalidInput,
+    LPSpec,
+    enumerate_permutations,
+    gsa_loss,
+    matching_loss,
+    set_backend,
+    solve_assignment,
+    solve_gsa,
+    solve_lp,
+    supergradient_check,
+    tape,
+)
+from combgrad import _kernels
+from combgrad.alignment import check_gap_factor
+from combgrad.experiments import BagDatasetSpec, SeqTaskSpec, TrainConfig
+from combgrad.experiments.bags import train_bags
+from combgrad.experiments.seq import train_seq
+
+
+def _duplicate_parameter(tmp_path, monkeypatch):
+    store = tape.ParamStore()
+    store.add("w", np.zeros(2))
+    store.add("w", np.zeros(2))
+
+
+def _foreign_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    path.write_text("not a checkpoint\n")
+    tape.load_checkpoint(str(path))
+
+
+def _backend_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("COMBGRAD_BACKEND", "numba")
+    _kernels._resolve_backend()
+
+
+_ARGUMENT_CHECKS = {
+    "check_gap_factor": lambda *_: check_gap_factor(1.0),
+    "matching_loss normalization": lambda *_: matching_loss(np.zeros((2, 2)), np.eye(2)),
+    "TrainConfig.validate": lambda *_: TrainConfig(loss="hinge").validate(),
+    "TrainConfig.from_dict": lambda *_: TrainConfig.from_dict({"loss": "matching", "momentum": 0.9}),
+    "BagDatasetSpec.validate": lambda *_: BagDatasetSpec(num_classes=1).validate(),
+    "SeqTaskSpec.validate": lambda *_: SeqTaskSpec(vocab=2).validate(),
+    "train_bags loss": lambda *_: train_bags(TrainConfig(loss="gsa"), BagDatasetSpec(n=20)),
+    "train_seq loss": lambda *_: train_seq(TrainConfig(loss="matching"), SeqTaskSpec(n=4)),
+    "nll reduction": lambda *_: tape.nll(tape.Tensor(np.log(np.full((1, 2), 0.5))), np.array([0]), reduction="max"),
+    "ParamStore.add": _duplicate_parameter,
+    "load_checkpoint": _foreign_checkpoint,
+    "supergradient_check sense": lambda *_: supergradient_check(np.sum, np.zeros(2), np.ones(2), sense="linear"),
+    "set_backend": lambda *_: set_backend("numba"),
+    "COMBGRAD_BACKEND": _backend_variable,
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ARGUMENT_CHECKS))
+def test_each_argument_check_raises_a_combgrad_error(site, tmp_path, monkeypatch):
+    with pytest.raises(CombgradError) as info:
+        _ARGUMENT_CHECKS[site](tmp_path, monkeypatch)
+    # Still a ValueError, so callers that catch that keep working.
+    assert isinstance(info.value, InvalidInput) and isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the public entry points on damaged arrays
+# ---------------------------------------------------------------------------
+
+# Clean arrays reach the solvers; damaged ones carry NaN, +-inf, +-1e308 or
+# 1e-300.  Tied arrays of 0.3e-9 to 0.6e-9 put slacks near the tie
+# thresholds tol and tol / b.
+# Each strategy mostly draws well-formed input, so the solvers run, and
+# otherwise any shape: empty, mismatched or of the wrong rank.
+_TIED = st.sampled_from([0.0, 0.3e-9, 0.35e-9, 0.45e-9, 0.6e-9])
+_CLEAN = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1.0]), _TIED)
+_DAMAGED = st.one_of(_CLEAN, st.sampled_from([1e-300, 1e308, -1e308, np.inf, -np.inf, np.nan]))
+_GAMMAS = st.one_of(st.floats(1.5, 4.0), st.floats(1.5, 4.0), _DAMAGED)
+
+
+@st.composite
+def _shape(draw, ndims=(1, 3), sizes=(0, 4)):
+    return tuple(draw(st.integers(*sizes)) for _ in range(draw(st.integers(*ndims))))
+
+
+@st.composite
+def _array(draw, shape):
+    size = int(np.prod(shape))
+    values = draw(st.sampled_from([_CLEAN, _CLEAN, _TIED, _DAMAGED]))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def _rows_pair(draw):
+    # Score rows and reference rows: one shape, one class dimension, or
+    # independent shapes.
+    shape = draw(_shape((2, 3), (1, 4)) | _shape())
+    other = shape[:-2] + (draw(st.integers(1, 4)),) + shape[-1:] if len(shape) > 1 else shape
+    return draw(_array(shape)), draw(_array(shape) | _array(other) | _shape().flatmap(_array))
+
+
+@st.composite
+def _lp(draw):
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    shapes = draw(st.sampled_from([((n,), (m, n), (m,))] * 2 + [((n,), (n, m), (m + 1,))]))
+    return tuple(draw(_array(shape)) for shape in shapes)
+
+
+_SQUARE = st.integers(0, 6).flatmap(lambda b: _array((b, b)))
+_CALLS = st.one_of(
+    st.tuples(st.just("solve_assignment"), _SQUARE | _shape().flatmap(_array)),
+    st.tuples(st.just("matching_loss"), _rows_pair(), st.booleans()),
+    st.tuples(st.just("solve_gsa"), (_shape((2, 2), (1, 5)) | _shape()).flatmap(_array), _GAMMAS),
+    st.tuples(st.just("gsa_loss"), _rows_pair(), _GAMMAS, st.booleans()),
+    st.tuples(st.just("solve_lp"), _lp()),
+)
+
+
+def _log_rows(x):
+    # Normalized rows where the draw allows it, so matching_loss gets past
+    # its normalization check; damaged values stay damaged.
+    with np.errstate(all="ignore"):
+        return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+
+
+def _call(name, *args):
+    if name == "solve_assignment":
+        return solve_assignment(args[0])
+    if name == "matching_loss":
+        (logP, Y), normalize = args
+        return matching_loss(_log_rows(logP) if normalize else logP, Y)
+    if name == "solve_gsa":
+        return solve_gsa(AlignGrid(m=args[0], gamma=args[1]))
+    if name == "gsa_loss":
+        (logP, Y), gamma, normalize = args
+        return gsa_loss(_log_rows(logP) if normalize else logP, Y, gamma)
+    return solve_lp(LPSpec(*args[0]))
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(call=_CALLS)
+def test_entry_points_return_or_raise_a_combgrad_error(call):
+    name, *args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = _call(name, *args)
+        except CombgradError:
+            return
+    if name == "solve_assignment" and out.M.shape[0] <= 6:
+        # The tie contract: the refined matching is within tol of the minimum.
+        z, argmins = enumerate_permutations(args[0])
+        assert out.z_star <= z + 1e-9
+        assert out.unique == (argmins == [out.perm])
