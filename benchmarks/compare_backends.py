@@ -51,7 +51,7 @@ def _time_gsa(size: int, repeats: int, rng: np.random.Generator) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
+        _, kinds, eis, eks, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
         _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
         best = min(best, (time.perf_counter() - t0) / k)
     return best
@@ -89,7 +89,7 @@ def _check_equivalence(rng: np.random.Generator) -> None:
         rj = _kernels.gsa_kernel(m, 1.5)
         _kernels.set_backend("numpy")
         rp = _kernels.gsa_kernel(m, 1.5)
-        assert rj[0] == rp[0] and rj[5:] == rp[5:] and all(np.array_equal(a, b) for a, b in zip(rj[1:5], rp[1:5])), (
+        assert rj[0] == rp[0] and rj[4:] == rp[4:] and all(np.array_equal(a, b) for a, b in zip(rj[1:4], rp[1:4])), (
             "gsa backends disagree"
         )
         B, Tp, Tt, d = (int(x) for x in rng.integers(1, 12, size=4))

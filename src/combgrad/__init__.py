@@ -26,7 +26,6 @@ from .assignment import (
     solve_assignment,
 )
 from .core import (
-    DEFAULT_ATOL,
     GenGrad,
     LPSpec,
     SolverOutcome,
@@ -41,7 +40,6 @@ from .errors import (
     Infeasible,
     InvalidInput,
     IterationLimit,
-    MissingWitness,
     NonFinite,
     NonSquare,
     ShapeMismatch,
@@ -78,7 +76,6 @@ __all__ = [
     "SupergradReport",
     "strong_duality_gap",
     "supergradient_check",
-    "DEFAULT_ATOL",
     # assignment
     "MatchingResult",
     "solve_assignment",
@@ -108,7 +105,6 @@ __all__ = [
     "InvalidInput",
     "DimensionMismatch",
     "ShapeMismatch",
-    "MissingWitness",
     "NonSquare",
     "NonFinite",
     "Infeasible",

@@ -236,13 +236,14 @@ done:
 }
 
 /* Alignment: port of _gsa_py (lattice DP with tie counting, then the
- * backtrack) over a (nb, Tp, Tt) stack.  Per instance t it writes zs[t],
- * the path arrays of length Tp + Tt at offset t * (Tp + Tt) (filled from
- * the end, zero before pos[t]), pos[t] and unique[t].  Fails if the
- * backtrack would leave the lattice, which only unreachable (infinite-cost)
- * nodes cause. */
-int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double *zs, int8_t *kinds,
-             int64_t *eis, int64_t *eks, double *costs, int64_t *pos, int64_t *unique)
+ * backtrack) over a (nb, Tp, Tt) stack.  A candidate within
+ * tol * (1 + |best|) of a node's best cost counts as tied.  Per instance t
+ * it writes zs[t], the path arrays of length Tp + Tt at offset
+ * t * (Tp + Tt) (filled from the end, zero before pos[t]), pos[t] and
+ * unique[t].  Fails if the backtrack would leave the lattice, which only
+ * unreachable (infinite-cost) nodes cause. */
+int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, double *zs,
+             int8_t *kinds, int64_t *eis, int64_t *eks, int64_t *pos, int64_t *unique)
 {
     int64_t W = Tt + 1, cells = (Tp + 1) * W, total = Tp + Tt;
     double *dist = malloc((sizeof(double) + sizeof(int64_t) + 1) * cells);
@@ -255,7 +256,6 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
         const double *m = ms + t * Tp * Tt;
         int8_t *kd = kinds + t * total;
         int64_t *ei = eis + t * total, *ek = eks + t * total;
-        double *cs = costs + t * total;
         for (int64_t c = 0; c < cells; c++) {
             dist[c] = INFINITY;
             choice[c] = 0;
@@ -295,13 +295,13 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
                 }
                 dist[i * W + k] = best;
                 choice[i * W + k] = ch;
-                double tol = 1e-9 * (1.0 + fabs(best));
+                double tie = tol * (1.0 + fabs(best));
                 int64_t cnt = 0;
-                if (cand_d <= best + tol)
+                if (cand_d <= best + tie)
                     cnt += npaths[(i - 1) * W + (k - 1)];
-                if (cand_h <= best + tol)
+                if (cand_h <= best + tie)
                     cnt += npaths[i * W + (k - 1)];
-                if (cand_v <= best + tol)
+                if (cand_v <= best + tie)
                     cnt += npaths[(i - 1) * W + k];
                 npaths[i * W + k] = cnt < 2 ? cnt : 2;
             }
@@ -310,7 +310,6 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
             kd[e] = 0;
             ei[e] = 0;
             ek[e] = 0;
-            cs[e] = 0.0;
         }
         int64_t i = Tp, k = Tt, p = total;
         while (i != 0 || k != 0) {
@@ -319,27 +318,17 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
             if (ch == 1) {
                 i -= 1;
                 k -= 1;
-                kd[p] = 1;
-                ei[p] = i;
-                ek[p] = k;
-                cs[p] = m[i * Tt + k];
             } else if (ch == 2) {
                 k -= 1;
-                int64_t ic = i < Tp ? i : Tp - 1;
-                kd[p] = 2;
-                ei[p] = i;
-                ek[p] = k;
-                cs[p] = gamma * m[ic * Tt + k];
             } else {
                 if (i == 0)
                     goto done;
+                ch = 3;
                 i -= 1;
-                int64_t kc = k < Tt ? k : Tt - 1;
-                kd[p] = 3;
-                ei[p] = i;
-                ek[p] = k;
-                cs[p] = gamma * m[i * Tt + kc];
             }
+            kd[p] = ch;
+            ei[p] = i;
+            ek[p] = k;
         }
         zs[t] = dist[Tp * W + Tt];
         pos[t] = p;

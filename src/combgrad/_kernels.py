@@ -22,9 +22,11 @@ smallest near-optimal one (``_lex_refine``, ported as ``lex_refine`` in C)
 and certifies it (``_min_cycle``, ported as ``min_cycle``): the matching
 costs at most its dual sum plus ``_TOL``, and ``unique`` says whether every
 other matching costs more than that matching plus ``_TOL``.  The alignment
-kernel solves and counts tied paths; :func:`gsa_grads` turns its path arrays
-into gradients.  Every dispatch increments an invocation counter per kernel
-kind so callers can assert how many solver runs a code path costs.
+kernel solves, counts the paths tied within ``_TOL * (1 + |z|)``, and
+returns the winning path as step kinds and source nodes; :func:`gsa_grads`
+turns those into gradients.  Every dispatch increments an invocation
+counter per kernel kind so callers can assert how many solver runs a code
+path costs.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def c_library():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.assign_many.argtypes = [ptr, i64, i64, ctypes.c_double, ptr, ptr, ptr]
     lib.assign_many.restype = ctypes.c_int
-    lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, *[ptr] * 7]
+    lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, ctypes.c_double, *[ptr] * 6]
     lib.gsa_many.restype = ctypes.c_int
     return lib
 
@@ -164,10 +166,12 @@ def c_library():
 # with equality on matched edges, so sum(u) + sum(v) equals the optimal cost.
 # ---------------------------------------------------------------------------
 
-# The one tie tolerance.  A matching within _TOL of the optimum is tied with
-# it: refinement counts an edge as tight when its slack is at most _TOL / b,
-# so b tight edges cost at most sum(u) + sum(v) + _TOL, and the certificate
-# calls a matching unique when every other one costs more than it + _TOL.
+# The one tie tolerance of both kernels (the alignment kernel's use is
+# described with it, below).  A matching within _TOL of the optimum is tied
+# with it: refinement counts an edge as tight when its slack is at most
+# _TOL / b, so b tight edges cost at most sum(u) + sum(v) + _TOL, and the
+# certificate calls a matching unique when every other one costs more than
+# it + _TOL.
 _TOL = 1e-9
 
 
@@ -395,7 +399,9 @@ def assignment_kernel_many(Cs: np.ndarray):
 # target index (horizontal), 3 = gap that advances the predicted index
 # (vertical).  Gap edges read the match cost at the source node with
 # out-of-range indices clamped to the last valid cell, scaled by gamma.
-# Ties prefer diagonal, then horizontal gap, then vertical gap.
+# Ties prefer diagonal, then horizontal gap, then vertical gap.  A candidate
+# within _TOL * (1 + |best|) of a node's best cost counts as tied when paths
+# are counted.
 # ---------------------------------------------------------------------------
 
 
@@ -435,20 +441,19 @@ def _gsa_py(m, gamma):
                     ch = 3
             dist[i, k] = best
             choice[i, k] = ch
-            tol = 1e-9 * (1.0 + abs(best))
+            tie = _TOL * (1.0 + abs(best))
             cnt = 0
-            if cand_d <= best + tol:
+            if cand_d <= best + tie:
                 cnt += npaths[i - 1, k - 1]
-            if cand_h <= best + tol:
+            if cand_h <= best + tie:
                 cnt += npaths[i, k - 1]
-            if cand_v <= best + tol:
+            if cand_v <= best + tie:
                 cnt += npaths[i - 1, k]
             npaths[i, k] = min(cnt, 2)
     total = Tp + Tt
     kinds = np.zeros(total, np.int8)
     eis = np.zeros(total, np.int64)
     eks = np.zeros(total, np.int64)
-    costs = np.zeros(total)
     i = Tp
     k = Tt
     pos = total
@@ -458,36 +463,25 @@ def _gsa_py(m, gamma):
         if ch == 1:
             i -= 1
             k -= 1
-            kinds[pos] = 1
-            eis[pos] = i
-            eks[pos] = k
-            costs[pos] = m[i, k]
         elif ch == 2:
             k -= 1
-            ic = i if i < Tp else Tp - 1
-            kinds[pos] = 2
-            eis[pos] = i
-            eks[pos] = k
-            costs[pos] = gamma * m[ic, k]
         else:
+            ch = 3
             i -= 1
-            kc = k if k < Tt else Tt - 1
-            kinds[pos] = 3
-            eis[pos] = i
-            eks[pos] = k
-            costs[pos] = gamma * m[i, kc]
+        kinds[pos] = ch
+        eis[pos] = i
+        eks[pos] = k
     unique = 1 if npaths[Tp, Tt] == 1 else 0
-    return float(dist[Tp, Tt]), kinds, eis, eks, costs, pos, unique
+    return float(dist[Tp, Tt]), kinds, eis, eks, pos, unique
 
 
 def _gsa_outputs(nb, total):
-    """Stacked result arrays of ``_gsa_py``: z, kinds, eis, eks, costs, pos, unique."""
+    """Stacked result arrays of ``_gsa_py``: z, kinds, eis, eks, pos, unique."""
     return (
         np.empty(nb),
         np.empty((nb, total), np.int8),
         np.empty((nb, total), np.int64),
         np.empty((nb, total), np.int64),
-        np.empty((nb, total)),
         np.empty(nb, np.int64),
         np.empty(nb, np.int64),
     )
@@ -505,7 +499,7 @@ def _gsa_many_py(ms, gamma):
 def _gsa_many_c(ms, gamma):
     nb, Tp, Tt = ms.shape
     out = _gsa_outputs(nb, Tp + Tt)
-    if c_library().gsa_many(ms.ctypes.data, nb, Tp, Tt, gamma, *[a.ctypes.data for a in out]):
+    if c_library().gsa_many(ms.ctypes.data, nb, Tp, Tt, gamma, _TOL, *[a.ctypes.data for a in out]):
         # Allocation failed or an infinite cost left a node unreachable: the
         # reference decides.
         return _gsa_many_py(ms, gamma)
@@ -535,10 +529,12 @@ def gsa_grads(kinds, eis, eks, pos, Tp, Tt, gamma):
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):
-    """Solve one alignment grid.  Returns (z, kinds, eis, eks, costs, pos, unique)."""
+    """Solve one alignment grid.  Returns (z, kinds, eis, eks, pos, unique):
+    the optimal cost, the path arrays (step kind and source node, filled
+    from the end, zero before pos) and whether the optimal path is unique."""
     increment("gsa")
-    zs, kinds, eis, eks, costs, pos, unique = _gsa_many(m[None, :, :], gamma)
-    return float(zs[0]), kinds[0], eis[0], eks[0], costs[0], int(pos[0]), int(unique[0])
+    zs, kinds, eis, eks, pos, unique = _gsa_many(m[None, :, :], gamma)
+    return float(zs[0]), kinds[0], eis[0], eks[0], int(pos[0]), int(unique[0])
 
 
 def gsa_kernel_many(ms: np.ndarray, gamma: float):

@@ -32,7 +32,7 @@ def check_grids(ms: np.ndarray, gamma) -> float:
 
     Returns gamma as a float.  A path takes Tp + Tt steps, each costing at
     most gamma * max|m| in magnitude, so requiring twice that total to be
-    finite keeps every partial path cost, its rounding and the 1e-9 tie
+    finite keeps every partial path cost, its rounding and the kernel's tie
     tolerance on top of it finite.  Costs that pass elementwise can still
     fail this: a gap on a 1e308 cost overflows.
     """
@@ -77,9 +77,11 @@ class AlignResult:
     """Optimal alignment path with its cost.
 
     The path is kept as the kernel's read-only arrays, one entry per step:
-    kinds (1 match, 2 skip-target, 3 skip-pred), the source node (eis, eks)
-    and the step's cost.  unique is True when the kernel counted exactly one
-    optimal path, so the path's edge counts are the whole gradient.
+    kinds (1 match, 2 skip-target, 3 skip-pred) and the source node
+    (eis, eks).  A match step costs m[eis, eks] and a gap step gamma times
+    the match cost at its source node clamped to the grid.  unique is True
+    when the kernel counted exactly one optimal path, so the path's edge
+    counts are the whole gradient.
     """
 
     z_star: float
@@ -87,7 +89,6 @@ class AlignResult:
     kinds: np.ndarray
     eis: np.ndarray
     eks: np.ndarray
-    costs: np.ndarray
 
     def step_string(self) -> str:
         """The path as one letter per step: D match, P skip-target, T skip-pred."""
@@ -101,8 +102,8 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
     The same kernel pass counts the optimal paths, so the uniqueness verdict
     costs nothing extra.
     """
-    z, kinds, eis, eks, costs, pos, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
-    path = [a[pos:] for a in (kinds, eis, eks, costs)]
+    z, kinds, eis, eks, pos, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
+    path = [a[pos:] for a in (kinds, eis, eks)]
     for a in path:
         a.setflags(write=False)
     return AlignResult(z, bool(unique), *path)
@@ -163,7 +164,7 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     m, active = _match_costs(logP, Y)
     ms = m if m.ndim == 3 else m[None]
     gamma = check_grids(ms, gamma)
-    zs, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(ms, gamma)
+    zs, kinds, eis, eks, pos, _ = _kernels.gsa_kernel_many(ms, gamma)
     Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
     # A cell's coefficient sums its path steps, up to (Tp + Tt) * gamma, so
     # finite reference rows near 1e308 can still overflow the gradient.

@@ -221,7 +221,7 @@ def _check_assignment(problem: dict, candidate, args, rng, trials: int) -> dict:
     def f(w: np.ndarray) -> float:
         return solve_assignment(w.reshape(C.shape)).z_star
 
-    rep = supergradient_check(f, C.ravel(), g, trials=trials, sense="concave", tol=args.tol, rng=rng)
+    rep = supergradient_check(f, C.ravel(), g, trials=trials, tol=args.tol, rng=rng)
     cert = _assignment_certificate(C, res)
     return {
         "kind": "assignment",
@@ -247,7 +247,7 @@ def _check_gsa(problem: dict, candidate, args, rng, trials: int) -> dict:
     def f(w: np.ndarray) -> float:
         return solve_gsa(AlignGrid(m=w.reshape(grid.m.shape), gamma=grid.gamma)).z_star
 
-    rep = supergradient_check(f, grid.m.ravel(), g, trials=trials, sense="concave", tol=args.tol, rng=rng)
+    rep = supergradient_check(f, grid.m.ravel(), g, trials=trials, tol=args.tol, rng=rng)
     return {
         "kind": "gsa",
         "passed": bool(rep.passed),
@@ -425,7 +425,7 @@ def _bench_assignment(size: int, args, rng: np.random.Generator) -> tuple:
 
 def _bench_gsa(size: int, args, rng: np.random.Generator) -> tuple:
     def solve_grad(batch: np.ndarray) -> None:
-        _, kinds, eis, eks, _, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
+        _, kinds, eis, eks, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
         _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
 
     return max(1, 4096 // (size * size)), rng.uniform(0.1, 2.0, size=(size, size)), solve_grad

@@ -12,7 +12,7 @@ feeds both the forward and the backward pass of a loss built on ``z*``.
 
 This module holds the shared types (the LP data, a solver's witnesses, the
 gradient blocks they form), the pair-cost build both losses share, and a
-sampling check of the super/subgradient inequalities.  The chain rule onto
+sampling check of the supergradient inequality.  The chain rule onto
 model parameters is not here: each loss returns ``(z*, grad)`` from one
 solve, and ``tape.custom_node`` splices that pair into the graph.
 """
@@ -24,9 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, MissingWitness, NonFinite
-
-DEFAULT_ATOL = 1e-9
+from .errors import DimensionMismatch, NonFinite
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -93,30 +91,26 @@ class LPSpec:
 
 @dataclass(frozen=True)
 class SolverOutcome:
-    """Optimal value plus whichever optimality witnesses the solver produced.
+    """Optimal value of an LP with both optimality witnesses.
 
     ``u_star`` is a primal optimum (arg min), ``v_star`` a dual optimum; the
-    ``unique`` flag records whether the solver certified the optimum as the
-    only one (None when the check was skipped).
+    ``unique`` flag records whether the solver certified the primal optimum
+    as the only one.
     """
 
     z_star: float
-    u_star: Optional[np.ndarray] = None
-    v_star: Optional[np.ndarray] = None
-    unique: Optional[bool] = None
+    u_star: np.ndarray
+    v_star: np.ndarray
+    unique: bool
 
     def __post_init__(self):
         object.__setattr__(self, "z_star", float(self.z_star))
-        if self.u_star is not None:
-            object.__setattr__(self, "u_star", _freeze(np.atleast_1d(self.u_star)))
-        if self.v_star is not None:
-            object.__setattr__(self, "v_star", _freeze(np.atleast_1d(self.v_star)))
+        object.__setattr__(self, "u_star", _freeze(np.atleast_1d(self.u_star)))
+        object.__setattr__(self, "v_star", _freeze(np.atleast_1d(self.v_star)))
 
 
 def strong_duality_gap(spec: LPSpec, outcome: SolverOutcome) -> float:
-    """|c.u* - b.v*| for an outcome carrying both witnesses."""
-    if outcome.u_star is None or outcome.v_star is None:
-        raise MissingWitness("strong-duality audit needs both witnesses")
+    """|c.u* - b.v*|, zero at an optimal primal/dual pair."""
     return abs(float(spec.c @ outcome.u_star) - float(spec.b @ outcome.v_star))
 
 
@@ -144,7 +138,9 @@ class SupergradReport:
     passed: bool
     worst_violation: float
     trials: int
-    sense: str
+
+
+_RADIUS = 0.5
 
 
 def supergradient_check(
@@ -153,26 +149,22 @@ def supergradient_check(
     g: np.ndarray,
     *,
     trials: int = 100,
-    radius: float = 0.5,
-    sense: str = "concave",
-    tol: float = DEFAULT_ATOL,
+    tol: float = 1e-9,
     rng: Optional[np.random.Generator] = None,
-    seed: int = 0,
 ) -> SupergradReport:
-    """Sample the defining inequality of a super/subgradient around w.
+    """Sample the supergradient inequality of a concave f around w.
 
-    concave: f(w') <= f(w) + <g, w' - w> + tol for w' in the ball;
-    convex:  f(w') >= f(w) + <g, w' - w> - tol.
-    Reports the worst violation found (positive = violated).
+    Tests f(w') <= f(w) + <g, w' - w> + tol at `trials` points w' drawn
+    uniformly from the ball of radius 0.5 around w, with `rng` (default
+    ``np.random.default_rng(0)``).  Reports the worst violation found
+    (positive = violated).
     """
-    if sense not in ("concave", "convex"):
-        raise InvalidInput("sense must be 'concave' or 'convex'")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:
         raise DimensionMismatch(f"gradient shape {g.shape} != parameter shape {w.shape}")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     fw = float(f(w))
     worst = -np.inf
     for _ in range(trials):
@@ -180,11 +172,9 @@ def supergradient_check(
         nrm = float(np.sqrt(np.vdot(d, d)))
         if nrm == 0.0:
             continue
-        r = radius * float(rng.uniform()) ** (1.0 / w.size)
+        r = _RADIUS * float(rng.uniform()) ** (1.0 / w.size)
         wp = w + (r / nrm) * d
-        fp = float(f(wp))
-        lin = fw + float(np.vdot(g, wp - w))
-        viol = fp - lin if sense == "concave" else lin - fp
+        viol = float(f(wp)) - (fw + float(np.vdot(g, wp - w)))
         if viol > worst:
             worst = viol
-    return SupergradReport(passed=bool(worst <= tol), worst_violation=float(worst), trials=trials, sense=sense)
+    return SupergradReport(passed=bool(worst <= tol), worst_violation=float(worst), trials=trials)

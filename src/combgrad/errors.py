@@ -17,10 +17,6 @@ class ShapeMismatch(DimensionMismatch):
     """Tape operands have incompatible shapes."""
 
 
-class MissingWitness(CombgradError):
-    """A gradient was requested that needs a witness the solver did not return."""
-
-
 class NonSquare(CombgradError):
     """Assignment cost matrices must be square."""
 

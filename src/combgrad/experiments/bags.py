@@ -20,7 +20,7 @@ import numpy as np
 from .. import tape
 from ..assignment import filter_bag, matching_loss
 from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
-from .common import MetricsRow, TrainConfig
+from .common import MetricsRow, TrainConfig, mean_loss_node
 
 _HIDDEN = 64
 
@@ -182,15 +182,7 @@ def train_bags(
                 if config.loss == "matching":
                     Y = bags.Y[step]
                     zs, G = matching_loss(logp.value.reshape(Y.shape[0], b, -1), Y)
-                    # Summed in bag order: np.sum's pairwise order would change the bits.
-                    total = 0.0
-                    for z in zs.tolist():
-                        total += z
-                    value = total / n_union
-                    G = G.reshape(logp.value.shape)
-                    loss = tape.custom_node(
-                        [logp], value, [lambda up, G=G, n=n_union: up * G / n]
-                    )
+                    loss = mean_loss_node([logp], zs, [G.reshape(logp.value.shape)], n_union)
                 else:
                     loss = tape.nll(logp, labels[step].ravel(), reduction="mean")
                 if not np.isfinite(loss.value):

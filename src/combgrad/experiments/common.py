@@ -1,5 +1,6 @@
-"""Shared experiment plumbing: the training configuration, the metrics row
-format, and CSV serialization.
+"""Shared experiment plumbing: the training configuration, the mean-loss
+node both training loops build, the metrics row format, and CSV
+serialization.
 
 Metrics are written long-form with the header `epoch,split,metric,value,seconds`
 so that runs with different metric sets share one schema.  Values are
@@ -10,13 +11,24 @@ the same seed produce bitwise-identical files except for the seconds column.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
+from .. import tape
 from ..errors import InvalidInput
 
 _LOSSES = ("mle", "matching", "gsa")
 _FEEDS = ("softmax", "gumbel_st")
+# What each field annotation accepts (annotations are strings here, under
+# `from __future__ import annotations`); bool is excluded from the numbers.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "a whole number"),
+    "float": (numbers.Real, "a real number"),
+    "str": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,11 @@ class TrainConfig:
     threshold: float = 0.5
 
     def validate(self) -> None:
+        for f in fields(self):
+            want, noun = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise InvalidInput(f"{f.name} must be {noun}, got {value!r}")
         if self.loss not in _LOSSES:
             raise InvalidInput(f"loss must be one of {_LOSSES}, got {self.loss!r}")
         if self.feed not in _FEEDS:
@@ -56,6 +73,8 @@ class TrainConfig:
             raise InvalidInput("batch_size must be at least 1")
         if not (0.0 < self.threshold <= 1.0):
             raise InvalidInput("threshold must lie in (0, 1]")
+        if self.seed < 0:
+            raise InvalidInput("seed must be non-negative")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -69,6 +88,18 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def mean_loss_node(
+    parents: Sequence[tape.Tensor], zs: np.ndarray, grads: Sequence[np.ndarray], denom: int
+) -> tape.Tensor:
+    """The loss sum(zs) / denom as one node on `parents`, whose vjp for the
+    parent with loss gradient G is up * G / denom.  zs are summed in
+    instance order: np.sum's pairwise order would change the bits."""
+    total = 0.0
+    for z in zs.tolist():
+        total += z
+    return tape.custom_node(parents, total / denom, [lambda up, G=G: up * G / denom for G in grads])
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 from .. import _kernels, tape
 from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
 from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
-from .common import MetricsRow, TrainConfig
+from .common import MetricsRow, TrainConfig, mean_loss_node
 
 PAD = 0
 EOS = 1
@@ -211,16 +211,7 @@ def _batch_loss(
         return tape.scale(total, 1.0 / T)
     L = np.stack([lp.value for lp in logps], axis=1)  # (B, T, vocab)
     zs, grads = gsa_loss(L, np.eye(vocab)[tgt], config.gamma)
-    # Summed in example order: np.sum's pairwise order would change the bits.
-    total = 0.0
-    for z in zs.tolist():
-        total += z
-    denom = B * T
-    vjps = [
-        (lambda up, Gt=grads[:, t]: up * Gt / denom)
-        for t in range(T)
-    ]
-    return tape.custom_node(logps, total / denom, vjps)
+    return mean_loss_node(logps, zs, [grads[:, t] for t in range(T)], B * T)
 
 
 def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: int):

@@ -4,7 +4,9 @@ optimal-value gradients, and exhaustive enumeration oracles for the
 assignment and alignment solvers.
 
 Everything here favors transparency over speed and is meant for instances
-with tens of variables at most.
+with tens of variables at most.  One tolerance, ``_TOL``, serves the
+simplex pivots, vertex feasibility, rank decisions, the degeneracy screen
+and the oracles' tie sets.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import LPSpec, SolverOutcome
 from .errors import DegenerateInstance, DimensionMismatch, Infeasible, IterationLimit, NonFinite, Unbounded
 
 _MAX_PIVOTS = 20000
+_TOL = 1e-9
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
@@ -31,7 +34,7 @@ def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray, tol: float) -> None:
+def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray) -> None:
     """Run Bland's-rule pivoting on a canonical tableau until optimality.
 
     T is (m, ncols+1) with the rhs in the last column and identity columns at
@@ -46,7 +49,7 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray, tol: float) -
         reduced = cost[:ncols] - cb @ T[:, :ncols]
         entering = -1
         for j in range(ncols):
-            if reduced[j] < -tol:
+            if reduced[j] < -_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -55,10 +58,10 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray, tol: float) -
         best_ratio = np.inf
         leave = -1
         for r in range(m):
-            if col[r] > tol:
+            if col[r] > _TOL:
                 ratio = T[r, -1] / col[r]
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol and (leave < 0 or basis[r] < basis[leave])
+                if ratio < best_ratio - _TOL or (
+                    abs(ratio - best_ratio) <= _TOL and (leave < 0 or basis[r] < basis[leave])
                 ):
                     best_ratio = ratio
                     leave = r
@@ -68,7 +71,7 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray, tol: float) -
     raise IterationLimit(f"simplex did not terminate within the pivot budget of {_MAX_PIVOTS}")
 
 
-def solve_lp(spec: LPSpec, *, tol: float = 1e-9) -> SolverOutcome:
+def solve_lp(spec: LPSpec) -> SolverOutcome:
     """Solve min c.x s.t. A x = b, x >= 0 by a two-phase dense simplex.
 
     Returns the optimal value with both witnesses: the primal vertex u*, the
@@ -81,12 +84,12 @@ def solve_lp(spec: LPSpec, *, tol: float = 1e-9) -> SolverOutcome:
     _kernels.increment("lp")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _two_phase(spec, tol)
+            return _two_phase(spec)
     except FloatingPointError as exc:
         raise NonFinite(f"LP data overflow the simplex arithmetic ({exc})") from None
 
 
-def _two_phase(spec: LPSpec, tol: float) -> SolverOutcome:
+def _two_phase(spec: LPSpec) -> SolverOutcome:
     m, p = spec.num_constraints, spec.num_vars
     sign = np.where(spec.b < 0, -1.0, 1.0)
     A = spec.A * sign[:, None]
@@ -97,8 +100,8 @@ def _two_phase(spec: LPSpec, tol: float) -> SolverOutcome:
     T = np.hstack([A, np.eye(m), b[:, None]])
     basis = list(range(p, p + m))
     cost1 = np.concatenate([np.zeros(p), np.ones(m)])
-    _simplex_iterate(T, basis, cost1, tol)
-    if float(cost1[basis] @ T[:, -1]) > tol * scale:
+    _simplex_iterate(T, basis, cost1)
+    if float(cost1[basis] @ T[:, -1]) > _TOL * scale:
         raise Infeasible("phase-1 objective positive")
 
     # Pivot artificials out of the basis; rows that cannot be cleared are
@@ -108,7 +111,7 @@ def _two_phase(spec: LPSpec, tol: float) -> SolverOutcome:
         if basis[r] >= p:
             piv = -1
             for j in range(p):
-                if abs(T[r, j]) > tol:
+                if abs(T[r, j]) > _TOL:
                     piv = j
                     break
             if piv >= 0:
@@ -122,7 +125,7 @@ def _two_phase(spec: LPSpec, tol: float) -> SolverOutcome:
     # Phase 2 on the original columns only.
     T2 = np.hstack([T[:, :p], T[:, -1:]])
     cost2 = spec.c.copy()
-    _simplex_iterate(T2, basis, cost2, tol)
+    _simplex_iterate(T2, basis, cost2)
 
     u = np.zeros(p)
     for r, j in enumerate(basis):
@@ -137,7 +140,7 @@ def _two_phase(spec: LPSpec, tol: float) -> SolverOutcome:
     reduced = spec.c - A[keep].T @ v_kept
     nonbasic = np.ones(p, dtype=bool)
     nonbasic[basis] = False
-    unique = bool(np.all(reduced[nonbasic] > tol)) if nonbasic.any() else True
+    unique = bool(np.all(reduced[nonbasic] > _TOL)) if nonbasic.any() else True
     return SolverOutcome(z_star=z, u_star=u, v_star=v, unique=unique)
 
 
@@ -155,14 +158,11 @@ class VertexSet:
     def min_objective(self) -> float:
         return min(v.objective for v in self.vertices)
 
-    def argmin(self) -> Vertex:
-        return min(self.vertices, key=lambda v: v.objective)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
 
-def enumerate_vertices(spec: LPSpec, *, tol: float = 1e-9) -> VertexSet:
+def enumerate_vertices(spec: LPSpec) -> VertexSet:
     """All basic feasible solutions by brute force over rank-sized column sets.
 
     Deduplicates coincident points (degenerate vertices keep their first
@@ -172,21 +172,21 @@ def enumerate_vertices(spec: LPSpec, *, tol: float = 1e-9) -> VertexSet:
     m, p = spec.num_constraints, spec.num_vars
     if p > 10 or m > 6:
         raise DimensionMismatch("vertex enumeration is limited to p <= 10, m <= 6")
-    rank = int(np.linalg.matrix_rank(spec.A, tol=1e-9))
+    rank = int(np.linalg.matrix_rank(spec.A, tol=_TOL))
     scale = 1.0 + float(np.abs(spec.b).max(initial=0.0))
     found: dict = {}
     for S in itertools.combinations(range(p), rank):
         B = spec.A[:, S]
-        if np.linalg.matrix_rank(B, tol=1e-9) < rank:
+        if np.linalg.matrix_rank(B, tol=_TOL) < rank:
             continue
         xS, *_ = np.linalg.lstsq(B, spec.b, rcond=None)
-        if np.max(np.abs(B @ xS - spec.b)) > tol * scale:
+        if np.max(np.abs(B @ xS - spec.b)) > _TOL * scale:
             continue
-        if np.min(xS, initial=0.0) < -tol:
+        if np.min(xS, initial=0.0) < -_TOL:
             continue
         x = np.zeros(p)
         x[list(S)] = xS
-        x[np.abs(x) <= tol] = 0.0
+        x[np.abs(x) <= _TOL] = 0.0
         key = tuple(np.round(x, 9))
         if key not in found:
             found[key] = Vertex(x=x, basis=tuple(S), objective=float(spec.c @ x))
@@ -235,7 +235,6 @@ def check_lp_grads(
     *,
     eps: float = 1e-5,
     rtol: float = 1e-4,
-    seed: int = 0,
     rng: Optional[np.random.Generator] = None,
 ) -> LPGradCheck:
     """Probe all three optimal-value gradients by central differences.
@@ -246,20 +245,19 @@ def check_lp_grads(
     matter for the matrix block: the optimal value is piecewise linear in c
     and in b but only piecewise rational in A, so a one-sided quotient
     carries an O(eps)-curvature term that central differencing cancels.
+    The directions are drawn with `rng` (default ``np.random.default_rng(0)``).
 
     Raises DegenerateInstance when the optimum is not certified unique or
     the optimal vertex is degenerate; a single witness is then only one
     element of the gradient set and the quotient need not match it.
     """
-    if outcome.u_star is None or outcome.v_star is None:
-        raise DegenerateInstance("outcome lacks witnesses")
     if not outcome.unique:
         raise DegenerateInstance("primal optimum not certified unique")
     m = spec.num_constraints
-    if int(np.sum(outcome.u_star > 1e-9)) != m:
+    if int(np.sum(outcome.u_star > _TOL)) != m:
         raise DegenerateInstance("degenerate optimal vertex; dual witness not unique")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     u, v = outcome.u_star, outcome.v_star
 
     dc = rng.standard_normal(spec.num_vars)
@@ -300,11 +298,11 @@ def _perm_table(b: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(b))), dtype=np.int64)
 
 
-def enumerate_permutations(C: np.ndarray, *, tol: float = 1e-9) -> tuple:
+def enumerate_permutations(C: np.ndarray) -> tuple:
     """Minimum assignment cost and the full argmin set, by enumeration.
 
     Limited to b <= 8 (8! = 40320 permutations).  Returns (z_min, argmins)
-    where argmins is a list of index tuples whose cost is within tol of the
+    where argmins is a list of index tuples whose cost is within _TOL of the
     minimum.
     """
     C = np.asarray(C, dtype=np.float64)
@@ -318,7 +316,7 @@ def enumerate_permutations(C: np.ndarray, *, tol: float = 1e-9) -> tuple:
     P = _perm_table(b)
     costs = C[np.arange(b)[None, :], P].sum(axis=1)
     z = float(costs.min())
-    argmins = [tuple(int(x) for x in P[i]) for i in np.flatnonzero(costs <= z + tol)]
+    argmins = [tuple(int(x) for x in P[i]) for i in np.flatnonzero(costs <= z + _TOL)]
     return z, argmins
 
 
@@ -356,7 +354,7 @@ def enumerate_path_costs(m: np.ndarray, gamma: float) -> np.ndarray:
     return costs[Tp][Tt]
 
 
-def enumerate_paths(m: np.ndarray, gamma: float, *, tol: float = 1e-9) -> tuple:
+def enumerate_paths(m: np.ndarray, gamma: float) -> tuple:
     """Minimum monotone-path cost and the argmin step strings, by enumeration.
 
     Steps are 'D' (diagonal match), 'P' (gap advancing the target index),
@@ -393,5 +391,5 @@ def enumerate_paths(m: np.ndarray, gamma: float, *, tol: float = 1e-9) -> tuple:
             stack.append((i + 1, k, cost + gamma * m[i, kc], steps + "T"))
     costs = np.asarray(costs)
     z = float(costs.min())
-    argmins = sorted(paths[i] for i in np.flatnonzero(costs <= z + tol))
+    argmins = sorted(paths[i] for i in np.flatnonzero(costs <= z + _TOL))
     return z, argmins

@@ -199,23 +199,30 @@ def log_softmax(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_t(a: Tensor, tau: float) -> Tensor:
-    """Row-wise tempered softmax, softmax(x / tau) — the soft feed for
-    decoders that consume their own output distribution."""
-    if a.value.ndim != 2:
-        raise ShapeMismatch("softmax_t expects a 2-D tensor")
+def _tempered_softmax(a: Tensor, x: np.ndarray, tau: float, value: Optional[np.ndarray] = None) -> Tensor:
+    """A node on `a` for y = softmax(x / tau) by rows, where x is a.value
+    plus a constant: its backward is y's Jacobian, and its value is y, or
+    `value` when given (a straight-through forward)."""
     tau = float(tau)
-    z = a.value / tau
+    z = x / tau
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, (a,))
+    out = Tensor(y if value is None else value, (a,))
 
     def _bw(gy):
         _acc(a, (y / tau) * (gy - (gy * y).sum(axis=1, keepdims=True)))
 
     out._backward = _bw
     return out
+
+
+def softmax_t(a: Tensor, tau: float) -> Tensor:
+    """Row-wise tempered softmax, softmax(x / tau) — the soft feed for
+    decoders that consume their own output distribution."""
+    if a.value.ndim != 2:
+        raise ShapeMismatch("softmax_t expects a 2-D tensor")
+    return _tempered_softmax(a, a.value, tau)
 
 
 def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
@@ -227,22 +234,11 @@ def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> T
     """
     if logits.value.ndim != 2:
         raise ShapeMismatch("gumbel_softmax_st expects a 2-D tensor")
-    tau = float(tau)
     u = rng.uniform(low=np.finfo(np.float64).tiny, high=1.0, size=logits.value.shape)
     noisy = logits.value - np.log(-np.log(u))
-    z = noisy / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    soft = e / e.sum(axis=1, keepdims=True)
-    hard = np.zeros_like(soft)
-    hard[np.arange(soft.shape[0]), noisy.argmax(axis=1)] = 1.0
-    out = Tensor(hard, (logits,))
-
-    def _bw(gy):
-        _acc(logits, (soft / tau) * (gy - (gy * soft).sum(axis=1, keepdims=True)))
-
-    out._backward = _bw
-    return out
+    hard = np.zeros_like(noisy)
+    hard[np.arange(noisy.shape[0]), noisy.argmax(axis=1)] = 1.0
+    return _tempered_softmax(logits, noisy, tau, hard)
 
 
 def nll(logp: Tensor, targets: np.ndarray, *, reduction: str = "mean") -> Tensor:
@@ -344,14 +340,14 @@ class ParamStore:
             t.grad = None
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update with bias correction (defaults are the standard ones)."""
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr: float = 0.001) -> None:
+    """One Adam update with bias correction and the standard moment decays
+    (0.9, 0.999) and epsilon (1e-8)."""
     store.step += 1
     t = store.step
     m_slot = store.state.setdefault("m", {})
@@ -365,13 +361,13 @@ def adam_step(
         if m is None:
             m = np.zeros_like(p.value)
             v = np.zeros_like(p.value)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * (g * g)
         m_slot[name] = m
         v_slot[name] = v
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        p.value -= lr * mhat / (np.sqrt(vhat) + eps)
+        mhat = m / (1.0 - _BETA1**t)
+        vhat = v / (1.0 - _BETA2**t)
+        p.value -= lr * mhat / (np.sqrt(vhat) + _EPS)
 
 
 _CKPT_MAGIC = "combgrad-params v1"
@@ -394,32 +390,37 @@ def save_checkpoint(store: ParamStore, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ParamStore:
+    """Read a save_checkpoint file back.  InvalidInput when the file is not
+    one, or is damaged or cut short."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise InvalidInput("not a recognized checkpoint file")
     store = ParamStore()
     i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line == "end":
-            break
-        head = line.split()
-        if head[0] == "seed":
-            store.seed = int(head[1])
-            i += 1
-        elif head[0] == "step":
-            store.step = int(head[1])
-            i += 1
-        elif head[0] == "param":
-            name = head[1]
-            ndim = int(head[2])
-            shape = tuple(int(x) for x in head[3 : 3 + ndim])
-            raw = lines[i + 1].split()
-            vals = np.array([float(x) for x in raw], dtype=np.float64)
-            store.add(name, vals.reshape(shape))
-            i += 2
-        else:
-            raise InvalidInput(f"unrecognized checkpoint line: {line!r}")
+    try:
+        while lines[i] != "end":
+            head = lines[i].split()
+            if head[:1] == ["seed"] and len(head) == 2:
+                store.seed = int(head[1])
+                i += 1
+            elif head[:1] == ["step"] and len(head) == 2:
+                store.step = int(head[1])
+                i += 1
+            elif head[:1] == ["param"] and len(head) >= 3 and len(head) == 3 + int(head[2]):
+                shape = tuple(int(x) for x in head[3:])
+                if min(shape, default=0) < 0:
+                    raise ValueError(f"negative dimension in {shape}")
+                vals = np.array([float(x) for x in lines[i + 1].split()], dtype=np.float64)
+                store.add(head[1], vals.reshape(shape))
+                i += 2
+            else:
+                raise InvalidInput(f"unrecognized checkpoint line: {lines[i]!r}")
+    except InvalidInput:
+        raise
+    except IndexError:
+        raise InvalidInput("checkpoint is cut short") from None
+    except ValueError as exc:
+        raise InvalidInput(f"damaged checkpoint at line {i + 1}: {exc}") from None
     return store
 

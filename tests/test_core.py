@@ -7,7 +7,6 @@ import pytest
 from combgrad import (
     DimensionMismatch,
     LPSpec,
-    MissingWitness,
     NonFinite,
     SolverOutcome,
     strong_duality_gap,
@@ -44,27 +43,18 @@ class TestLPSpec:
 
 class TestSolverOutcome:
     def test_witnesses_frozen_and_cast(self):
-        out = SolverOutcome(z_star=np.float64(3), u_star=[1, 0], v_star=[2.0])
+        out = SolverOutcome(z_star=np.float64(3), u_star=[1, 0], v_star=[2.0], unique=True)
         assert isinstance(out.z_star, float)
         assert out.u_star.dtype == np.float64
         with pytest.raises(ValueError):
             out.u_star[0] = 9.0
 
-    def test_witnesses_optional(self):
-        out = SolverOutcome(z_star=1.0)
-        assert out.u_star is None and out.v_star is None and out.unique is None
-
 
 class TestStrongDuality:
     def test_gap_value(self):
         spec = small_spec()
-        out = SolverOutcome(z_star=1.0, u_star=[1.0, 0.0], v_star=[1.0])
+        out = SolverOutcome(z_star=1.0, u_star=[1.0, 0.0], v_star=[1.0], unique=True)
         assert strong_duality_gap(spec, out) == pytest.approx(0.0, abs=1e-12)
-
-    def test_missing_witness(self):
-        spec = small_spec()
-        with pytest.raises(MissingWitness):
-            strong_duality_gap(spec, SolverOutcome(z_star=1.0, u_star=[1.0, 0.0]))
 
 
 class TestSupergradientCheck:
@@ -72,24 +62,14 @@ class TestSupergradientCheck:
         # f(w) = min_i w_i is concave; the indicator of an argmin is a supergradient.
         w = np.array([1.0, 2.0, 3.0])
         g = np.array([1.0, 0.0, 0.0])
-        rep = supergradient_check(lambda x: float(np.min(x)), w, g, trials=200, radius=0.5, sense="concave")
+        rep = supergradient_check(lambda x: float(np.min(x)), w, g, trials=200)
         assert rep.passed and rep.worst_violation <= 1e-9
-
-    def test_convex_max_passes(self):
-        w = np.array([3.0, 1.0])
-        g = np.array([1.0, 0.0])
-        rep = supergradient_check(lambda x: float(np.max(x)), w, g, trials=200, radius=0.5, sense="convex")
-        assert rep.passed
 
     def test_wrong_gradient_fails(self):
         w = np.array([1.0, 2.0, 3.0])
         g = np.array([0.0, 0.0, 1.0])  # not an argmin indicator
-        rep = supergradient_check(lambda x: float(np.min(x)), w, g, trials=200, radius=0.5, sense="concave")
+        rep = supergradient_check(lambda x: float(np.min(x)), w, g, trials=200)
         assert not rep.passed and rep.worst_violation > 1e-9
-
-    def test_bad_sense_rejected(self):
-        with pytest.raises(ValueError):
-            supergradient_check(lambda x: 0.0, np.zeros(2), np.zeros(2), sense="linear")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -98,6 +78,6 @@ class TestSupergradientCheck:
     def test_deterministic_given_seed(self):
         w = np.array([1.0, 2.0])
         g = np.array([1.0, 0.0])
-        r1 = supergradient_check(lambda x: float(np.min(x)), w, g, trials=50, seed=11)
-        r2 = supergradient_check(lambda x: float(np.min(x)), w, g, trials=50, seed=11)
+        r1 = supergradient_check(lambda x: float(np.min(x)), w, g, trials=50, rng=np.random.default_rng(11))
+        r2 = supergradient_check(lambda x: float(np.min(x)), w, g, trials=50, rng=np.random.default_rng(11))
         assert r1.worst_violation == r2.worst_violation

@@ -27,7 +27,6 @@ from combgrad import (
     solve_assignment,
     solve_gsa,
     solve_lp,
-    supergradient_check,
     tape,
 )
 from combgrad import _kernels
@@ -49,6 +48,15 @@ def _foreign_checkpoint(tmp_path, monkeypatch):
     tape.load_checkpoint(str(path))
 
 
+def _checkpoint_reading(body):
+    def load(tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        path.write_text("combgrad-params v1\n" + body)
+        tape.load_checkpoint(str(path))
+
+    return load
+
+
 def _backend_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("COMBGRAD_BACKEND", "numba")
     _kernels._resolve_backend()
@@ -59,6 +67,16 @@ _ARGUMENT_CHECKS = {
     "matching_loss normalization": lambda *_: matching_loss(np.zeros((2, 2)), np.eye(2)),
     "TrainConfig.validate": lambda *_: TrainConfig(loss="hinge").validate(),
     "TrainConfig.from_dict": lambda *_: TrainConfig.from_dict({"loss": "matching", "momentum": 0.9}),
+    "TrainConfig bag_size text": lambda *_: TrainConfig.from_dict({"loss": "matching", "bag_size": "x"}),
+    "TrainConfig lr text": lambda *_: TrainConfig.from_dict({"lr": "0.1"}),
+    "TrainConfig epochs fraction": lambda *_: TrainConfig.from_dict({"epochs": 2.5}),
+    "TrainConfig bag_size fraction": lambda *_: TrainConfig(bag_size=2.5).validate(),
+    "TrainConfig batch_size fraction": lambda *_: TrainConfig(batch_size=2.5).validate(),
+    "TrainConfig seed bool": lambda *_: TrainConfig(seed=True).validate(),
+    "TrainConfig seed negative": lambda *_: TrainConfig(seed=-1).validate(),
+    "TrainConfig gamma text": lambda *_: TrainConfig(gamma="1.5").validate(),
+    "TrainConfig threshold None": lambda *_: TrainConfig(threshold=None).validate(),
+    "TrainConfig feed None": lambda *_: TrainConfig(feed=None).validate(),
     "BagDatasetSpec.validate": lambda *_: BagDatasetSpec(num_classes=1).validate(),
     "SeqTaskSpec.validate": lambda *_: SeqTaskSpec(vocab=2).validate(),
     "train_bags loss": lambda *_: train_bags(TrainConfig(loss="gsa"), BagDatasetSpec(n=20)),
@@ -66,7 +84,11 @@ _ARGUMENT_CHECKS = {
     "nll reduction": lambda *_: tape.nll(tape.Tensor(np.log(np.full((1, 2), 0.5))), np.array([0]), reduction="max"),
     "ParamStore.add": _duplicate_parameter,
     "load_checkpoint": _foreign_checkpoint,
-    "supergradient_check sense": lambda *_: supergradient_check(np.sum, np.zeros(2), np.ones(2), sense="linear"),
+    "load_checkpoint param without values": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n"),
+    "load_checkpoint bare seed": _checkpoint_reading("seed\nend\n"),
+    "load_checkpoint non-numeric value": _checkpoint_reading("param w 1 2\n0.5 abc\nend\n"),
+    "load_checkpoint value count": _checkpoint_reading("param w 1 2\n0.5 1.5 2.5\nend\n"),
+    "load_checkpoint without end": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n0.5 1.5\n"),
     "set_backend": lambda *_: set_backend("numba"),
     "COMBGRAD_BACKEND": _backend_variable,
 }
