@@ -9,7 +9,7 @@ into a small reverse-mode tape, and uses them to train models whose losses
 are themselves optimization problems.
 """
 
-from ._kernels import get_backend, invocations, reset_invocations, set_backend, warmup
+from ._kernels import get_backend, invocations, reset_invocations
 from .alignment import (
     AlignGrid,
     AlignResult,
@@ -65,8 +65,6 @@ __all__ = [
     "__version__",
     # backends / counters
     "get_backend",
-    "set_backend",
-    "warmup",
     "invocations",
     "reset_invocations",
     # core

@@ -5,9 +5,12 @@
  * The arithmetic and its order match the reference, so with floating-point
  * contraction disabled (-ffp-contract=off) the outputs are bitwise equal.
  *
- * Both return 0 on success and 1 when they cannot reproduce the reference
- * (a workspace allocation fails, or costs overflow to infinity); the caller
- * then re-solves the stack with the numpy reference.
+ * Both return 0 on success, 1 when the workspace allocation fails and 2
+ * when a non-finite cost leaves a step with no finite choice (the caller
+ * raises MemoryError and NonFinite).  Status 0 does not mean the costs were
+ * in range: [[1e308, -1e308], [-1e308, 1e308]] overflows the reduced costs
+ * and still returns 0.  The range checks of the public entry points
+ * (assignment._check_cost_range, alignment.check_grids) keep such costs out.
  */
 #include <math.h>
 #include <stdint.h>
@@ -147,8 +150,8 @@ static double min_cycle(double *D, int64_t n, double *col, double *row)
  * _certify: unique[t] is 1 when min_cycle over the swap costs
  * W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] exceeds tol, with
  * slack = (C - u) - v.  The stacked u come first in uvs, then the stacked
- * v.  One workspace serves every instance.  Fails if an instance has no
- * free column with a finite reduced cost. */
+ * v.  One workspace serves every instance.  Returns 2 if an instance has
+ * no free column with a finite reduced cost. */
 int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *uvs, char *unique)
 {
     double *us = uvs, *vs = uvs + k * n;
@@ -161,7 +164,7 @@ int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *per
     int64_t *matchR = via + (n + 1), *cols = matchR + n;
     char *used = (char *)(cols + n * n), *fixed = used + (n + 1), *visited = fixed + n;
     const double tight = tol / (double)(n > 1 ? n : 1);
-    int status = 1;
+    int status = 2;
     for (int64_t t = 0; t < k; t++) {
         const double *C = Cs + t * n * n;
         for (int64_t j = 0; j <= n; j++) {
@@ -240,8 +243,8 @@ done:
  * tol * (1 + |best|) of a node's best cost counts as tied.  Per instance t
  * it writes zs[t], the path arrays of length Tp + Tt at offset
  * t * (Tp + Tt) (filled from the end, zero before pos[t]), pos[t] and
- * unique[t].  Fails if the backtrack would leave the lattice, which only
- * unreachable (infinite-cost) nodes cause. */
+ * unique[t].  Returns 2 if the backtrack would leave the lattice, which
+ * only unreachable (infinite-cost) nodes cause. */
 int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, double *zs,
              int8_t *kinds, int64_t *eis, int64_t *eks, int64_t *pos, int64_t *unique)
 {
@@ -251,7 +254,7 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
         return 1;
     int64_t *npaths = (int64_t *)(dist + cells);
     int8_t *choice = (int8_t *)(npaths + cells);
-    int status = 1;
+    int status = 2;
     for (int64_t t = 0; t < nb; t++) {
         const double *m = ms + t * Tp * Tt;
         int8_t *kd = kinds + t * total;

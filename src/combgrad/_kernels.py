@@ -9,11 +9,12 @@ Each problem has exactly two bodies:
   on import) into a per-user cache directory and loaded through ctypes.
 
 Both follow the same arithmetic order, so the ``c`` and ``numpy`` backends
-produce bitwise-identical outputs.  The default backend is ``c``; if the
-library cannot be built, the package warns and runs on ``numpy``.  The
-``COMBGRAD_BACKEND`` environment variable ("c" or "numpy") picks one per
-process, and :func:`set_backend` switches at runtime, which the
-backend-comparison benchmark uses.
+produce bitwise-identical outputs.  The backend is fixed for the process:
+the ``COMBGRAD_BACKEND`` environment variable ("c" or "numpy", default
+"c") picks it, and if the C library cannot be built the package warns and
+runs on ``numpy``.  A C call that fails raises (``MemoryError`` when its
+workspace cannot be allocated, ``NonFinite`` on a non-finite step); it is
+never re-solved on the other backend.
 
 Single-instance entry points run a stack of one, so every public kernel
 goes through one path per problem.  Each kernel decides its own ties.  The
@@ -41,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NonSquare
+from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
 
 _COUNTS = {"assignment": 0, "gsa": 0, "lp": 0}
 
@@ -60,14 +61,11 @@ def reset_invocations() -> None:
         _COUNTS[k] = 0
 
 
-_BACKENDS = ("c", "numpy")
-
-
 def _resolve_backend() -> str:
     raw = os.environ.get("COMBGRAD_BACKEND", "").strip().lower()
     if raw == "":
         return "c"
-    if raw not in _BACKENDS:
+    if raw not in ("c", "numpy"):
         raise InvalidInput(f"COMBGRAD_BACKEND must be 'c' or 'numpy', got {raw!r}")
     return raw
 
@@ -85,23 +83,6 @@ def get_backend() -> str:
     if _BACKEND == "c" and c_library() is None:
         _BACKEND = "numpy"
     return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch the active backend; returns the previous one."""
-    global _BACKEND
-    if name not in _BACKENDS:
-        raise InvalidInput(f"backend must be 'c' or 'numpy', got {name!r}")
-    if name == "c" and c_library() is None:
-        raise ImportError("c backend requested but the C kernel library could not be built")
-    prev = get_backend()
-    _BACKEND = name
-    return prev
-
-
-def warmup() -> None:
-    """Build or load the C library if the active backend needs it."""
-    get_backend()
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +136,13 @@ def c_library():
     lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, ctypes.c_double, *[ptr] * 6]
     lib.gsa_many.restype = ctypes.c_int
     return lib
+
+
+def _raise_status(status: int) -> None:
+    """Raise the error a nonzero C kernel status stands for."""
+    if status == 1:
+        raise MemoryError("the C kernel could not allocate its workspace")
+    raise NonFinite("a non-finite cost left the C kernel without a finite step")
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +343,9 @@ def _assign_many_c(Cs):
     k, n, _ = Cs.shape
     perms, uvs, unique = np.empty((k, n), np.int64), np.empty((2, k, n)), np.empty(k, np.bool_)
     # u and v share one buffer: each pointer lookup costs about 1.5 us.
-    if c_library().assign_many(Cs.ctypes.data, k, n, _TOL, perms.ctypes.data, uvs.ctypes.data, unique.ctypes.data):
-        # Allocation failed or a reduced cost overflowed: the reference decides.
-        return _assign_many_py(Cs)
+    status = c_library().assign_many(Cs.ctypes.data, k, n, _TOL, perms.ctypes.data, uvs.ctypes.data, unique.ctypes.data)
+    if status:
+        _raise_status(status)
     return perms, uvs[0], uvs[1], unique
 
 
@@ -499,10 +487,9 @@ def _gsa_many_py(ms, gamma):
 def _gsa_many_c(ms, gamma):
     nb, Tp, Tt = ms.shape
     out = _gsa_outputs(nb, Tp + Tt)
-    if c_library().gsa_many(ms.ctypes.data, nb, Tp, Tt, gamma, _TOL, *[a.ctypes.data for a in out]):
-        # Allocation failed or an infinite cost left a node unreachable: the
-        # reference decides.
-        return _gsa_many_py(ms, gamma)
+    status = c_library().gsa_many(ms.ctypes.data, nb, Tp, Tt, gamma, _TOL, *[a.ctypes.data for a in out])
+    if status:
+        _raise_status(status)
     return out
 
 
@@ -514,18 +501,16 @@ def _gsa_many(ms, gamma):
     return _gsa_many_c(ms, gamma) if get_backend() == "c" else _gsa_many_py(ms, gamma)
 
 
-def gsa_grads(kinds, eis, eks, pos, Tp, Tt, gamma):
+def gsa_grads(kinds, eis, eks, Tp, Tt, gamma):
     """Dense (k, Tp, Tt) gradients from stacked gsa path arrays: each step
-    from pos on adds 1 (match) or gamma (gap) to its clamped source cell,
-    accumulated in path order by np.add.at."""
-    nb, total = kinds.shape
-    on_path = np.arange(total)[None, :] >= pos[:, None]
-    t = np.broadcast_to(np.arange(nb)[:, None], kinds.shape)[on_path]
-    rows = np.minimum(eis[on_path], Tp - 1)
-    cols = np.minimum(eks[on_path], Tt - 1)
-    Gs = np.zeros((nb, Tp, Tt))
-    np.add.at(Gs, (t, rows, cols), np.where(kinds[on_path] == 1, 1.0, float(gamma)))
-    return Gs
+    adds 1 (match) or gamma (gap) to its clamped source cell, accumulated in
+    path order by np.bincount.  The padding before a path's first step has
+    kind 0 and weighs 0."""
+    nb = kinds.shape[0]
+    gamma = float(gamma)
+    weights = np.array([0.0, 1.0, gamma, gamma])[kinds]
+    cells = (np.arange(nb)[:, None] * Tp + np.minimum(eis, Tp - 1)) * Tt + np.minimum(eks, Tt - 1)
+    return np.bincount(cells.ravel(), weights.ravel(), minlength=nb * Tp * Tt).reshape(nb, Tp, Tt)
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):

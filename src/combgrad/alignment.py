@@ -11,6 +11,7 @@ edge-count matrix accumulated along the winning path.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,9 @@ from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
 def check_gap_factor(gamma) -> float:
-    """gamma as a float; InvalidInput unless it is finite and greater than 1."""
-    if not np.isfinite(gamma) or gamma <= 1.0:
-        raise InvalidInput("gap factor must be a finite number greater than 1")
+    """gamma as a float; InvalidInput unless it is a finite number greater than 1."""
+    if not isinstance(gamma, numbers.Real) or not np.isfinite(gamma) or gamma <= 1.0:
+        raise InvalidInput(f"gap factor must be a finite number greater than 1, got {gamma!r}")
     return float(gamma)
 
 
@@ -115,8 +116,7 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     Each matched cell gets 1 per visit and each gap charges gamma to its
     clamped source cell: the exact gradient of the cost actually paid.
     """
-    # A stack of one whose path starts at step 0.
-    path = (result.kinds[None], result.eis[None], result.eks[None], np.zeros(1, np.int64))
+    path = (result.kinds[None], result.eis[None], result.eks[None])
     return _kernels.gsa_grads(*path, grid.pred_len, grid.target_len, grid.gamma)[0]
 
 
@@ -164,8 +164,8 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     m, active = _match_costs(logP, Y)
     ms = m if m.ndim == 3 else m[None]
     gamma = check_grids(ms, gamma)
-    zs, kinds, eis, eks, pos, _ = _kernels.gsa_kernel_many(ms, gamma)
-    Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
+    zs, kinds, eis, eks, _, _ = _kernels.gsa_kernel_many(ms, gamma)
+    Gs = _kernels.gsa_grads(kinds, eis, eks, *ms.shape[1:], gamma)
     # A cell's coefficient sums its path steps, up to (Tp + Tt) * gamma, so
     # finite reference rows near 1e308 can still overflow the gradient.
     with np.errstate(over="ignore", invalid="ignore"):

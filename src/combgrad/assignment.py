@@ -11,6 +11,7 @@ matching.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,8 @@ def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
     integer is not rejected by roundoff).  A (k, b, d) stack of bags gives a
     (k,) bool mask; one pairwise row comparison serves every bag.
     """
+    if not isinstance(threshold, numbers.Real) or np.isnan(threshold):
+        raise InvalidInput(f"threshold must be a real number, got {threshold!r}")
     Y = np.asarray(Y)
     if Y.ndim not in (2, 3) or 0 in Y.shape[-2:]:
         raise DimensionMismatch(f"Y must be a 2-D bag or a 3-D stack of non-empty bags, got shape {Y.shape}")

@@ -425,8 +425,8 @@ def _bench_assignment(size: int, args, rng: np.random.Generator) -> tuple:
 
 def _bench_gsa(size: int, args, rng: np.random.Generator) -> tuple:
     def solve_grad(batch: np.ndarray) -> None:
-        _, kinds, eis, eks, pos, _ = _kernels.gsa_kernel_many(batch, 1.5)
-        _kernels.gsa_grads(kinds, eis, eks, pos, size, size, 1.5)
+        _, kinds, eis, eks, _, _ = _kernels.gsa_kernel_many(batch, 1.5)
+        _kernels.gsa_grads(kinds, eis, eks, size, size, 1.5)
 
     return max(1, 4096 // (size * size)), rng.uniform(0.1, 2.0, size=(size, size)), solve_grad
 
@@ -435,7 +435,6 @@ def _cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
     setup = {"assignment": _bench_assignment, "gsa": _bench_gsa}[args.kind]
     rng = np.random.default_rng(args.seed)
-    _kernels.warmup()
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["kind", "size", "repeat", "seconds"])
@@ -443,8 +442,8 @@ def _cmd_bench(args) -> int:
         # Amortize timer resolution and call overhead over a batch of
         # identical instances solved by the vectorized kernel; the reported
         # seconds are per solve-plus-gradient.  One untimed pass per size
-        # primes caches and branch predictors so the first timed repeat is
-        # not inflated at small sizes.
+        # builds the C library on first use and primes caches and branch
+        # predictors, so the first timed repeat is not inflated.
         k, base, solve_grad = setup(size, args, rng)
         batch = np.repeat(base[None, :, :], k, axis=0)
         solve_grad(batch)

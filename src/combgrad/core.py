@@ -19,12 +19,13 @@ solve, and ``tape.custom_node`` splices that pair into the graph.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -159,6 +160,8 @@ def supergradient_check(
     ``np.random.default_rng(0)``).  Reports the worst violation found
     (positive = violated).
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise InvalidInput(f"trials must be a whole number >= 1, got {trials!r}")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:

@@ -11,6 +11,7 @@ evaluation path takes no permutation input at all.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -20,7 +21,7 @@ import numpy as np
 from .. import tape
 from ..assignment import filter_bag, matching_loss
 from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
-from .common import MetricsRow, TrainConfig, mean_loss_node
+from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
 
 _HIDDEN = 64
 
@@ -36,12 +37,17 @@ class BagDatasetSpec:
     seed: int = 1729
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.num_classes < 2:
             raise InvalidInput("need at least 2 classes")
         if self.n < self.num_classes:
             raise InvalidInput("need at least one sample per class")
         if self.feature_dim < 1:
             raise InvalidInput("feature_dim must be positive")
+        if not np.isfinite(self.separation):
+            raise InvalidInput("separation must be finite")
+        if self.seed < 0:
+            raise InvalidInput("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,8 @@ def make_bags(
     remainder, keep only bags meeting the distinct-class threshold, and
     scramble each kept bag's label rows by a hidden permutation.  Returns
     the kept bags as one stack."""
+    if not (isinstance(bag_size, numbers.Integral) and bag_size >= 1):
+        raise InvalidInput(f"bag_size must be a whole number >= 1, got {bag_size!r}")
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     order = rng.permutation(n)

@@ -31,6 +31,16 @@ _FIELD_TYPES = {
 }
 
 
+def check_field_types(obj) -> None:
+    """InvalidInput unless every field of the dataclass obj holds a value of
+    its annotated type."""
+    for f in fields(obj):
+        want, noun = _FIELD_TYPES[f.type]
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise InvalidInput(f"{f.name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs shared by both experiment harnesses.
@@ -52,11 +62,7 @@ class TrainConfig:
     threshold: float = 0.5
 
     def validate(self) -> None:
-        for f in fields(self):
-            want, noun = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise InvalidInput(f"{f.name} must be {noun}, got {value!r}")
+        check_field_types(self)
         if self.loss not in _LOSSES:
             raise InvalidInput(f"loss must be one of {_LOSSES}, got {self.loss!r}")
         if self.feed not in _FEEDS:

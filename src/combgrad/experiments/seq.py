@@ -24,7 +24,7 @@ import numpy as np
 from .. import _kernels, tape
 from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
 from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
-from .common import MetricsRow, TrainConfig, mean_loss_node
+from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
 
 PAD = 0
 EOS = 1
@@ -62,6 +62,7 @@ class SeqTaskSpec:
     seed: int = 1729
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.vocab < 3:
             raise InvalidInput("vocab must be at least 3 (PAD and EOS are reserved)")
         if self.min_len < 1 or self.max_len < self.min_len:
@@ -70,6 +71,8 @@ class SeqTaskSpec:
             raise InvalidInput("corruption probabilities must lie in [0, 1)")
         if self.n < 2:
             raise InvalidInput("need at least 2 examples")
+        if self.seed < 0:
+            raise InvalidInput("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -298,7 +301,6 @@ def train_seq(
     check_gap_factor(config.gamma)
     if spec is None:
         spec = SeqTaskSpec(seed=config.seed)
-    spec.validate()
     data = gen_seq_dataset(spec)
     store = _init_store(config, spec.vocab)
     rows: List[MetricsRow] = []

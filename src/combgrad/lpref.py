@@ -12,6 +12,7 @@ and the oracles' tie sets.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -20,7 +21,15 @@ import numpy as np
 
 from . import _kernels
 from .core import LPSpec, SolverOutcome
-from .errors import DegenerateInstance, DimensionMismatch, Infeasible, IterationLimit, NonFinite, Unbounded
+from .errors import (
+    DegenerateInstance,
+    DimensionMismatch,
+    Infeasible,
+    InvalidInput,
+    IterationLimit,
+    NonFinite,
+    Unbounded,
+)
 
 _MAX_PIVOTS = 20000
 _TOL = 1e-9
@@ -251,6 +260,8 @@ def check_lp_grads(
     the optimal vertex is degenerate; a single witness is then only one
     element of the gradient set and the quotient need not match it.
     """
+    if not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf):
+        raise InvalidInput(f"eps must be a finite number > 0, got {eps!r}")
     if not outcome.unique:
         raise DegenerateInstance("primal optimum not certified unique")
     m = spec.num_constraints

@@ -17,20 +17,12 @@ from combgrad import (
     reset_invocations,
     solve_gsa,
     supergradient_check,
-    set_backend,
 )
 from combgrad import _kernels
+from combgrad._kernels import _gsa_many_c, _gsa_many_py, _gsa_py
 
 # AlignResult.kinds codes for a diagonal step and a target-skipping step.
 MATCH, SKIP_TARGET = 1, 2
-
-_BACKENDS = [
-    "numpy",
-    pytest.param(
-        "c", marks=pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
-    ),
-]
-
 
 def random_grid(rng, max_side=7):
     Tp = int(rng.integers(1, max_side + 1))
@@ -241,7 +233,6 @@ class TestValidation:
         with pytest.raises(NonFinite):
             AlignGrid(m=np.array([[np.nan, 1.0]]), gamma=1.5)
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
     @pytest.mark.parametrize(
         "m, gamma",
         [
@@ -251,22 +242,18 @@ class TestValidation:
         ],
     )
     def test_costs_that_can_overflow_a_path_rejected(self, backend, m, gamma):
-        prev = set_backend(backend)
-        try:
-            m = np.array(m)
-            with pytest.raises(NonFinite, match="overflow"):
-                AlignGrid(m=m, gamma=gamma)
-            # gsa_loss builds its stacks without AlignGrid.  Rows at the log
-            # floor against scaled one-class targets give back the costs m.
-            Tp, Tt = m.shape
-            logP = np.full((Tp, 1), -50.0)
-            Y = np.full((Tt, 1), m.max() / -np.log(1e-12))
-            with pytest.raises(NonFinite, match="overflow"):
-                gsa_loss(logP, Y, gamma)
-            with pytest.raises(NonFinite, match="overflow"):
-                gsa_loss(logP[None], Y[None], gamma)
-        finally:
-            set_backend(prev)
+        m = np.array(m)
+        with pytest.raises(NonFinite, match="overflow"):
+            AlignGrid(m=m, gamma=gamma)
+        # gsa_loss builds its stacks without AlignGrid.  Rows at the log
+        # floor against scaled one-class targets give back the costs m.
+        Tp, Tt = m.shape
+        logP = np.full((Tp, 1), -50.0)
+        Y = np.full((Tt, 1), m.max() / -np.log(1e-12))
+        with pytest.raises(NonFinite, match="overflow"):
+            gsa_loss(logP, Y, gamma)
+        with pytest.raises(NonFinite, match="overflow"):
+            gsa_loss(logP[None], Y[None], gamma)
 
     def test_largest_costs_that_cannot_overflow_still_solve(self):
         grid = AlignGrid(m=np.full((2, 3), 1e307), gamma=1.5)
@@ -309,41 +296,41 @@ class TestAlignmentLoss:
             with pytest.raises(ValueError, match="gap factor"):
                 gsa_loss(np.zeros((2, 3)), np.eye(3)[:2], gamma)
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
     def test_stack_is_bitwise_equal_to_single_calls(self, backend):
         # One-hot targets make every product in L @ Y^T and G @ Y exact, so
         # the batched loss must match the single calls, and the single call
-        # the old solve_gsa -> gsa_grad_matrix route, bit for bit.
+        # the old solve_gsa -> gsa_grad_matrix route, bit for bit.  That
+        # route's path is the numpy reference's on either backend.
         rng = np.random.default_rng(20261018)
         d, B = 6, 3
         sides = [(1, n) for n in (1, 2, 7, 40)] + [(n, 1) for n in (2, 7, 40)]
         sides += [(int(a), int(b)) for a, b in rng.integers(2, 41, size=(10, 2))]
-        prev = set_backend(backend)
-        try:
-            for gamma in (1.5, 1 + 1e-7, 3.7):
-                for Tp, Tt in sides:
-                    logits = 6.0 * rng.standard_normal((B, Tp, d))
-                    logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-                    logP[:, ::3, 1] = -40.0  # below the log floor: inactive entries
-                    logP[:, 1::4, 2] = -np.inf
-                    Y = np.eye(d)[rng.integers(0, d, size=(B, Tt))]
-                    where = (Tp, Tt, gamma)
-                    reset_invocations()
-                    zs, grads = gsa_loss(logP, Y, gamma)
-                    assert invocations()["gsa"] == B, where
-                    assert zs.shape == (B,) and grads.shape == logP.shape, where
-                    for b in range(B):
-                        z, g = gsa_loss(logP[b], Y[b], gamma)
-                        assert type(z) is float, where
-                        assert np.float64(z).tobytes() == zs[b].tobytes(), where
-                        assert g.tobytes() == grads[b].tobytes(), where
-                        grid = build_grid(logP[b], Y[b], gamma)
-                        res = solve_gsa(grid)
-                        active = (logP[b] > np.log(1e-12)).astype(np.float64)
-                        old = -(gsa_grad_matrix(grid, res) @ Y[b]) * active
-                        assert res.z_star == z and old.tobytes() == g.tobytes(), where
-        finally:
-            set_backend(prev)
+        for gamma in (1.5, 1 + 1e-7, 3.7):
+            for Tp, Tt in sides:
+                logits = 6.0 * rng.standard_normal((B, Tp, d))
+                logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+                logP[:, ::3, 1] = -40.0  # below the log floor: inactive entries
+                logP[:, 1::4, 2] = -np.inf
+                Y = np.eye(d)[rng.integers(0, d, size=(B, Tt))]
+                where = (Tp, Tt, gamma)
+                reset_invocations()
+                zs, grads = gsa_loss(logP, Y, gamma)
+                assert invocations()["gsa"] == B, where
+                assert zs.shape == (B,) and grads.shape == logP.shape, where
+                for b in range(B):
+                    z, g = gsa_loss(logP[b], Y[b], gamma)
+                    assert type(z) is float, where
+                    assert np.float64(z).tobytes() == zs[b].tobytes(), where
+                    assert g.tobytes() == grads[b].tobytes(), where
+                    grid = build_grid(logP[b], Y[b], gamma)
+                    res = solve_gsa(grid)
+                    active = (logP[b] > np.log(1e-12)).astype(np.float64)
+                    old = -(gsa_grad_matrix(grid, res) @ Y[b]) * active
+                    assert res.z_star == z and old.tobytes() == g.tobytes(), where
+                    ref_z, *ref_path, ref_pos, _ = _gsa_py(grid.m, grid.gamma)
+                    assert np.float64(ref_z).tobytes() == np.float64(z).tobytes(), where
+                    for a, ref in zip((res.kinds, res.eis, res.eks), ref_path):
+                        assert a.tobytes() == ref[ref_pos:].tobytes(), where
 
     def test_single_row_agrees_with_the_matching_loss(self):
         # One row against one target: a 1x1 grid's best path is the match
@@ -388,28 +375,18 @@ def _grid_stacks():
 class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_reference(self):
         # Bit patterns, not values: the locked alignment costs and the
-        # determinism gate hold on either backend only if the two agree exactly.
-        def run(backend, ms, gamma):
-            prev = set_backend(backend)
-            try:
-                return _kernels.gsa_kernel(ms[0], gamma), _kernels.gsa_kernel_many(ms, gamma)
-            finally:
-                set_backend(prev)
-
+        # determinism gate hold on either backend only if the two agree
+        # exactly.  A stack of one is what the single-grid kernel runs.
         for family, ms, gamma in _grid_stacks():
             where = (family, ms.shape, gamma)
-            (one_c, many_c), (one_np, many_np) = run("c", ms, gamma), run("numpy", ms, gamma)
-            for a, b in zip(one_c + many_c, one_np + many_np):
-                assert type(a) is type(b), where
-                if isinstance(a, np.ndarray):
+            for stack in (ms, ms[:1]):
+                for a, b in zip(_gsa_many_c(stack, gamma), _gsa_many_py(stack, gamma)):
                     assert a.dtype == b.dtype and a.shape == b.shape, where
                     assert a.tobytes() == b.tobytes(), where
-                else:
-                    assert a == b, where
             # The gradient scatter is shared by both backends, so check it
             # against an independent per-edge accumulation over the path.
-            _, kinds, eis, eks, pos, _ = many_c
-            Gs = _kernels.gsa_grads(kinds, eis, eks, pos, *ms.shape[1:], gamma)
+            _, kinds, eis, eks, _, _ = _gsa_many_c(ms, gamma)
+            Gs = _kernels.gsa_grads(kinds, eis, eks, *ms.shape[1:], gamma)
             for t, m in enumerate(ms):
                 grid = AlignGrid(m=m, gamma=gamma)
                 grad = {}
@@ -426,3 +403,15 @@ class TestCompiledKernel:
                 for (i, k), g in grad.items():
                     G[i, k] += g
                 assert G.tobytes() == Gs[t].tobytes(), where
+
+    def test_a_failed_c_call_raises_instead_of_re_solving(self, monkeypatch):
+        # Infinite costs leave a node unreachable, so the backtrack has no
+        # finite step.  The public entry points reject them first; the kernel
+        # itself must not hand them to the reference, which cannot solve
+        # them either.
+        def unreachable(*args):
+            raise AssertionError("the numpy reference ran inside a C call")
+
+        monkeypatch.setattr(_kernels, "_gsa_many_py", unreachable)
+        with pytest.raises(NonFinite):
+            _gsa_many_c(np.full((2, 2, 3), np.inf), 1.5)

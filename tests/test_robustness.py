@@ -20,19 +20,21 @@ from combgrad import (
     CombgradError,
     InvalidInput,
     LPSpec,
+    check_lp_grads,
     enumerate_permutations,
+    filter_bag,
     gsa_loss,
     matching_loss,
-    set_backend,
     solve_assignment,
     solve_gsa,
     solve_lp,
+    supergradient_check,
     tape,
 )
 from combgrad import _kernels
 from combgrad.alignment import check_gap_factor
 from combgrad.experiments import BagDatasetSpec, SeqTaskSpec, TrainConfig
-from combgrad.experiments.bags import train_bags
+from combgrad.experiments.bags import make_bags, train_bags
 from combgrad.experiments.seq import train_seq
 
 
@@ -62,8 +64,19 @@ def _backend_variable(tmp_path, monkeypatch):
     _kernels._resolve_backend()
 
 
+def _lp_check_without_step(tmp_path, monkeypatch):
+    # min x1 + 2 x2 subject to x1 + x2 = 1: unique and non-degenerate.
+    spec = LPSpec(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0])
+    check_lp_grads(spec, solve_lp(spec), eps=0.0)
+
+
 _ARGUMENT_CHECKS = {
     "check_gap_factor": lambda *_: check_gap_factor(1.0),
+    "check_gap_factor text": lambda *_: AlignGrid(m=np.ones((2, 2)), gamma="x"),
+    "supergradient_check trials": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), trials=0),
+    "check_lp_grads eps": _lp_check_without_step,
+    "make_bags bag_size": lambda *_: make_bags(np.zeros((4, 2)), np.zeros(4, np.int64), 2, 0, 0.5, 0),
+    "filter_bag threshold text": lambda *_: filter_bag(np.eye(2), "x"),
     "matching_loss normalization": lambda *_: matching_loss(np.zeros((2, 2)), np.eye(2)),
     "TrainConfig.validate": lambda *_: TrainConfig(loss="hinge").validate(),
     "TrainConfig.from_dict": lambda *_: TrainConfig.from_dict({"loss": "matching", "momentum": 0.9}),
@@ -79,6 +92,11 @@ _ARGUMENT_CHECKS = {
     "TrainConfig feed None": lambda *_: TrainConfig(feed=None).validate(),
     "BagDatasetSpec.validate": lambda *_: BagDatasetSpec(num_classes=1).validate(),
     "SeqTaskSpec.validate": lambda *_: SeqTaskSpec(vocab=2).validate(),
+    "BagDatasetSpec n fraction": lambda *_: BagDatasetSpec(n=100.5).validate(),
+    "BagDatasetSpec separation NaN": lambda *_: BagDatasetSpec(separation=float("nan")).validate(),
+    "BagDatasetSpec seed negative": lambda *_: BagDatasetSpec(seed=-1).validate(),
+    "SeqTaskSpec vocab text": lambda *_: SeqTaskSpec(vocab="x").validate(),
+    "SeqTaskSpec seed negative": lambda *_: SeqTaskSpec(seed=-1).validate(),
     "train_bags loss": lambda *_: train_bags(TrainConfig(loss="gsa"), BagDatasetSpec(n=20)),
     "train_seq loss": lambda *_: train_seq(TrainConfig(loss="matching"), SeqTaskSpec(n=4)),
     "nll reduction": lambda *_: tape.nll(tape.Tensor(np.log(np.full((1, 2), 0.5))), np.array([0]), reduction="max"),
@@ -89,7 +107,6 @@ _ARGUMENT_CHECKS = {
     "load_checkpoint non-numeric value": _checkpoint_reading("param w 1 2\n0.5 abc\nend\n"),
     "load_checkpoint value count": _checkpoint_reading("param w 1 2\n0.5 1.5 2.5\nend\n"),
     "load_checkpoint without end": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n0.5 1.5\n"),
-    "set_backend": lambda *_: set_backend("numba"),
     "COMBGRAD_BACKEND": _backend_variable,
 }
 
