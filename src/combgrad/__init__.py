@@ -49,12 +49,7 @@ from .errors import (
 from .lpref import (
     FDReport,
     LPGradCheck,
-    VertexSet,
     check_lp_grads,
-    enumerate_path_costs,
-    enumerate_paths,
-    enumerate_permutations,
-    enumerate_vertices,
     random_lp,
     solve_lp,
 )
@@ -87,17 +82,12 @@ __all__ = [
     "solve_gsa",
     "gsa_grad_matrix",
     "gsa_loss",
-    # reference / oracles
+    # reference LP
     "solve_lp",
-    "enumerate_vertices",
-    "VertexSet",
     "check_lp_grads",
     "FDReport",
     "LPGradCheck",
     "random_lp",
-    "enumerate_permutations",
-    "enumerate_paths",
-    "enumerate_path_costs",
     # errors
     "CombgradError",
     "InvalidInput",

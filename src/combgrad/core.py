@@ -162,6 +162,8 @@ def supergradient_check(
     """
     if not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise InvalidInput(f"trials must be a whole number >= 1, got {trials!r}")
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+        raise InvalidInput(f"tol must be a finite number >= 0, got {tol!r}")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != w.shape:

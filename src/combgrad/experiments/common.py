@@ -73,8 +73,8 @@ class TrainConfig:
             raise InvalidInput("the gap factor gamma must be > 1 for the alignment loss")
         if self.epochs < 1:
             raise InvalidInput("epochs must be at least 1")
-        if not self.lr > 0:
-            raise InvalidInput("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise InvalidInput("lr must be a finite number > 0")
         if self.batch_size < 1:
             raise InvalidInput("batch_size must be at least 1")
         if not (0.0 < self.threshold <= 1.0):

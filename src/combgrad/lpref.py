@@ -1,20 +1,18 @@
 """Reference machinery at desk scale: a dense two-phase simplex with dual
-recovery, brute-force vertex enumeration, finite-difference checks of the
-optimal-value gradients, and exhaustive enumeration oracles for the
-assignment and alignment solvers.
+recovery, finite-difference checks of the optimal-value gradients, and the
+random instances they run on.
 
 Everything here favors transparency over speed and is meant for instances
 with tens of variables at most.  One tolerance, ``_TOL``, serves the
-simplex pivots, vertex feasibility, rank decisions, the degeneracy screen
-and the oracles' tie sets.
+simplex pivots, the phase-1 feasibility test, rank decisions and the
+degeneracy screen; the test suite's enumeration oracles read it for their
+feasibility tests and tie sets.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,7 +21,6 @@ from . import _kernels
 from .core import LPSpec, SolverOutcome
 from .errors import (
     DegenerateInstance,
-    DimensionMismatch,
     Infeasible,
     InvalidInput,
     IterationLimit,
@@ -154,57 +151,6 @@ def _two_phase(spec: LPSpec) -> SolverOutcome:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    x: np.ndarray
-    basis: tuple
-    objective: float
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    vertices: tuple
-
-    def min_objective(self) -> float:
-        return min(v.objective for v in self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def enumerate_vertices(spec: LPSpec) -> VertexSet:
-    """All basic feasible solutions by brute force over rank-sized column sets.
-
-    Deduplicates coincident points (degenerate vertices keep their first
-    basis).  Intended for num_vars <= 10 and num_constraints <= 6.  Raises
-    Infeasible when no basic feasible solution exists.
-    """
-    m, p = spec.num_constraints, spec.num_vars
-    if p > 10 or m > 6:
-        raise DimensionMismatch("vertex enumeration is limited to p <= 10, m <= 6")
-    rank = int(np.linalg.matrix_rank(spec.A, tol=_TOL))
-    scale = 1.0 + float(np.abs(spec.b).max(initial=0.0))
-    found: dict = {}
-    for S in itertools.combinations(range(p), rank):
-        B = spec.A[:, S]
-        if np.linalg.matrix_rank(B, tol=_TOL) < rank:
-            continue
-        xS, *_ = np.linalg.lstsq(B, spec.b, rcond=None)
-        if np.max(np.abs(B @ xS - spec.b)) > _TOL * scale:
-            continue
-        if np.min(xS, initial=0.0) < -_TOL:
-            continue
-        x = np.zeros(p)
-        x[list(S)] = xS
-        x[np.abs(x) <= _TOL] = 0.0
-        key = tuple(np.round(x, 9))
-        if key not in found:
-            found[key] = Vertex(x=x, basis=tuple(S), objective=float(spec.c @ x))
-    if not found:
-        raise Infeasible("no basic feasible solution")
-    return VertexSet(vertices=tuple(found.values()))
-
-
-@dataclass(frozen=True)
 class FDReport:
     """One central-difference probe of z* along a random direction."""
 
@@ -262,6 +208,8 @@ def check_lp_grads(
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf):
         raise InvalidInput(f"eps must be a finite number > 0, got {eps!r}")
+    if not (isinstance(rtol, numbers.Real) and 0.0 <= rtol < np.inf):
+        raise InvalidInput(f"rtol must be a finite number >= 0, got {rtol!r}")
     if not outcome.unique:
         raise DegenerateInstance("primal optimum not certified unique")
     m = spec.num_constraints
@@ -295,112 +243,3 @@ def random_lp(rng: np.random.Generator, p: int, m: int) -> LPSpec:
     x0 = rng.uniform(0.5, 1.5, size=p)
     c = rng.uniform(0.5, 1.5, size=p)
     return LPSpec(c, A, A @ x0)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracles.  These share no code with the production solvers: the
-# assignment oracle scores every permutation, the alignment oracle walks
-# every monotone lattice path.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _perm_table(b: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(b))), dtype=np.int64)
-
-
-def enumerate_permutations(C: np.ndarray) -> tuple:
-    """Minimum assignment cost and the full argmin set, by enumeration.
-
-    Limited to b <= 8 (8! = 40320 permutations).  Returns (z_min, argmins)
-    where argmins is a list of index tuples whose cost is within _TOL of the
-    minimum.
-    """
-    C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise DimensionMismatch("cost matrix must be square")
-    b = C.shape[0]
-    if b > 8:
-        raise DimensionMismatch("permutation enumeration is limited to b <= 8")
-    if not np.isfinite(C).all():
-        raise NonFinite("cost matrix must be finite")
-    P = _perm_table(b)
-    costs = C[np.arange(b)[None, :], P].sum(axis=1)
-    z = float(costs.min())
-    argmins = [tuple(int(x) for x in P[i]) for i in np.flatnonzero(costs <= z + _TOL)]
-    return z, argmins
-
-
-def enumerate_path_costs(m: np.ndarray, gamma: float) -> np.ndarray:
-    """The cost of every monotone lattice path, with no minimization at all.
-
-    Expands, node by node, the full multiset of path costs reaching each
-    lattice point (arrays rather than strings, so 7x7 grids with ~4.9e4
-    paths stay fast).  The caller takes mins, counts ties, or checks
-    uniqueness against the returned vector.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch("match-cost matrix must be 2-D")
-    Tp, Tt = m.shape
-    if Tp > 7 or Tt > 7:
-        raise DimensionMismatch("path enumeration is limited to 7x7 grids")
-    if not np.isfinite(m).all():
-        raise NonFinite("match costs must be finite")
-    gamma = float(gamma)
-    costs: list = [[None] * (Tt + 1) for _ in range(Tp + 1)]
-    costs[0][0] = np.zeros(1)
-    for i in range(Tp + 1):
-        for k in range(Tt + 1):
-            if i == 0 and k == 0:
-                continue
-            parts = []
-            if i > 0 and k > 0:
-                parts.append(costs[i - 1][k - 1] + m[i - 1, k - 1])
-            if k > 0:
-                parts.append(costs[i][k - 1] + gamma * m[min(i, Tp - 1), k - 1])
-            if i > 0:
-                parts.append(costs[i - 1][k] + gamma * m[i - 1, min(k, Tt - 1)])
-            costs[i][k] = np.concatenate(parts)
-    return costs[Tp][Tt]
-
-
-def enumerate_paths(m: np.ndarray, gamma: float) -> tuple:
-    """Minimum monotone-path cost and the argmin step strings, by enumeration.
-
-    Steps are 'D' (diagonal match), 'P' (gap advancing the target index),
-    'T' (gap advancing the predicted index); gap costs are gamma times the
-    match cost at the source node with indices clamped to the last valid
-    cell.  Limited to dimensions <= 7.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch("match-cost matrix must be 2-D")
-    Tp, Tt = m.shape
-    if Tp > 7 or Tt > 7:
-        raise DimensionMismatch("path enumeration is limited to 7x7 grids")
-    if not np.isfinite(m).all():
-        raise NonFinite("match costs must be finite")
-    gamma = float(gamma)
-    costs = []
-    paths = []
-    # Explicit stack of (i, k, cost-so-far, steps-so-far).
-    stack = [(0, 0, 0.0, "")]
-    while stack:
-        i, k, cost, steps = stack.pop()
-        if i == Tp and k == Tt:
-            costs.append(cost)
-            paths.append(steps)
-            continue
-        if i < Tp and k < Tt:
-            stack.append((i + 1, k + 1, cost + m[i, k], steps + "D"))
-        if k < Tt:
-            ic = i if i < Tp else Tp - 1
-            stack.append((i, k + 1, cost + gamma * m[ic, k], steps + "P"))
-        if i < Tp:
-            kc = k if k < Tt else Tt - 1
-            stack.append((i + 1, k, cost + gamma * m[i, kc], steps + "T"))
-    costs = np.asarray(costs)
-    z = float(costs.min())
-    argmins = sorted(paths[i] for i in np.flatnonzero(costs <= z + _TOL))
-    return z, argmins

@@ -17,6 +17,7 @@ issues on long unrolled sequences).
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
@@ -203,6 +204,8 @@ def _tempered_softmax(a: Tensor, x: np.ndarray, tau: float, value: Optional[np.n
     """A node on `a` for y = softmax(x / tau) by rows, where x is a.value
     plus a constant: its backward is y's Jacobian, and its value is y, or
     `value` when given (a straight-through forward)."""
+    if not (isinstance(tau, numbers.Real) and 0.0 < tau < np.inf):
+        raise InvalidInput(f"tau must be a finite number > 0, got {tau!r}")
     tau = float(tau)
     z = x / tau
     z = z - z.max(axis=1, keepdims=True)
@@ -348,6 +351,8 @@ _EPS = 1e-8
 def adam_step(store: ParamStore, lr: float = 0.001) -> None:
     """One Adam update with bias correction and the standard moment decays
     (0.9, 0.999) and epsilon (1e-8)."""
+    if not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
+        raise InvalidInput(f"lr must be a finite number > 0, got {lr!r}")
     store.step += 1
     t = store.step
     m_slot = store.state.setdefault("m", {})

@@ -23,8 +23,6 @@ from combgrad import (
     AlignGrid,
     DegenerateInstance,
     check_lp_grads,
-    enumerate_path_costs,
-    enumerate_permutations,
     get_backend,
     gsa_grad_matrix,
     gsa_loss,
@@ -60,6 +58,7 @@ from combgrad.tape import (
 )
 
 from helpers import central_fd, rel_err
+from oracles import enumerate_path_costs, enumerate_permutations
 
 SEED = 20260819
 

@@ -8,8 +8,6 @@ from combgrad import (
     DimensionMismatch,
     NonFinite,
     build_grid,
-    enumerate_path_costs,
-    enumerate_paths,
     gsa_grad_matrix,
     gsa_loss,
     invocations,
@@ -20,6 +18,8 @@ from combgrad import (
 )
 from combgrad import _kernels
 from combgrad._kernels import _gsa_many_c, _gsa_many_py, _gsa_py
+
+from oracles import enumerate_path_costs, enumerate_paths, step_string
 
 # AlignResult.kinds codes for a diagonal step and a target-skipping step.
 MATCH, SKIP_TARGET = 1, 2
@@ -122,11 +122,35 @@ class TestOracleAgreement:
         rng = np.random.default_rng(9)
         for _ in range(10):
             grid = random_grid(rng, max_side=4)
-            zmin, winners = enumerate_paths(grid.m, grid.gamma)
-            costs = enumerate_path_costs(grid.m, grid.gamma)
-            assert zmin == pytest.approx(float(costs.min()), abs=1e-12)
+            costs, codes = enumerate_paths(grid.m, grid.gamma)
+            winners = {step_string(code) for code in codes[costs <= costs.min() + 1e-9]}
             res = solve_gsa(grid)
             assert res.step_string() in winners
+
+    def test_each_enumerated_cost_rescores_its_steps(self):
+        # Walk every returned step sequence on the grid, with gap costs read
+        # at the source node clamped to the last cell, as the kernel does.
+        rng = np.random.default_rng(13)
+        for _ in range(8):
+            grid = random_grid(rng, max_side=4)
+            m, (Tp, Tt) = grid.m, grid.m.shape
+            costs, codes = enumerate_paths(m, grid.gamma)
+            assert len(set(codes.tolist())) == codes.size
+            for cost, code in zip(costs, codes):
+                i = k = 0
+                total = 0.0
+                for step in step_string(code):
+                    if step == "D":
+                        total += m[i, k]
+                        i, k = i + 1, k + 1
+                    elif step == "P":
+                        total += grid.gamma * m[min(i, Tp - 1), k]
+                        k += 1
+                    else:
+                        total += grid.gamma * m[i, min(k, Tt - 1)]
+                        i += 1
+                assert (i, k) == (Tp, Tt)
+                assert total == cost
 
 
 class TestGradients:

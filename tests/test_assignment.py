@@ -16,7 +16,6 @@ from combgrad import (
     NonFinite,
     NonSquare,
     assignment_gengrad,
-    enumerate_permutations,
     filter_bag,
     invocations,
     matching_loss,
@@ -27,6 +26,7 @@ from combgrad import _kernels
 from combgrad._kernels import _assign_core_py, _assign_many_c, _assign_many_py, _lex_refine, _min_cycle
 
 from helpers import central_fd
+from oracles import enumerate_permutations
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
 

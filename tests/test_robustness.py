@@ -21,7 +21,6 @@ from combgrad import (
     InvalidInput,
     LPSpec,
     check_lp_grads,
-    enumerate_permutations,
     filter_bag,
     gsa_loss,
     matching_loss,
@@ -36,6 +35,8 @@ from combgrad.alignment import check_gap_factor
 from combgrad.experiments import BagDatasetSpec, SeqTaskSpec, TrainConfig
 from combgrad.experiments.bags import make_bags, train_bags
 from combgrad.experiments.seq import train_seq
+
+from oracles import enumerate_permutations
 
 
 def _duplicate_parameter(tmp_path, monkeypatch):
@@ -64,17 +65,18 @@ def _backend_variable(tmp_path, monkeypatch):
     _kernels._resolve_backend()
 
 
-def _lp_check_without_step(tmp_path, monkeypatch):
-    # min x1 + 2 x2 subject to x1 + x2 = 1: unique and non-degenerate.
-    spec = LPSpec(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0])
-    check_lp_grads(spec, solve_lp(spec), eps=0.0)
-
+# min x1 + 2 x2 subject to x1 + x2 = 1: unique and non-degenerate.
+_LP = LPSpec(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0])
 
 _ARGUMENT_CHECKS = {
     "check_gap_factor": lambda *_: check_gap_factor(1.0),
     "check_gap_factor text": lambda *_: AlignGrid(m=np.ones((2, 2)), gamma="x"),
     "supergradient_check trials": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), trials=0),
-    "check_lp_grads eps": _lp_check_without_step,
+    "supergradient_check tol": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), tol=np.nan),
+    "check_lp_grads eps": lambda *_: check_lp_grads(_LP, solve_lp(_LP), eps=0.0),
+    "check_lp_grads rtol": lambda *_: check_lp_grads(_LP, solve_lp(_LP), rtol=-1.0),
+    "adam_step lr": lambda *_: tape.adam_step(tape.ParamStore(), lr=np.nan),
+    "tempered softmax tau": lambda *_: tape.gumbel_softmax_st(tape.Tensor(np.zeros((1, 2))), 0.0, np.random.default_rng(0)),
     "make_bags bag_size": lambda *_: make_bags(np.zeros((4, 2)), np.zeros(4, np.int64), 2, 0, 0.5, 0),
     "filter_bag threshold text": lambda *_: filter_bag(np.eye(2), "x"),
     "matching_loss normalization": lambda *_: matching_loss(np.zeros((2, 2)), np.eye(2)),
@@ -82,6 +84,7 @@ _ARGUMENT_CHECKS = {
     "TrainConfig.from_dict": lambda *_: TrainConfig.from_dict({"loss": "matching", "momentum": 0.9}),
     "TrainConfig bag_size text": lambda *_: TrainConfig.from_dict({"loss": "matching", "bag_size": "x"}),
     "TrainConfig lr text": lambda *_: TrainConfig.from_dict({"lr": "0.1"}),
+    "TrainConfig lr infinite": lambda *_: TrainConfig(lr=np.inf).validate(),
     "TrainConfig epochs fraction": lambda *_: TrainConfig.from_dict({"epochs": 2.5}),
     "TrainConfig bag_size fraction": lambda *_: TrainConfig(bag_size=2.5).validate(),
     "TrainConfig batch_size fraction": lambda *_: TrainConfig(batch_size=2.5).validate(),
