@@ -42,7 +42,6 @@ from .errors import (
     IterationLimit,
     NonFinite,
     NonSquare,
-    ShapeMismatch,
     TrainAborted,
     Unbounded,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "CombgradError",
     "InvalidInput",
     "DimensionMismatch",
-    "ShapeMismatch",
     "NonSquare",
     "NonFinite",
     "Infeasible",

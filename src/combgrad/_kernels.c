@@ -241,25 +241,26 @@ done:
 /* Alignment: port of _gsa_py (lattice DP with tie counting, then the
  * backtrack) over a (nb, Tp, Tt) stack.  A candidate within
  * tol * (1 + |best|) of a node's best cost counts as tied.  Per instance t
- * it writes zs[t], the path arrays of length Tp + Tt at offset
- * t * (Tp + Tt) (filled from the end, zero before pos[t]), pos[t] and
+ * it writes zs[t], the path of length Tp + Tt at offset t * (Tp + Tt) (each
+ * step's kind and the flat index into m of the cost it paid, gap clamp
+ * included; filled from the end, zero before the first step) and
  * unique[t].  Returns 2 if the backtrack would leave the lattice, which
  * only unreachable (infinite-cost) nodes cause. */
 int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, double *zs,
-             int8_t *kinds, int64_t *eis, int64_t *eks, int64_t *pos, int64_t *unique)
+             int8_t *kinds, int64_t *cells, char *unique)
 {
-    int64_t W = Tt + 1, cells = (Tp + 1) * W, total = Tp + Tt;
-    double *dist = malloc((sizeof(double) + sizeof(int64_t) + 1) * cells);
+    int64_t W = Tt + 1, nodes = (Tp + 1) * W, total = Tp + Tt;
+    double *dist = malloc((sizeof(double) + sizeof(int64_t) + 1) * nodes);
     if (dist == NULL)
         return 1;
-    int64_t *npaths = (int64_t *)(dist + cells);
-    int8_t *choice = (int8_t *)(npaths + cells);
+    int64_t *npaths = (int64_t *)(dist + nodes);
+    int8_t *choice = (int8_t *)(npaths + nodes);
     int status = 2;
     for (int64_t t = 0; t < nb; t++) {
         const double *m = ms + t * Tp * Tt;
         int8_t *kd = kinds + t * total;
-        int64_t *ei = eis + t * total, *ek = eks + t * total;
-        for (int64_t c = 0; c < cells; c++) {
+        int64_t *cl = cells + t * total;
+        for (int64_t c = 0; c < nodes; c++) {
             dist[c] = INFINITY;
             choice[c] = 0;
             npaths[c] = 0;
@@ -311,31 +312,32 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
         }
         for (int64_t e = 0; e < total; e++) {
             kd[e] = 0;
-            ei[e] = 0;
-            ek[e] = 0;
+            cl[e] = 0;
         }
         int64_t i = Tp, k = Tt, p = total;
         while (i != 0 || k != 0) {
             int8_t ch = choice[i * W + k];
+            int64_t cell;
             p -= 1;
             if (ch == 1) {
                 i -= 1;
                 k -= 1;
+                cell = i * Tt + k;
             } else if (ch == 2) {
                 k -= 1;
+                cell = (i < Tp ? i : Tp - 1) * Tt + k;
             } else {
                 if (i == 0)
                     goto done;
                 ch = 3;
                 i -= 1;
+                cell = i * Tt + (k < Tt ? k : Tt - 1);
             }
             kd[p] = ch;
-            ei[p] = i;
-            ek[p] = k;
+            cl[p] = cell;
         }
         zs[t] = dist[Tp * W + Tt];
-        pos[t] = p;
-        unique[t] = npaths[Tp * W + Tt] == 1 ? 1 : 0;
+        unique[t] = npaths[Tp * W + Tt] == 1;
     }
     status = 0;
 done:

@@ -24,10 +24,10 @@ and certifies it (``_min_cycle``, ported as ``min_cycle``): the matching
 costs at most its dual sum plus ``_TOL``, and ``unique`` says whether every
 other matching costs more than that matching plus ``_TOL``.  The alignment
 kernel solves, counts the paths tied within ``_TOL * (1 + |z|)``, and
-returns the winning path as step kinds and source nodes; :func:`gsa_grads`
-turns those into gradients.  Every dispatch increments an invocation
-counter per kernel kind so callers can assert how many solver runs a code
-path costs.
+returns the winning path as each step's kind and the cell whose cost it
+paid, gap clamp included; :func:`gsa_grads` turns those into gradients.
+Every dispatch increments an invocation counter per kernel kind so callers
+can assert how many solver runs a code path costs.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def c_library():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.assign_many.argtypes = [ptr, i64, i64, ctypes.c_double, ptr, ptr, ptr]
     lib.assign_many.restype = ctypes.c_int
-    lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, ctypes.c_double, *[ptr] * 6]
+    lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, ctypes.c_double, *[ptr] * 4]
     lib.gsa_many.restype = ctypes.c_int
     return lib
 
@@ -386,7 +386,8 @@ def assignment_kernel_many(Cs: np.ndarray):
 # 0 <= k <= Tt.  Edge kinds: 1 = diagonal match, 2 = gap that advances the
 # target index (horizontal), 3 = gap that advances the predicted index
 # (vertical).  Gap edges read the match cost at the source node with
-# out-of-range indices clamped to the last valid cell, scaled by gamma.
+# out-of-range indices clamped to the last valid cell, scaled by gamma; the
+# backtrack records each step's kind and the flat index of the cell it read.
 # Ties prefer diagonal, then horizontal gap, then vertical gap.  A candidate
 # within _TOL * (1 + |best|) of a node's best cost counts as tied when paths
 # are counted.
@@ -440,8 +441,7 @@ def _gsa_py(m, gamma):
             npaths[i, k] = min(cnt, 2)
     total = Tp + Tt
     kinds = np.zeros(total, np.int8)
-    eis = np.zeros(total, np.int64)
-    eks = np.zeros(total, np.int64)
+    cells = np.zeros(total, np.int64)
     i = Tp
     k = Tt
     pos = total
@@ -451,28 +451,22 @@ def _gsa_py(m, gamma):
         if ch == 1:
             i -= 1
             k -= 1
+            cell = i * Tt + k
         elif ch == 2:
             k -= 1
+            cell = (i if i < Tp else Tp - 1) * Tt + k
         else:
             ch = 3
             i -= 1
+            cell = i * Tt + (k if k < Tt else Tt - 1)
         kinds[pos] = ch
-        eis[pos] = i
-        eks[pos] = k
-    unique = 1 if npaths[Tp, Tt] == 1 else 0
-    return float(dist[Tp, Tt]), kinds, eis, eks, pos, unique
+        cells[pos] = cell
+    return float(dist[Tp, Tt]), kinds, cells, npaths[Tp, Tt] == 1
 
 
 def _gsa_outputs(nb, total):
-    """Stacked result arrays of ``_gsa_py``: z, kinds, eis, eks, pos, unique."""
-    return (
-        np.empty(nb),
-        np.empty((nb, total), np.int8),
-        np.empty((nb, total), np.int64),
-        np.empty((nb, total), np.int64),
-        np.empty(nb, np.int64),
-        np.empty(nb, np.int64),
-    )
+    """Stacked result arrays of ``_gsa_py``: z, kinds, cells, unique."""
+    return np.empty(nb), np.empty((nb, total), np.int8), np.empty((nb, total), np.int64), np.empty(nb, np.bool_)
 
 
 def _gsa_many_py(ms, gamma):
@@ -501,25 +495,26 @@ def _gsa_many(ms, gamma):
     return _gsa_many_c(ms, gamma) if get_backend() == "c" else _gsa_many_py(ms, gamma)
 
 
-def gsa_grads(kinds, eis, eks, Tp, Tt, gamma):
-    """Dense (k, Tp, Tt) gradients from stacked gsa path arrays: each step
-    adds 1 (match) or gamma (gap) to its clamped source cell, accumulated in
-    path order by np.bincount.  The padding before a path's first step has
-    kind 0 and weighs 0."""
+def gsa_grads(kinds, cells, Tp, Tt, gamma):
+    """Dense (k, Tp, Tt) gradients from stacked gsa paths: each step adds 1
+    (match) or gamma (gap) to the cell it paid, accumulated in path order by
+    np.bincount.  The padding before a path's first step has kind 0 and
+    weighs 0."""
     nb = kinds.shape[0]
     gamma = float(gamma)
     weights = np.array([0.0, 1.0, gamma, gamma])[kinds]
-    cells = (np.arange(nb)[:, None] * Tp + np.minimum(eis, Tp - 1)) * Tt + np.minimum(eks, Tt - 1)
-    return np.bincount(cells.ravel(), weights.ravel(), minlength=nb * Tp * Tt).reshape(nb, Tp, Tt)
+    flat = cells + np.arange(nb)[:, None] * (Tp * Tt)
+    return np.bincount(flat.ravel(), weights.ravel(), minlength=nb * Tp * Tt).reshape(nb, Tp, Tt)
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):
-    """Solve one alignment grid.  Returns (z, kinds, eis, eks, pos, unique):
-    the optimal cost, the path arrays (step kind and source node, filled
-    from the end, zero before pos) and whether the optimal path is unique."""
+    """Solve one alignment grid.  Returns (z, kinds, cells, unique): the
+    optimal cost, the path (each step's kind and the flat index into m of
+    the cost it paid, filled from the end, kind 0 before the first step) and
+    whether the optimal path is unique."""
     increment("gsa")
-    zs, kinds, eis, eks, pos, unique = _gsa_many(m[None, :, :], gamma)
-    return float(zs[0]), kinds[0], eis[0], eks[0], int(pos[0]), int(unique[0])
+    zs, kinds, cells, unique = _gsa_many(m[None, :, :], gamma)
+    return float(zs[0]), kinds[0], cells[0], unique[0]
 
 
 def gsa_kernel_many(ms: np.ndarray, gamma: float):

@@ -78,18 +78,16 @@ class AlignResult:
     """Optimal alignment path with its cost.
 
     The path is kept as the kernel's read-only arrays, one entry per step:
-    kinds (1 match, 2 skip-target, 3 skip-pred) and the source node
-    (eis, eks).  A match step costs m[eis, eks] and a gap step gamma times
-    the match cost at its source node clamped to the grid.  unique is True
-    when the kernel counted exactly one optimal path, so the path's edge
-    counts are the whole gradient.
+    kinds (1 match, 2 skip-target, 3 skip-pred) and cells, the flat index
+    into m of the cost the step paid: a match step costs m.flat[cell] and a
+    gap step gamma times it.  unique is True when the kernel counted exactly
+    one optimal path, so the path's edge counts are the whole gradient.
     """
 
     z_star: float
     unique: bool
     kinds: np.ndarray
-    eis: np.ndarray
-    eks: np.ndarray
+    cells: np.ndarray
 
     def step_string(self) -> str:
         """The path as one letter per step: D match, P skip-target, T skip-pred."""
@@ -103,8 +101,9 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
     The same kernel pass counts the optimal paths, so the uniqueness verdict
     costs nothing extra.
     """
-    z, kinds, eis, eks, pos, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
-    path = [a[pos:] for a in (kinds, eis, eks)]
+    z, kinds, cells, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
+    start = kinds.size - np.count_nonzero(kinds)
+    path = [kinds[start:], cells[start:]]
     for a in path:
         a.setflags(write=False)
     return AlignResult(z, bool(unique), *path)
@@ -113,10 +112,10 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
 def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     """Gradient of the optimal path cost, shaped like the match-cost matrix.
 
-    Each matched cell gets 1 per visit and each gap charges gamma to its
-    clamped source cell: the exact gradient of the cost actually paid.
+    Each matched cell gets 1 per visit and each gap charges gamma to the
+    cell it paid: the exact gradient of the cost actually paid.
     """
-    path = (result.kinds[None], result.eis[None], result.eks[None])
+    path = (result.kinds[None], result.cells[None])
     return _kernels.gsa_grads(*path, grid.pred_len, grid.target_len, grid.gamma)[0]
 
 
@@ -164,8 +163,8 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     m, active = _match_costs(logP, Y)
     ms = m if m.ndim == 3 else m[None]
     gamma = check_grids(ms, gamma)
-    zs, kinds, eis, eks, _, _ = _kernels.gsa_kernel_many(ms, gamma)
-    Gs = _kernels.gsa_grads(kinds, eis, eks, *ms.shape[1:], gamma)
+    zs, kinds, cells, _ = _kernels.gsa_kernel_many(ms, gamma)
+    Gs = _kernels.gsa_grads(kinds, cells, *ms.shape[1:], gamma)
     # A cell's coefficient sums its path steps, up to (Tp + Tt) * gamma, so
     # finite reference rows near 1e308 can still overflow the gradient.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -145,7 +145,7 @@ def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
     integer is not rejected by roundoff).  A (k, b, d) stack of bags gives a
     (k,) bool mask; one pairwise row comparison serves every bag.
     """
-    if not isinstance(threshold, numbers.Real) or np.isnan(threshold):
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or np.isnan(threshold):
         raise InvalidInput(f"threshold must be a real number, got {threshold!r}")
     Y = np.asarray(Y)
     if Y.ndim not in (2, 3) or 0 in Y.shape[-2:]:

@@ -3,7 +3,7 @@ training experiments, and benchmark solver scaling.
 
 Commands: solve KIND INPUT; gradcheck KIND [INPUT] with --seed, --tol,
 --trials, --perturb-grad and (lp only) --eps; train TASK CONFIG with --seed;
-bench KIND with --seed, --sizes, --repeats, --family.  Every command takes
+bench KIND with --seed, --sizes, --repeats.  Every command takes
 --out; --seed defaults to 1729.  gradcheck's --trials counts supergradient
 probes on an INPUT instance, and drawn instances (20 probes each) in the
 random suite run without INPUT, whose report has kind, passed, instances,
@@ -365,7 +365,7 @@ def _cmd_train(args) -> int:
     try:
         rows, store = runner()
     except TrainAborted as exc:
-        write_metrics(exc.rows or [], out)
+        write_metrics(exc.rows, out)
         _err("aborted", str(exc))
         return 4
     write_metrics(rows, out)
@@ -401,17 +401,14 @@ def _parse_sizes(text: str) -> list:
 # otherwise bend the measured exponent.
 
 
-def _bench_assignment(size: int, args, rng: np.random.Generator) -> tuple:
+def _bench_assignment(size: int, rng: np.random.Generator) -> tuple:
     k = min(1024, max(1, 2**18 // size**3))
-    if args.family == "hard":
-        # Dense product costs: a classic worst-case family for
-        # shortest-augmenting-path assignment solvers, so the measured
-        # exponent reflects the O(size^3) bound rather than lucky early
-        # exits on uniform noise.
-        i = np.arange(1.0, size + 1.0)
-        base = np.outer(i, i)
-    else:
-        base = rng.uniform(0.0, 1.0, size=(size, size))
+    # Dense product costs: a classic worst-case family for
+    # shortest-augmenting-path assignment solvers, so the measured exponent
+    # reflects the O(size^3) bound rather than lucky early exits on uniform
+    # noise.
+    i = np.arange(1.0, size + 1.0)
+    base = np.outer(i, i)
     rows_idx = np.arange(size)[None, :]
     batch_idx = np.arange(k)[:, None]
 
@@ -423,10 +420,10 @@ def _bench_assignment(size: int, args, rng: np.random.Generator) -> tuple:
     return k, base, solve_grad
 
 
-def _bench_gsa(size: int, args, rng: np.random.Generator) -> tuple:
+def _bench_gsa(size: int, rng: np.random.Generator) -> tuple:
     def solve_grad(batch: np.ndarray) -> None:
-        _, kinds, eis, eks, _, _ = _kernels.gsa_kernel_many(batch, 1.5)
-        _kernels.gsa_grads(kinds, eis, eks, size, size, 1.5)
+        _, kinds, cells, _ = _kernels.gsa_kernel_many(batch, 1.5)
+        _kernels.gsa_grads(kinds, cells, size, size, 1.5)
 
     return max(1, 4096 // (size * size)), rng.uniform(0.1, 2.0, size=(size, size)), solve_grad
 
@@ -444,7 +441,7 @@ def _cmd_bench(args) -> int:
         # seconds are per solve-plus-gradient.  One untimed pass per size
         # builds the C library on first use and primes caches and branch
         # predictors, so the first timed repeat is not inflated.
-        k, base, solve_grad = setup(size, args, rng)
+        k, base, solve_grad = setup(size, rng)
         batch = np.repeat(base[None, :, :], k, axis=0)
         solve_grad(batch)
         for rep in range(args.repeats):
@@ -525,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("kind", choices=["assignment", "gsa"])
     pb.add_argument("--sizes", type=str, default="8..64", help="'a..b' doubling or comma list (default %(default)s)")
     pb.add_argument("--repeats", type=_COUNT, default=5, help="rows per size (default %(default)s)")
-    pb.add_argument("--family", choices=["hard", "random"], default="hard", help="assignment instance family")
     pb.set_defaults(func=_cmd_bench)
     return p
 

@@ -160,9 +160,9 @@ def supergradient_check(
     ``np.random.default_rng(0)``).  Reports the worst violation found
     (positive = violated).
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise InvalidInput(f"trials must be a whole number >= 1, got {trials!r}")
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
         raise InvalidInput(f"tol must be a finite number >= 0, got {tol!r}")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)

@@ -13,10 +13,6 @@ class DimensionMismatch(CombgradError):
     """Array dimensions are inconsistent with the declared problem."""
 
 
-class ShapeMismatch(DimensionMismatch):
-    """Tape operands have incompatible shapes."""
-
-
 class NonSquare(CombgradError):
     """Assignment cost matrices must be square."""
 
@@ -49,6 +45,6 @@ class TrainAborted(CombgradError):
     partial run before exiting.
     """
 
-    def __init__(self, message, rows=None):
+    def __init__(self, message, rows):
         super().__init__(message)
-        self.rows = rows if rows is not None else []
+        self.rows = rows

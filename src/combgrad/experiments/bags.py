@@ -108,7 +108,7 @@ def make_bags(
     remainder, keep only bags meeting the distinct-class threshold, and
     scramble each kept bag's label rows by a hidden permutation.  Returns
     the kept bags as one stack."""
-    if not (isinstance(bag_size, numbers.Integral) and bag_size >= 1):
+    if isinstance(bag_size, bool) or not (isinstance(bag_size, numbers.Integral) and bag_size >= 1):
         raise InvalidInput(f"bag_size must be a whole number >= 1, got {bag_size!r}")
     rng = np.random.default_rng(seed)
     n = x.shape[0]

@@ -206,9 +206,9 @@ def check_lp_grads(
     the optimal vertex is degenerate; a single witness is then only one
     element of the gradient set and the quotient need not match it.
     """
-    if not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf):
+    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf):
         raise InvalidInput(f"eps must be a finite number > 0, got {eps!r}")
-    if not (isinstance(rtol, numbers.Real) and 0.0 <= rtol < np.inf):
+    if isinstance(rtol, bool) or not (isinstance(rtol, numbers.Real) and 0.0 <= rtol < np.inf):
         raise InvalidInput(f"rtol must be a finite number >= 0, got {rtol!r}")
     if not outcome.unique:
         raise DegenerateInstance("primal optimum not certified unique")

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NonFinite, ShapeMismatch
+from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
 class Tensor:
@@ -185,7 +185,7 @@ def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
 def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log-softmax of a 2-D tensor."""
     if a.value.ndim != 2:
-        raise ShapeMismatch("log_softmax expects a 2-D tensor")
+        raise DimensionMismatch("log_softmax expects a 2-D tensor")
     x = a.value
     shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -204,7 +204,7 @@ def _tempered_softmax(a: Tensor, x: np.ndarray, tau: float, value: Optional[np.n
     """A node on `a` for y = softmax(x / tau) by rows, where x is a.value
     plus a constant: its backward is y's Jacobian, and its value is y, or
     `value` when given (a straight-through forward)."""
-    if not (isinstance(tau, numbers.Real) and 0.0 < tau < np.inf):
+    if isinstance(tau, bool) or not (isinstance(tau, numbers.Real) and 0.0 < tau < np.inf):
         raise InvalidInput(f"tau must be a finite number > 0, got {tau!r}")
     tau = float(tau)
     z = x / tau
@@ -224,7 +224,7 @@ def softmax_t(a: Tensor, tau: float) -> Tensor:
     """Row-wise tempered softmax, softmax(x / tau) — the soft feed for
     decoders that consume their own output distribution."""
     if a.value.ndim != 2:
-        raise ShapeMismatch("softmax_t expects a 2-D tensor")
+        raise DimensionMismatch("softmax_t expects a 2-D tensor")
     return _tempered_softmax(a, a.value, tau)
 
 
@@ -236,7 +236,7 @@ def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> T
     through the tempered softmax of the noisy logits at temperature tau.
     """
     if logits.value.ndim != 2:
-        raise ShapeMismatch("gumbel_softmax_st expects a 2-D tensor")
+        raise DimensionMismatch("gumbel_softmax_st expects a 2-D tensor")
     u = rng.uniform(low=np.finfo(np.float64).tiny, high=1.0, size=logits.value.shape)
     noisy = logits.value - np.log(-np.log(u))
     hard = np.zeros_like(noisy)
@@ -253,12 +253,12 @@ def nll(logp: Tensor, targets: np.ndarray, *, reduction: str = "mean") -> Tensor
     targets = np.asarray(targets)
     if targets.ndim == 2:
         if targets.shape != logp.value.shape:
-            raise ShapeMismatch("one-hot targets must match the log-prob shape")
+            raise DimensionMismatch("one-hot targets must match the log-prob shape")
         ids = targets.argmax(axis=1)
     else:
         ids = targets.astype(np.int64)
     if logp.value.ndim != 2 or ids.ndim != 1 or ids.shape[0] != logp.value.shape[0]:
-        raise ShapeMismatch("nll expects (n, d) log-probs and (n,) targets")
+        raise DimensionMismatch("nll expects (n, d) log-probs and (n,) targets")
     n = ids.shape[0]
     picked = logp.value[np.arange(n), ids]
     val = -picked.sum()
@@ -306,7 +306,7 @@ def custom_node(parents: Sequence[Tensor], value, vjps: Sequence[Callable]) -> T
     """A tensor whose forward value and per-parent vector-Jacobian products
     were computed outside the tape (e.g. a batched discrete loss)."""
     if len(parents) != len(vjps):
-        raise ShapeMismatch("one vjp per parent required")
+        raise DimensionMismatch("one vjp per parent required")
     out = Tensor(value, tuple(parents))
 
     def _bw(g):
@@ -348,10 +348,10 @@ _BETA2 = 0.999
 _EPS = 1e-8
 
 
-def adam_step(store: ParamStore, lr: float = 0.001) -> None:
+def adam_step(store: ParamStore, lr: float) -> None:
     """One Adam update with bias correction and the standard moment decays
     (0.9, 0.999) and epsilon (1e-8)."""
-    if not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
+    if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
         raise InvalidInput(f"lr must be a finite number > 0, got {lr!r}")
     store.step += 1
     t = store.step

@@ -21,8 +21,9 @@ from combgrad._kernels import _gsa_many_c, _gsa_many_py, _gsa_py
 
 from oracles import enumerate_path_costs, enumerate_paths, step_string
 
-# AlignResult.kinds codes for a diagonal step and a target-skipping step.
-MATCH, SKIP_TARGET = 1, 2
+# AlignResult.kinds codes for a diagonal, a target-skipping and a
+# prediction-skipping step.
+MATCH, SKIP_TARGET, SKIP_PRED = 1, 2, 3
 
 def random_grid(rng, max_side=7):
     Tp = int(rng.integers(1, max_side + 1))
@@ -31,13 +32,18 @@ def random_grid(rng, max_side=7):
 
 
 def _step_costs(grid, res):
-    """Each step's cost, read off the grid: a match pays m at its source
-    node, a gap gamma times m at its source node clamped to the grid."""
-    costs = []
-    for kind, i, k in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
-        i, k = min(i, grid.pred_len - 1), min(k, grid.target_len - 1)
-        costs.append(grid.m[i, k] if kind == MATCH else grid.gamma * grid.m[i, k])
-    return costs
+    """Each step's cost, read off the grid: a match pays the cell it names,
+    a gap gamma times it."""
+    m = grid.m.ravel()
+    return [m[c] if kind == MATCH else grid.gamma * m[c] for kind, c in zip(res.kinds.tolist(), res.cells.tolist())]
+
+
+def _walk(res):
+    """Each step's kind and source node, found by walking the path from (0, 0)."""
+    i = k = 0
+    for kind in res.kinds.tolist():
+        yield kind, i, k
+        i, k = i + (kind != SKIP_TARGET), k + (kind != SKIP_PRED)
 
 
 class TestFrozenInstances:
@@ -65,10 +71,22 @@ class TestFrozenInstances:
         assert res.z_star == pytest.approx(2.5)
         assert res.unique is False
 
+    @pytest.mark.parametrize(
+        "m, path, cells, z",
+        [([[1.0, 5.0, 2.0]], "PDP", [0, 1, 2], 9.5), ([[1.0, 5.0, 2.0], [5.0, 1.0, 9.0]], "DPD", [0, 4, 5], 11.5)],
+    )
+    def test_cells_are_the_costs_paid(self, m, path, cells, z):
+        # A gap out of the last row or column pays the clamped cell: the
+        # final P of "PDP" starts at node (1, 2) and pays m[0, 2].
+        res = solve_gsa(AlignGrid(m=np.array(m), gamma=1.5))
+        assert res.step_string() == path
+        assert res.cells.tolist() == cells
+        assert res.z_star == z
+
     def test_path_arrays_are_read_only(self):
         grid = AlignGrid(m=np.array([[1.0, 5.0, 2.0], [5.0, 1.0, 9.0]]), gamma=1.5)
         res = solve_gsa(grid)
-        for a in (res.kinds, res.eis, res.eks):
+        for a in (res.kinds, res.cells):
             assert a.shape == (len(res.step_string()),)
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -88,16 +106,12 @@ class TestFrozenInstances:
         for _ in range(20):
             grid = random_grid(rng)
             res = solve_gsa(grid)
-            i = k = 0
-            for kind, ei, ek in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
-                assert (ei, ek) == (i, k)
-                if kind == MATCH:
-                    i, k = i + 1, k + 1
-                elif kind == SKIP_TARGET:
-                    k += 1
-                else:
-                    i += 1
-            assert (i, k) == (grid.pred_len, grid.target_len)
+            Tp, Tt = grid.m.shape
+            # Each step pays the cell at its source node, clamped to the grid.
+            sources = [min(i, Tp - 1) * Tt + min(k, Tt - 1) for _, i, k in _walk(res)]
+            assert res.cells.tolist() == sources
+            n = np.bincount(res.kinds, minlength=4)
+            assert (n[MATCH] + n[SKIP_PRED], n[MATCH] + n[SKIP_TARGET]) == (Tp, Tt)
 
 
 class TestOracleAgreement:
@@ -199,11 +213,10 @@ class TestGradients:
         grid = AlignGrid(m=np.array([[1.0, 5.0, 2.0]]), gamma=1.5)
         res = solve_gsa(grid)
         G_full = gsa_grad_matrix(grid, res)
-        Tp, Tt = grid.m.shape
         G_diag = G_full.copy()
-        for kind, ei, ek in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
+        for kind, cell in zip(res.kinds.tolist(), res.cells.tolist()):
             if kind != MATCH:
-                G_diag[min(ei, Tp - 1), min(ek, Tt - 1)] -= grid.gamma
+                G_diag.flat[cell] -= grid.gamma
         n_matches = int(np.count_nonzero(res.kinds == MATCH))
         n_gaps = res.kinds.size - n_matches
         assert n_gaps > 0
@@ -351,10 +364,12 @@ class TestAlignmentLoss:
                     active = (logP[b] > np.log(1e-12)).astype(np.float64)
                     old = -(gsa_grad_matrix(grid, res) @ Y[b]) * active
                     assert res.z_star == z and old.tobytes() == g.tobytes(), where
-                    ref_z, *ref_path, ref_pos, _ = _gsa_py(grid.m, grid.gamma)
+                    ref_z, ref_kinds, ref_cells, _ = _gsa_py(grid.m, grid.gamma)
                     assert np.float64(ref_z).tobytes() == np.float64(z).tobytes(), where
-                    for a, ref in zip((res.kinds, res.eis, res.eks), ref_path):
-                        assert a.tobytes() == ref[ref_pos:].tobytes(), where
+                    start = ref_kinds.size - res.kinds.size
+                    assert not ref_kinds[:start].any(), where
+                    for a, ref in zip((res.kinds, res.cells), (ref_kinds, ref_cells)):
+                        assert a.tobytes() == ref[start:].tobytes(), where
 
     def test_single_row_agrees_with_the_matching_loss(self):
         # One row against one target: a 1x1 grid's best path is the match
@@ -409,20 +424,15 @@ class TestCompiledKernel:
                     assert a.tobytes() == b.tobytes(), where
             # The gradient scatter is shared by both backends, so check it
             # against an independent per-edge accumulation over the path.
-            _, kinds, eis, eks, _, _ = _gsa_many_c(ms, gamma)
-            Gs = _kernels.gsa_grads(kinds, eis, eks, *ms.shape[1:], gamma)
+            _, kinds, cells, _ = _gsa_many_c(ms, gamma)
+            Gs = _kernels.gsa_grads(kinds, cells, *ms.shape[1:], gamma)
             for t, m in enumerate(ms):
                 grid = AlignGrid(m=m, gamma=gamma)
                 grad = {}
                 res = solve_gsa(grid)
-                for kind, ei, ek in zip(res.kinds.tolist(), res.eis.tolist(), res.eks.tolist()):
-                    if kind == MATCH:
-                        cell, g = (ei, ek), 1.0
-                    elif kind == SKIP_TARGET:
-                        cell, g = (min(ei, grid.pred_len - 1), ek), gamma
-                    else:
-                        cell, g = (ei, min(ek, grid.target_len - 1)), gamma
-                    grad[cell] = grad.get(cell, 0.0) + g
+                for kind, i, k in _walk(res):
+                    cell = (min(i, grid.pred_len - 1), min(k, grid.target_len - 1))
+                    grad[cell] = grad.get(cell, 0.0) + (1.0 if kind == MATCH else gamma)
                 G = np.zeros(m.shape)
                 for (i, k), g in grad.items():
                     G[i, k] += g

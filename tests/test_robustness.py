@@ -73,12 +73,20 @@ _ARGUMENT_CHECKS = {
     "check_gap_factor text": lambda *_: AlignGrid(m=np.ones((2, 2)), gamma="x"),
     "supergradient_check trials": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), trials=0),
     "supergradient_check tol": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), tol=np.nan),
+    "supergradient_check trials bool": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), trials=True),
+    "supergradient_check tol bool": lambda *_: supergradient_check(lambda w: 0.0, np.zeros(1), np.zeros(1), tol=False),
     "check_lp_grads eps": lambda *_: check_lp_grads(_LP, solve_lp(_LP), eps=0.0),
     "check_lp_grads rtol": lambda *_: check_lp_grads(_LP, solve_lp(_LP), rtol=-1.0),
+    "check_lp_grads eps bool": lambda *_: check_lp_grads(_LP, solve_lp(_LP), eps=True),
+    "check_lp_grads rtol bool": lambda *_: check_lp_grads(_LP, solve_lp(_LP), rtol=False),
     "adam_step lr": lambda *_: tape.adam_step(tape.ParamStore(), lr=np.nan),
+    "adam_step lr bool": lambda *_: tape.adam_step(tape.ParamStore(), lr=True),
     "tempered softmax tau": lambda *_: tape.gumbel_softmax_st(tape.Tensor(np.zeros((1, 2))), 0.0, np.random.default_rng(0)),
+    "tempered softmax tau bool": lambda *_: tape.softmax_t(tape.Tensor(np.zeros((1, 2))), True),
     "make_bags bag_size": lambda *_: make_bags(np.zeros((4, 2)), np.zeros(4, np.int64), 2, 0, 0.5, 0),
+    "make_bags bag_size bool": lambda *_: make_bags(np.zeros((4, 2)), np.zeros(4, np.int64), 2, True, 0.5, 0),
     "filter_bag threshold text": lambda *_: filter_bag(np.eye(2), "x"),
+    "filter_bag threshold bool": lambda *_: filter_bag(np.eye(2), True),
     "matching_loss normalization": lambda *_: matching_loss(np.zeros((2, 2)), np.eye(2)),
     "TrainConfig.validate": lambda *_: TrainConfig(loss="hinge").validate(),
     "TrainConfig.from_dict": lambda *_: TrainConfig.from_dict({"loss": "matching", "momentum": 0.9}),
