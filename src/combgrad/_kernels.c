@@ -149,12 +149,15 @@ static double min_cycle(double *D, int64_t n, double *col, double *row)
  * 0), its matching is refined by lex_refine, and it is certified as in
  * _certify: unique[t] is 1 when min_cycle over the swap costs
  * W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] exceeds tol, with
- * slack = (C - u) - v.  The stacked u come first in uvs, then the stacked
- * v.  One workspace serves every instance.  Returns 2 if an instance has
- * no free column with a finite reduced cost. */
-int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *uvs, char *unique)
+ * slack = (C - u) - v.  The outputs share one block, in this order: the
+ * stacked perms (k * n int64), u and v (k * n doubles each), then unique
+ * (k bytes).  One workspace serves every instance.  Returns 2 if an
+ * instance has no free column with a finite reduced cost. */
+int assign_many(const double *Cs, int64_t k, int64_t n, double tol, void *out)
 {
-    double *us = uvs, *vs = uvs + k * n;
+    int64_t *perms = out;
+    double *us = (double *)(perms + k * n), *vs = us + k * n;
+    char *unique = (char *)(vs + k * n);
     double *u = malloc(sizeof(double) * (n * n + 5 * n + 3) + sizeof(int64_t) * (n * n + 7 * n + 6) + 3 * n + 1);
     if (u == NULL)
         return 1;
@@ -244,12 +247,17 @@ done:
  * it writes zs[t], the path of length Tp + Tt at offset t * (Tp + Tt) (each
  * step's kind and the flat index into m of the cost it paid, gap clamp
  * included; filled from the end, zero before the first step) and
- * unique[t].  Returns 2 if the backtrack would leave the lattice, which
- * only unreachable (infinite-cost) nodes cause. */
-int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, double *zs,
-             int8_t *kinds, int64_t *cells, char *unique)
+ * unique[t].  The outputs share one block, in this order: zs (nb doubles),
+ * cells (nb * (Tp + Tt) int64), kinds (as many int8), then unique (nb
+ * bytes).  Returns 2 if the backtrack would leave the lattice, which only
+ * unreachable (infinite-cost) nodes cause. */
+int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, void *out)
 {
     int64_t W = Tt + 1, nodes = (Tp + 1) * W, total = Tp + Tt;
+    double *zs = out;
+    int64_t *cells = (int64_t *)(zs + nb);
+    int8_t *kinds = (int8_t *)(cells + nb * total);
+    char *unique = (char *)(kinds + nb * total);
     double *dist = malloc((sizeof(double) + sizeof(int64_t) + 1) * nodes);
     if (dist == NULL)
         return 1;

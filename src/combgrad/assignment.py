@@ -125,13 +125,18 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
         )
     Ys = Y.reshape(-1, *Y.shape[-2:])
     Cs, active = _log_costs(logP.reshape(Ys.shape), Ys)
-    rowsum = np.abs(np.logaddexp.reduce(logP, axis=-1))
+    # exp overflows (row sum inf) and a row of -inf gives log 0 (-inf):
+    # both are rejected, so neither warning is worth raising.
+    with np.errstate(over="ignore", divide="ignore"):
+        rowsum = np.abs(np.log(np.exp(logP).sum(axis=-1)))
     if np.any(rowsum > 1e-6):
         raise InvalidInput("each logP row must be a normalized log-distribution")
     _check_cost_range(Cs)
     perms = _kernels.assignment_kernel_many(Cs)[0]
-    zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    grad = -np.take_along_axis(Ys, perms[:, :, None], axis=1) * active
+    k, b = perms.shape
+    rows = np.arange(k)[:, None]
+    zs = Cs[rows, np.arange(b), perms].sum(axis=1)
+    grad = -Ys[rows, perms] * active
     if logP.ndim == 2:
         return float(zs[0]), grad[0]
     return zs, grad

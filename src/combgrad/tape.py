@@ -324,18 +324,41 @@ def custom_node(parents: Sequence[Tensor], value, vjps: Sequence[Callable]) -> T
 
 @dataclass
 class ParamStore:
-    """Named trainable tensors plus optimizer slots and the step counter."""
+    """Named trainable tensors plus optimizer slots and the step counter.
+
+    Every parameter's value is a view into one flat float64 buffer that
+    holds all parameters in insertion order; `add` repacks it.  So a value
+    is changed in place (`value[...] = x`): an array bound to `.value`
+    instead is not the one `adam_step` updates.  The Adam moments in
+    `state` ("m" and "v") are flat arrays over the same layout, so
+    `adam_step` updates every parameter in one elementwise pass.
+    """
 
     params: Dict[str, Tensor] = field(default_factory=dict)
     seed: int = 0
-    state: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
+    state: Dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    _values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._repack()
+
+    def _repack(self) -> None:
+        """Copy every value into one new flat buffer and rebind each
+        parameter's value to its view of it."""
+        flat = np.concatenate([np.empty(0), *(t.value for t in self.params.values())], axis=None)
+        start = 0
+        for t in self.params.values():
+            t.value = flat[start : start + t.value.size].reshape(t.value.shape)
+            start += t.value.size
+        self._values = flat
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self.params:
             raise InvalidInput(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(value, dtype=np.float64))
         self.params[name] = t
+        self._repack()
         return t
 
     def zero_grad(self) -> None:
@@ -350,29 +373,42 @@ _EPS = 1e-8
 
 def adam_step(store: ParamStore, lr: float) -> None:
     """One Adam update with bias correction and the standard moment decays
-    (0.9, 0.999) and epsilon (1e-8)."""
+    (0.9, 0.999) and epsilon (1e-8).
+
+    The gradients are gathered into one flat array, and the moments and
+    values update in one elementwise pass over the store's flat buffers.
+    A parameter whose grad is None keeps its value and moments; one added
+    since the last step starts with zero moments."""
     if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
         raise InvalidInput(f"lr must be a finite number > 0, got {lr!r}")
     store.step += 1
     t = store.step
-    m_slot = store.state.setdefault("m", {})
-    v_slot = store.state.setdefault("v", {})
-    for name, p in store.params.items():
-        if p.grad is None:
-            continue
-        g = p.grad
-        m = m_slot.get(name)
-        v = v_slot.get(name)
-        if m is None:
-            m = np.zeros_like(p.value)
-            v = np.zeros_like(p.value)
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * (g * g)
-        m_slot[name] = m
-        v_slot[name] = v
-        mhat = m / (1.0 - _BETA1**t)
-        vhat = v / (1.0 - _BETA2**t)
-        p.value -= lr * mhat / (np.sqrt(vhat) + _EPS)
+    values = store._values
+    m = store.state.setdefault("m", np.zeros(0))
+    v = store.state.setdefault("v", np.zeros(0))
+    if m.size < values.size:
+        m = store.state["m"] = np.concatenate([m, np.zeros(values.size - m.size)])
+        v = store.state["v"] = np.concatenate([v, np.zeros(values.size - v.size)])
+    grads = [p.grad for p in store.params.values()]
+    has_grad = [g is not None for g in grads]
+    if all(has_grad):
+        _adam_update(values, m, v, np.concatenate(grads, axis=None), lr, t)
+    elif any(has_grad):
+        live = np.repeat(has_grad, [p.value.size for p in store.params.values()])
+        parts = [values[live], m[live], v[live]]
+        _adam_update(*parts, np.concatenate([g for g in grads if g is not None], axis=None), lr, t)
+        values[live], m[live], v[live] = parts
+
+
+def _adam_update(values: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, lr: float, t: int) -> None:
+    """Step t of Adam on flat arrays, in place.  m *= beta1 then
+    m += (1 - beta1) g rounds exactly as beta1 m + (1 - beta1) g does, so
+    the bits are those of the per-parameter update."""
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * (g * g)
+    values -= lr * (m / (1.0 - _BETA1**t)) / (np.sqrt(v / (1.0 - _BETA2**t)) + _EPS)
 
 
 _CKPT_MAGIC = "combgrad-params v1"

@@ -1,5 +1,6 @@
-"""Shared test utilities: central finite differences, error measures, and
-the unfused tape chains that serve as oracles for the fused nodes."""
+"""Shared test utilities: central finite differences, error measures, the
+unfused tape chains that serve as oracles for the fused nodes, and the
+per-parameter Adam loop that serves as the oracle for the flat one."""
 
 import numpy as np
 
@@ -39,3 +40,31 @@ def chain_rnn_cell(x, Wx, h, Wh, b):
 def chain_affine(x, W, b):
     """The matmul/add chain that tape.affine fuses."""
     return tape.add(tape.matmul(x, W), b)
+
+
+def adam_step_per_parameter(store, lr):
+    """The per-parameter Adam loop that tape.adam_step runs as one flat pass.
+
+    `store` has `params` (name -> Tensor), `step` and `state`, whose "m" and
+    "v" map each name to that parameter's moments; a parameter without a
+    gradient is skipped, and its moments start at zero on its first step."""
+    store.step += 1
+    t = store.step
+    m_slot = store.state.setdefault("m", {})
+    v_slot = store.state.setdefault("v", {})
+    for name, p in store.params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        m = m_slot.get(name)
+        v = v_slot.get(name)
+        if m is None:
+            m = np.zeros_like(p.value)
+            v = np.zeros_like(p.value)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        m_slot[name] = m
+        v_slot[name] = v
+        mhat = m / (1.0 - 0.9**t)
+        vhat = v / (1.0 - 0.999**t)
+        p.value -= lr * mhat / (np.sqrt(vhat) + 1e-8)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from combgrad import (
     DimensionMismatch,
+    InvalidInput,
     NonFinite,
     NonSquare,
     assignment_gengrad,
@@ -24,6 +26,7 @@ from combgrad import (
 )
 from combgrad import _kernels
 from combgrad._kernels import _assign_core_py, _assign_many_c, _assign_many_py, _lex_refine, _min_cycle
+from combgrad.core import _log_costs
 
 from helpers import central_fd
 from oracles import enumerate_permutations
@@ -599,6 +602,69 @@ class TestStackedMatchingLoss:
             matching_loss(bad, np.eye(2)[None].repeat(3, axis=0))
         with pytest.raises(ValueError):
             matching_loss(logP + 0.5 * (np.arange(3) == 1)[:, None, None], np.eye(2)[None].repeat(3, axis=0))
+
+
+def _take_along_axis_matching_loss(logP, Y):
+    # The gathers matching_loss made with np.take_along_axis, kept as the
+    # oracle for its plain-index gathers: the same kernel call, then the
+    # matched costs and the matched reference rows.
+    Cs, active = _log_costs(logP, Y)
+    perms = _kernels.assignment_kernel_many(Cs)[0]
+    zs = np.take_along_axis(Cs, perms[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return zs, -np.take_along_axis(Y, perms[:, :, None], axis=1) * active
+
+
+def _gather_stacks(k, b):
+    rng = np.random.default_rng(1000 * k + b)
+    d = b + 3
+    labels = rng.integers(0, d, size=(k, b))
+    yield "random", _log_softmax(rng.standard_normal((k, b, d))), np.eye(d)[labels]
+    # One class per row at log 1: every other entry is -inf or below the log
+    # floor, so the costs take two values and tie wherever labels repeat.
+    peaked = np.where(rng.random((k, b, d)) < 0.5, -np.inf, np.log(1e-13))
+    peaked[np.arange(k)[:, None], np.arange(b), rng.integers(0, d, size=(k, b))] = 0.0
+    yield "floored", peaked, np.eye(d)[labels % 2]
+    # Uniform rows against integer reference rows: the costs are integer
+    # multiples of log d, tied wherever two reference rows sum alike.
+    integer_rows = rng.integers(0, 3, size=(k, b, d)).astype(np.float64)
+    yield "tied integer multiples", np.full((k, b, d), -np.log(d)), integer_rows
+
+
+class TestMatchingLossGathers:
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_bytewise_equal_to_take_along_axis(self, k):
+        for b in (*range(1, 9), 16, 33):
+            for family, logP, Y in _gather_stacks(k, b):
+                where = (family, k, b)
+                zs, grads = matching_loss(logP, Y)
+                want_zs, want_grads = _take_along_axis_matching_loss(logP, Y)
+                assert zs.shape == want_zs.shape and zs.tobytes() == want_zs.tobytes(), where
+                assert grads.shape == want_grads.shape and grads.tobytes() == want_grads.tobytes(), where
+                # A 2-D bag is a stack of one.
+                z, g = matching_loss(logP[0], Y[0])
+                assert np.float64(z).tobytes() == want_zs[0].tobytes(), where
+                assert g.tobytes() == want_grads[0].tobytes(), where
+
+    @pytest.mark.parametrize(
+        "shift",
+        [0.0, 5e-7, -5e-7, 2e-6, -2e-6, -np.inf, 700.0, 1e3, -1e3],
+        ids=["0", "+5e-7", "-5e-7", "+2e-6", "-2e-6", "-inf", "+700", "+1e3", "-1e3"],
+    )
+    def test_normalization_verdict_matches_logaddexp(self, shift):
+        rng = np.random.default_rng(53)
+        logP = _log_softmax(rng.standard_normal((4, 3, 5)))
+        logP[1, 2] += shift  # one row of the stack off by shift
+        Y = np.eye(5)[rng.integers(0, 5, size=(4, 3))]
+        with np.errstate(all="ignore"):
+            reject = bool(np.any(np.abs(np.logaddexp.reduce(logP, axis=-1)) > 1e-6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((logP, Y), (logP[1], Y[1])):
+                if reject:
+                    with pytest.raises(InvalidInput, match="normalized"):
+                        matching_loss(*args)
+                else:
+                    matching_loss(*args)
 
 
 @st.composite

@@ -1,11 +1,13 @@
 """Reverse-mode tape: primitive gradients, optimizers, checkpoints."""
 
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from combgrad import DimensionMismatch, NonFinite, matching_loss
+from combgrad.experiments import TrainConfig, bags, seq
 from combgrad.tape import (
     ParamStore,
     Tensor,
@@ -28,7 +30,7 @@ from combgrad.tape import (
     tsum,
 )
 
-from helpers import central_fd, chain_affine, chain_rnn_cell, rel_err
+from helpers import adam_step_per_parameter, central_fd, chain_affine, chain_rnn_cell, rel_err
 
 RNG = np.random.default_rng(1234)
 
@@ -382,6 +384,63 @@ class TestOptimizers:
         store.add("w", np.ones(1))
         with pytest.raises(ValueError):
             store.add("w", np.ones(1))
+
+
+def _per_parameter_copy(store):
+    """The store's values and step, for the per-parameter oracle loop."""
+    return SimpleNamespace(
+        params={name: Tensor(p.value.copy()) for name, p in store.params.items()}, state={}, step=store.step
+    )
+
+
+def _assert_same_state(store, ref):
+    # The flat moments hold each parameter's moments in insertion order; one
+    # that has not had a gradient yet has zero moments.
+    assert store.step == ref.step
+    start = 0
+    for name, p in store.params.items():
+        assert p.value.tobytes() == ref.params[name].value.tobytes(), name
+        stop = start + p.value.size
+        for slot in ("m", "v"):
+            want = ref.state[slot].get(name, np.zeros(p.value.shape))
+            assert store.state[slot][start:stop].tobytes() == want.tobytes(), (slot, name)
+        start = stop
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("model", ["bags", "seq"])
+    def test_bytewise_equal_to_the_per_parameter_loop(self, model, tmp_path):
+        config = TrainConfig()
+        store = bags._init_store(config, 20, 10) if model == "bags" else seq._init_store(config, 12)
+        ref = _per_parameter_copy(store)
+        rng = np.random.default_rng(71)
+        skipped = list(store.params)[1]
+
+        def step(lr):
+            for name, p in store.params.items():
+                g = rng.standard_normal(p.value.shape)
+                p.grad = None if name == skipped and store.step + 1 in (2, 4) else g
+                ref.params[name].grad = None if p.grad is None else g.copy()
+            adam_step(store, lr=lr)
+            adam_step_per_parameter(ref, lr=lr)
+            _assert_same_state(store, ref)
+
+        for t in range(1, 7):
+            if t == 4:
+                late = rng.standard_normal((3, 2))
+                store.add("late", late)
+                ref.params["late"] = Tensor(late.copy())
+            step(0.01)
+
+        # A loaded checkpoint trains on from the saved values with fresh moments.
+        path = str(tmp_path / "ck.params.txt")
+        save_checkpoint(store, path)
+        back = load_checkpoint(path)
+        for name, p in store.params.items():
+            assert back.params[name].value.tobytes() == p.value.tobytes(), name
+        store, ref = back, _per_parameter_copy(back)
+        for _ in range(2):
+            step(0.003)
 
 
 class TestCheckpoints:
