@@ -42,6 +42,8 @@ class BagDatasetSpec:
             raise InvalidInput("need at least 2 classes")
         if self.n < self.num_classes:
             raise InvalidInput("need at least one sample per class")
+        if self.n < 3:
+            raise InvalidInput("need at least 3 samples, so that the 80/20 split holds one out")
         if self.feature_dim < 1:
             raise InvalidInput("feature_dim must be positive")
         if not np.isfinite(self.separation):
@@ -175,10 +177,11 @@ def train_bags(
                 config.threshold,
                 [config.seed, 7919, epoch],
             )
+            Ys = bags.Y
             if config.loss == "mle":
                 # Unscrambled: Y[t][argsort(sigma[t])] is bag t's labels in sample order.
                 unsorted = np.argsort(bags.hidden_sigma, axis=1)
-                labels = np.take_along_axis(bags.Y, unsorted[:, :, None], axis=1).argmax(axis=2)
+                Ys = np.take_along_axis(Ys, unsorted[:, :, None], axis=1)
             loss_sum = 0.0
             seen = 0
             for start in range(0, bags.X.shape[0], bags_per_step):
@@ -187,12 +190,14 @@ def train_bags(
                 n_union = X.shape[0]
                 store.zero_grad()
                 logp = tape.log_softmax(_logits(store, X))
+                Y = Ys[step]
                 if config.loss == "matching":
-                    Y = bags.Y[step]
                     zs, G = matching_loss(logp.value.reshape(Y.shape[0], b, -1), Y)
-                    loss = mean_loss_node([logp], zs, [G.reshape(logp.value.shape)], n_union)
                 else:
-                    loss = tape.nll(logp, labels[step].ravel(), reduction="mean")
+                    # Cross-entropy against the true rows: z = -<Y, logP>, G = -Y.
+                    G = -Y
+                    zs = (G * logp.value.reshape(Y.shape)).sum(axis=(1, 2))
+                loss = mean_loss_node([logp], zs, [G.reshape(logp.value.shape)], n_union)
                 if not np.isfinite(loss.value):
                     raise NonFinite("training loss became non-finite")
                 loss.backward()

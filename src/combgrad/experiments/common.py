@@ -1,6 +1,6 @@
 """Shared experiment plumbing: the training configuration, the mean-loss
-node both training loops build, the metrics row format, and CSV
-serialization.
+node that carries every training loss into the tape, the metrics row
+format, and CSV serialization.
 
 Metrics are written long-form with the header `epoch,split,metric,value,seconds`
 so that runs with different metric sets share one schema.  Values are
@@ -100,8 +100,11 @@ def mean_loss_node(
     parents: Sequence[tape.Tensor], zs: np.ndarray, grads: Sequence[np.ndarray], denom: int
 ) -> tape.Tensor:
     """The loss sum(zs) / denom as one node on `parents`, whose vjp for the
-    parent with loss gradient G is up * G / denom.  zs are summed in
-    instance order: np.sum's pairwise order would change the bits."""
+    parent with loss gradient G is up * G / denom.  Every training loss is
+    built this way: the matching and alignment losses with the (z*, G) of
+    their solves, and the MLE baselines with z = -<Y, logP> and G = -Y on
+    the true targets.  zs are summed in instance order: np.sum's pairwise
+    order would change the bits."""
     total = 0.0
     for z in zs.tolist():
         total += z

@@ -69,8 +69,8 @@ class SeqTaskSpec:
             raise InvalidInput("need 1 <= min_len <= max_len")
         if not (0.0 <= self.p_drop < 1.0 and 0.0 <= self.p_insert < 1.0):
             raise InvalidInput("corruption probabilities must lie in [0, 1)")
-        if self.n < 2:
-            raise InvalidInput("need at least 2 examples")
+        if self.n < 3:
+            raise InvalidInput("need at least 3 examples, so that the 80/20 split holds one out")
         if self.seed < 0:
             raise InvalidInput("seed must be non-negative")
 
@@ -207,13 +207,15 @@ def _batch_loss(
     B, T = tgt.shape
     h = _encode(store, src)
     logps = _decode_train(store, h, T, vocab, config, tau, noise_rng)
-    if config.loss == "mle":
-        total = tape.nll(logps[0], tgt[:, 0])
-        for t in range(1, T):
-            total = tape.add(total, tape.nll(logps[t], tgt[:, t]))
-        return tape.scale(total, 1.0 / T)
     L = np.stack([lp.value for lp in logps], axis=1)  # (B, T, vocab)
-    zs, grads = gsa_loss(L, np.eye(vocab)[tgt], config.gamma)
+    Y = np.eye(vocab)[tgt]
+    if config.loss == "mle":
+        # Position-wise cross-entropy, the mean over steps of -<Y_t, logP_t>:
+        # each step's gradient is -Y_t / T and the loss is averaged over B.
+        grads = -Y * (1.0 / T)
+        zs = (grads * L).sum(axis=(1, 2))
+        return mean_loss_node(logps, zs, [grads[:, t] for t in range(T)], B)
+    zs, grads = gsa_loss(L, Y, config.gamma)
     return mean_loss_node(logps, zs, [grads[:, t] for t in range(T)], B * T)
 
 
@@ -314,13 +316,11 @@ def train_seq(
             loss_sum = 0.0
             seen = 0
             for src, tgt in batches:
-                if epoch == 0:
-                    loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng)
-                else:
-                    store.zero_grad()
-                    loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng)
+                loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng)
+                if epoch >= 1:
                     if not np.isfinite(loss.value):
                         raise NonFinite("training loss became non-finite")
+                    store.zero_grad()
                     loss.backward()
                     tape.adam_step(store, lr=config.lr)
                 loss_sum += float(loss.value) * src.shape[0]

@@ -1,13 +1,14 @@
 """A small reverse-mode tape over float64 numpy arrays.
 
-Just enough autodiff to train the experiment models end to end: dense ops,
-fused affine and recurrent-step nodes, log-softmax / NLL heads, an
-embedding gather, a straight-through Gumbel sampler, and `custom_node`,
-which splices a value and its vector-Jacobian products computed off the
-tape into the graph.  The optimal-value losses enter this way:
-`matching_loss` and `gsa_loss` return `(z*, grad)` from one solve, and the
-node scales `grad` by the upstream gradient instead of differentiating
-through the solver.
+Just enough autodiff to train the experiment models end to end: a matmul,
+fused affine and recurrent-step nodes, tanh, log-softmax, an embedding
+gather, a tempered softmax and a straight-through Gumbel sampler, and
+`custom_node`, which splices a value and its vector-Jacobian products
+computed off the tape into the graph.  Every training loss enters this way:
+`matching_loss` and `gsa_loss` return `(z*, grad)` from one solve,
+cross-entropy reads its gradient -Y off the true targets, and the node
+scales that gradient by the upstream one instead of differentiating
+through the solver or the loss.
 
 Values are ordinary numpy arrays; gradients accumulate into `.grad` during
 `backward()`, which runs an iterative topological sort (no recursion-depth
@@ -103,39 +104,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value + b.value, (a, b))
-
-    def _bw(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    out._backward = _bw
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value * b.value, (a, b))
-
-    def _bw(g):
-        _acc(a, g * b.value)
-        _acc(b, g * a.value)
-
-    out._backward = _bw
-    return out
-
-
-def scale(a: Tensor, alpha: float) -> Tensor:
-    alpha = float(alpha)
-    out = Tensor(a.value * alpha, (a,))
-
-    def _bw(g):
-        _acc(a, g * alpha)
-
-    out._backward = _bw
-    return out
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
     out = Tensor(y, (a,))
@@ -148,8 +116,8 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b as one node; values and gradients equal add(matmul(x, W), b)
-    bit for bit."""
+    """x @ W + b as one node, with the values and gradients of the
+    matmul-then-add chain bit for bit."""
     out = Tensor(x.value @ W.value + b.value, (x, W, b))
 
     def _bw(g):
@@ -165,8 +133,9 @@ def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
     """One recurrent step tanh((x @ Wx + h @ Wh) + b) as one node.
 
     Same arithmetic and the same per-parent backward terms, in the same
-    order, as tanh(add(add(matmul(x, Wx), matmul(h, Wh)), b)), so values
-    and gradients equal that chain's bit for bit."""
+    order, as the chain tanh((matmul(x, Wx) + matmul(h, Wh)) + b) of
+    one-op nodes, so values and gradients equal that chain's bit for
+    bit."""
     y = np.tanh(x.value @ Wx.value + h.value @ Wh.value + b.value)
     out = Tensor(y, (x, Wx, h, Wh, b))
 
@@ -242,50 +211,6 @@ def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> T
     hard = np.zeros_like(noisy)
     hard[np.arange(noisy.shape[0]), noisy.argmax(axis=1)] = 1.0
     return _tempered_softmax(logits, noisy, tau, hard)
-
-
-def nll(logp: Tensor, targets: np.ndarray, *, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood under row log-probabilities.
-
-    targets may be integer class ids (n,) or one-hot rows (n, d)."""
-    if reduction not in ("mean", "sum"):
-        raise InvalidInput("reduction must be 'mean' or 'sum'")
-    targets = np.asarray(targets)
-    if targets.ndim == 2:
-        if targets.shape != logp.value.shape:
-            raise DimensionMismatch("one-hot targets must match the log-prob shape")
-        ids = targets.argmax(axis=1)
-    else:
-        ids = targets.astype(np.int64)
-    if logp.value.ndim != 2 or ids.ndim != 1 or ids.shape[0] != logp.value.shape[0]:
-        raise DimensionMismatch("nll expects (n, d) log-probs and (n,) targets")
-    n = ids.shape[0]
-    picked = logp.value[np.arange(n), ids]
-    val = -picked.sum()
-    if reduction == "mean":
-        val /= n
-    out = Tensor(val, (logp,))
-
-    def _bw(g):
-        w = float(g)
-        if reduction == "mean":
-            w /= n
-        g = np.zeros_like(logp.value)
-        np.subtract.at(g, (np.arange(n), ids), w)
-        _acc(logp, g)
-
-    out._backward = _bw
-    return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(a.value.sum(), (a,))
-
-    def _bw(g):
-        _acc(a, np.full_like(a.value, float(g)))
-
-    out._backward = _bw
-    return out
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -1,6 +1,7 @@
-"""Shared test utilities: central finite differences, error measures, the
-unfused tape chains that serve as oracles for the fused nodes, and the
-per-parameter Adam loop that serves as the oracle for the flat one."""
+"""Shared test utilities: central finite differences, error measures, a
+weighted sum that turns a tensor into a scalar loss, the unfused tape
+chains that serve as oracles for the fused nodes, and the per-parameter
+Adam loop that serves as the oracle for the flat one."""
 
 import numpy as np
 
@@ -32,14 +33,25 @@ def rel_err(a, b):
     return diff / denom
 
 
+def weighted_sum(y, r):
+    """The scalar sum(y * r) for a constant array r, as one tape node."""
+    return tape.custom_node([y], float((y.value * r).sum()), [lambda up: up * r])
+
+
+def add(a, b):
+    """a + b with numpy broadcasting, as one tape node that passes its
+    gradient to both parents unchanged."""
+    return tape.custom_node([a, b], a.value + b.value, [lambda g: g, lambda g: g])
+
+
 def chain_rnn_cell(x, Wx, h, Wh, b):
     """The matmul/add/tanh chain that tape.rnn_cell fuses."""
-    return tape.tanh(tape.add(tape.add(tape.matmul(x, Wx), tape.matmul(h, Wh)), b))
+    return tape.tanh(add(add(tape.matmul(x, Wx), tape.matmul(h, Wh)), b))
 
 
 def chain_affine(x, W, b):
     """The matmul/add chain that tape.affine fuses."""
-    return tape.add(tape.matmul(x, W), b)
+    return add(tape.matmul(x, W), b)
 
 
 def adam_step_per_parameter(store, lr):

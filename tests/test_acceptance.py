@@ -41,23 +41,18 @@ from combgrad.experiments.bags import BagDatasetSpec
 from combgrad.experiments.seq import SeqTaskSpec
 from combgrad.tape import (
     Tensor,
-    add,
     affine,
     custom_node,
     embed,
     gumbel_softmax_st,
     log_softmax,
     matmul,
-    mul,
-    nll,
     rnn_cell,
-    scale,
     softmax_t,
     tanh,
-    tsum,
 )
 
-from helpers import central_fd, rel_err
+from helpers import central_fd, rel_err, weighted_sum
 from oracles import enumerate_path_costs, enumerate_permutations
 
 SEED = 20260819
@@ -196,8 +191,6 @@ def _primitive_fd_cases():
     R32 = rng.standard_normal((3, 2))
     R63 = rng.standard_normal((6, 3))
     ids = np.array([0, 2, 2, 4, 1, 2])  # repeated rows exercise accumulation
-    targets = np.array([1, 3, 0])
-    onehot = np.eye(4)[targets]
 
     # Two recurrent steps sharing Wx, Wh and a 1-D bias broadcast over the
     # batch; the second step's h is the first step's output.
@@ -209,7 +202,7 @@ def _primitive_fd_cases():
         def build(t):
             a = {k: t if k == parent else Tensor(v) for k, v in cell.items()}
             h1 = rnn_cell(a["x"], a["Wx"], a["h"], a["Wh"], a["b"])
-            return tsum(mul(rnn_cell(Tensor(x2), a["Wx"], h1, a["Wh"], a["b"]), Tensor(R34)))
+            return weighted_sum(rnn_cell(Tensor(x2), a["Wx"], h1, a["Wh"], a["b"]), R34)
 
         return cell[parent], build
 
@@ -218,25 +211,19 @@ def _primitive_fd_cases():
     def through_affine(parent):
         def build(t):
             a = {k: t if k == parent else Tensor(v) for k, v in lin.items()}
-            return tsum(mul(affine(a["x"], a["W"], a["b"]), Tensor(R32)))
+            return weighted_sum(affine(a["x"], a["W"], a["b"]), R32)
 
         return lin[parent], build
 
     return {
-        "matmul_left": (rng.standard_normal((3, 4)), lambda t: tsum(mul(matmul(t, Tensor(B)), Tensor(R32)))),
-        "matmul_right": (rng.standard_normal((4, 2)), lambda t: tsum(mul(matmul(Tensor(A), t), Tensor(R32)))),
-        "add_broadcast_bias": (rng.standard_normal(4), lambda t: tsum(mul(add(Tensor(A), t), Tensor(R34)))),
-        "mul_both_parents": (rng.standard_normal((3, 4)), lambda t: tsum(mul(t, t))),
-        "scale": (rng.standard_normal((3, 4)), lambda t: tsum(mul(scale(t, 0.7), Tensor(R34)))),
-        "tanh": (rng.standard_normal((3, 4)), lambda t: tsum(mul(tanh(t), Tensor(R34)))),
+        "matmul_left": (rng.standard_normal((3, 4)), lambda t: weighted_sum(matmul(t, Tensor(B)), R32)),
+        "matmul_right": (rng.standard_normal((4, 2)), lambda t: weighted_sum(matmul(Tensor(A), t), R32)),
+        "tanh": (rng.standard_normal((3, 4)), lambda t: weighted_sum(tanh(t), R34)),
         **{f"affine_{k}": through_affine(k) for k in lin},
         **{f"rnn_cell_{k}": through_rnn_cell(k) for k in cell},
-        "log_softmax": (rng.standard_normal((3, 4)), lambda t: tsum(mul(log_softmax(t), Tensor(R34)))),
-        "softmax_t": (rng.standard_normal((3, 4)), lambda t: tsum(mul(softmax_t(t, 0.7), Tensor(R34)))),
-        "nll_int_mean": (rng.standard_normal((3, 4)), lambda t: nll(log_softmax(t), targets)),
-        "nll_onehot_sum": (rng.standard_normal((3, 4)), lambda t: nll(log_softmax(t), onehot, reduction="sum")),
-        "tsum": (rng.standard_normal((3, 4)), lambda t: tsum(t)),
-        "embed": (rng.standard_normal((5, 3)), lambda t: tsum(mul(embed(t, ids), Tensor(R63)))),
+        "log_softmax": (rng.standard_normal((3, 4)), lambda t: weighted_sum(log_softmax(t), R34)),
+        "softmax_t": (rng.standard_normal((3, 4)), lambda t: weighted_sum(softmax_t(t, 0.7), R34)),
+        "embed": (rng.standard_normal((5, 3)), lambda t: weighted_sum(embed(t, ids), R63)),
     }
 
 
@@ -274,12 +261,12 @@ def test_every_tensor_building_tape_function_has_a_central_difference_check(monk
         assert callable(globals()[test_name])
 
     # Negative control: a new primitive without a table entry is reported.
-    def double(a: Tensor) -> Tensor:
-        return scale(a, 2.0)
+    def squash(a: Tensor) -> Tensor:
+        return tanh(a)
 
-    double.__module__ = tape.__name__
-    monkeypatch.setattr(tape, "double", double, raising=False)
-    assert _primitives_without_a_check() == ["double"]
+    squash.__module__ = tape.__name__
+    monkeypatch.setattr(tape, "squash", squash, raising=False)
+    assert _primitives_without_a_check() == ["squash"]
 
 
 def test_sampled_one_hot_backward_follows_the_tempered_surrogate():
@@ -291,7 +278,7 @@ def test_sampled_one_hot_backward_follows_the_tempered_surrogate():
     tau = 1.3
 
     xt = Tensor(x0.copy())
-    tsum(mul(gumbel_softmax_st(xt, tau, np.random.default_rng(77)), Tensor(r))).backward()
+    weighted_sum(gumbel_softmax_st(xt, tau, np.random.default_rng(77)), r).backward()
     got = xt.grad.copy()
 
     noise_rng = np.random.default_rng(77)

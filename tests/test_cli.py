@@ -478,6 +478,18 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error[input]:")
 
+    @pytest.mark.parametrize(
+        "task,config,dataset",
+        [("bags", BAGS_CONFIG, {"n": 2, "num_classes": 2}), ("seq", SEQ_CONFIG, {"n": 2})],
+    )
+    def test_dataset_without_a_held_out_example_exits_two(self, task, config, dataset, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", dict(config, dataset=dataset))
+        code, _, err = run_cli(["train", task, cfg, "--out", str(tmp_path / "m.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error[input]:")
+        assert "holds one out" in err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_bags_rejects_alignment_loss(self, tmp_path, capsys):
         bad = dict(BAGS_CONFIG, loss="gsa", gamma=1.5)
         cfg = write_json(tmp_path / "cfg.json", bad)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from combgrad import NonFinite, TrainAborted, _kernels, filter_bag, tape
+from combgrad import InvalidInput, NonFinite, TrainAborted, _kernels, filter_bag, tape
 from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
 from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
@@ -16,7 +16,7 @@ from combgrad.experiments.bags import (
 from combgrad.experiments.common import MetricsRow, load_metrics, write_metrics
 from combgrad.experiments.seq import EOS, SeqTaskSpec, gen_seq_dataset
 
-from helpers import chain_affine, chain_rnn_cell
+from helpers import central_fd, chain_affine, chain_rnn_cell, rel_err
 
 
 class TestTrainConfig:
@@ -96,6 +96,13 @@ class TestBagDataset:
             BagDatasetSpec(num_classes=1).validate()
         with pytest.raises(ValueError):
             BagDatasetSpec(n=0).validate()
+
+    def test_spec_without_a_held_out_sample_rejected(self):
+        # The 80/20 split keeps round(0.8 * 2) = 2 of 2 samples for training,
+        # which would leave the test accuracy a mean over nothing.
+        with pytest.raises(InvalidInput, match="holds one out"):
+            train_bags(TrainConfig(loss="mle", epochs=1), BagDatasetSpec(n=2, num_classes=2))
+        assert gen_bag_dataset(BagDatasetSpec(n=3, num_classes=2)).y_test.shape == (1,)
 
 
 class TestMakeBags:
@@ -205,14 +212,18 @@ class TestStackedBagFilter:
 
 class TestBagTraining:
     def test_single_item_bags_reduce_to_supervised(self):
-        # With one-element bags the matching loss IS cross-entropy, and the
-        # two losses share their batch stream, so the runs coincide exactly.
+        # With one-element bags the matching loss IS cross-entropy: both
+        # losses build the same mean-loss node on the same batch stream, so
+        # losses and parameters agree to the last bit.
         spec = BagDatasetSpec(n=400)
-        r_match, _ = train_bags(TrainConfig(loss="matching", bag_size=1, epochs=3), spec)
-        r_mle, _ = train_bags(TrainConfig(loss="mle", bag_size=1, epochs=3), spec)
+        r_match, s_match = train_bags(TrainConfig(loss="matching", bag_size=1, epochs=3), spec)
+        r_mle, s_mle = train_bags(TrainConfig(loss="mle", bag_size=1, epochs=3), spec)
+        assert len(r_match) == len(r_mle) == 3
         for a, b in zip(r_match, r_mle):
-            assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
+            assert a.train_loss == b.train_loss
             assert a.metrics == b.metrics
+        for name, p in s_match.params.items():
+            assert p.value.tobytes() == s_mle.params[name].value.tobytes(), name
 
     def test_alignment_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -348,6 +359,11 @@ class TestSeqDataset:
         assert len(data.train) == 80
         assert len(data.test) == 20
 
+    def test_spec_without_a_held_out_example_rejected(self):
+        with pytest.raises(InvalidInput, match="holds one out"):
+            train_seq(TrainConfig(loss="mle", epochs=1), SeqTaskSpec(n=2))
+        assert len(gen_seq_dataset(SeqTaskSpec(n=3)).test) == 1
+
     def test_deterministic_per_seed(self):
         a = gen_seq_dataset(SeqTaskSpec(n=50, seed=3))
         b = gen_seq_dataset(SeqTaskSpec(n=50, seed=3))
@@ -390,6 +406,26 @@ class TestSeqTraining:
     def test_matching_loss_rejected(self):
         with pytest.raises(ValueError):
             train_seq(TrainConfig(loss="matching"))
+
+    def test_mle_batch_loss_passes_central_difference_checks(self):
+        # The MLE baseline's loss node carries -Y_t / T for each step t; its
+        # gradient in the output bias must match central differences.
+        config = TrainConfig(loss="mle", seed=5)
+        spec = self.small_spec()
+        store = seq._init_store(config, spec.vocab)
+        batches = seq._bucketed_batches(gen_seq_dataset(spec).train, 8, np.random.default_rng(0))
+        src, tgt = max(batches, key=lambda b: b[0].shape[0] * b[1].shape[1])
+        bo = store.params["bo"]
+
+        def loss(x):
+            bo.value[...] = x
+            return seq._batch_loss(store, src, tgt, spec.vocab, config, 2.0, np.random.default_rng(7))
+
+        x0 = 0.1 * np.random.default_rng(3).standard_normal(spec.vocab)
+        store.zero_grad()
+        loss(x0).backward()
+        got = bo.grad.copy()
+        assert rel_err(got, central_fd(lambda x: loss(x).item(), x0)) < 1e-6
 
     def test_invalid_gap_factor_rejected_before_any_work(self, monkeypatch):
         # Evaluation scores by alignment cost whatever the loss, so gamma is

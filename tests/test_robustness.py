@@ -106,11 +106,12 @@ _ARGUMENT_CHECKS = {
     "BagDatasetSpec n fraction": lambda *_: BagDatasetSpec(n=100.5).validate(),
     "BagDatasetSpec separation NaN": lambda *_: BagDatasetSpec(separation=float("nan")).validate(),
     "BagDatasetSpec seed negative": lambda *_: BagDatasetSpec(seed=-1).validate(),
+    "BagDatasetSpec n without a held-out sample": lambda *_: BagDatasetSpec(n=2, num_classes=2).validate(),
     "SeqTaskSpec vocab text": lambda *_: SeqTaskSpec(vocab="x").validate(),
     "SeqTaskSpec seed negative": lambda *_: SeqTaskSpec(seed=-1).validate(),
+    "SeqTaskSpec n without a held-out example": lambda *_: SeqTaskSpec(n=2).validate(),
     "train_bags loss": lambda *_: train_bags(TrainConfig(loss="gsa"), BagDatasetSpec(n=20)),
     "train_seq loss": lambda *_: train_seq(TrainConfig(loss="matching"), SeqTaskSpec(n=4)),
-    "nll reduction": lambda *_: tape.nll(tape.Tensor(np.log(np.full((1, 2), 0.5))), np.array([0]), reduction="max"),
     "ParamStore.add": _duplicate_parameter,
     "load_checkpoint": _foreign_checkpoint,
     "load_checkpoint param without values": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n"),

@@ -35,7 +35,6 @@ _SETTINGS = {
     "combgrad.lpref.check_lp_grads": ("eps", "rtol", "rng"),
     "combgrad.tape.ParamStore": ("params", "seed", "state", "step"),
     "combgrad.tape.Tensor": ("parents", "backward"),
-    "combgrad.tape.nll": ("reduction",),
 }
 
 
@@ -69,4 +68,4 @@ def _settings():
 
 def test_public_settings_match_the_frozen_table():
     assert _settings() == _SETTINGS
-    assert sum(len(names) for names in _SETTINGS.values()) == 41
+    assert sum(len(names) for names in _SETTINGS.values()) == 40

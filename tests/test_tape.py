@@ -12,7 +12,6 @@ from combgrad.tape import (
     ParamStore,
     Tensor,
     adam_step,
-    add,
     affine,
     custom_node,
     embed,
@@ -20,17 +19,13 @@ from combgrad.tape import (
     load_checkpoint,
     log_softmax,
     matmul,
-    mul,
-    nll,
     rnn_cell,
     save_checkpoint,
-    scale,
     softmax_t,
     tanh,
-    tsum,
 )
 
-from helpers import adam_step_per_parameter, central_fd, chain_affine, chain_rnn_cell, rel_err
+from helpers import add, adam_step_per_parameter, central_fd, chain_affine, chain_rnn_cell, rel_err, weighted_sum
 
 RNG = np.random.default_rng(1234)
 
@@ -59,32 +54,20 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         B = Tensor(RNG.standard_normal((4, 3)))
         r = RNG.standard_normal((2, 3))
-        fd_check(lambda x: tsum(mul(matmul(x, B), Tensor(r))), RNG.standard_normal((2, 4)))
+        fd_check(lambda x: weighted_sum(matmul(x, B), r), RNG.standard_normal((2, 4)))
 
     def test_matmul_right_operand(self):
         A = Tensor(RNG.standard_normal((2, 4)))
         r = RNG.standard_normal((2, 3))
-        fd_check(lambda x: tsum(mul(matmul(A, x), Tensor(r))), RNG.standard_normal((4, 3)))
-
-    def test_add_with_broadcast_bias(self):
-        A = Tensor(RNG.standard_normal((3, 4)))
-        r = RNG.standard_normal((3, 4))
-        fd_check(lambda x: tsum(mul(add(A, x), Tensor(r))), RNG.standard_normal((1, 4)))
-
-    def test_mul(self):
-        B = Tensor(RNG.standard_normal((3, 3)))
-        fd_check(lambda x: tsum(mul(x, B)), RNG.standard_normal((3, 3)))
-
-    def test_scale(self):
-        fd_check(lambda x: tsum(scale(x, -2.5)), RNG.standard_normal((2, 5)))
+        fd_check(lambda x: weighted_sum(matmul(A, x), r), RNG.standard_normal((4, 3)))
 
     def test_tanh(self):
         r = RNG.standard_normal((2, 3))
-        fd_check(lambda x: tsum(mul(tanh(x), Tensor(r))), RNG.standard_normal((2, 3)))
+        fd_check(lambda x: weighted_sum(tanh(x), r), RNG.standard_normal((2, 3)))
 
     def test_log_softmax(self):
         r = RNG.standard_normal((3, 4))
-        fd_check(lambda x: tsum(mul(log_softmax(x), Tensor(r))), RNG.standard_normal((3, 4)))
+        fd_check(lambda x: weighted_sum(log_softmax(x), r), RNG.standard_normal((3, 4)))
 
     def test_log_softmax_rows_normalize(self):
         out = log_softmax(Tensor(np.zeros((2, 4))))
@@ -92,27 +75,12 @@ class TestPrimitiveGradients:
 
     def test_softmax_temperature(self):
         r = RNG.standard_normal((3, 4))
-        fd_check(lambda x: tsum(mul(softmax_t(x, 0.7), Tensor(r))), RNG.standard_normal((3, 4)))
-
-    def test_nll_integer_targets(self):
-        ids = np.array([0, 2, 1])
-        fd_check(lambda x: nll(log_softmax(x), ids), RNG.standard_normal((3, 4)))
-
-    def test_nll_one_hot_targets(self):
-        Y = np.eye(4)[[0, 2, 1]]
-        fd_check(lambda x: nll(log_softmax(x), Y), RNG.standard_normal((3, 4)))
-
-    def test_nll_sum_reduction(self):
-        ids = np.array([1, 1])
-        fd_check(lambda x: nll(log_softmax(x), ids, reduction="sum"), RNG.standard_normal((2, 3)))
-
-    def test_tsum(self):
-        fd_check(tsum, RNG.standard_normal((2, 3)))
+        fd_check(lambda x: weighted_sum(softmax_t(x, 0.7), r), RNG.standard_normal((3, 4)))
 
     def test_embed_accumulates_repeated_rows(self):
         ids = np.array([0, 1, 0, 2])
         r = RNG.standard_normal((4, 3))
-        fd_check(lambda x: tsum(mul(embed(x, ids), Tensor(r))), RNG.standard_normal((5, 3)))
+        fd_check(lambda x: weighted_sum(embed(x, ids), r), RNG.standard_normal((5, 3)))
 
     @pytest.mark.parametrize("parent", ["x", "Wx", "h", "Wh", "b"])
     def test_rnn_cell_every_parent(self, parent):
@@ -121,12 +89,12 @@ class TestPrimitiveGradients:
         shapes = {"x": (3, 2), "Wx": (2, 4), "h": (3, 4), "Wh": (4, 4), "b": (4,)}
         vals = {k: RNG.standard_normal(shape) for k, shape in shapes.items()}
         x2 = Tensor(RNG.standard_normal((3, 2)))
-        r = Tensor(RNG.standard_normal((3, 4)))
+        r = RNG.standard_normal((3, 4))
 
         def build(t):
             a = {k: t if k == parent else Tensor(v) for k, v in vals.items()}
             h1 = rnn_cell(a["x"], a["Wx"], a["h"], a["Wh"], a["b"])
-            return tsum(mul(rnn_cell(x2, a["Wx"], h1, a["Wh"], a["b"]), r))
+            return weighted_sum(rnn_cell(x2, a["Wx"], h1, a["Wh"], a["b"]), r)
 
         fd_check(build, vals[parent])
 
@@ -134,17 +102,17 @@ class TestPrimitiveGradients:
     def test_affine_every_parent(self, parent):
         shapes = {"x": (3, 2), "W": (2, 4), "b": (4,)}
         vals = {k: RNG.standard_normal(shape) for k, shape in shapes.items()}
-        r = Tensor(RNG.standard_normal((3, 4)))
+        r = RNG.standard_normal((3, 4))
 
         def build(t):
             a = {k: t if k == parent else Tensor(v) for k, v in vals.items()}
-            return tsum(mul(affine(a["x"], a["W"], a["b"]), r))
+            return weighted_sum(affine(a["x"], a["W"], a["b"]), r)
 
         fd_check(build, vals[parent])
 
     def test_shared_subexpression_accumulates(self):
         x = Tensor(np.array([1.0, 2.0]))
-        loss = tsum(add(x, x))
+        loss = weighted_sum(add(x, x), np.ones(2))
         loss.backward()
         assert np.array_equal(x.grad, [2.0, 2.0])
 
@@ -153,7 +121,7 @@ class TestPrimitiveGradients:
         y = x
         for _ in range(5000):
             y = add(y, x)
-        tsum(y).backward()
+        weighted_sum(y, np.ones(1)).backward()
         assert x.grad is not None
 
     def test_a_graph_holds_no_reference_cycles(self):
@@ -167,9 +135,9 @@ class TestPrimitiveGradients:
             x = Tensor(rng.standard_normal((3, 4)))
             W, b = Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal(4))
             h = rnn_cell(x, W, tanh(affine(x, W, b)), W, b)
-            h = embed(add(matmul(h, W), mul(h, scale(h, 0.5))), np.array([0, 2, 2]))
+            h = embed(matmul(h, W), np.array([0, 2, 2]))
             logp = log_softmax(add(softmax_t(h, 0.7), gumbel_softmax_st(h, 0.5, rng)))
-            loss = add(nll(logp, np.array([0, 1, 3])), tsum(custom_node([logp], 0.0, [lambda up: up * logp.value])))
+            loss = custom_node([logp], 0.0, [lambda up: up * logp.value])
             loss.backward()
             del x, W, b, h, logp, loss
             assert gc.collect() == 0
@@ -199,7 +167,7 @@ class TestFusedNodesMatchTheirChains:
         steps = 6
         shapes = {"Wx": (3, 5), "Wh": (5, 5), "b": (5,), "h0": (4, 5), "Wo": (5, 2), "bo": (2,)}
         shapes.update({f"x{t}": (4, 3) for t in range(steps)})
-        shapes.update({f"r{t}": (4, 2) for t in range(steps)})
+        r = np.random.default_rng(2025).standard_normal((steps, 4, 2))
 
         def run(p, fused):
             cell = rnn_cell if fused else chain_rnn_cell
@@ -207,9 +175,9 @@ class TestFusedNodesMatchTheirChains:
             for t in range(steps):
                 h = cell(p[f"x{t}"], p["Wx"], h, p["Wh"], p["b"])
                 outs += [h, log_softmax(affine(h, p["Wo"], p["bo"]))]
-            loss = tsum(mul(h, h))
+            loss = weighted_sum(h, h.value)
             for t in range(steps):
-                loss = add(loss, tsum(mul(outs[2 * t + 1], p[f"r{t}"])))
+                loss = add(loss, weighted_sum(outs[2 * t + 1], r[t]))
             loss.backward()
             return outs + [loss]
 
@@ -217,7 +185,8 @@ class TestFusedNodesMatchTheirChains:
 
     def test_affine_unroll_is_bytewise_equal_to_the_chain(self):
         steps = 6
-        shapes = {"x": (4, 5), "W": (5, 5), "b": (5,), "r": (4, 5)}
+        shapes = {"x": (4, 5), "W": (5, 5), "b": (5,)}
+        r = np.random.default_rng(2025).standard_normal((4, 5))
 
         def run(p, fused):
             layer = affine if fused else chain_affine
@@ -225,7 +194,7 @@ class TestFusedNodesMatchTheirChains:
             for _ in range(steps):
                 h = tanh(layer(h, p["W"], p["b"]))
                 outs.append(h)
-            loss = tsum(mul(h, p["r"]))
+            loss = weighted_sum(h, r)
             loss.backward()
             return outs + [loss]
 
@@ -259,7 +228,7 @@ class TestStraightThroughSampler:
 
         xt = Tensor(x0.copy())
         out = gumbel_softmax_st(xt, tau, np.random.default_rng(77))
-        tsum(mul(out, Tensor(r))).backward()
+        weighted_sum(out, r).backward()
         got = xt.grad.copy()
 
         # Rebuild the same noise and differentiate the soft path by hand.
@@ -304,7 +273,7 @@ class TestOptimalValueNode:
         node, logits = self.node_and_point()
         xt = Tensor(logits.copy())
         z = node(xt)
-        mul(z, z).backward()
+        custom_node([z], z.value * z.value, [lambda up: up * 2.0 * z.value]).backward()
         g_sq = xt.grad.copy()
 
         xt2 = Tensor(logits.copy())
@@ -345,14 +314,6 @@ class TestBackwardGuards:
     def test_non_finite_start_rejected(self):
         with pytest.raises(NonFinite):
             Tensor(np.array(np.inf)).backward()
-
-    def test_nll_shape_guards(self):
-        with pytest.raises(DimensionMismatch):
-            nll(Tensor(np.zeros((2, 3))), np.zeros((3, 3)))
-        with pytest.raises(DimensionMismatch):
-            nll(Tensor(np.zeros(3)), np.array([0]))
-        with pytest.raises(ValueError):
-            nll(Tensor(np.zeros((2, 3))), np.array([0, 1]), reduction="median")
 
 
 class TestOptimizers:
