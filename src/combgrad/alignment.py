@@ -11,21 +11,23 @@ edge-count matrix accumulated along the winning path.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import _freeze, _log_costs
+from .core import _F64_MAX, _log_costs
 from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
 def check_gap_factor(gamma) -> float:
     """gamma as a float; InvalidInput unless it is a finite number greater than 1."""
-    if not isinstance(gamma, numbers.Real) or not np.isfinite(gamma) or gamma <= 1.0:
-        raise InvalidInput(f"gap factor must be a finite number greater than 1, got {gamma!r}")
-    return float(gamma)
+    # The comparisons reject NaN and infinities, and ints too large for a float.
+    if isinstance(gamma, numbers.Real) and 1.0 < gamma <= _F64_MAX:
+        return float(gamma)
+    raise InvalidInput(f"gap factor must be a finite number greater than 1, got {gamma!r}")
 
 
 def check_grids(ms: np.ndarray, gamma) -> float:
@@ -39,12 +41,12 @@ def check_grids(ms: np.ndarray, gamma) -> float:
     """
     if ms.size == 0:
         raise DimensionMismatch("match-cost matrix must be 2-D and non-empty")
-    top = np.abs(ms).max()  # NaN or inf when any cost is
-    if not np.isfinite(top):
+    top = float(np.abs(ms).max())  # NaN or inf when any cost is
+    if not math.isfinite(top):
         raise NonFinite("match costs must be finite")
     gamma = check_gap_factor(gamma)
     Tp, Tt = ms.shape[-2:]
-    if top > np.finfo(np.float64).max / (2.0 * (Tp + Tt) * gamma):
+    if top > _F64_MAX / (2.0 * (Tp + Tt) * gamma):
         raise NonFinite(f"match costs up to {top:.3g} with gap factor {gamma} can overflow a path cost on a {Tp}x{Tt} grid")
     return gamma
 
@@ -57,11 +59,14 @@ class AlignGrid:
     gamma: float
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
+        # A C-ordered copy of the caller's costs: the grid owns it, and the
+        # kernel reads it without copying again.
+        m = np.array(self.m, dtype=np.float64, order="C")
         if m.ndim != 2:
             raise DimensionMismatch("match-cost matrix must be 2-D and non-empty")
         gamma = check_grids(m, self.gamma)
-        object.__setattr__(self, "m", _freeze(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "gamma", gamma)
 
     @property
@@ -115,8 +120,9 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     Each matched cell gets 1 per visit and each gap charges gamma to the
     cell it paid: the exact gradient of the cost actually paid.
     """
-    path = (result.kinds[None], result.cells[None])
-    return _kernels.gsa_grads(*path, grid.pred_len, grid.target_len, grid.gamma)[0]
+    G = _kernels.gsa_grads(result.kinds[None], result.cells[None], *grid.m.shape, grid.gamma)[0]
+    G.setflags(write=False)
+    return G
 
 
 def _match_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:

@@ -11,13 +11,14 @@ matching.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import GenGrad, _freeze, _log_costs
+from .core import _F64_MAX, GenGrad, _log_costs
 from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
 
 
@@ -35,10 +36,10 @@ def _check_cost_range(Cs: np.ndarray) -> None:
     can still fail this: a sum of 5e307 costs overflows.
     """
     b = Cs.shape[-1]
-    top = np.abs(Cs).max(initial=0.0)  # NaN or inf when any cost is
-    if not np.isfinite(top):
+    top = float(np.abs(Cs).max(initial=0.0))  # NaN or inf when any cost is
+    if not math.isfinite(top):
         raise NonFinite("cost matrix must be finite")
-    if top > np.finfo(np.float64).max / (32.0 * max(b, 1)):
+    if top > _F64_MAX / (32.0 * max(b, 1)):
         raise NonFinite(f"costs up to {top:.3g} can overflow a sum over a {b}x{b} matching")
 
 
@@ -85,14 +86,19 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
     C = _validate_cost(C)
     b = C.shape[0]
     perm, u, v, unique = _kernels.assignment_kernel(C)
+    rows = np.arange(b)
     M = np.zeros((b, b))
-    M[np.arange(b), perm] = 1.0
+    M[rows, perm] = 1.0
+    # M, u and v are fresh arrays that nothing else holds: freezing them in
+    # place needs no copy.
+    for a in (M, u, v):
+        a.setflags(write=False)
     return MatchingResult(
-        perm=tuple(int(j) for j in perm),
-        M=_freeze(M),
-        z_star=float(C[np.arange(b), perm].sum()),
-        duals_u=_freeze(u),
-        duals_v=_freeze(v),
+        perm=tuple(perm.tolist()),
+        M=M,
+        z_star=float(C[rows, perm].sum()),
+        duals_u=u,
+        duals_v=v,
         unique=bool(unique),
     )
 

@@ -34,6 +34,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# The largest finite float64, as a Python float: the range checks compare
+# Python floats, which is cheaper than comparing numpy scalars.
+_F64_MAX = float(np.finfo(np.float64).max)
 _LOG_FLOOR = 1e-12
 
 
@@ -131,7 +134,7 @@ class GenGrad:
         for name in ("d_c", "d_b", "d_A"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _freeze(np.asarray(val)))
+                object.__setattr__(self, name, _freeze(val))
 
 
 @dataclass(frozen=True)

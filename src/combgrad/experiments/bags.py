@@ -61,6 +61,11 @@ class BagDataset:
     means: np.ndarray
 
 
+def _train_size(n: int) -> int:
+    """How many of n samples the 80/20 split trains on."""
+    return int(round(0.8 * n))
+
+
 def gen_bag_dataset(spec: BagDatasetSpec) -> BagDataset:
     """Seeded Gaussian clusters with balanced labels and an 80/20 split.
 
@@ -76,7 +81,7 @@ def gen_bag_dataset(spec: BagDatasetSpec) -> BagDataset:
     labels = np.tile(np.arange(d), reps)[:n]
     rng.shuffle(labels)
     x = means[labels] + rng.standard_normal((n, dim))
-    cut = int(round(0.8 * n))
+    cut = _train_size(n)
     return BagDataset(
         x_train=x[:cut],
         y_train=labels[:cut],
@@ -161,9 +166,20 @@ def train_bags(
         raise InvalidInput("the alignment loss does not apply to the bag task")
     if spec is None:
         spec = BagDatasetSpec(seed=config.seed)
+    spec.validate()
+    b = config.bag_size
+    train = _train_size(spec.n)
+    if b > train:
+        raise InvalidInput(f"bag_size {b} exceeds the {train} training samples, so no bag can be formed")
+    # A bag holds at most min(b, classes) distinct labels; filter_bag's rule
+    # with that count decides whether any bag can ever pass.
+    if min(b, spec.num_classes) < config.threshold * b - 1e-9:
+        raise InvalidInput(
+            f"threshold {config.threshold} asks for more distinct labels than a bag of {b}"
+            f" drawn from {spec.num_classes} classes can hold, so no bag can be kept"
+        )
     data = gen_bag_dataset(spec)
     store = _init_store(config, spec.feature_dim, spec.num_classes)
-    b = config.bag_size
     bags_per_step = max(1, config.batch_size // b)
     rows: List[MetricsRow] = []
     try:
@@ -208,7 +224,8 @@ def train_bags(
             rows.append(
                 MetricsRow(
                     epoch=epoch,
-                    train_loss=loss_sum / max(seen, 1),
+                    # An epoch whose bags all failed the filter took no step.
+                    train_loss=loss_sum / seen if seen else float("nan"),
                     metrics={("test", "accuracy"): acc},
                     seconds=time.perf_counter() - t0,
                 )

@@ -332,7 +332,7 @@ def train_seq(
             rows.append(
                 MetricsRow(
                     epoch=epoch,
-                    train_loss=loss_sum / max(seen, 1),
+                    train_loss=loss_sum / seen,
                     metrics=metrics,
                     seconds=time.perf_counter() - t0,
                 )

@@ -490,6 +490,21 @@ class TestTrain:
         assert "holds one out" in err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(BAGS_CONFIG, bag_size=16, dataset={"n": 10, "num_classes": 2}),
+            dict(BAGS_CONFIG, bag_size=16, threshold=1.0, dataset={"n": 200, "num_classes": 10}),
+        ],
+        ids=["bag larger than the training split", "threshold above the distinct labels a bag can hold"],
+    )
+    def test_bags_that_can_never_be_kept_exit_two(self, config, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        code, _, err = run_cli(["train", "bags", cfg, "--out", str(tmp_path / "m.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error[input]:") and err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
     def test_bags_rejects_alignment_loss(self, tmp_path, capsys):
         bad = dict(BAGS_CONFIG, loss="gsa", gamma=1.5)
         cfg = write_json(tmp_path / "cfg.json", bad)

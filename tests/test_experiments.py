@@ -5,7 +5,7 @@ import pytest
 
 from combgrad import InvalidInput, NonFinite, TrainAborted, _kernels, filter_bag, tape
 from combgrad.alignment import AlignGrid, gsa_loss, solve_gsa
-from combgrad.experiments import TrainConfig, seq, train_bags, train_seq
+from combgrad.experiments import TrainConfig, bags, seq, train_bags, train_seq
 from combgrad.experiments.bags import (
     BagDatasetSpec,
     _init_store as init_bag_store,
@@ -229,6 +229,41 @@ class TestBagTraining:
         with pytest.raises(ValueError):
             train_bags(TrainConfig(loss="gsa"))
 
+    @pytest.mark.parametrize(
+        "config,spec,reason",
+        [
+            # 10 samples leave 8 to train on: no bag of 16 fits.
+            (TrainConfig(bag_size=16), BagDatasetSpec(n=10, num_classes=2), "exceeds"),
+            # A bag of 16 holds at most 10 distinct labels, and 1.0 asks for 16.
+            (TrainConfig(bag_size=16, threshold=1.0), BagDatasetSpec(n=200), "distinct labels"),
+            (TrainConfig(loss="mle", bag_size=4, threshold=1.0), BagDatasetSpec(n=200, num_classes=3), "distinct labels"),
+        ],
+    )
+    def test_no_bag_can_ever_be_kept_is_rejected_before_any_work(self, monkeypatch, config, spec, reason):
+        monkeypatch.setattr(bags, "gen_bag_dataset", lambda spec: pytest.fail("work started"))
+        with pytest.raises(InvalidInput, match=reason):
+            train_bags(config, spec)
+
+    def test_a_bag_at_the_distinct_label_bound_can_be_kept(self):
+        # min(4, 2) distinct labels meet 0.5 * 4 exactly: bags still pass.
+        rows, _ = train_bags(TrainConfig(bag_size=4, threshold=0.5, epochs=1), BagDatasetSpec(n=40, num_classes=2))
+        assert np.isfinite(rows[0].train_loss)
+
+    def test_an_epoch_whose_bags_all_fail_the_filter_logs_nan(self):
+        # 4 training samples of 2 classes make 2 bags of 2; at seed 0 the
+        # fourth epoch draws both bags with a repeated label.
+        config = TrainConfig(loss="matching", bag_size=2, threshold=1.0, epochs=4, seed=0)
+        spec = BagDatasetSpec(n=5, num_classes=2, seed=0)
+        rows, _ = train_bags(config, spec)
+        data = gen_bag_dataset(spec)
+        kept = [
+            make_bags(data.x_train, data.y_train, 2, 2, 1.0, [config.seed, 7919, row.epoch]).X.shape[0] for row in rows
+        ]
+        assert 0 in kept
+        for row, k in zip(rows, kept):
+            assert np.isnan(row.train_loss) == (k == 0)
+            assert np.isfinite(row.metrics[("test", "accuracy")])
+
     def test_rows_cover_every_epoch(self):
         rows, store = train_bags(TrainConfig(loss="matching", bag_size=2, epochs=4), BagDatasetSpec(n=300))
         assert [r.epoch for r in rows] == [1, 2, 3, 4]
@@ -402,6 +437,13 @@ class TestSeqTraining:
     def test_mle_baseline_runs(self):
         rows, store = train_seq(TrainConfig(loss="mle", epochs=2), self.small_spec())
         assert np.isfinite(rows[-1].train_loss)
+
+    @pytest.mark.parametrize("loss", ["gsa", "mle"])
+    def test_the_smallest_corpus_trains_on_a_pair_every_epoch(self, loss):
+        # n = 3 leaves 2 training pairs, so every epoch's mean loss is finite.
+        rows, _ = train_seq(TrainConfig(loss=loss, epochs=2), SeqTaskSpec(n=3, min_len=3, max_len=4))
+        assert [r.epoch for r in rows] == [0, 1, 2]
+        assert all(np.isfinite(r.train_loss) and r.train_loss > 0.0 for r in rows)
 
     def test_matching_loss_rejected(self):
         with pytest.raises(ValueError):
