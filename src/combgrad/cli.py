@@ -19,6 +19,8 @@ Input schemas (JSON):
   gsa         {"match_costs": [[...]], "gamma": x}
               or {"logp": [[...]], "targets": [...], "gamma": x}
   lp          {"c": [...], "A": [[...]], "b": [...]}
+Numeric fields take JSON numbers only: a boolean, a numeric string or an
+integer beyond the float range is an input error.
 A cmd_solve output document can be fed back to cmd_gradcheck: the echoed
 problem plus the reported gradient become the candidate under test.
 """
@@ -44,6 +46,7 @@ from .errors import (
     CombgradError,
     DegenerateInstance,
     Infeasible,
+    InvalidInput,
     IterationLimit,
     NonFinite,
     TrainAborted,
@@ -82,10 +85,32 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float64 array.
+
+    Every numeric document field is read here.  Only JSON numbers count: a
+    boolean or a numeric string is not one, and an integer too large for a
+    float is rejected rather than overflowing in the conversion.
+    """
+    pending = [value]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, list):
+            pending.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise InvalidInput(f"{key!r} must hold only numbers, got {json.dumps(x)[:40]}")
+        elif isinstance(x, int):
+            try:
+                float(x)
+            except OverflowError:
+                raise InvalidInput(f"{key!r} holds an integer too large for a float") from None
+    return np.asarray(value, dtype=np.float64)
+
+
 def _matrix(doc: dict, key: str) -> np.ndarray:
     if key not in doc:
         raise ValueError(f"missing required key {key!r}")
-    return np.asarray(doc[key], dtype=np.float64)
+    return _numbers(doc[key], key)
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +133,28 @@ def _solve_assignment_doc(problem: dict) -> dict:
     }
 
 
-def _class_indices(targets, d: int) -> np.ndarray:
+def _class_indices(problem: dict, d: int) -> np.ndarray:
     # Checked as floats: an integer cast would wrap -1, truncate 0.7 and
     # overflow on -1e308 instead of rejecting them.
-    t = np.asarray(targets, dtype=np.float64)
+    t = _matrix(problem, "targets")
     if t.ndim != 1 or not np.all((t >= 0) & (t < d) & (t == np.floor(t))):
         raise ValueError(f"'targets' must be a flat list of whole numbers in [0, {d})")
     return t.astype(np.int64)
 
 
 def _gsa_grid(problem: dict) -> AlignGrid:
-    gamma = problem.get("gamma")
-    if gamma is None:
-        raise ValueError("missing required key 'gamma'")
+    gamma = _matrix(problem, "gamma")
+    if gamma.ndim:
+        raise InvalidInput("'gamma' must be a single number")
+    gamma = float(gamma)
     if "match_costs" in problem:
-        return AlignGrid(m=_matrix(problem, "match_costs"), gamma=float(gamma))
+        return AlignGrid(m=_matrix(problem, "match_costs"), gamma=gamma)
     if "logp" in problem:
         logp = _matrix(problem, "logp")
         if logp.ndim != 2 or logp.size == 0:
             raise ValueError(f"'logp' must be a non-empty 2-D array, got shape {logp.shape}")
-        Y = np.eye(logp.shape[1])[_class_indices(problem.get("targets"), logp.shape[1])]
-        return build_grid(logp, Y, float(gamma))
+        Y = np.eye(logp.shape[1])[_class_indices(problem, logp.shape[1])]
+        return build_grid(logp, Y, gamma)
     raise ValueError("gsa input needs either 'match_costs' or 'logp'+'targets'")
 
 
@@ -209,14 +235,15 @@ def _assignment_certificate(C: np.ndarray, res) -> dict:
 
 # Each kind has one check, which tests the candidate gradient (the solver's
 # own when `candidate` is None) on one problem, and one draw, which makes a
-# random problem for the suite.  Instance mode runs the check once; the suite
-# runs it on `--trials` drawn problems, all sharing one generator.
+# random problem document, shaped like a JSON input, for the suite.  Instance
+# mode runs the check once; the suite runs it on `--trials` drawn problems,
+# all sharing one generator.
 
 
 def _check_assignment(problem: dict, candidate, args, rng, trials: int) -> dict:
     C = _matrix(problem, "cost")
     res = solve_assignment(C)
-    g = res.M.ravel() if candidate is None else np.asarray(candidate["d_cost"], dtype=np.float64).ravel()
+    g = res.M.ravel() if candidate is None else _matrix(candidate, "d_cost").ravel()
     g = _inflate(g) if args.perturb_grad else g
 
     def f(w: np.ndarray) -> float:
@@ -234,7 +261,7 @@ def _check_assignment(problem: dict, candidate, args, rng, trials: int) -> dict:
 
 def _draw_assignment(rng: np.random.Generator) -> dict:
     b = int(rng.integers(2, 7))
-    return {"cost": rng.uniform(-1.0, 1.0, size=(b, b))}
+    return {"cost": rng.uniform(-1.0, 1.0, size=(b, b)).tolist()}
 
 
 def _check_gsa(problem: dict, candidate, args, rng, trials: int) -> dict:
@@ -242,7 +269,7 @@ def _check_gsa(problem: dict, candidate, args, rng, trials: int) -> dict:
     if candidate is None:
         G = gsa_grad_matrix(grid, solve_gsa(grid))
     else:
-        G = np.asarray(candidate["d_match_costs"], dtype=np.float64)
+        G = _matrix(candidate, "d_match_costs")
     g = _inflate(G.ravel()) if args.perturb_grad else G.ravel()
 
     def f(w: np.ndarray) -> float:
@@ -259,7 +286,7 @@ def _check_gsa(problem: dict, candidate, args, rng, trials: int) -> dict:
 def _draw_gsa(rng: np.random.Generator) -> dict:
     tp = int(rng.integers(2, 6))
     tt = int(rng.integers(2, 6))
-    return {"match_costs": rng.uniform(0.1, 2.0, size=(tp, tt)), "gamma": 1.5}
+    return {"match_costs": rng.uniform(0.1, 2.0, size=(tp, tt)).tolist(), "gamma": 1.5}
 
 
 def _check_lp(problem: dict, candidate, args, rng, trials: int) -> dict:
@@ -269,8 +296,8 @@ def _check_lp(problem: dict, candidate, args, rng, trials: int) -> dict:
     out = solve_lp(spec)
     u, v = out.u_star, out.v_star
     if candidate is not None:
-        u = np.asarray(candidate["d_c"], dtype=np.float64)
-        v = np.asarray(candidate["d_b"], dtype=np.float64)
+        u = _matrix(candidate, "d_c")
+        v = _matrix(candidate, "d_b")
     if args.perturb_grad:
         u, v = _inflate(u), _inflate(v)
     try:
@@ -284,7 +311,7 @@ def _draw_lp(rng: np.random.Generator) -> dict:
     p = int(rng.integers(2, 9))
     m = int(rng.integers(1, min(p, 5) + 1))
     spec = random_lp(rng, p, m)
-    return {"c": spec.c, "A": spec.A, "b": spec.b}
+    return {"c": spec.c.tolist(), "A": spec.A.tolist(), "b": spec.b.tolist()}
 
 
 _GRADCHECKS = {

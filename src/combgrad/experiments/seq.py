@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class SeqTaskSpec:
             raise InvalidInput("vocab must be at least 3 (PAD and EOS are reserved)")
         if self.min_len < 1 or self.max_len < self.min_len:
             raise InvalidInput("need 1 <= min_len <= max_len")
+        # Tokens and lengths are int64; numpy draws below an exclusive bound
+        # of at most 2**63.
+        if self.vocab > 2**63 or self.max_len + 1 > 2**63:
+            raise InvalidInput("vocab and max_len + 1 must not exceed 2**63, the int64 range")
         if not (0.0 <= self.p_drop < 1.0 and 0.0 <= self.p_insert < 1.0):
             raise InvalidInput("corruption probabilities must lie in [0, 1)")
         if self.n < 3:
@@ -81,27 +85,85 @@ class SeqDataset:
     test: List[Tuple[np.ndarray, np.ndarray]]
 
 
+# numpy's Generator.random() is (x >> 11) * 2**-53 of one raw 64-bit draw x.
+_RANDOM_SCALE = 2.0**-53
+_RAW_CHUNK = 4096
+
+
+def _raw_draws(bitgen) -> Iterator[int]:
+    """Endless raw 64-bit outputs of `bitgen`, fetched a bounded chunk at a
+    time so a large corpus never holds all its draws at once."""
+    while True:
+        yield from bitgen.random_raw(_RAW_CHUNK).tolist()
+
+
+def _uint32s(raw: Iterator[int]) -> Iterator[int]:
+    """PCG64's next_uint32 over `raw`: the low half of a fresh draw, then the
+    buffered high half.  Suspended between the halves, the generator is the
+    buffer, so 64-bit draws taken from `raw` meanwhile leave it alone, as
+    they do in numpy."""
+    for x in raw:
+        yield x & 0xFFFFFFFF
+        yield x >> 32
+
+
+def _bounded_draw(raw: Iterator[int], uint32s: Iterator[int], lo: int, hi: int) -> Callable[[], int]:
+    """numpy's ``Generator.integers(lo, hi)`` as a zero-argument draw.
+
+    A one-value range consumes nothing.  Otherwise Lemire's method runs on a
+    32-bit draw when the range fits 32 bits and on a full 64-bit draw when
+    it does not, redrawing while the low word of the product falls below
+    2**w % range; a ``size=L`` call is L such draws in a row.
+    """
+    ex = hi - lo
+    if ex == 1:
+        return lambda: lo
+    draw, w = (uint32s.__next__, 32) if ex <= 1 << 32 else (raw.__next__, 64)
+    mask = (1 << w) - 1
+    threshold = (1 << w) % ex
+
+    def integer() -> int:
+        m = draw() * ex
+        while m & mask < threshold:
+            m = draw() * ex
+        return lo + (m >> w)
+
+    return integer
+
+
 def gen_seq_dataset(spec: SeqTaskSpec) -> SeqDataset:
     """Seeded corpus of (source, target) pairs with an 80/20 split.
 
     Targets always end with EOS and contain no PAD; with zero corruption the
     target is exactly the source plus EOS.
+
+    The corpus is the one a scalar loop over ``np.random.default_rng(seed)``
+    draws: per pair one ``integers(min_len, max_len + 1)`` for the length,
+    one ``integers(2, vocab, size=L)`` for the source, and per source token
+    a ``random() < p_insert`` test (then one ``integers(2, vocab)``) and a
+    ``random() >= p_drop`` test.  It is decoded here from bulk raw PCG64
+    outputs the way numpy's Generator decodes them, which is cheaper than
+    that many scalar calls; ``tests/oracles.py`` keeps the scalar loop, and
+    the test comparing the two catches a numpy release that decodes
+    differently.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    lo, hi = 2, spec.vocab
+    raw = _raw_draws(np.random.default_rng(spec.seed).bit_generator)
+    uint32s = _uint32s(raw)
+    length = _bounded_draw(raw, uint32s, spec.min_len, spec.max_len + 1)
+    token = _bounded_draw(raw, uint32s, 2, spec.vocab)
+    next_raw = raw.__next__
     pairs = []
     for _ in range(spec.n):
-        L = int(rng.integers(spec.min_len, spec.max_len + 1))
-        src = rng.integers(lo, hi, size=L)
+        src = [token() for _ in range(length())]
         tgt = []
         for tok in src:
-            if rng.random() < spec.p_insert:
-                tgt.append(int(rng.integers(lo, hi)))
-            if rng.random() >= spec.p_drop:
-                tgt.append(int(tok))
+            if (next_raw() >> 11) * _RANDOM_SCALE < spec.p_insert:
+                tgt.append(token())
+            if (next_raw() >> 11) * _RANDOM_SCALE >= spec.p_drop:
+                tgt.append(tok)
         tgt.append(EOS)
-        pairs.append((src.astype(np.int64), np.array(tgt, dtype=np.int64)))
+        pairs.append((np.array(src, dtype=np.int64), np.array(tgt, dtype=np.int64)))
     cut = int(round(0.8 * spec.n))
     return SeqDataset(train=pairs[:cut], test=pairs[cut:])
 
@@ -172,25 +234,35 @@ def _decode_train(
     return logps
 
 
-def _bucketed_batches(
-    pairs: List[Tuple[np.ndarray, np.ndarray]],
-    batch_size: int,
-    rng: np.random.Generator,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Group examples by (source length, target length) so every batch is
-    rectangular — no padding, no masking — then shuffle the batch order."""
+def _stack_buckets(pairs: List[Tuple[np.ndarray, np.ndarray]]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Group examples by (source length, target length) and stack each group
+    into rectangular (sources, targets) arrays, in sorted key order and
+    corpus order within a group."""
     buckets: Dict[Tuple[int, int], List[int]] = {}
     for i, (s, t) in enumerate(pairs):
         buckets.setdefault((len(s), len(t)), []).append(i)
+    return [
+        (np.stack([pairs[i][0] for i in buckets[key]]), np.stack([pairs[i][1] for i in buckets[key]]))
+        for key in sorted(buckets)
+    ]
+
+
+def _bucketed_batches(
+    buckets: List[Tuple[np.ndarray, np.ndarray]],
+    batch_size: int,
+    rng: np.random.Generator,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Shuffle within each bucket of `_stack_buckets`, cut it into batches —
+    rectangular, so no padding and no masking — then shuffle the batch
+    order.  Shuffling positions rather than example indices draws the same
+    numbers, since `Generator.shuffle` depends only on the length."""
     batches = []
-    for key in sorted(buckets):
-        idx = np.array(buckets[key])
-        rng.shuffle(idx)
-        for start in range(0, len(idx), batch_size):
-            chunk = idx[start : start + batch_size]
-            src = np.stack([pairs[i][0] for i in chunk])
-            tgt = np.stack([pairs[i][1] for i in chunk])
-            batches.append((src, tgt))
+    for src, tgt in buckets:
+        rows = np.arange(len(src))
+        rng.shuffle(rows)
+        src, tgt = src[rows], tgt[rows]
+        for start in range(0, len(rows), batch_size):
+            batches.append((src[start : start + batch_size], tgt[start : start + batch_size]))
     order = rng.permutation(len(batches))
     return [batches[i] for i in order]
 
@@ -304,6 +376,7 @@ def train_seq(
     if spec is None:
         spec = SeqTaskSpec(seed=config.seed)
     data = gen_seq_dataset(spec)
+    buckets = _stack_buckets(data.train)
     store = _init_store(config, spec.vocab)
     rows: List[MetricsRow] = []
     try:
@@ -311,7 +384,7 @@ def train_seq(
             t0 = time.perf_counter()
             tau = _tau_at(max(epoch, 1))
             shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_TAG, epoch])
-            batches = _bucketed_batches(data.train, config.batch_size, shuffle_rng)
+            batches = _bucketed_batches(buckets, config.batch_size, shuffle_rng)
             noise_rng = np.random.default_rng([config.seed, _NOISE_TAG, epoch])
             loss_sum = 0.0
             seen = 0

@@ -1,10 +1,11 @@
-"""Brute-force enumeration oracles for the solver tests.
+"""Brute-force enumeration oracles for the solver tests, and the plain
+numpy loops the sequence corpus and its batches are checked against.
 
-They share no code with the production solvers: the vertex oracle tries
-every rank-sized column set of an LP, the assignment oracle scores every
-permutation, and the alignment oracle walks every monotone lattice path.
-Each is meant for desk-scale instances only, and each uses the reference
-simplex's tolerance for feasibility and tie sets.
+The solver oracles share no code with the production solvers: the vertex
+oracle tries every rank-sized column set of an LP, the assignment oracle
+scores every permutation, and the alignment oracle walks every monotone
+lattice path.  Each is meant for desk-scale instances only, and each uses
+the reference simplex's tolerance for feasibility and tie sets.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from combgrad import DimensionMismatch, Infeasible, LPSpec, NonFinite
+from combgrad.experiments.seq import EOS, SeqDataset, SeqTaskSpec
 from combgrad.lpref import _TOL
 
 
@@ -130,3 +132,44 @@ def step_string(code: int) -> str:
         code, digit = divmod(int(code), 4)
         letters.append("DPT"[digit - 1])
     return "".join(reversed(letters))
+
+
+def scalar_seq_dataset(spec: SeqTaskSpec) -> SeqDataset:
+    """The noisy-copy corpus drawn by scalar ``Generator`` calls, one per
+    length, source and corruption decision: what gen_seq_dataset decodes
+    from bulk raw draws."""
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    lo, hi = 2, spec.vocab
+    pairs = []
+    for _ in range(spec.n):
+        L = int(rng.integers(spec.min_len, spec.max_len + 1))
+        src = rng.integers(lo, hi, size=L)
+        tgt = []
+        for tok in src:
+            if rng.random() < spec.p_insert:
+                tgt.append(int(rng.integers(lo, hi)))
+            if rng.random() >= spec.p_drop:
+                tgt.append(int(tok))
+        tgt.append(EOS)
+        pairs.append((src.astype(np.int64), np.array(tgt, dtype=np.int64)))
+    cut = int(round(0.8 * spec.n))
+    return SeqDataset(train=pairs[:cut], test=pairs[cut:])
+
+
+def stacked_batches(pairs: list, batch_size: int, rng: np.random.Generator) -> list:
+    """Training batches stacked from the pairs themselves: bucket by
+    (source length, target length), shuffle each bucket's example indices,
+    stack every batch, then shuffle the batch order."""
+    buckets: dict = {}
+    for i, (s, t) in enumerate(pairs):
+        buckets.setdefault((len(s), len(t)), []).append(i)
+    batches = []
+    for key in sorted(buckets):
+        idx = np.array(buckets[key])
+        rng.shuffle(idx)
+        for start in range(0, len(idx), batch_size):
+            chunk = idx[start : start + batch_size]
+            batches.append((np.stack([pairs[i][0] for i in chunk]), np.stack([pairs[i][1] for i in chunk])))
+    order = rng.permutation(len(batches))
+    return [batches[i] for i in order]

@@ -226,6 +226,70 @@ class TestSolve:
         assert len(err.splitlines()) == 1
 
 
+_VALID_DOCUMENTS = {
+    "assignment": {"cost": [[1.0, 2.0], [3.0, 1.0]]},
+    "gsa": {"match_costs": [[1.0, 2.0], [0.5, 1.0]], "gamma": 1.5},
+    "gsa-logp": {"logp": [[-0.1, -2.4], [-1.2, -0.4]], "targets": [0, 1], "gamma": 1.5},
+    "lp": {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "b": [1.0]},
+}
+_NON_NUMBERS = [True, False, "2", "1.5", None, {"x": 1}, 10**400, -(10**400)]
+
+
+def _plant(value, bad):
+    """`value` with its first leaf replaced by `bad` (an empty list gains
+    `bad` as its one item)."""
+    if isinstance(value, list):
+        return [_plant(value[0], bad)] + value[1:] if value else [bad]
+    return bad
+
+
+class TestNumericFields:
+    """Every numeric document field takes JSON numbers only: ints and floats
+    that fit a float, never booleans, strings or overflowing integers."""
+
+    @pytest.mark.parametrize("bad", _NON_NUMBERS, ids=lambda bad: json.dumps(bad)[:12])
+    @pytest.mark.parametrize(
+        "name, key", [(name, key) for name, doc in _VALID_DOCUMENTS.items() for key in doc]
+    )
+    def test_a_non_number_in_a_numeric_field_exits_two(self, tmp_path, capsys, name, key, bad):
+        doc = dict(_VALID_DOCUMENTS[name])
+        doc[key] = _plant(doc[key], bad)
+        inst = write_json(tmp_path / "doc.json", doc)
+        code, out, err = run_cli(["solve", name.split("-")[0], inst], capsys)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(rf"error\[input\]: '{key}' [^\n]+\n", err), err
+
+    @pytest.mark.parametrize("name", ["assignment", "gsa", "lp"])
+    def test_whole_numbers_solve_like_their_floats(self, tmp_path, capsys, name):
+        def ints(value):
+            return [ints(v) for v in value] if isinstance(value, list) else int(value) if value == int(value) else value
+
+        doc = _VALID_DOCUMENTS[name]
+        kind = name.split("-")[0]
+        _, want, _ = run_cli(["solve", kind, write_json(tmp_path / "f.json", doc)], capsys)
+        whole = {key: ints(value) for key, value in doc.items()}
+        assert json.dumps(whole) != json.dumps(doc)
+        code, got, err = run_cli(["solve", kind, write_json(tmp_path / "i.json", whole)], capsys)
+        assert (code, err) == (0, "")
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "kind, field", [("assignment", "d_cost"), ("gsa", "d_match_costs"), ("lp", "d_c"), ("lp", "d_b")]
+    )
+    @pytest.mark.parametrize("bad", [True, "0", 10**400], ids=["true", "string", "huge"])
+    def test_a_non_number_in_a_reported_gradient_exits_two(self, tmp_path, capsys, kind, field, bad):
+        inst = write_json(tmp_path / "inst.json", _VALID_DOCUMENTS[kind])
+        code, out, _ = run_cli(["solve", kind, inst], capsys)
+        assert code == 0
+        solved = json.loads(out)
+        solved["gengrad"][field] = _plant(solved["gengrad"][field], bad)
+        code, out, err = run_cli(["gradcheck", kind, write_json(tmp_path / "solved.json", solved)], capsys)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(rf"error\[input\]: '{field}' [^\n]+\n", err), err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
@@ -673,11 +737,16 @@ _NUMBERS = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 0.5, 1.5, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e-300]),
     st.floats(-4.0, 4.0),
 )
+# JSON values that are not numbers: booleans, numeric strings and integers
+# beyond the float range.
+_ODD = st.sampled_from([True, False, "2", "1e3", 10**400, -(10**400)])
 _JUNK = st.one_of(
     _NUMBERS,
+    _ODD,
     st.none(),
     st.text(max_size=2),
     st.lists(_NUMBERS, max_size=3),
+    st.lists(st.one_of(_NUMBERS, _ODD), max_size=3),
     st.lists(st.lists(_NUMBERS, max_size=3), max_size=3),  # ragged
 )
 _FLAG_VALUES = st.sampled_from(["-3", "0", "1", "3", "1e-9", "1e-5", "0.5", "1e308", "5e-324", "nan", "inf", "-inf", "x"])
@@ -686,8 +755,9 @@ _PROTOCOL_LINE = re.compile(r"error\[(usage|input|check|solver)\]: [^\n]+\n")
 
 @st.composite
 def _documents(draw):
-    """Shaped instances of every kind, then damaged: keys dropped or replaced
-    by junk, and sometimes wrapped as a solve output with a junk gradient."""
+    """Shaped instances of every kind, then damaged: a non-number planted in
+    one field, keys dropped or replaced by junk, and sometimes wrapped as a
+    solve output with a junk gradient."""
     n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
 
     def vector(size):
@@ -706,6 +776,10 @@ def _documents(draw):
         "A": matrix(m, n),
         "b": vector(m),
     }
+    if draw(st.booleans()):
+        # One non-number in an otherwise well-shaped field.
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = _plant(doc[key], draw(_ODD))
     for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
         if draw(st.booleans()):
             doc.pop(key, None)
@@ -736,5 +810,34 @@ def test_random_documents_and_flags_end_in_an_exit_code_and_one_protocol_line(
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert err.getvalue() == ""
+        assert not any(map(_holds_a_non_number, _numeric_fields_read(command, kind, doc)))
     else:
         assert _PROTOCOL_LINE.fullmatch(err.getvalue()), err.getvalue()
+
+
+def _holds_a_non_number(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_a_non_number, value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return True
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+def _numeric_fields_read(command, kind, doc) -> list:
+    """The values of the numeric fields a command reads from `doc`."""
+    problem = doc.get("problem", doc)
+    keys = {
+        "assignment": ["cost"],
+        "gsa": ["gamma"] + (["match_costs"] if "match_costs" in problem else ["logp", "targets"]),
+        "lp": ["c", "A", "b"],
+    }[kind]
+    values = [problem[key] for key in keys if key in problem]
+    gengrad = doc.get("gengrad") if command == "gradcheck" else None
+    if isinstance(gengrad, dict):
+        keys = {"assignment": ["d_cost"], "gsa": ["d_match_costs"], "lp": ["d_c", "d_b"]}[kind]
+        values += [gengrad[key] for key in keys if key in gengrad]
+    return values

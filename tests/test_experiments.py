@@ -17,6 +17,7 @@ from combgrad.experiments.common import MetricsRow, load_metrics, write_metrics
 from combgrad.experiments.seq import EOS, SeqTaskSpec, gen_seq_dataset
 
 from helpers import central_fd, chain_affine, chain_rnn_cell, rel_err
+from oracles import scalar_seq_dataset, stacked_batches
 
 
 class TestTrainConfig:
@@ -405,6 +406,83 @@ class TestSeqDataset:
         for (sa, ta), (sb, tb) in zip(a.train, b.train):
             assert np.array_equal(sa, sb) and np.array_equal(ta, tb)
 
+    @staticmethod
+    def fingerprint(data):
+        return [
+            [(s.dtype.str, s.tobytes(), t.dtype.str, t.tobytes()) for s, t in part]
+            for part in (data.train, data.test)
+        ]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SeqTaskSpec(n=400, seed=3),
+            SeqTaskSpec(vocab=3, n=200),  # one-token range: no draw
+            SeqTaskSpec(min_len=5, max_len=5, n=200),  # one-length range: no draw
+            SeqTaskSpec(vocab=3, min_len=4, max_len=4, n=50),  # only random() draws
+            SeqTaskSpec(max_len=30, n=600, seed=5),  # many raw-chunk refills
+            SeqTaskSpec(vocab=40, p_insert=0.6, p_drop=0.3, n=400),  # scalar and size=L draws interleave
+            SeqTaskSpec(p_drop=0.0, p_insert=0.0, n=50),
+            SeqTaskSpec(vocab=3 * 2**30, n=200),  # a quarter of 32-bit draws rejected
+            SeqTaskSpec(vocab=2**32 + 1, n=100),  # largest Lemire range below 2**32
+            SeqTaskSpec(vocab=2**32 + 2, n=100),  # range 2**32: a bare 32-bit draw
+            SeqTaskSpec(vocab=2**32 + 3, n=40),  # smallest 64-bit range
+            SeqTaskSpec(vocab=2**40, n=40),
+            SeqTaskSpec(vocab=3 * 2**61, n=40),  # a quarter of 64-bit draws rejected
+            SeqTaskSpec(vocab=2**63, n=20),  # largest int64 range
+            SeqTaskSpec(n=3),  # the smallest corpus
+        ],
+        ids=repr,
+    )
+    def test_equals_the_scalar_generator_loop(self, spec):
+        # The corpus decodes numpy's PCG64 output itself; a numpy release
+        # that decodes differently fails here before any training changes.
+        assert self.fingerprint(gen_seq_dataset(spec)) == self.fingerprint(scalar_seq_dataset(spec))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("vocab", [12, 2**40])
+    def test_raw_chunk_boundaries_do_not_change_the_corpus(self, monkeypatch, chunk, vocab):
+        # A refill may fall between the two halves of a 32-bit buffer or
+        # inside a rejection loop.
+        spec = SeqTaskSpec(vocab=vocab, p_insert=0.3, n=60, seed=2)
+        monkeypatch.setattr(seq, "_RAW_CHUNK", chunk)
+        assert self.fingerprint(gen_seq_dataset(spec)) == self.fingerprint(scalar_seq_dataset(spec))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"vocab": 2**63 + 1}, {"vocab": 2**63 + 5}, {"max_len": 2**63}, {"min_len": 2**64, "max_len": 2**64}]
+    )
+    def test_bounds_beyond_int64_rejected(self, kwargs):
+        with pytest.raises(InvalidInput, match="int64"):
+            gen_seq_dataset(SeqTaskSpec(n=5, **kwargs))
+
+
+class TestSeqBatches:
+    @staticmethod
+    def fingerprint(batches):
+        return [(s.dtype.str, s.shape, s.tobytes(), t.dtype.str, t.shape, t.tobytes()) for s, t in batches]
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 32, 10_000])
+    def test_stacked_buckets_give_the_per_epoch_stacks(self, batch_size):
+        pairs = gen_seq_dataset(SeqTaskSpec(n=300, seed=4)).train
+        buckets = seq._stack_buckets(pairs)
+        for epoch in range(3):
+            rng, ref_rng = np.random.default_rng([4, epoch]), np.random.default_rng([4, epoch])
+            got = seq._bucketed_batches(buckets, batch_size, rng)
+            want = stacked_batches(pairs, batch_size, ref_rng)
+            assert self.fingerprint(got) == self.fingerprint(want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("loss", ["gsa", "mle"])
+    @pytest.mark.parametrize("feed", ["softmax", "gumbel_st"])
+    def test_training_equals_the_scalar_corpus_and_per_epoch_stacks(self, monkeypatch, loss, feed):
+        spec = SeqTaskSpec(n=120, min_len=3, max_len=5, seed=3)
+        config = TrainConfig(loss=loss, feed=feed, epochs=2, seed=3)
+        got = TestFusedNodesInTraining.fingerprint(*train_seq(config, spec))
+        monkeypatch.setattr(seq, "gen_seq_dataset", scalar_seq_dataset)
+        monkeypatch.setattr(seq, "_stack_buckets", lambda pairs: pairs)
+        monkeypatch.setattr(seq, "_bucketed_batches", stacked_batches)
+        assert got == TestFusedNodesInTraining.fingerprint(*train_seq(config, spec))
+
 
 class TestTemperatureSchedule:
     def test_linear_descent_to_floor(self):
@@ -455,7 +533,8 @@ class TestSeqTraining:
         config = TrainConfig(loss="mle", seed=5)
         spec = self.small_spec()
         store = seq._init_store(config, spec.vocab)
-        batches = seq._bucketed_batches(gen_seq_dataset(spec).train, 8, np.random.default_rng(0))
+        buckets = seq._stack_buckets(gen_seq_dataset(spec).train)
+        batches = seq._bucketed_batches(buckets, 8, np.random.default_rng(0))
         src, tgt = max(batches, key=lambda b: b[0].shape[0] * b[1].shape[1])
         bo = store.params["bo"]
 
@@ -483,7 +562,7 @@ class TestSeqTraining:
         spec = self.small_spec()
         data = gen_seq_dataset(spec)
         store = seq._init_store(config, spec.vocab)
-        batches = seq._bucketed_batches(data.train, config.batch_size, np.random.default_rng(0))
+        batches = seq._bucketed_batches(seq._stack_buckets(data.train), config.batch_size, np.random.default_rng(0))
         src, tgt = max(batches, key=lambda b: b[0].shape[0] * b[1].shape[1])
         B, T = tgt.shape
         assert B > 1
