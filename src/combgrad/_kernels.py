@@ -32,10 +32,12 @@ can assert how many solver runs a code path costs.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
 import warnings
@@ -93,6 +95,7 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c
 # No floating-point contraction: a fused multiply-add rounds differently from
 # the numpy reference, and the backends must agree bit for bit.
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_LIBRARY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
 
 
 def _c_library_path() -> str:
@@ -101,7 +104,9 @@ def _c_library_path() -> str:
     The file name carries a hash of the source and flags, so a library is
     compiled at most once per version.  The compiler writes to a temporary
     name that is renamed into place, so a concurrent process never loads a
-    partial file.
+    partial file.  A new build then removes the libraries of every other
+    version, so the cache does not grow with each edit of the source; a
+    process that has one of them loaded keeps its mapping.
     """
     with open(_C_SOURCE, "rb") as f:
         digest = hashlib.sha256(f.read() + " ".join(_C_FLAGS).encode()).hexdigest()[:16]
@@ -119,6 +124,10 @@ def _c_library_path() -> str:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        for name in os.listdir(cache):
+            if _LIBRARY_NAME.fullmatch(name) and name != os.path.basename(path):
+                with contextlib.suppress(OSError):  # another process removed it first
+                    os.remove(os.path.join(cache, name))
     return path
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _F64_MAX, GenGrad, _log_costs
+from .core import _F64_MAX, GenGrad, _check_log_inputs, _floored_costs
 from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
 
 
@@ -121,6 +121,11 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     returns the (k,) losses and the (k, b, d) gradients.  Either way one
     batched kernel call solves every instance, and ties resolve to the
     lexicographically smallest optimum exactly as solve_assignment does.
+
+    The inputs are checked in this order, and the first failing check
+    raises: the shapes (DimensionMismatch), Y finite, then logP free of NaN
+    and +inf (NonFinite), every logP row normalized (InvalidInput), and
+    the costs in range (NonFinite).
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -130,12 +135,17 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
             f" got {logP.shape} and {Y.shape}"
         )
     Ys = Y.reshape(-1, *Y.shape[-2:])
-    Cs, active = _log_costs(logP.reshape(Ys.shape), Ys)
-    # exp overflows (row sum inf) and a row of -inf gives log 0 (-inf):
-    # both are rejected, so neither warning is worth raising.
-    with np.errstate(over="ignore", divide="ignore"):
-        rowsum = np.abs(np.log(np.exp(logP).sum(axis=-1)))
-    if np.any(rowsum > 1e-6):
+    logPs = logP.reshape(Ys.shape)
+    # One pass builds the costs and each row's distance from a normalized
+    # log-distribution.  NaN or +inf in a row, a row of -inf (log 0) and a
+    # row whose exp overflows all leave a distance that is not <= 1e-6: the
+    # checks below reject them, so this pass silences their warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Cs, active = _floored_costs(logPs, Ys)
+        normalized = (np.abs(np.log(np.exp(logPs).sum(axis=-1))) <= 1e-6).all()
+    if not (normalized and np.isfinite(Ys).all()):
+        # Name the first failing check, in the documented order.
+        _check_log_inputs(logPs, Ys)
         raise InvalidInput("each logP row must be a normalized log-distribution")
     _check_cost_range(Cs)
     perms = _kernels.assignment_kernel_many(Cs)[0]
@@ -154,7 +164,7 @@ def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
     Y is (b, d) one-hot; the bag passes when the number of distinct rows is
     at least threshold * b (with a tiny slack so threshold * b landing on an
     integer is not rejected by roundoff).  A (k, b, d) stack of bags gives a
-    (k,) bool mask; one pairwise row comparison serves every bag.
+    (k,) bool mask; b - 1 comparisons of shifted rows serve every bag.
     """
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or np.isnan(threshold):
         raise InvalidInput(f"threshold must be a real number, got {threshold!r}")
@@ -163,8 +173,12 @@ def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
         raise DimensionMismatch(f"Y must be a 2-D bag or a 3-D stack of non-empty bags, got shape {Y.shape}")
     Ys = Y.reshape(-1, *Y.shape[-2:])
     b = Ys.shape[1]
-    same = (Ys[:, :, None, :] == Ys[:, None, :, :]).all(axis=3)
-    # A row counts once: when no earlier row of its bag equals it.
-    repeated = np.tril(same, -1).any(axis=2)
+    # A row counts once: when no earlier row of its bag equals it.  Step s
+    # compares every row with the row s places before it, in every bag at
+    # once and reducing over the classes first, so no (k, b, b, d)
+    # comparison is ever built.
+    repeated = np.zeros(Ys.shape[:2], dtype=bool)
+    for s in range(1, b):
+        repeated[:, s:] |= (Ys[:, s:] == Ys[:, :-s]).all(axis=2)
     keep = b - repeated.sum(axis=1) >= threshold * b - 1e-9
     return bool(keep[0]) if Y.ndim == 2 else keep

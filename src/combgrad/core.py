@@ -19,6 +19,7 @@ solve, and ``tape.custom_node`` splices that pair into the graph.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,6 +39,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 # Python floats, which is cheaper than comparing numpy scalars.
 _F64_MAX = float(np.finfo(np.float64).max)
 _LOG_FLOOR = 1e-12
+# The floor in log space, taken once: math.log and np.log agree on its bits.
+_LN_FLOOR = math.log(_LOG_FLOOR)
+
+
+def _check_log_inputs(logP: np.ndarray, Y: np.ndarray) -> None:
+    """Reject non-finite reference rows, then NaN or +inf log-probabilities."""
+    if not np.isfinite(Y).all():
+        raise NonFinite("reference rows must be finite")
+    if not (logP < np.inf).all():  # one pass: False at NaN and at +inf
+        raise NonFinite("log-probabilities must not contain NaN or +inf")
+
+
+def _floored_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
+    """C = -(floor(logP) @ Yᵀ) and the boolean mask of logP above the floor,
+    with no checks.  Finite entries near 1e308 can still overflow a product
+    or a sum, so callers run it under an errstate that lets overflow and
+    invalid products through, and reject the non-finite costs that result.
+    """
+    return -(np.maximum(logP, _LN_FLOOR) @ np.swapaxes(Y, -1, -2)), logP > _LN_FLOOR
 
 
 def _log_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
@@ -48,16 +68,10 @@ def _log_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
     entry does not change C, so its gradient is zero.  Works on single
     (n, d) rows or (k, n, d) stacks; the callers check shapes.
     """
-    if not np.isfinite(Y).all():
-        raise NonFinite("reference rows must be finite")
-    if not (logP < np.inf).all():  # one pass: False at NaN and at +inf
-        raise NonFinite("log-probabilities must not contain NaN or +inf")
-    floor = np.log(_LOG_FLOOR)
-    # Finite entries near 1e308 can still overflow a product or a sum; the
-    # callers' range checks reject the non-finite costs that result.
+    _check_log_inputs(logP, Y)
     with np.errstate(over="ignore", invalid="ignore"):
-        C = -(np.maximum(logP, floor) @ np.swapaxes(Y, -1, -2))
-    return C, (logP > floor).astype(np.float64)
+        C, active = _floored_costs(logP, Y)
+    return C, active.astype(np.float64)
 
 
 @dataclass(frozen=True)

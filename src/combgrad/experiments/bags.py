@@ -24,11 +24,18 @@ from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
 from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
 
 _HIDDEN = 64
+# Caps on the data BagDatasetSpec describes, which is generated in memory.
+_MAX_SAMPLES = 10**6
+_MAX_MEANS = 10**6
 
 
 @dataclass(frozen=True)
 class BagDatasetSpec:
-    """Synthetic classification data: one spherical Gaussian per class."""
+    """Synthetic classification data: one spherical Gaussian per class.
+
+    The data is generated in memory, so n is capped at 10**6 samples and
+    num_classes * feature_dim, the size of the class-mean table, at 10**6.
+    """
 
     num_classes: int = 10
     n: int = 5000
@@ -46,6 +53,10 @@ class BagDatasetSpec:
             raise InvalidInput("need at least 3 samples, so that the 80/20 split holds one out")
         if self.feature_dim < 1:
             raise InvalidInput("feature_dim must be positive")
+        if self.n > _MAX_SAMPLES:
+            raise InvalidInput(f"n must be at most {_MAX_SAMPLES}")
+        if self.num_classes * self.feature_dim > _MAX_MEANS:
+            raise InvalidInput(f"num_classes * feature_dim must be at most {_MAX_MEANS}")
         if not np.isfinite(self.separation):
             raise InvalidInput("separation must be finite")
         if self.seed < 0:
@@ -126,7 +137,7 @@ def make_bags(
     idx, Ys = idx[kept], Ys[kept]
     # Row by row, permuted draws the stream of one rng.permutation per bag.
     sigma = rng.permuted(np.broadcast_to(np.arange(bag_size), idx.shape), axis=1)
-    return BagBatch(X=x[idx], Y=np.take_along_axis(Ys, sigma[:, :, None], axis=1), hidden_sigma=sigma)
+    return BagBatch(X=x[idx], Y=Ys[np.arange(len(sigma))[:, None], sigma], hidden_sigma=sigma)
 
 
 def _init_store(config: TrainConfig, feature_dim: int, num_classes: int) -> tape.ParamStore:

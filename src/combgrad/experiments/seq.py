@@ -36,6 +36,9 @@ _SHUFFLE_TAG = 104729
 _TAU_START = 5.0
 _TAU_STEP = 0.5
 _TAU_FLOOR = 1.0
+# Caps on the corpus SeqTaskSpec describes, which is generated in memory.
+_MAX_EXAMPLES = 10**6
+_MAX_LEN = 1024
 
 
 def _tau_at(epoch: int) -> float:
@@ -50,7 +53,9 @@ class SeqTaskSpec:
 
     Tokens 0 and 1 are reserved (PAD, EOS); content tokens are 2..vocab-1.
     Each source token is independently preceded by a random insertion with
-    probability p_insert and dropped with probability p_drop.
+    probability p_insert and dropped with probability p_drop.  The corpus
+    is held in memory, so n is capped at 10**6 examples and max_len at
+    1024 tokens.
     """
 
     vocab: int = 12
@@ -71,10 +76,14 @@ class SeqTaskSpec:
         # of at most 2**63.
         if self.vocab > 2**63 or self.max_len + 1 > 2**63:
             raise InvalidInput("vocab and max_len + 1 must not exceed 2**63, the int64 range")
+        if self.max_len > _MAX_LEN:
+            raise InvalidInput(f"max_len must be at most {_MAX_LEN}")
         if not (0.0 <= self.p_drop < 1.0 and 0.0 <= self.p_insert < 1.0):
             raise InvalidInput("corruption probabilities must lie in [0, 1)")
         if self.n < 3:
             raise InvalidInput("need at least 3 examples, so that the 80/20 split holds one out")
+        if self.n > _MAX_EXAMPLES:
+            raise InvalidInput(f"n must be at most {_MAX_EXAMPLES}")
         if self.seed < 0:
             raise InvalidInput("seed must be non-negative")
 

@@ -71,9 +71,11 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        # Every value is float64 (see __init__), so plain zeros/ones by shape
+        # skip zeros_like's dtype and layout lookup.
         for node in order:
-            node.grad = np.zeros_like(node.value)
-        self.grad = np.ones_like(self.value)
+            node.grad = np.zeros(node.value.shape)
+        self.grad = np.ones(self.value.shape)
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)

@@ -1,5 +1,6 @@
-"""Brute-force enumeration oracles for the solver tests, and the plain
-numpy loops the sequence corpus and its batches are checked against.
+"""Brute-force enumeration oracles for the solver tests, a scalar count of
+distinct bag rows, and the plain numpy loops the sequence corpus and its
+batches are checked against.
 
 The solver oracles share no code with the production solvers: the vertex
 oracle tries every rank-sized column set of an LP, the assignment oracle
@@ -132,6 +133,21 @@ def step_string(code: int) -> str:
         code, digit = divmod(int(code), 4)
         letters.append("DPT"[digit - 1])
     return "".join(reversed(letters))
+
+
+def distinct_row_counts(Ys: np.ndarray) -> list:
+    """Per bag of a (k, b, d) stack, how many rows equal no earlier row of
+    their bag, comparing entries one at a time as Python floats: -0.0 equals
+    0.0 and NaN equals nothing."""
+    counts = []
+    for bag in np.asarray(Ys, dtype=np.float64).tolist():
+        counts.append(
+            sum(
+                not any(all(x == y for x, y in zip(row, earlier)) for earlier in bag[:i])
+                for i, row in enumerate(bag)
+            )
+        )
+    return counts
 
 
 def scalar_seq_dataset(spec: SeqTaskSpec) -> SeqDataset:

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from combgrad._kernels import _assign_core_py, _assign_many_c, _assign_many_py, 
 from combgrad.core import _log_costs
 
 from helpers import central_fd
-from oracles import enumerate_permutations
+from oracles import distinct_row_counts, enumerate_permutations
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
 
@@ -184,6 +185,24 @@ class TestCompiledKernel:
 
         monkeypatch.setattr(_kernels.subprocess, "run", compiler)
         assert _kernels._c_library_path() == path
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_a_new_build_removes_the_other_versions(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "combgrad"
+        cache.mkdir()
+        stale = ["kernels-0123456789abcdef.so", "kernels-fedcba9876543210.so"]
+        # A build in flight, and files that are no library of any version.
+        kept = ["kernels-0123456789abcdef.so.tmp", "x1y2.so.tmp", "kernels-0123.so", "kernels-0123456789ABCDEF.so"]
+        kept += ["kernels-0123456789abcdef.so.bak", "notes.txt"]
+        for name in stale + kept:
+            (cache / name).write_text("")
+        path = _kernels._c_library_path()
+        assert sorted(os.listdir(cache)) == sorted(kept + [os.path.basename(path)])
+        # A cached library is loaded as it is: nothing is built or removed.
+        (cache / stale[0]).write_text("")
+        assert _kernels._c_library_path() == path
+        assert (cache / stale[0]).exists()
 
 
 class TestBackendOption:
@@ -675,6 +694,81 @@ def _tie_heavy_costs(draw):
     return scale * np.array(cells, dtype=np.float64).reshape(b, b)
 
 
+_LOGP_MSG = "log-probabilities must not contain NaN or +inf"
+_Y_MSG = "reference rows must be finite"
+_NORM_MSG = "each logP row must be a normalized log-distribution"
+
+
+def _verdict_stack():
+    # Bag 1 puts every row's mass on class 0, so its logP columns are 0 and
+    # -inf; no reference row of any bag holds class 3.
+    rng = np.random.default_rng(59)
+    logP = _log_softmax(rng.standard_normal((3, 3, 4)))
+    logP[1] = [0.0, -np.inf, -np.inf, -np.inf]
+    Y = np.eye(4)[[[0, 1, 2], [0, 1, 2], [2, 2, 0]]]
+    return logP, Y
+
+
+_INF = np.inf
+# Each case overwrites entries or rows of bag 1: (logP edits, Y edits, the
+# error, its message).
+_VERDICTS = {
+    "logP NaN where Y is 0": ({(2, 3): np.nan}, {}, NonFinite, _LOGP_MSG),
+    "logP +inf where Y is 0": ({(2, 3): _INF}, {}, NonFinite, _LOGP_MSG),
+    "Y NaN where logP is 0": ({}, {(0, 0): np.nan}, NonFinite, _Y_MSG),
+    "Y +inf where logP is 0": ({}, {(0, 0): _INF}, NonFinite, _Y_MSG),
+    "Y -inf where logP is 0": ({}, {(0, 0): -_INF}, NonFinite, _Y_MSG),
+    "Y NaN where logP is -inf": ({}, {(1, 1): np.nan}, NonFinite, _Y_MSG),
+    "Y +inf where logP is -inf": ({}, {(1, 1): _INF}, NonFinite, _Y_MSG),
+    "Y -inf where logP is -inf": ({}, {(1, 1): -_INF}, NonFinite, _Y_MSG),
+    "Y checked before logP": ({(2, 3): np.nan}, {(1, 1): np.nan}, NonFinite, _Y_MSG),
+    "logP NaN checked before normalization": ({0: [1.0, -_INF, -_INF, -_INF], (2, 3): np.nan}, {}, NonFinite, _LOGP_MSG),
+    "a row of -inf": ({0: -_INF}, {}, InvalidInput, _NORM_MSG),
+    "a row shifted by +700": ({0: [700.0, -_INF, -_INF, -_INF]}, {}, InvalidInput, _NORM_MSG),
+    "a row whose exp overflows": ({0: [710.0, -_INF, -_INF, -_INF]}, {}, InvalidInput, _NORM_MSG),
+    "costs that overflow to inf": ({}, {1: [0.0, 1e307, 0.0, 0.0]}, NonFinite, "cost matrix must be finite"),
+    "costs too large to sum": (
+        {},
+        {1: [0.0, 1e306, 0.0, 0.0]},
+        NonFinite,
+        "costs up to 2.76e+307 can overflow a sum over a 3x3 matching",
+    ),
+    "unnormalized and cost-overflowing": (
+        {0: [1.0, -_INF, -_INF, -_INF]},
+        {1: [0.0, 1e307, 0.0, 0.0]},
+        InvalidInput,
+        _NORM_MSG,
+    ),
+}
+
+
+class TestMatchingLossVerdicts:
+    @pytest.mark.parametrize("case", sorted(_VERDICTS))
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_first_failing_check_names_the_fault(self, case, ndim):
+        logP_edits, Y_edits, error, message = _VERDICTS[case]
+        logP, Y = _verdict_stack()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matching_loss(logP, Y)  # the undamaged stack passes
+            for array, edits in ((logP[1], logP_edits), (Y[1], Y_edits)):
+                for index, value in edits.items():
+                    array[index] = value
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                matching_loss(*((logP, Y) if ndim == 3 else (logP[1], Y[1])))
+
+    def test_normalization_wins_across_bags(self):
+        # One bag unnormalized, another overflowing its costs: as for one
+        # bag, the normalization check comes first.
+        logP, Y = _verdict_stack()
+        logP[0, 0] += 1.0
+        Y[1, 1] *= 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=f"^{re.escape(_NORM_MSG)}$"):
+                matching_loss(logP, Y)
+
+
 class TestLexRefinedKernel:
     def test_slack_is_rounded_in_the_reference_order(self, backend):
         # Slacks here land within rounding of the tight threshold tol / 5:
@@ -761,3 +855,29 @@ class TestFilterBag:
     def test_empty_stack_gives_an_empty_mask(self):
         mask = filter_bag(np.zeros((0, 4, 3)), 0.5)
         assert mask.shape == (0,) and mask.dtype == bool
+
+    @staticmethod
+    def _row_pool(d, rng):
+        # Few distinct rows, so bags repeat them: one-hot rows and their
+        # -0.0 twins (equal to them), 0.0 and -0.0 rows, rows holding NaN
+        # (equal to nothing, themselves included) and soft rows.
+        eye = np.eye(d)
+        nan_row = eye[0].copy()
+        nan_row[-1] = np.nan
+        return np.vstack(
+            [eye, np.where(eye == 0.0, -0.0, eye), np.zeros(d), np.full(d, -0.0), nan_row, rng.dirichlet(np.ones(d), 2)]
+        )
+
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_masks_match_a_scalar_count_of_distinct_rows(self, b):
+        rng = np.random.default_rng(83 + b)
+        for d in range(1, 13):
+            pool = self._row_pool(d, rng)
+            Ys = pool[rng.integers(0, len(pool), size=(30, b))]
+            counts = distinct_row_counts(Ys)
+            # One threshold per possible count pins the count itself.
+            for threshold in np.arange(b + 1) / b:
+                want = np.array([c >= threshold * b - 1e-9 for c in counts])
+                assert filter_bag(Ys, threshold).tobytes() == want.tobytes(), (b, d, threshold)
+                for t in range(3):
+                    assert filter_bag(Ys[t], threshold) is bool(want[t]), (b, d, threshold, t)

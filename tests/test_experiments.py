@@ -105,6 +105,24 @@ class TestBagDataset:
             train_bags(TrainConfig(loss="mle", epochs=1), BagDatasetSpec(n=2, num_classes=2))
         assert gen_bag_dataset(BagDatasetSpec(n=3, num_classes=2)).y_test.shape == (1,)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"n": 10**6 + 1}, "n must be at most 1000000"),
+            ({"n": 3 * 10**9}, "n must be at most 1000000"),
+            ({"num_classes": 1001, "feature_dim": 1000}, "num_classes \\* feature_dim must be at most 1000000"),
+            ({"num_classes": 2, "feature_dim": 2**40}, "num_classes \\* feature_dim must be at most 1000000"),
+        ],
+    )
+    def test_sizes_beyond_the_caps_rejected(self, kwargs, message):
+        # validate() alone: nothing is allocated at the rejected sizes.
+        with pytest.raises(InvalidInput, match=message):
+            BagDatasetSpec(**kwargs).validate()
+
+    def test_sizes_at_the_caps_accepted(self):
+        BagDatasetSpec(n=10**6, num_classes=1000, feature_dim=1000).validate()
+        BagDatasetSpec(n=5000).validate()  # the acceptance and benchmark size
+
 
 class TestMakeBags:
     def test_bags_respect_threshold_and_hide_order(self):
@@ -454,6 +472,25 @@ class TestSeqDataset:
     def test_bounds_beyond_int64_rejected(self, kwargs):
         with pytest.raises(InvalidInput, match="int64"):
             gen_seq_dataset(SeqTaskSpec(n=5, **kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"max_len": 1025}, "max_len must be at most 1024"),
+            ({"min_len": 2**40, "max_len": 2**40}, "max_len must be at most 1024"),
+            ({"n": 10**6 + 1}, "n must be at most 1000000"),
+            ({"n": 3 * 10**9}, "n must be at most 1000000"),
+        ],
+    )
+    def test_sizes_beyond_the_caps_rejected(self, kwargs, message):
+        # validate() alone: nothing is allocated at the rejected sizes.
+        with pytest.raises(InvalidInput, match=message):
+            SeqTaskSpec(**kwargs).validate()
+
+    def test_sizes_at_the_caps_accepted(self):
+        SeqTaskSpec(n=10**6, max_len=1024).validate()
+        for n in (2500, 5000):  # the acceptance and benchmark sizes
+            SeqTaskSpec(n=n, max_len=8).validate()
 
 
 class TestSeqBatches:
