@@ -126,14 +126,9 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
 
 
 def _match_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
-    """The match costs and above-floor mask of core._log_costs, for (Tp, d)
-    and (Tt, d) rows or (B, Tp, d) and (B, Tt, d) stacks."""
-    if not (
-        logP.ndim == Y.ndim
-        and logP.ndim in (2, 3)
-        and logP.shape[:-2] == Y.shape[:-2]
-        and logP.shape[-1] == Y.shape[-1]
-    ):
+    """The match costs and boolean above-floor mask of core._log_costs, for
+    (Tp, d) and (Tt, d) rows or (B, Tp, d) and (B, Tt, d) stacks."""
+    if not (logP.ndim == Y.ndim in (2, 3) and logP.shape[:-2] == Y.shape[:-2] and logP.shape[-1] == Y.shape[-1]):
         raise DimensionMismatch(
             "logP (Tp, d) and Y (Tt, d), or stacks (B, Tp, d) and (B, Tt, d), must share"
             f" the class dimension, got {logP.shape} and {Y.shape}"
@@ -147,6 +142,9 @@ def build_grid(logP: np.ndarray, Y: np.ndarray, gamma: float) -> AlignGrid:
     m[i, k] = -<floor(logP[i]), Y[k]>, the same negative-inner-product score
     the matching loss uses, so a diagonal step is exactly a cross-entropy
     term.
+
+    The checks run in gsa_loss's order, with AlignGrid's checks of the grid
+    in place of gsa_loss's grid and gradient checks.
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -163,6 +161,11 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     stacks (B, Tp, d) and (B, Tt, d) it returns the (B,) costs and the
     (B, Tp, d) gradients.  Either way one batched kernel call solves every
     grid.
+
+    The first failing check raises, in this order: shapes (DimensionMismatch),
+    Y finite, logP free of NaN and +inf (NonFinite), non-empty grids
+    (DimensionMismatch), finite costs (NonFinite), the gap factor
+    (InvalidInput), then path-cost and gradient overflow (NonFinite).
     """
     logP = np.asarray(logP, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

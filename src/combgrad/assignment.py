@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _F64_MAX, GenGrad, _check_log_inputs, _floored_costs
+from .core import _F64_MAX, GenGrad, _log_costs
 from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
 
 
@@ -136,17 +136,11 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
         )
     Ys = Y.reshape(-1, *Y.shape[-2:])
     logPs = logP.reshape(Ys.shape)
-    # One pass builds the costs and each row's distance from a normalized
-    # log-distribution.  NaN or +inf in a row, a row of -inf (log 0) and a
-    # row whose exp overflows all leave a distance that is not <= 1e-6: the
-    # checks below reject them, so this pass silences their warnings.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Cs, active = _floored_costs(logPs, Ys)
-        normalized = (np.abs(np.log(np.exp(logPs).sum(axis=-1))) <= 1e-6).all()
-    if not (normalized and np.isfinite(Ys).all()):
-        # Name the first failing check, in the documented order.
-        _check_log_inputs(logPs, Ys)
-        raise InvalidInput("each logP row must be a normalized log-distribution")
+    Cs, active = _log_costs(logPs, Ys)
+    # Rows of -inf (log 0) or with exp overflow fail anyway; past _log_costs none is NaN.
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.abs(np.log(np.exp(logPs).sum(axis=-1))).max() <= 1e-6:
+            raise InvalidInput("each logP row must be a normalized log-distribution")
     _check_cost_range(Cs)
     perms = _kernels.assignment_kernel_many(Cs)[0]
     k, b = perms.shape

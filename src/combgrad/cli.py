@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .alignment import AlignGrid, build_grid, gsa_grad_matrix, solve_gsa
 from .assignment import solve_assignment
-from .core import LPSpec, supergradient_check
+from .core import LPSpec, _one_hot, supergradient_check
 from .errors import (
     CombgradError,
     DegenerateInstance,
@@ -133,13 +133,13 @@ def _solve_assignment_doc(problem: dict) -> dict:
     }
 
 
-def _class_indices(problem: dict, d: int) -> np.ndarray:
+def _target_rows(problem: dict, d: int) -> np.ndarray:
     # Checked as floats: an integer cast would wrap -1, truncate 0.7 and
     # overflow on -1e308 instead of rejecting them.
     t = _matrix(problem, "targets")
     if t.ndim != 1 or not np.all((t >= 0) & (t < d) & (t == np.floor(t))):
         raise ValueError(f"'targets' must be a flat list of whole numbers in [0, {d})")
-    return t.astype(np.int64)
+    return _one_hot(t.astype(np.int64), d)
 
 
 def _gsa_grid(problem: dict) -> AlignGrid:
@@ -153,8 +153,7 @@ def _gsa_grid(problem: dict) -> AlignGrid:
         logp = _matrix(problem, "logp")
         if logp.ndim != 2 or logp.size == 0:
             raise ValueError(f"'logp' must be a non-empty 2-D array, got shape {logp.shape}")
-        Y = np.eye(logp.shape[1])[_class_indices(problem, logp.shape[1])]
-        return build_grid(logp, Y, gamma)
+        return build_grid(logp, _target_rows(problem, logp.shape[1]), gamma)
     raise ValueError("gsa input needs either 'match_costs' or 'logp'+'targets'")
 
 

@@ -43,35 +43,36 @@ _LOG_FLOOR = 1e-12
 _LN_FLOOR = math.log(_LOG_FLOOR)
 
 
-def _check_log_inputs(logP: np.ndarray, Y: np.ndarray) -> None:
-    """Reject non-finite reference rows, then NaN or +inf log-probabilities."""
-    if not np.isfinite(Y).all():
-        raise NonFinite("reference rows must be finite")
-    if not (logP < np.inf).all():  # one pass: False at NaN and at +inf
-        raise NonFinite("log-probabilities must not contain NaN or +inf")
-
-
-def _floored_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
-    """C = -(floor(logP) @ Yᵀ) and the boolean mask of logP above the floor,
-    with no checks.  Finite entries near 1e308 can still overflow a product
-    or a sum, so callers run it under an errstate that lets overflow and
-    invalid products through, and reject the non-finite costs that result.
-    """
-    return -(np.maximum(logP, _LN_FLOOR) @ np.swapaxes(Y, -1, -2)), logP > _LN_FLOOR
+def _one_hot(ids: np.ndarray, depth: int) -> np.ndarray:
+    """np.eye(depth)[ids] bit for bit, without the depth x depth table: float64
+    rows of shape ids.shape + (depth,) with 1.0 at each id."""
+    out = np.zeros(ids.shape + (depth,))
+    # ids.size, not -1: a reshape cannot infer -1 for empty ids.
+    out.reshape(ids.size, depth)[np.arange(ids.size), ids.reshape(ids.size)] = 1.0
+    return out
 
 
 def _log_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:
     """The pair costs both optimal-value losses score, and where they move.
 
     Returns C = -(floor(logP) @ Yᵀ), with log-probabilities floored at
-    log 1e-12, and the 0/1 mask of entries above the floor: a floored
+    log 1e-12, and the boolean mask of entries above the floor: a floored
     entry does not change C, so its gradient is zero.  Works on single
-    (n, d) rows or (k, n, d) stacks; the callers check shapes.
+    (n, d) rows or (k, n, d) stacks; the callers check shapes and ranges.
+    C comes first: the floor keeps finite logP finite, so a non-finite Y
+    entry or a NaN or +inf in logP makes the sum of C non-finite (0 * inf
+    is NaN).  Only then, or for an empty C, are Y and then logP scanned to
+    raise NonFinite; a sum that overflows from finite costs finds nothing.
     """
-    _check_log_inputs(logP, Y)
     with np.errstate(over="ignore", invalid="ignore"):
-        C, active = _floored_costs(logP, Y)
-    return C, active.astype(np.float64)
+        C = -(np.maximum(logP, _LN_FLOOR) @ Y.swapaxes(-1, -2))
+        total = C.sum()
+    if C.size == 0 or not math.isfinite(total):
+        if not np.isfinite(Y).all():
+            raise NonFinite("reference rows must be finite")
+        if not (logP < np.inf).all():  # one pass: False at NaN and at +inf
+            raise NonFinite("log-probabilities must not contain NaN or +inf")
+    return C, logP > _LN_FLOOR
 
 
 @dataclass(frozen=True)

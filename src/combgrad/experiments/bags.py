@@ -20,6 +20,7 @@ import numpy as np
 
 from .. import tape
 from ..assignment import filter_bag, matching_loss
+from ..core import _one_hot
 from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
 from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
 
@@ -27,14 +28,16 @@ _HIDDEN = 64
 # Caps on the data BagDatasetSpec describes, which is generated in memory.
 _MAX_SAMPLES = 10**6
 _MAX_MEANS = 10**6
+_MAX_LABEL_ROWS = 10**7
 
 
 @dataclass(frozen=True)
 class BagDatasetSpec:
     """Synthetic classification data: one spherical Gaussian per class.
 
-    The data is generated in memory, so n is capped at 10**6 samples and
-    num_classes * feature_dim, the size of the class-mean table, at 10**6.
+    The data is generated in memory, so n is capped at 10**6 samples,
+    num_classes * feature_dim, the size of the class-mean table, at 10**6,
+    and n * num_classes, the size of the one-hot label rows, at 10**7.
     """
 
     num_classes: int = 10
@@ -57,6 +60,8 @@ class BagDatasetSpec:
             raise InvalidInput(f"n must be at most {_MAX_SAMPLES}")
         if self.num_classes * self.feature_dim > _MAX_MEANS:
             raise InvalidInput(f"num_classes * feature_dim must be at most {_MAX_MEANS}")
+        if self.n * self.num_classes > _MAX_LABEL_ROWS:
+            raise InvalidInput(f"n * num_classes must be at most {_MAX_LABEL_ROWS}")
         if not np.isfinite(self.separation):
             raise InvalidInput("separation must be finite")
         if self.seed < 0:
@@ -132,7 +137,7 @@ def make_bags(
     n = x.shape[0]
     order = rng.permutation(n)
     idx = order[: n - n % bag_size].reshape(-1, bag_size)
-    Ys = np.eye(num_classes)[y[idx]]
+    Ys = _one_hot(y[idx], num_classes)
     kept = filter_bag(Ys, threshold)
     idx, Ys = idx[kept], Ys[kept]
     # Row by row, permuted draws the stream of one rng.permutation per bag.

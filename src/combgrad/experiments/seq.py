@@ -23,6 +23,7 @@ import numpy as np
 
 from .. import _kernels, tape
 from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
+from ..core import _one_hot
 from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
 from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
 
@@ -229,9 +230,7 @@ def _decode_train(
     each step.  The first input is the EOS embedding (start marker)."""
     p = store.params
     B = h.value.shape[0]
-    start = np.zeros((B, vocab))
-    start[:, EOS] = 1.0
-    feed = tape.Tensor(start)
+    feed = tape.Tensor(_one_hot(np.full(B, EOS), vocab))
     logps = []
     for _ in range(steps):
         h, logits = _decoder_step(p, feed, h)
@@ -289,7 +288,7 @@ def _batch_loss(
     h = _encode(store, src)
     logps = _decode_train(store, h, T, vocab, config, tau, noise_rng)
     L = np.stack([lp.value for lp in logps], axis=1)  # (B, T, vocab)
-    Y = np.eye(vocab)[tgt]
+    Y = _one_hot(tgt, vocab)
     if config.loss == "mle":
         # Position-wise cross-entropy, the mean over steps of -<Y_t, logP_t>:
         # each step's gradient is -Y_t / T and the loss is averaged over B.
@@ -308,8 +307,7 @@ def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: i
     p = store.params
     B = src.shape[0]
     h = tape.Tensor(_encode(store, src).value)
-    feed = np.zeros((B, vocab))
-    feed[:, EOS] = 1.0
+    feed = _one_hot(np.full(B, EOS), vocab)
     logps = np.empty((B, steps, vocab))
     toks = np.empty((B, steps), dtype=np.int64)
     for t in range(steps):
@@ -319,8 +317,7 @@ def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: i
         logps[:, t] = lp
         pick = lp.argmax(axis=1)
         toks[:, t] = pick
-        feed = np.zeros((B, vocab))
-        feed[np.arange(B), pick] = 1.0
+        feed = _one_hot(pick, vocab)
     return logps, toks
 
 
@@ -344,7 +341,6 @@ def evaluate(
     by_len: Dict[int, List[int]] = {}
     for i, (s, _) in enumerate(pairs):
         by_len.setdefault(len(s), []).append(i)
-    eye = np.eye(vocab)
     costs = np.empty(len(pairs))
     exact = np.zeros(len(pairs))
     for L in sorted(by_len):
@@ -359,7 +355,7 @@ def evaluate(
             exact[i] = float(end == len(tgt) and bool(np.all(toks[row, :end] == tgt)))
             groups.setdefault((end, len(tgt)), []).append(row)
         for (end, _), rows in groups.items():
-            Y = eye[np.stack([pairs[idx[row]][1] for row in rows])]
+            Y = _one_hot(np.stack([pairs[idx[row]][1] for row in rows]), vocab)
             ms = _match_costs(logps[rows, :end], Y)[0]
             zs = _kernels.gsa_kernel_many(ms, check_grids(ms, gamma))[0]
             costs[[idx[row] for row in rows]] = zs

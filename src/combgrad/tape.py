@@ -24,6 +24,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
+from .core import _one_hot
 from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
@@ -210,9 +211,7 @@ def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> T
         raise DimensionMismatch("gumbel_softmax_st expects a 2-D tensor")
     u = rng.uniform(low=np.finfo(np.float64).tiny, high=1.0, size=logits.value.shape)
     noisy = logits.value - np.log(-np.log(u))
-    hard = np.zeros_like(noisy)
-    hard[np.arange(noisy.shape[0]), noisy.argmax(axis=1)] = 1.0
-    return _tempered_softmax(logits, noisy, tau, hard)
+    return _tempered_softmax(logits, noisy, tau, _one_hot(noisy.argmax(axis=1), noisy.shape[1]))
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -1,5 +1,8 @@
 """Monotone alignment: lattice solver, tie policy, gradients, and the loss."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -396,6 +399,73 @@ class TestAlignmentLoss:
             z_a, g_a = gsa_loss(logP, Y, 1.5)
             assert np.float64(z_m).tobytes() == np.float64(z_a).tobytes(), (logP, Y)
             assert g_m.tobytes() == g_a.tobytes(), (logP, Y)
+
+
+_LOGP_MSG = "log-probabilities must not contain NaN or +inf"
+_Y_MSG = "reference rows must be finite"
+_INF = np.inf
+
+
+def _verdict_stack():
+    # Grid 1 puts every prediction's mass on class 0, so its logP columns
+    # are 0 and -inf; no target of any grid holds class 3.
+    rng = np.random.default_rng(59)
+    logits = rng.standard_normal((3, 3, 4))
+    logP = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    logP[1] = [0.0, -_INF, -_INF, -_INF]
+    Y = np.eye(4)[[[0, 1], [0, 1], [2, 0]]]
+    return logP, Y
+
+
+# Each case overwrites entries or rows of grid 1: (logP edits, Y edits, the
+# error, its message).
+_VERDICTS = {
+    "logP NaN where Y is 0": ({(2, 3): np.nan}, {}, NonFinite, _LOGP_MSG),
+    "logP +inf where Y is 0": ({(2, 3): _INF}, {}, NonFinite, _LOGP_MSG),
+    "Y NaN where logP is 0": ({}, {(0, 0): np.nan}, NonFinite, _Y_MSG),
+    "Y +inf where logP is 0": ({}, {(0, 0): _INF}, NonFinite, _Y_MSG),
+    "Y -inf where logP is -inf": ({}, {(1, 1): -_INF}, NonFinite, _Y_MSG),
+    "Y checked before logP": ({(2, 3): np.nan}, {(1, 1): np.nan}, NonFinite, _Y_MSG),
+    "costs that overflow to inf": ({}, {1: [0.0, 1e307, 0.0, 0.0]}, NonFinite, "match costs must be finite"),
+    "costs too large for a path": (
+        {},
+        {1: [0.0, 1e306, 0.0, 0.0]},
+        NonFinite,
+        "match costs up to 2.76e+307 with gap factor 1.5 can overflow a path cost on a 3x2 grid",
+    ),
+}
+
+
+class TestAlignmentVerdicts:
+    @pytest.mark.parametrize("case", sorted(_VERDICTS))
+    @pytest.mark.parametrize("entry", ["gsa_loss 2-D", "gsa_loss 3-D", "build_grid"])
+    def test_first_failing_check_names_the_fault(self, case, entry):
+        logP_edits, Y_edits, error, message = _VERDICTS[case]
+        logP, Y = _verdict_stack()
+        call = {
+            "gsa_loss 2-D": lambda: gsa_loss(logP[1], Y[1], 1.5),
+            "gsa_loss 3-D": lambda: gsa_loss(logP, Y, 1.5),
+            "build_grid": lambda: build_grid(logP[1], Y[1], 1.5),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()  # the undamaged inputs pass
+            for array, edits in ((logP[1], logP_edits), (Y[1], Y_edits)):
+                for index, value in edits.items():
+                    array[index] = value
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("entry", [gsa_loss, build_grid])
+    def test_inputs_are_checked_before_the_grid_is_found_empty(self, entry):
+        # No target row: the costs are empty and carry no fault, yet the NaN
+        # in logP is named before the empty grid.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"^{re.escape(_LOGP_MSG)}$"):
+                entry(np.full((2, 3), np.nan), np.zeros((0, 3)), 1.5)
+            with pytest.raises(DimensionMismatch):
+                entry(np.zeros((2, 3)), np.zeros((0, 3)), 1.5)
 
 
 def _grid_stacks():

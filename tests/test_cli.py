@@ -85,6 +85,18 @@ class TestSolve:
         assert doc["z_star"] == pytest.approx(expected.z_star)
         assert doc["path"] == expected.step_string()
 
+    def test_gsa_document_with_many_classes(self, tmp_path, capsys):
+        # 200 000 classes: the target rows are one row long, not an
+        # identity table of 200 000 squared floats.
+        d = 200_000
+        inst = write_json(tmp_path / "g.json", {"logp": [[-math.log(d)] * d], "targets": [d - 1], "gamma": 1.5})
+        code, out, err = run_cli(["solve", "gsa", inst], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["z_star"] == pytest.approx(math.log(d))
+        code, out, err = run_cli(["gradcheck", "gsa", inst, "--trials", "4"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
     def test_lp_document(self, tmp_path, capsys):
         inst = write_json(
             tmp_path / "lp.json",

@@ -12,6 +12,7 @@ from combgrad import (
     strong_duality_gap,
     supergradient_check,
 )
+from combgrad.core import _one_hot
 
 
 def small_spec():
@@ -55,6 +56,30 @@ class TestStrongDuality:
         spec = small_spec()
         out = SolverOutcome(z_star=1.0, u_star=[1.0, 0.0], v_star=[1.0], unique=True)
         assert strong_duality_gap(spec, out) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestOneHot:
+    @pytest.mark.parametrize(
+        "ids, depth",
+        [
+            (np.array(3), 5),  # 0-d
+            (np.array([2, 0, 2, 6]), 7),  # 1-d, repeats included
+            (np.array([[1, 0, 3], [3, 3, 2]]), 4),  # 2-d
+            (np.array([-1, 0]), 3),  # negative ids count from the end
+            (np.zeros(0, dtype=np.int64), 4),  # empty
+            (np.zeros((3, 0), dtype=np.int64), 4),  # empty with a non-empty axis
+        ],
+    )
+    def test_equals_identity_indexing_byte_for_byte(self, ids, depth):
+        want = np.eye(depth)[ids]
+        got = _one_hot(ids, depth)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_out_of_range_id_rejected(self):
+        # Not written into the next row's first entry.
+        with pytest.raises(IndexError):
+            _one_hot(np.array([4, 0]), 4)
 
 
 class TestSupergradientCheck:

@@ -112,6 +112,8 @@ class TestBagDataset:
             ({"n": 3 * 10**9}, "n must be at most 1000000"),
             ({"num_classes": 1001, "feature_dim": 1000}, "num_classes \\* feature_dim must be at most 1000000"),
             ({"num_classes": 2, "feature_dim": 2**40}, "num_classes \\* feature_dim must be at most 1000000"),
+            ({"n": 10**6, "num_classes": 10**5, "feature_dim": 10}, "n \\* num_classes must be at most 10000000"),
+            ({"n": 10**4 + 1, "num_classes": 1000, "feature_dim": 1000}, "n \\* num_classes must be at most 10000000"),
         ],
     )
     def test_sizes_beyond_the_caps_rejected(self, kwargs, message):
@@ -120,7 +122,8 @@ class TestBagDataset:
             BagDatasetSpec(**kwargs).validate()
 
     def test_sizes_at_the_caps_accepted(self):
-        BagDatasetSpec(n=10**6, num_classes=1000, feature_dim=1000).validate()
+        BagDatasetSpec(n=10**6, num_classes=10, feature_dim=10**5).validate()
+        BagDatasetSpec(n=10**4, num_classes=1000, feature_dim=1000).validate()
         BagDatasetSpec(n=5000).validate()  # the acceptance and benchmark size
 
 
