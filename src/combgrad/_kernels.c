@@ -245,8 +245,9 @@ done:
  * backtrack) over a (nb, Tp, Tt) stack.  A candidate within
  * tol * (1 + |best|) of a node's best cost counts as tied.  Per instance t
  * it writes zs[t], the path of length Tp + Tt at offset t * (Tp + Tt) (each
- * step's kind and the flat index into m of the cost it paid, gap clamp
- * included; filled from the end, zero before the first step) and
+ * step's kind and the stack-flat index t * Tp * Tt + cell of the cost it
+ * paid, where cell indexes grid t with the gap clamp included; filled from
+ * the end, with kind 0 and cell t * Tp * Tt before the first step) and
  * unique[t].  The outputs share one block, in this order: zs (nb doubles),
  * cells (nb * (Tp + Tt) int64), kinds (as many int8), then unique (nb
  * bytes).  Returns 2 if the backtrack would leave the lattice, which only
@@ -265,7 +266,8 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
     int8_t *choice = (int8_t *)(npaths + nodes);
     int status = 2;
     for (int64_t t = 0; t < nb; t++) {
-        const double *m = ms + t * Tp * Tt;
+        int64_t base = t * Tp * Tt;
+        const double *m = ms + base;
         int8_t *kd = kinds + t * total;
         int64_t *cl = cells + t * total;
         for (int64_t c = 0; c < nodes; c++) {
@@ -320,7 +322,7 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
         }
         for (int64_t e = 0; e < total; e++) {
             kd[e] = 0;
-            cl[e] = 0;
+            cl[e] = base;
         }
         int64_t i = Tp, k = Tt, p = total;
         while (i != 0 || k != 0) {
@@ -342,7 +344,7 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
                 cell = i * Tt + (k < Tt ? k : Tt - 1);
             }
             kd[p] = ch;
-            cl[p] = cell;
+            cl[p] = base + cell;
         }
         zs[t] = dist[Tp * W + Tt];
         unique[t] = npaths[Tp * W + Tt] == 1;

@@ -9,12 +9,12 @@ Each problem has exactly two bodies:
   on import) into a per-user cache directory and loaded through ctypes.
 
 Both follow the same arithmetic order, so the ``c`` and ``numpy`` backends
-produce bitwise-identical outputs.  The backend is fixed for the process:
-the ``COMBGRAD_BACKEND`` environment variable ("c" or "numpy", default
-"c") picks it, and if the C library cannot be built the package warns and
-runs on ``numpy``.  A C call that fails raises (``MemoryError`` when its
-workspace cannot be allocated, ``NonFinite`` on a non-finite step); it is
-never re-solved on the other backend.
+produce bitwise-identical outputs.  The backend is decided once per process,
+on the first kernel call: ``c`` when the C library builds and loads,
+otherwise the package warns once and runs on ``numpy``.  A C call that fails
+raises (``MemoryError`` when its workspace cannot be allocated,
+``NonFinite`` on a non-finite step); it is never re-solved on the other
+backend.
 
 Single-instance entry points run a stack of one, so every public kernel
 goes through one path per problem.  Each kernel decides its own ties.  The
@@ -44,7 +44,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
+from .errors import DimensionMismatch, NonFinite, NonSquare
 
 _COUNTS = {"assignment": 0, "gsa": 0, "lp": 0}
 
@@ -63,27 +63,16 @@ def reset_invocations() -> None:
         _COUNTS[k] = 0
 
 
-def _resolve_backend() -> str:
-    raw = os.environ.get("COMBGRAD_BACKEND", "").strip().lower()
-    if raw == "":
-        return "c"
-    if raw not in ("c", "numpy"):
-        raise InvalidInput(f"COMBGRAD_BACKEND must be 'c' or 'numpy', got {raw!r}")
-    return raw
-
-
-_BACKEND = _resolve_backend()
+# The cached verdict of get_backend(); None until its first call.
+_BACKEND = None
 
 
 def get_backend() -> str:
-    """Name of the active backend.
-
-    "c" is provisional until the library is first needed: this builds or
-    loads it then, and falls back to "numpy" for good if that fails.
-    """
+    """Name of the active backend: "c" when the C library builds or loads
+    here, else "numpy".  The first call decides it for the process."""
     global _BACKEND
-    if _BACKEND == "c" and c_library() is None:
-        _BACKEND = "numpy"
+    if _BACKEND is None:
+        _BACKEND = "numpy" if c_library() is None else "c"
     return _BACKEND
 
 
@@ -492,18 +481,15 @@ def _gsa_py(m, gamma):
     return float(dist[Tp, Tt]), kinds, cells, npaths[Tp, Tt] == 1
 
 
-def _gsa_outputs(nb, total):
-    """Stacked result arrays of ``_gsa_py``: z, kinds, cells, unique."""
-    return np.empty(nb), np.empty((nb, total), np.int8), np.empty((nb, total), np.int64), np.empty(nb, np.bool_)
-
-
 def _gsa_many_py(ms, gamma):
     nb, Tp, Tt = ms.shape
-    out = _gsa_outputs(nb, Tp + Tt)
+    zs, unique = np.empty(nb), np.empty(nb, np.bool_)
+    kinds, cells = np.empty((nb, Tp + Tt), np.int8), np.empty((nb, Tp + Tt), np.int64)
     for t in range(nb):
-        for stacked, x in zip(out, _gsa_py(ms[t], gamma)):
-            stacked[t] = x
-    return out
+        zs[t], kinds[t], cells[t], unique[t] = _gsa_py(ms[t], gamma)
+    # Stack-flat cells, padding included, as gsa_many writes them.
+    cells += np.arange(0, nb * Tp * Tt, Tp * Tt)[:, None]
+    return zs, kinds, cells, unique
 
 
 def _gsa_many_c(ms, gamma):
@@ -527,15 +513,14 @@ def _gsa_many(ms, gamma):
 
 
 def gsa_grads(kinds, cells, Tp, Tt, gamma):
-    """Dense (k, Tp, Tt) gradients from stacked gsa paths: each step adds 1
-    (match) or gamma (gap) to the cell it paid, accumulated in path order by
-    np.bincount.  The padding before a path's first step has kind 0 and
-    weighs 0."""
+    """Dense (k, Tp, Tt) gradients from stacked gsa paths with stack-flat
+    cells: each step adds 1 (match) or gamma (gap) to the cell it paid,
+    accumulated in path order by one np.bincount.  The padding before a
+    path's first step has kind 0 and weighs 0."""
     nb = kinds.shape[0]
     gamma = float(gamma)
     weights = np.array([0.0, 1.0, gamma, gamma]).take(kinds)
-    flat = cells + np.arange(0, nb * Tp * Tt, Tp * Tt)[:, None]
-    return np.bincount(flat.ravel(), weights.ravel(), minlength=nb * Tp * Tt).reshape(nb, Tp, Tt)
+    return np.bincount(cells.ravel(), weights.ravel(), minlength=nb * Tp * Tt).reshape(nb, Tp, Tt)
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):
@@ -549,6 +534,8 @@ def gsa_kernel(m: np.ndarray, gamma: float):
 
 
 def gsa_kernel_many(ms: np.ndarray, gamma: float):
-    """Solve a (k, Tp, Tt) stack of grids; returns gsa_kernel's outputs stacked."""
+    """Solve a (k, Tp, Tt) stack of grids; returns gsa_kernel's outputs
+    stacked, with grid t's cells (padding included) offset by t * Tp * Tt,
+    so they index the stack's flat cost array."""
     increment("gsa", int(ms.shape[0]))
     return _gsa_many(ms, gamma)

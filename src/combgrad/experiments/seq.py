@@ -40,6 +40,9 @@ _TAU_FLOOR = 1.0
 # Caps on the corpus SeqTaskSpec describes, which is generated in memory.
 _MAX_EXAMPLES = 10**6
 _MAX_LEN = 1024
+# Cap on training's vocab * (max_len + 1), the one-hot cells of one
+# sequence: the model and every batch grow with vocab, the corpus does not.
+_MAX_ONE_HOT = 10**6
 
 
 def _tau_at(epoch: int) -> float:
@@ -371,6 +374,7 @@ def train_seq(
     Epoch 0 logs the untrained model (forward-only loss and held-out
     metrics); epochs >= 1 log one optimizer pass each plus the temperature
     used.  Raises TrainAborted (with partial rows) on non-finite numbers.
+    The spec must also keep vocab * (max_len + 1) at most 10**6.
     """
     config.validate()
     if config.loss == "matching":
@@ -380,6 +384,9 @@ def train_seq(
     check_gap_factor(config.gamma)
     if spec is None:
         spec = SeqTaskSpec(seed=config.seed)
+    spec.validate()
+    if spec.vocab * (spec.max_len + 1) > _MAX_ONE_HOT:
+        raise InvalidInput(f"training needs vocab * (max_len + 1) of at most {_MAX_ONE_HOT}")
     data = gen_seq_dataset(spec)
     buckets = _stack_buckets(data.train)
     store = _init_store(config, spec.vocab)

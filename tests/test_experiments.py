@@ -495,6 +495,14 @@ class TestSeqDataset:
         for n in (2500, 5000):  # the acceptance and benchmark sizes
             SeqTaskSpec(n=n, max_len=8).validate()
 
+    @pytest.mark.parametrize("kwargs", [{"vocab": 10**12}, {"vocab": 111_112, "max_len": 8}])
+    def test_training_rejects_one_hot_rows_beyond_the_cap(self, kwargs):
+        # The corpus takes any int64 vocab; training would allocate one-hot
+        # rows and a model this wide, so it refuses before any work.
+        SeqTaskSpec(**kwargs).validate()
+        with pytest.raises(InvalidInput, match=r"vocab \* \(max_len \+ 1\) of at most 1000000"):
+            train_seq(TrainConfig(loss="mle"), SeqTaskSpec(**kwargs))
+
 
 class TestSeqBatches:
     @staticmethod

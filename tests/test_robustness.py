@@ -30,7 +30,6 @@ from combgrad import (
     supergradient_check,
     tape,
 )
-from combgrad import _kernels
 from combgrad.alignment import check_gap_factor
 from combgrad.experiments import BagDatasetSpec, SeqTaskSpec, TrainConfig
 from combgrad.experiments.bags import make_bags, train_bags
@@ -58,11 +57,6 @@ def _checkpoint_reading(body):
         tape.load_checkpoint(str(path))
 
     return load
-
-
-def _backend_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("COMBGRAD_BACKEND", "numba")
-    _kernels._resolve_backend()
 
 
 # min x1 + 2 x2 subject to x1 + x2 = 1: unique and non-degenerate.
@@ -119,7 +113,6 @@ _ARGUMENT_CHECKS = {
     "load_checkpoint non-numeric value": _checkpoint_reading("param w 1 2\n0.5 abc\nend\n"),
     "load_checkpoint value count": _checkpoint_reading("param w 1 2\n0.5 1.5 2.5\nend\n"),
     "load_checkpoint without end": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n0.5 1.5\n"),
-    "COMBGRAD_BACKEND": _backend_variable,
 }
 
 
