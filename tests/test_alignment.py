@@ -480,6 +480,24 @@ def _grid_stacks():
             yield "near-tied", rng.integers(0, 3, size=(3, Tp, Tt)) * 1e-10, gamma
 
 
+
+def test_stacked_cells_are_single_grid_cells_offset_into_the_stack(backend):
+    # Grid t's cells, padding included, are the single-grid kernel's plus
+    # t * Tp * Tt, so one bincount over the stack gives every grid's
+    # gradient: the same bytes as one gsa_grads call per grid.
+    for family, ms, gamma in list(_grid_stacks())[::9]:
+        where = (family, ms.shape, gamma)
+        nb, Tp, Tt = ms.shape
+        zs, kinds, cells, unique = _kernels.gsa_kernel_many(ms, gamma)
+        Gs = _kernels.gsa_grads(kinds, cells, Tp, Tt, gamma)
+        for t, m in enumerate(ms):
+            z, kinds_t, cells_t, unique_t = _kernels.gsa_kernel(m, gamma)
+            assert (zs[t], unique[t]) == (z, unique_t), where
+            assert kinds[t].tobytes() == kinds_t.tobytes(), where
+            assert cells[t].tobytes() == (cells_t + t * Tp * Tt).tobytes(), where
+            G = _kernels.gsa_grads(kinds_t[None], cells_t[None], Tp, Tt, gamma)[0]
+            assert Gs[t].tobytes() == G.tobytes(), where
+
 @pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
 class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_reference(self):

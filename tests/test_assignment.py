@@ -232,6 +232,21 @@ def test_without_a_c_build_the_numpy_reference_runs(tmp_path):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("library", [None, object()], ids=["unavailable", "loaded"])
+def test_the_backend_is_whether_the_c_library_loads_decided_once(library, monkeypatch):
+    probes = []
+
+    def probe():
+        probes.append(1)
+        return library
+
+    monkeypatch.setattr(_kernels, "_BACKEND", None)
+    monkeypatch.setattr(_kernels, "c_library", probe)
+    expected = "numpy" if library is None else "c"
+    assert [_kernels.get_backend() for _ in range(3)] == [expected] * 3
+    assert len(probes) == 1
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings():
     proc = subprocess.run(

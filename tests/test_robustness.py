@@ -106,6 +106,7 @@ _ARGUMENT_CHECKS = {
     "SeqTaskSpec n without a held-out example": lambda *_: SeqTaskSpec(n=2).validate(),
     "train_bags loss": lambda *_: train_bags(TrainConfig(loss="gsa"), BagDatasetSpec(n=20)),
     "train_seq loss": lambda *_: train_seq(TrainConfig(loss="matching"), SeqTaskSpec(n=4)),
+    "train_seq one-hot cap": lambda *_: train_seq(TrainConfig(loss="mle"), SeqTaskSpec(vocab=10**12)),
     "ParamStore.add": _duplicate_parameter,
     "load_checkpoint": _foreign_checkpoint,
     "load_checkpoint param without values": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n"),
