@@ -31,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -367,20 +368,26 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_TRAINERS = {"bags": (BagDatasetSpec, train_bags), "seq": (SeqTaskSpec, train_seq)}
+
+
 def _cmd_train(args) -> int:
     raw = _load_json(args.config)
-    dataset_cfg = raw.pop("dataset", None)
+    dataset_cfg = raw.pop("dataset", None) or {}
     if "seed" not in raw:
         raw["seed"] = args.seed
     config = TrainConfig.from_dict(raw)
     out = args.out or f"{args.task}_metrics.csv"
     ckpt = (out[:-4] if out.endswith(".csv") else out) + ".params.txt"
-    if args.task == "bags":
-        spec = BagDatasetSpec(**dataset_cfg) if dataset_cfg else BagDatasetSpec(seed=config.seed)
-        runner = lambda: train_bags(config, spec)
-    else:
-        spec = SeqTaskSpec(**dataset_cfg) if dataset_cfg else SeqTaskSpec(seed=config.seed)
-        runner = lambda: train_seq(config, spec)
+    spec_cls, trainer = _TRAINERS[args.task]
+    # The data follows the run's seed unless the dataset override names one.
+    spec = spec_cls(**{"seed": config.seed, **dataset_cfg})
+    # Fail now, not after training, when the metrics file cannot be written;
+    # a file this check creates is removed again.
+    existed = os.path.exists(out)
+    open(out, "a").close()
+    if not existed:
+        os.remove(out)
     echo = {
         "task": args.task,
         "config": config.to_dict(),
@@ -390,7 +397,7 @@ def _cmd_train(args) -> int:
     }
     print(json.dumps(echo, indent=2, sort_keys=True))
     try:
-        rows, store = runner()
+        rows, store = trainer(config, spec)
     except TrainAborted as exc:
         write_metrics(exc.rows, out)
         _err("aborted", str(exc))
@@ -540,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=_cmd_gradcheck)
 
     pt = sub.add_parser("train", parents=[seeded], help="run a training experiment from a JSON config")
-    pt.add_argument("task", choices=["bags", "seq"])
+    pt.add_argument("task", choices=list(_TRAINERS))
     pt.add_argument("config", help="path to a JSON TrainConfig (plus optional 'dataset' object)")
     pt.set_defaults(func=_cmd_train)
 

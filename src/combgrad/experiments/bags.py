@@ -12,7 +12,6 @@ evaluation path takes no permutation input at all.
 from __future__ import annotations
 
 import numbers
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -21,8 +20,8 @@ import numpy as np
 from .. import tape
 from ..assignment import filter_bag, matching_loss
 from ..core import _one_hot
-from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
-from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
+from ..errors import InvalidInput
+from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node, run_epochs
 
 _HIDDEN = 64
 # Caps on the data BagDatasetSpec describes, which is generated in memory.
@@ -174,8 +173,8 @@ def train_bags(
 
     loss='matching' trains on bags; loss='mle' trains on the same streamed
     batches with the true per-sample labels (the supervised baseline with
-    identical randomness).  Raises TrainAborted — carrying the rows logged
-    so far — if a solve or an update produces non-finite numbers.
+    identical randomness).  Epochs count from 1 and abort as `run_epochs`
+    describes.
     """
     config.validate()
     if config.loss == "gsa":
@@ -197,55 +196,27 @@ def train_bags(
     data = gen_bag_dataset(spec)
     store = _init_store(config, spec.feature_dim, spec.num_classes)
     bags_per_step = max(1, config.batch_size // b)
-    rows: List[MetricsRow] = []
-    try:
-        for epoch in range(1, config.epochs + 1):
-            t0 = time.perf_counter()
-            bags = make_bags(
-                data.x_train,
-                data.y_train,
-                spec.num_classes,
-                b,
-                config.threshold,
-                [config.seed, 7919, epoch],
-            )
-            Ys = bags.Y
-            if config.loss == "mle":
-                # Unscrambled: Y[t][argsort(sigma[t])] is bag t's labels in sample order.
-                unsorted = np.argsort(bags.hidden_sigma, axis=1)
-                Ys = np.take_along_axis(Ys, unsorted[:, :, None], axis=1)
-            loss_sum = 0.0
-            seen = 0
-            for start in range(0, bags.X.shape[0], bags_per_step):
-                step = slice(start, start + bags_per_step)
-                X = bags.X[step].reshape(-1, bags.X.shape[2])
-                n_union = X.shape[0]
-                store.zero_grad()
-                logp = tape.log_softmax(_logits(store, X))
-                Y = Ys[step]
-                if config.loss == "matching":
-                    zs, G = matching_loss(logp.value.reshape(Y.shape[0], b, -1), Y)
-                else:
-                    # Cross-entropy against the true rows: z = -<Y, logP>, G = -Y.
-                    G = -Y
-                    zs = (G * logp.value.reshape(Y.shape)).sum(axis=(1, 2))
-                loss = mean_loss_node([logp], zs, [G.reshape(logp.value.shape)], n_union)
-                if not np.isfinite(loss.value):
-                    raise NonFinite("training loss became non-finite")
-                loss.backward()
-                tape.adam_step(store, lr=config.lr)
-                loss_sum += float(loss.value) * n_union
-                seen += n_union
-            acc = eval_accuracy(store, data.x_test, data.y_test)
-            rows.append(
-                MetricsRow(
-                    epoch=epoch,
-                    # An epoch whose bags all failed the filter took no step.
-                    train_loss=loss_sum / seen if seen else float("nan"),
-                    metrics={("test", "accuracy"): acc},
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-    except CombgradError as exc:
-        raise TrainAborted(f"bag training aborted at epoch {len(rows) + 1}: {exc}", rows=rows) from exc
-    return rows, store
+
+    def epoch_losses(epoch: int):
+        bags = make_bags(data.x_train, data.y_train, spec.num_classes, b, config.threshold, [config.seed, 7919, epoch])
+        Ys = bags.Y
+        if config.loss == "mle":
+            # Unscrambled: Y[t][argsort(sigma[t])] is bag t's labels in sample order.
+            unsorted = np.argsort(bags.hidden_sigma, axis=1)
+            Ys = np.take_along_axis(Ys, unsorted[:, :, None], axis=1)
+        for start in range(0, bags.X.shape[0], bags_per_step):
+            step = slice(start, start + bags_per_step)
+            X = bags.X[step].reshape(-1, bags.X.shape[2])
+            logp = tape.log_softmax(_logits(store, X))
+            Y = Ys[step]
+            if config.loss == "matching":
+                zs, G = matching_loss(logp.value.reshape(Y.shape[0], b, -1), Y)
+            else:
+                # Cross-entropy against the true rows: z = -<Y, logP>, G = -Y.
+                G = -Y
+                zs = (G * logp.value.reshape(Y.shape)).sum(axis=(1, 2))
+            yield mean_loss_node([logp], zs, [G.reshape(logp.value.shape)], X.shape[0]), X.shape[0]
+
+    epochs = range(1, config.epochs + 1)
+    metrics = lambda epoch: {("test", "accuracy"): eval_accuracy(store, data.x_test, data.y_test)}
+    return run_epochs(store, config.lr, epochs, epoch_losses, metrics, "bag"), store

@@ -1,6 +1,7 @@
 """Shared experiment plumbing: the training configuration, the mean-loss
-node that carries every training loss into the tape, the metrics row
-format, and CSV serialization.
+node that carries every training loss into the tape, `run_epochs`, the one
+training loop both experiments run, the metrics row format, and CSV
+serialization.
 
 Metrics are written long-form with the header `epoch,split,metric,value,seconds`
 so that runs with different metric sets share one schema.  Values are
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import numbers
+import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .. import tape
-from ..errors import InvalidInput
+from ..errors import CombgradError, InvalidInput, TrainAborted
 
 _LOSSES = ("mle", "matching", "gsa")
 _FEEDS = ("softmax", "gumbel_st")
@@ -120,6 +122,45 @@ class MetricsRow:
     train_loss: float
     metrics: Dict[Tuple[str, str], float] = field(default_factory=dict)
     seconds: float = 0.0
+
+
+def run_epochs(
+    store: tape.ParamStore,
+    lr: float,
+    epochs: range,
+    epoch_losses: Callable[[int], Iterable[Tuple[tape.Tensor, int]]],
+    epoch_metrics: Callable[[int], Dict[Tuple[str, str], float]],
+    task: str,
+) -> List[MetricsRow]:
+    """Train `store` over `epochs` and return one MetricsRow per epoch.
+
+    epoch_losses(epoch) yields each batch's (loss node, item count); from
+    epoch 1 on every batch takes one Adam step, and an epoch 0 only measures
+    the untrained model.  An epoch's train loss is the item-weighted mean of
+    its batch losses, or nan when it had no batch; epoch_metrics(epoch),
+    called after the last batch, gives its held-out metrics, and its seconds
+    cover both.  Raises TrainAborted, carrying the rows logged so far, when
+    a solve or an update fails: a non-finite loss stops in backward().
+    """
+    rows: List[MetricsRow] = []
+    for epoch in epochs:
+        try:
+            t0 = time.perf_counter()
+            loss_sum = 0.0
+            seen = 0
+            for loss, items in epoch_losses(epoch):
+                if epoch >= 1:
+                    store.zero_grad()
+                    loss.backward()
+                    tape.adam_step(store, lr=lr)
+                loss_sum += float(loss.value) * items
+                seen += items
+            metrics = epoch_metrics(epoch)
+        except CombgradError as exc:
+            raise TrainAborted(f"{task} training aborted at epoch {epoch}: {exc}", rows=rows) from exc
+        train_loss = loss_sum / seen if seen else float("nan")
+        rows.append(MetricsRow(epoch, train_loss, metrics, time.perf_counter() - t0))
+    return rows
 
 
 def write_metrics(rows: List[MetricsRow], path: str) -> None:

@@ -15,7 +15,6 @@ against targets plus the exact-match rate.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -24,8 +23,8 @@ import numpy as np
 from .. import _kernels, tape
 from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
 from ..core import _one_hot
-from ..errors import CombgradError, InvalidInput, NonFinite, TrainAborted
-from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node
+from ..errors import InvalidInput
+from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node, run_epochs
 
 PAD = 0
 EOS = 1
@@ -371,10 +370,9 @@ def train_seq(
 ) -> Tuple[List[MetricsRow], tape.ParamStore]:
     """Run the sequence experiment; returns (metrics rows, trained params).
 
-    Epoch 0 logs the untrained model (forward-only loss and held-out
-    metrics); epochs >= 1 log one optimizer pass each plus the temperature
-    used.  Raises TrainAborted (with partial rows) on non-finite numbers.
-    The spec must also keep vocab * (max_len + 1) at most 10**6.
+    Epoch 0 logs the untrained model; epochs >= 1 also log the feed
+    temperature.  Epochs abort as `run_epochs` describes.  The spec must
+    also keep vocab * (max_len + 1) at most 10**6.
     """
     config.validate()
     if config.loss == "matching":
@@ -390,38 +388,20 @@ def train_seq(
     data = gen_seq_dataset(spec)
     buckets = _stack_buckets(data.train)
     store = _init_store(config, spec.vocab)
-    rows: List[MetricsRow] = []
-    try:
-        for epoch in range(config.epochs + 1):
-            t0 = time.perf_counter()
-            tau = _tau_at(max(epoch, 1))
-            shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_TAG, epoch])
-            batches = _bucketed_batches(buckets, config.batch_size, shuffle_rng)
-            noise_rng = np.random.default_rng([config.seed, _NOISE_TAG, epoch])
-            loss_sum = 0.0
-            seen = 0
-            for src, tgt in batches:
-                loss = _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng)
-                if epoch >= 1:
-                    if not np.isfinite(loss.value):
-                        raise NonFinite("training loss became non-finite")
-                    store.zero_grad()
-                    loss.backward()
-                    tape.adam_step(store, lr=config.lr)
-                loss_sum += float(loss.value) * src.shape[0]
-                seen += src.shape[0]
-            cost, match = evaluate(store, data.test, spec.vocab, config.gamma, spec.max_len)
-            metrics = {("test", "align_cost"): cost, ("test", "exact_match"): match}
-            if epoch >= 1:
-                metrics[("train", "tau")] = tau
-            rows.append(
-                MetricsRow(
-                    epoch=epoch,
-                    train_loss=loss_sum / seen,
-                    metrics=metrics,
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-    except CombgradError as exc:
-        raise TrainAborted(f"sequence training aborted at epoch {len(rows)}: {exc}", rows=rows) from exc
-    return rows, store
+
+    def epoch_losses(epoch: int):
+        tau = _tau_at(max(epoch, 1))
+        shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_TAG, epoch])
+        batches = _bucketed_batches(buckets, config.batch_size, shuffle_rng)
+        noise_rng = np.random.default_rng([config.seed, _NOISE_TAG, epoch])
+        for src, tgt in batches:
+            yield _batch_loss(store, src, tgt, spec.vocab, config, tau, noise_rng), src.shape[0]
+
+    def epoch_metrics(epoch: int):
+        cost, match = evaluate(store, data.test, spec.vocab, config.gamma, spec.max_len)
+        metrics = {("test", "align_cost"): cost, ("test", "exact_match"): match}
+        if epoch >= 1:
+            metrics[("train", "tau")] = _tau_at(epoch)
+        return metrics
+
+    return run_epochs(store, config.lr, range(config.epochs + 1), epoch_losses, epoch_metrics, "sequence"), store

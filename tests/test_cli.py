@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combgrad import lpref
+from combgrad import cli, lpref
 from combgrad.alignment import build_grid, solve_gsa
 from combgrad.cli import main
 
@@ -537,6 +537,33 @@ class TestTrain:
         epochs = {int(r[0]) for r in rows[1:]}
         assert epochs == {0, 1}
         assert (tmp_path / "seq_metrics.params.txt").exists()
+
+    @pytest.mark.parametrize("task,config", [("bags", BAGS_CONFIG), ("seq", SEQ_CONFIG)])
+    def test_dataset_seed_defaults_to_the_run_seed(self, task, config, tmp_path, capsys):
+        unseeded = {k: v for k, v in config["dataset"].items() if k != "seed"}
+        for seed in (5, 6):
+            cfg = write_json(tmp_path / "cfg.json", dict(config, dataset=unseeded))
+            code, out, _ = run_cli(["train", task, cfg, "--seed", str(seed), "--out", str(tmp_path / "m.csv")], capsys)
+            assert code == 0
+            assert json.loads(out)["dataset"]["seed"] == seed
+        # A seed the override names wins over --seed.
+        named = config["dataset"]["seed"]
+        cfg = write_json(tmp_path / "cfg.json", config)
+        code, out, _ = run_cli(["train", task, cfg, "--seed", str(named + 1), "--out", str(tmp_path / "m.csv")], capsys)
+        assert code == 0
+        assert json.loads(out)["dataset"]["seed"] == named
+
+    def test_unwritable_metrics_path_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("trained although the metrics file cannot be written")
+
+        monkeypatch.setitem(cli._TRAINERS, "bags", (cli.BagDatasetSpec, never))
+        cfg = write_json(tmp_path / "cfg.json", BAGS_CONFIG)
+        target = tmp_path / "missing" / "m.csv"
+        code, out, err = run_cli(["train", "bags", cfg, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error[input]: [Errno 2] No such file or directory: {str(target)!r}\n"
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         bad = dict(BAGS_CONFIG, momentum=0.9)

@@ -293,19 +293,34 @@ class TestBagTraining:
             assert np.isfinite(r.train_loss)
             assert ("test", "accuracy") in r.metrics
 
-    def test_divergence_aborts_with_partial_rows(self):
-        # A first step of magnitude ~1e308 overflows the next forward pass.
-        cfg = TrainConfig(loss="matching", bag_size=2, epochs=10, lr=1e308)
-        with pytest.raises(TrainAborted) as exc_info:
-            with np.errstate(all="ignore"):
-                train_bags(cfg, BagDatasetSpec(n=300))
-        assert isinstance(exc_info.value.rows, list)
-
     def test_eval_accuracy_matches_manual_forward(self):
         rows, store = train_bags(TrainConfig(loss="mle", epochs=1), BagDatasetSpec(n=200))
         data = gen_bag_dataset(BagDatasetSpec(n=200))
         acc = eval_accuracy(store, data.x_test, data.y_test)
         assert acc == rows[-1].metrics[("test", "accuracy")]
+
+
+class TestTrainingLoop:
+    """The epoch loop both experiments share."""
+
+    @pytest.mark.parametrize(
+        "train,config,spec,logged",
+        [
+            (train_bags, TrainConfig(loss="matching", bag_size=2, epochs=10, lr=1e308), BagDatasetSpec(n=300), []),
+            (train_seq, TrainConfig(loss="gsa", epochs=10, lr=1e308), SeqTaskSpec(n=120, min_len=3, max_len=5), [0]),
+        ],
+        ids=["bags", "seq"],
+    )
+    def test_divergence_aborts_with_partial_rows(self, train, config, spec, logged):
+        # A first step of magnitude ~1e308 overflows the next forward pass,
+        # so the first epoch that steps aborts, keeping the rows before it:
+        # none for bags, the forward-only epoch 0 for seq.
+        with pytest.raises(TrainAborted) as exc_info:
+            with np.errstate(all="ignore"):
+                train(config, spec)
+        assert [row.epoch for row in exc_info.value.rows] == logged
+        assert "aborted at epoch 1:" in str(exc_info.value)
+        assert isinstance(exc_info.value.__cause__, NonFinite)
 
 
 class TestFusedNodesInTraining:
