@@ -18,16 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _F64_MAX, _log_costs
-from .errors import DimensionMismatch, InvalidInput, NonFinite
+from .core import _F64_MAX, _arg, _floats, _log_costs
+from .errors import DimensionMismatch, NonFinite
+
+# The gap factor's rule for core._arg: a skip costs more than a match.
+_GAP = (numbers.Real, lambda g: 1.0 < g <= _F64_MAX, "a finite number greater than 1")
 
 
 def check_gap_factor(gamma) -> float:
     """gamma as a float; InvalidInput unless it is a finite number greater than 1."""
-    # The comparisons reject NaN and infinities, and ints too large for a float.
-    if isinstance(gamma, numbers.Real) and 1.0 < gamma <= _F64_MAX:
-        return float(gamma)
-    raise InvalidInput(f"gap factor must be a finite number greater than 1, got {gamma!r}")
+    return float(_arg(gamma, "gap factor", _GAP))
 
 
 def check_grids(ms: np.ndarray, gamma) -> float:
@@ -61,7 +61,7 @@ class AlignGrid:
     def __post_init__(self):
         # A C-ordered copy of the caller's costs: the grid owns it, and the
         # kernel reads it without copying again.
-        m = np.array(self.m, dtype=np.float64, order="C")
+        m = np.array(_floats(self.m, "match costs"), order="C")
         if m.ndim != 2:
             raise DimensionMismatch("match-cost matrix must be 2-D and non-empty")
         gamma = check_grids(m, self.gamma)
@@ -106,6 +106,7 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
     The same kernel pass counts the optimal paths, so the uniqueness verdict
     costs nothing extra.
     """
+    _arg(grid, "grid", (AlignGrid, None, "an AlignGrid"))
     z, kinds, cells, unique = _kernels.gsa_kernel(grid.m, grid.gamma)
     start = kinds.size - np.count_nonzero(kinds)
     path = [kinds[start:], cells[start:]]
@@ -120,6 +121,8 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     Each matched cell gets 1 per visit and each gap charges gamma to the
     cell it paid: the exact gradient of the cost actually paid.
     """
+    _arg(grid, "grid", (AlignGrid, None, "an AlignGrid"))
+    _arg(result, "result", (AlignResult, None, "an AlignResult"))
     G = _kernels.gsa_grads(result.kinds[None], result.cells[None], *grid.m.shape, grid.gamma)[0]
     G.setflags(write=False)
     return G
@@ -146,9 +149,7 @@ def build_grid(logP: np.ndarray, Y: np.ndarray, gamma: float) -> AlignGrid:
     The checks run in gsa_loss's order, with AlignGrid's checks of the grid
     in place of gsa_loss's grid and gradient checks.
     """
-    logP = np.asarray(logP, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    return AlignGrid(m=_match_costs(logP, Y)[0], gamma=gamma)
+    return AlignGrid(m=_match_costs(_floats(logP, "logP"), _floats(Y, "Y"))[0], gamma=gamma)
 
 
 def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
@@ -167,8 +168,8 @@ def gsa_loss(logP: np.ndarray, Y: np.ndarray, gamma: float) -> tuple:
     (DimensionMismatch), finite costs (NonFinite), the gap factor
     (InvalidInput), then path-cost and gradient overflow (NonFinite).
     """
-    logP = np.asarray(logP, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    logP = _floats(logP, "logP")
+    Y = _floats(Y, "Y")
     m, active = _match_costs(logP, Y)
     ms = m if m.ndim == 3 else m[None]
     gamma = check_grids(ms, gamma)

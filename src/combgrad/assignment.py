@@ -12,13 +12,12 @@ matching.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import _F64_MAX, GenGrad, _log_costs
+from .core import _F64_MAX, NONNEG, GenGrad, _arg, _floats, _log_costs
 from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
 
 
@@ -44,7 +43,7 @@ def _check_cost_range(Cs: np.ndarray) -> None:
 
 
 def _validate_cost(C: np.ndarray) -> np.ndarray:
-    C = np.asarray(C, dtype=np.float64)
+    C = _floats(C, "cost matrix")
     if C.ndim != 2:
         raise DimensionMismatch("cost matrix must be 2-D")
     if C.shape[0] != C.shape[1]:
@@ -105,6 +104,7 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
 
 def assignment_gengrad(result: MatchingResult) -> GenGrad:
     """Gradient of the optimal cost in the cost matrix: the matching itself."""
+    _arg(result, "result", (MatchingResult, None, "a MatchingResult"))
     return GenGrad(d_c=result.M.ravel(), d_b=None, d_A=None)
 
 
@@ -127,8 +127,8 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     and +inf (NonFinite), every logP row normalized (InvalidInput), and
     the costs in range (NonFinite).
     """
-    logP = np.asarray(logP, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    logP = _floats(logP, "logP")
+    Y = _floats(Y, "Y")
     if not (logP.ndim in (2, 3) and logP.shape == Y.shape and 0 not in logP.shape):
         raise DimensionMismatch(
             "logP and Y must share a (b, d) shape, or a (k, b, d) stack shape, with k, b, d >= 1;"
@@ -155,14 +155,15 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
 def filter_bag(Y: np.ndarray, threshold: float) -> bool | np.ndarray:
     """Accept a bag only if its share of distinct reference rows is high enough.
 
-    Y is (b, d) one-hot; the bag passes when the number of distinct rows is
-    at least threshold * b (with a tiny slack so threshold * b landing on an
-    integer is not rejected by roundoff).  A (k, b, d) stack of bags gives a
-    (k,) bool mask; b - 1 comparisons of shifted rows serve every bag.
+    Y is (b, d) one-hot rows of numbers (read as float64, so string labels
+    are an InvalidInput); the bag passes when the number of distinct rows is
+    at least threshold * b, a finite threshold >= 0 (with a tiny slack so
+    threshold * b landing on an integer is not rejected by roundoff).  A
+    (k, b, d) stack of bags gives a (k,) bool mask; b - 1 comparisons of
+    shifted rows serve every bag.
     """
-    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or np.isnan(threshold):
-        raise InvalidInput(f"threshold must be a real number, got {threshold!r}")
-    Y = np.asarray(Y)
+    _arg(threshold, "threshold", NONNEG)
+    Y = _floats(Y, "Y")
     if Y.ndim not in (2, 3) or 0 in Y.shape[-2:]:
         raise DimensionMismatch(f"Y must be a 2-D bag or a 3-D stack of non-empty bags, got shape {Y.shape}")
     Ys = Y.reshape(-1, *Y.shape[-2:])

@@ -42,7 +42,7 @@ import numpy as np
 from . import _kernels
 from .alignment import AlignGrid, build_grid, gsa_grad_matrix, solve_gsa
 from .assignment import solve_assignment
-from .core import LPSpec, _one_hot, supergradient_check
+from .core import NONNEG, POSITIVE, WHOLE, LPSpec, _arg, _floats, _one_hot, supergradient_check
 from .errors import (
     CombgradError,
     DegenerateInstance,
@@ -80,7 +80,10 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise InvalidInput("input nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError("input must be a JSON object")
     return doc
@@ -90,8 +93,8 @@ def _numbers(value, key: str) -> np.ndarray:
     """A JSON number, or nested lists of them, as a float64 array.
 
     Every numeric document field is read here.  Only JSON numbers count: a
-    boolean or a numeric string is not one, and an integer too large for a
-    float is rejected rather than overflowing in the conversion.
+    boolean or a numeric string is not one, though numpy would convert it;
+    core._floats rejects ragged lists and integers too large for a float.
     """
     pending = [value]
     while pending:
@@ -100,12 +103,7 @@ def _numbers(value, key: str) -> np.ndarray:
             pending.extend(x)
         elif isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InvalidInput(f"{key!r} must hold only numbers, got {json.dumps(x)[:40]}")
-        elif isinstance(x, int):
-            try:
-                float(x)
-            except OverflowError:
-                raise InvalidInput(f"{key!r} holds an integer too large for a float") from None
-    return np.asarray(value, dtype=np.float64)
+    return _floats(value, repr(key))
 
 
 def _matrix(doc: dict, key: str) -> np.ndarray:
@@ -373,7 +371,9 @@ _TRAINERS = {"bags": (BagDatasetSpec, train_bags), "seq": (SeqTaskSpec, train_se
 
 def _cmd_train(args) -> int:
     raw = _load_json(args.config)
-    dataset_cfg = raw.pop("dataset", None) or {}
+    dataset_cfg = raw.pop("dataset", {})
+    if not isinstance(dataset_cfg, dict):
+        raise InvalidInput("'dataset' must be a JSON object")
     if "seed" not in raw:
         raw["seed"] = args.seed
     config = TrainConfig.from_dict(raw)
@@ -491,24 +491,22 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bounded(cast, ok, expected: str):
-    """An argparse type: `cast` the text, then reject values failing `ok`."""
+def _bounded(cast, rule: tuple):
+    """An argparse type: `cast` the text, then check it by a core._arg rule,
+    so a flag is rejected in the words of the keyword it feeds."""
 
     def parse(text: str):
         try:
-            x = cast(text)
-        except ValueError:
-            x = None
-        if x is None or not ok(x):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return x
+            return _arg(cast(text), "value", rule)
+        except ValueError:  # the cast's, or _arg's InvalidInput
+            raise argparse.ArgumentTypeError(f"expected {rule[2]}, got {text!r}") from None
 
     return parse
 
 
-_COUNT = _bounded(int, lambda n: n >= 1, "a whole number >= 1")
-_TOL = _bounded(float, lambda x: 0 <= x < np.inf, "a finite number >= 0")
-_STEP = _bounded(float, lambda x: 0 < x < np.inf, "a finite number > 0")
+_COUNT = _bounded(int, WHOLE)
+_TOL = _bounded(float, NONNEG)
+_STEP = _bounded(float, POSITIVE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -571,7 +569,7 @@ def main(argv=None) -> int:
     except (Infeasible, Unbounded, IterationLimit) as exc:
         _err("solver", f"{type(exc).__name__.lower()}: {exc}")
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         _err("input", str(exc))
         return 2
     except json.JSONDecodeError as exc:

@@ -11,29 +11,25 @@ returns a generalized gradient of its objective value, and a single solve
 feeds both the forward and the backward pass of a loss built on ``z*``.
 
 This module holds the shared types (the LP data, a solver's witnesses, the
-gradient blocks they form), the pair-cost build both losses share, and a
-sampling check of the supergradient inequality.  The chain rule onto
-model parameters is not here: each loss returns ``(z*, grad)`` from one
-solve, and ``tape.custom_node`` splices that pair into the graph.
+gradient blocks they form), the pair-cost build both losses share, a
+sampling check of the supergradient inequality, and what a caller may pass:
+every public entry reads arrays with `_floats`, other arguments with `_arg`.
+The chain rule onto model parameters is not here: each loss returns
+``(z*, grad)`` from one solve, and ``tape.custom_node`` splices that pair
+into the graph.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NonFinite
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
-
 
 # The largest finite float64, as a Python float: the range checks compare
 # Python floats, which is cheaper than comparing numpy scalars.
@@ -41,6 +37,43 @@ _F64_MAX = float(np.finfo(np.float64).max)
 _LOG_FLOOR = 1e-12
 # The floor in log space, taken once: math.log and np.log agree on its bits.
 _LN_FLOOR = math.log(_LOG_FLOOR)
+
+# What a scalar argument may be, for _arg: the type it must have, a test of
+# its value (None for none) and the words of the error.  "Finite" means
+# within the float range, which also rejects NaN.
+WHOLE = (numbers.Integral, lambda x: x >= 1, "a whole number >= 1")
+NONNEG = (numbers.Real, lambda x: 0.0 <= x <= _F64_MAX, "a finite number >= 0")
+POSITIVE = (numbers.Real, lambda x: 0.0 < x <= _F64_MAX, "a finite number > 0")
+REAL = (numbers.Real, None, "a real number")
+
+
+def _arg(x, name: str, rule: tuple):
+    """x itself when it passes `rule`, else InvalidInput naming `name`.  A
+    bool never counts as a number."""
+    kind, ok, words = rule
+    if isinstance(x, kind) and not isinstance(x, bool) and (ok is None or ok(x)):
+        return x
+    raise InvalidInput(f"{name} must be {words}, got {x!r:.60}")
+
+
+def _floats(x, name: str) -> np.ndarray:
+    """x as a float64 array: the one way a public entry reads a caller's
+    array.  InvalidInput naming `name` when x is complex, checked before the
+    cast would drop the imaginary part, or when numpy cannot convert it (a
+    ragged list, a non-numeric string, a dict, an int beyond the float
+    range)."""
+    try:
+        if not np.iscomplexobj(x):
+            return np.asarray(x, np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidInput(f"{name} must be an array of real numbers: {exc}") from None
+    raise InvalidInput(f"{name} must be real, got complex values")
+
+
+def _freeze(a, name: str) -> np.ndarray:
+    out = _floats(a, name).copy()
+    out.setflags(write=False)
+    return out
 
 
 def _one_hot(ids: np.ndarray, depth: int) -> np.ndarray:
@@ -84,9 +117,9 @@ class LPSpec:
     b: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=np.float64))
-        A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
+        c = np.atleast_1d(_floats(self.c, "c"))
+        A = np.atleast_2d(_floats(self.A, "A"))
+        b = np.atleast_1d(_floats(self.b, "b"))
         if c.ndim != 1 or b.ndim != 1 or A.ndim != 2:
             raise DimensionMismatch("c and b must be vectors and A a matrix")
         if A.shape != (b.size, c.size):
@@ -95,9 +128,8 @@ class LPSpec:
             )
         if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise NonFinite("LP data must be finite")
-        object.__setattr__(self, "c", _freeze(c))
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "b", _freeze(b))
+        for name, value in (("c", c), ("A", A), ("b", b)):
+            object.__setattr__(self, name, _freeze(value, name))
 
     @property
     def num_vars(self) -> int:
@@ -123,13 +155,23 @@ class SolverOutcome:
     unique: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "z_star", float(self.z_star))
-        object.__setattr__(self, "u_star", _freeze(np.atleast_1d(self.u_star)))
-        object.__setattr__(self, "v_star", _freeze(np.atleast_1d(self.v_star)))
+        object.__setattr__(self, "z_star", float(_arg(self.z_star, "z_star", REAL)))
+        for name in ("u_star", "v_star"):
+            object.__setattr__(self, name, np.atleast_1d(_freeze(getattr(self, name), name)))
+
+
+def _check_witnesses(spec: LPSpec, outcome: SolverOutcome) -> None:
+    """InvalidInput unless spec is an LPSpec and outcome a SolverOutcome, and
+    DimensionMismatch unless the witnesses have the LP's sizes."""
+    _arg(spec, "spec", (LPSpec, None, "an LPSpec"))
+    _arg(outcome, "outcome", (SolverOutcome, None, "a SolverOutcome"))
+    if outcome.u_star.shape != spec.c.shape or outcome.v_star.shape != spec.b.shape:
+        raise DimensionMismatch(f"witness shapes {outcome.u_star.shape}, {outcome.v_star.shape} do not fit the LP's")
 
 
 def strong_duality_gap(spec: LPSpec, outcome: SolverOutcome) -> float:
     """|c.u* - b.v*|, zero at an optimal primal/dual pair."""
+    _check_witnesses(spec, outcome)
     return abs(float(spec.c @ outcome.u_star) - float(spec.b @ outcome.v_star))
 
 
@@ -149,7 +191,7 @@ class GenGrad:
         for name in ("d_c", "d_b", "d_A"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _freeze(val))
+                object.__setattr__(self, name, _freeze(val, name))
 
 
 @dataclass(frozen=True)
@@ -176,16 +218,18 @@ def supergradient_check(
     Tests f(w') <= f(w) + <g, w' - w> + tol at `trials` points w' drawn
     uniformly from the ball of radius 0.5 around w, with `rng` (default
     ``np.random.default_rng(0)``).  Reports the worst violation found
-    (positive = violated).
+    (positive = violated).  NonFinite when w or g is not finite: every
+    violation would be NaN, and a NaN never counts as violated.
     """
-    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise InvalidInput(f"trials must be a whole number >= 1, got {trials!r}")
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
-        raise InvalidInput(f"tol must be a finite number >= 0, got {tol!r}")
-    w = np.asarray(w, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    _arg(f, "f", (Callable, None, "a callable"))
+    _arg(trials, "trials", WHOLE)
+    _arg(tol, "tol", NONNEG)
+    w = _floats(w, "w")
+    g = _floats(g, "g")
     if g.shape != w.shape:
         raise DimensionMismatch(f"gradient shape {g.shape} != parameter shape {w.shape}")
+    if not (np.isfinite(w).all() and np.isfinite(g).all()):
+        raise NonFinite("the point w and the gradient g must be finite")
     if rng is None:
         rng = np.random.default_rng(0)
     fw = float(f(w))

@@ -11,7 +11,6 @@ evaluation path takes no permutation input at all.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .. import tape
 from ..assignment import filter_bag, matching_loss
-from ..core import _one_hot
+from ..core import _F64_MAX, WHOLE, _arg, _one_hot
 from ..errors import InvalidInput
 from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node, run_epochs
 
@@ -61,7 +60,8 @@ class BagDatasetSpec:
             raise InvalidInput(f"num_classes * feature_dim must be at most {_MAX_MEANS}")
         if self.n * self.num_classes > _MAX_LABEL_ROWS:
             raise InvalidInput(f"n * num_classes must be at most {_MAX_LABEL_ROWS}")
-        if not np.isfinite(self.separation):
+        # Compared, not np.isfinite: that raises TypeError on an int beyond the float range.
+        if not -_F64_MAX <= self.separation <= _F64_MAX:
             raise InvalidInput("separation must be finite")
         if self.seed < 0:
             raise InvalidInput("seed must be non-negative")
@@ -130,8 +130,7 @@ def make_bags(
     remainder, keep only bags meeting the distinct-class threshold, and
     scramble each kept bag's label rows by a hidden permutation.  Returns
     the kept bags as one stack."""
-    if isinstance(bag_size, bool) or not (isinstance(bag_size, numbers.Integral) and bag_size >= 1):
-        raise InvalidInput(f"bag_size must be a whole number >= 1, got {bag_size!r}")
+    _arg(bag_size, "bag_size", WHOLE)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     order = rng.permutation(n)

@@ -14,22 +14,24 @@ from __future__ import annotations
 import csv
 import numbers
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .. import tape
+from ..core import POSITIVE, REAL, WHOLE, _arg
 from ..errors import CombgradError, InvalidInput, TrainAborted
 
 _LOSSES = ("mle", "matching", "gsa")
 _FEEDS = ("softmax", "gumbel_st")
-# What each field annotation accepts (annotations are strings here, under
-# `from __future__ import annotations`); bool is excluded from the numbers.
+# The core._arg rule of each field annotation (annotations are strings here,
+# under `from __future__ import annotations`): a type and no range.
 _FIELD_TYPES = {
-    "int": (numbers.Integral, "a whole number"),
-    "float": (numbers.Real, "a real number"),
-    "str": (str, "a string"),
+    "int": (numbers.Integral, None, "a whole number"),
+    "float": REAL,
+    "str": (str, None, "a string"),
 }
 
 
@@ -37,10 +39,7 @@ def check_field_types(obj) -> None:
     """InvalidInput unless every field of the dataclass obj holds a value of
     its annotated type."""
     for f in fields(obj):
-        want, noun = _FIELD_TYPES[f.type]
-        value = getattr(obj, f.name)
-        if isinstance(value, bool) or not isinstance(value, want):
-            raise InvalidInput(f"{f.name} must be {noun}, got {value!r}")
+        _arg(getattr(obj, f.name), f.name, _FIELD_TYPES[f.type])
 
 
 @dataclass(frozen=True)
@@ -69,27 +68,24 @@ class TrainConfig:
             raise InvalidInput(f"loss must be one of {_LOSSES}, got {self.loss!r}")
         if self.feed not in _FEEDS:
             raise InvalidInput(f"feed must be one of {_FEEDS}, got {self.feed!r}")
-        if self.bag_size < 1:
-            raise InvalidInput("bag_size must be at least 1")
+        _arg(self.bag_size, "bag_size", WHOLE)
         if self.loss == "gsa" and not self.gamma > 1.0:
             raise InvalidInput("the gap factor gamma must be > 1 for the alignment loss")
-        if self.epochs < 1:
-            raise InvalidInput("epochs must be at least 1")
-        if not 0 < self.lr < np.inf:
-            raise InvalidInput("lr must be a finite number > 0")
-        if self.batch_size < 1:
-            raise InvalidInput("batch_size must be at least 1")
+        _arg(self.epochs, "epochs", WHOLE)
+        _arg(self.lr, "lr", POSITIVE)
+        _arg(self.batch_size, "batch_size", WHOLE)
         if not (0.0 < self.threshold <= 1.0):
             raise InvalidInput("threshold must lie in (0, 1]")
         if self.seed < 0:
             raise InvalidInput("seed must be non-negative")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
+    def from_dict(cls, d: Mapping) -> "TrainConfig":
+        _arg(d, "config", (Mapping, None, "a mapping of field names to values"))
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
-            raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidInput(f"unknown config keys: {sorted(unknown, key=repr)}")
         cfg = cls(**d)
         cfg.validate()
         return cfg

@@ -11,18 +11,16 @@ feasibility tests and tie sets.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .core import LPSpec, SolverOutcome
+from .core import NONNEG, POSITIVE, WHOLE, LPSpec, SolverOutcome, _arg, _check_witnesses
 from .errors import (
     DegenerateInstance,
     Infeasible,
-    InvalidInput,
     IterationLimit,
     NonFinite,
     Unbounded,
@@ -87,6 +85,7 @@ def solve_lp(spec: LPSpec) -> SolverOutcome:
     Raises Infeasible or Unbounded, and NonFinite when finite data still
     overflow the arithmetic (entries near 1e308).
     """
+    _arg(spec, "spec", (LPSpec, None, "an LPSpec"))
     _kernels.increment("lp")
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -206,10 +205,9 @@ def check_lp_grads(
     the optimal vertex is degenerate; a single witness is then only one
     element of the gradient set and the quotient need not match it.
     """
-    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf):
-        raise InvalidInput(f"eps must be a finite number > 0, got {eps!r}")
-    if isinstance(rtol, bool) or not (isinstance(rtol, numbers.Real) and 0.0 <= rtol < np.inf):
-        raise InvalidInput(f"rtol must be a finite number >= 0, got {rtol!r}")
+    _check_witnesses(spec, outcome)
+    _arg(eps, "eps", POSITIVE)
+    _arg(rtol, "rtol", NONNEG)
     if not outcome.unique:
         raise DegenerateInstance("primal optimum not certified unique")
     m = spec.num_constraints
@@ -239,6 +237,9 @@ def check_lp_grads(
 
 def random_lp(rng: np.random.Generator, p: int, m: int) -> LPSpec:
     """A random feasible bounded instance: b = A x0 with x0 > 0 and c > 0."""
+    _arg(rng, "rng", (np.random.Generator, None, "a numpy Generator"))
+    _arg(p, "p", WHOLE)
+    _arg(m, "m", WHOLE)
     A = rng.standard_normal((m, p))
     x0 = rng.uniform(0.5, 1.5, size=p)
     c = rng.uniform(0.5, 1.5, size=p)

@@ -18,13 +18,12 @@ issues on long unrolled sequences).
 from __future__ import annotations
 
 import io
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import _one_hot
+from .core import POSITIVE, _arg, _one_hot
 from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
@@ -176,9 +175,7 @@ def _tempered_softmax(a: Tensor, x: np.ndarray, tau: float, value: Optional[np.n
     """A node on `a` for y = softmax(x / tau) by rows, where x is a.value
     plus a constant: its backward is y's Jacobian, and its value is y, or
     `value` when given (a straight-through forward)."""
-    if isinstance(tau, bool) or not (isinstance(tau, numbers.Real) and 0.0 < tau < np.inf):
-        raise InvalidInput(f"tau must be a finite number > 0, got {tau!r}")
-    tau = float(tau)
+    tau = float(_arg(tau, "tau", POSITIVE))
     z = x / tau
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -305,8 +302,7 @@ def adam_step(store: ParamStore, lr: float) -> None:
     values update in one elementwise pass over the store's flat buffers.
     A parameter whose grad is None keeps its value and moments; one added
     since the last step starts with zero moments."""
-    if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
-        raise InvalidInput(f"lr must be a finite number > 0, got {lr!r}")
+    _arg(lr, "lr", POSITIVE)
     store.step += 1
     t = store.step
     values = store._values

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combgrad import cli, lpref
+from combgrad import InvalidInput, LPSpec, cli, lpref, supergradient_check
 from combgrad.alignment import build_grid, solve_gsa
 from combgrad.cli import main
 
@@ -128,6 +128,20 @@ class TestSolve:
         code, _, err = run_cli(["solve", "assignment", str(tmp_path / "nope.json")], capsys)
         assert code == 2
         assert err.startswith("error[input]:")
+
+    def test_directory_input_is_input_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["solve", "assignment", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[input]:") and len(err.splitlines()) == 1
+
+    def test_deeply_nested_input_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"cost": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(["solve", "assignment", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error[input]: input nests too deeply to read\n"
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -565,6 +579,26 @@ class TestTrain:
         assert out == ""
         assert err == f"error[input]: [Errno 2] No such file or directory: {str(target)!r}\n"
 
+    def test_metrics_path_that_is_a_directory_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("trained although the metrics file cannot be written")
+
+        monkeypatch.setitem(cli._TRAINERS, "bags", (cli.BagDatasetSpec, never))
+        cfg = write_json(tmp_path / "cfg.json", BAGS_CONFIG)
+        code, out, err = run_cli(["train", "bags", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[input]:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("dataset", [[], None, 0, "n=40"])
+    def test_dataset_that_is_not_an_object_exits_two(self, dataset, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", dict(BAGS_CONFIG, dataset=dataset))
+        code, out, err = run_cli(["train", "bags", cfg, "--out", str(tmp_path / "m.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error[input]: 'dataset' must be a JSON object\n"
+        assert not (tmp_path / "m.csv").exists()
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         bad = dict(BAGS_CONFIG, momentum=0.9)
         cfg = write_json(tmp_path / "cfg.json", bad)
@@ -695,6 +729,9 @@ class TestBench:
 # ---------------------------------------------------------------------------
 
 
+_LP = LPSpec(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0])
+
+
 def _assignment_instance(tmp_path):
     return write_json(tmp_path / "a.json", {"cost": [[0.0, 1.0], [2.0, 0.0]]})
 
@@ -739,6 +776,22 @@ class TestFlags:
         assert code == 2
         assert out == ""
         assert err.startswith("error[usage]:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,keyword",
+        [
+            ("--trials", "0", lambda: supergradient_check(abs, np.zeros(1), np.zeros(1), trials=0)),
+            ("--tol", "-1", lambda: supergradient_check(abs, np.zeros(1), np.zeros(1), tol=-1.0)),
+            ("--eps", "inf", lambda: lpref.check_lp_grads(_LP, lpref.solve_lp(_LP), eps=math.inf)),
+        ],
+    )
+    def test_a_flag_is_rejected_in_the_words_of_its_keyword(self, capsys, flag, value, keyword):
+        with pytest.raises(InvalidInput) as info:
+            keyword()
+        words = re.fullmatch(r"\w+ must be (.+), got .+", str(info.value)).group(1)
+        code, _, err = run_cli(["gradcheck", "lp", flag, value], capsys)
+        assert code == 2
+        assert f"expected {words}, got {value!r}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from combgrad import (
     LPSpec,
     NonFinite,
     SolverOutcome,
+    check_lp_grads,
     strong_duality_gap,
     supergradient_check,
 )
@@ -58,6 +59,14 @@ class TestStrongDuality:
         assert strong_duality_gap(spec, out) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestWitnessSizes:
+    @pytest.mark.parametrize("check", [strong_duality_gap, check_lp_grads])
+    def test_witnesses_of_another_lp_rejected(self, check):
+        for u, v in (([1.0, 0.0, 0.0], [1.0]), ([1.0, 0.0], [1.0, 0.0])):
+            with pytest.raises(DimensionMismatch):
+                check(small_spec(), SolverOutcome(1.0, u, v, True))
+
+
 class TestOneHot:
     @pytest.mark.parametrize(
         "ids, depth",
@@ -99,6 +108,12 @@ class TestSupergradientCheck:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             supergradient_check(lambda x: 0.0, np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("w,g", [([np.nan, 1.0], [1.0, 0.0]), ([1.0, 2.0], [np.nan, 0.0]), ([1.0, np.inf], [1.0, 0.0])])
+    def test_non_finite_point_or_gradient_rejected(self, w, g):
+        # NaN violations never count, so such a check would report a pass.
+        with pytest.raises(NonFinite):
+            supergradient_check(lambda x: float(np.min(x)), np.array(w), np.array(g))
 
     def test_deterministic_given_seed(self):
         w = np.array([1.0, 2.0])

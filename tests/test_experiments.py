@@ -365,6 +365,57 @@ class TestFusedNodesInTraining:
         self.check(monkeypatch, lambda: train_bags(config, BagDatasetSpec(n=400, seed=3)), {"affine"})
 
 
+@pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
+class TestTrainingOnBothBackends:
+    """Training gives the same bytes on the C kernels and on the numpy
+    reference, at sizes whose solves include ties, which are counted."""
+
+    @staticmethod
+    def run(monkeypatch, backend, train):
+        ties = []
+
+        def counted(kernel):
+            def wrapper(*args):
+                out = kernel(*args)
+                ties.append(int(np.count_nonzero(~out[-1])))
+                return out
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_BACKEND", backend)
+            m.setattr(_kernels, "_assign_many", counted(_kernels._assign_many))
+            m.setattr(_kernels, "_gsa_many", counted(_kernels._gsa_many))
+            rows, store = train()
+        values = [(r.train_loss.hex(), sorted((k, v.hex()) for k, v in r.metrics.items())) for r in rows]
+        return values, store._values.tobytes(), sum(ties)
+
+    @pytest.mark.parametrize(
+        "task,loss,feed",
+        [
+            ("bags", "matching", "softmax"),
+            ("bags", "mle", "softmax"),
+            ("seq", "gsa", "softmax"),
+            ("seq", "gsa", "gumbel_st"),
+            ("seq", "mle", "softmax"),
+        ],
+    )
+    def test_rows_and_parameters_are_byte_identical(self, monkeypatch, task, loss, feed):
+        # A large step drives log-probabilities onto the floor, where costs
+        # of different labels tie, so the tie-break shapes the gradient.
+        config = TrainConfig(loss=loss, feed=feed, bag_size=4, epochs=2, seed=5, threshold=0.25, lr=1.0)
+        if task == "bags":
+            train = lambda: train_bags(config, BagDatasetSpec(n=300, num_classes=4, seed=5))
+        else:
+            train = lambda: train_seq(config, SeqTaskSpec(vocab=4, n=80, min_len=3, max_len=5, seed=5))
+        *c_run, c_ties = self.run(monkeypatch, "c", train)
+        *numpy_run, numpy_ties = self.run(monkeypatch, "numpy", train)
+        assert c_run == numpy_run
+        assert c_ties == numpy_ties
+        # The bag MLE baseline solves nothing; every other run meets ties.
+        assert (c_ties > 0) == ((task, loss) != ("bags", "mle"))
+
+
 class TestEvaluationRunsTheTrainingModel:
     """Evaluation calls the tape ops training does, so a second copy of a
     model cannot drift from the one trained."""

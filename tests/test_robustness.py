@@ -5,25 +5,37 @@ argument checks raise ``InvalidInput``, which is also a ``ValueError``), and
 random damaged arrays fed to the public entry points either give a result
 or raise a ``CombgradError``: never another exception, never a numpy
 warning.  Assignment results also keep the tie contract: z* is within tol
-of the minimum found by enumeration.
+of the minimum found by enumeration.  Every public callable, fed input that
+is not a real array at all (ragged lists, object arrays, complex arrays,
+strings, None), also returns or raises a ``CombgradError``, and no complex
+array yields a result.  Only ``core`` decides what counts as a number.
 """
 
+import dataclasses
+import inspect
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import combgrad
 from combgrad import (
     AlignGrid,
     CombgradError,
     InvalidInput,
     LPSpec,
+    build_grid,
     check_lp_grads,
+    cli,
     filter_bag,
+    gsa_grad_matrix,
     gsa_loss,
     matching_loss,
+    random_lp,
     solve_assignment,
     solve_gsa,
     solve_lp,
@@ -99,6 +111,7 @@ _ARGUMENT_CHECKS = {
     "SeqTaskSpec.validate": lambda *_: SeqTaskSpec(vocab=2).validate(),
     "BagDatasetSpec n fraction": lambda *_: BagDatasetSpec(n=100.5).validate(),
     "BagDatasetSpec separation NaN": lambda *_: BagDatasetSpec(separation=float("nan")).validate(),
+    "BagDatasetSpec separation beyond floats": lambda *_: BagDatasetSpec(separation=-(10**400)).validate(),
     "BagDatasetSpec seed negative": lambda *_: BagDatasetSpec(seed=-1).validate(),
     "BagDatasetSpec n without a held-out sample": lambda *_: BagDatasetSpec(n=2, num_classes=2).validate(),
     "SeqTaskSpec vocab text": lambda *_: SeqTaskSpec(vocab="x").validate(),
@@ -114,6 +127,25 @@ _ARGUMENT_CHECKS = {
     "load_checkpoint non-numeric value": _checkpoint_reading("param w 1 2\n0.5 abc\nend\n"),
     "load_checkpoint value count": _checkpoint_reading("param w 1 2\n0.5 1.5 2.5\nend\n"),
     "load_checkpoint without end": _checkpoint_reading("seed 0\nstep 1\nparam w 1 2\n0.5 1.5\n"),
+    # Input that is not a real array, and arguments of the wrong kind.
+    "solve_assignment text": lambda *_: solve_assignment("abc"),
+    "solve_assignment ragged": lambda *_: solve_assignment([[1, 2], [3]]),
+    "solve_assignment dict": lambda *_: solve_assignment(np.array([[{}]], dtype=object)),
+    "solve_assignment complex": lambda *_: solve_assignment([[1 + 1j]]),
+    "matching_loss text": lambda *_: matching_loss("a", "b"),
+    "matching_loss complex": lambda *_: matching_loss(np.log(np.full((2, 2), 0.5)) + 0j, np.eye(2)),
+    "filter_bag text": lambda *_: filter_bag(np.array([["a", "b"], ["a", "c"]]), 0.5),
+    "AlignGrid text": lambda *_: AlignGrid(m="x", gamma=1.5),
+    "AlignGrid ragged": lambda *_: AlignGrid(m=[[1.0, 2.0], [3.0]], gamma=1.5),
+    "build_grid text": lambda *_: build_grid("a", "b", 1.5),
+    "LPSpec text": lambda *_: LPSpec(c="ab", A=[["a", "b"]], b="c"),
+    "LPSpec ragged": lambda *_: LPSpec(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0]], b=[1.0, 1.0]),
+    "random_lp size": lambda *_: random_lp(np.random.default_rng(0), -1, 2),
+    "random_lp generator": lambda *_: random_lp(None, 3, 2),
+    "supergradient_check callable": lambda *_: supergradient_check(None, np.zeros(1), np.zeros(1)),
+    "TrainConfig.from_dict mapping": lambda *_: TrainConfig.from_dict([]),
+    "solve_lp spec": lambda *_: solve_lp(None),
+    "gsa_grad_matrix grid": lambda *_: gsa_grad_matrix(None, None),
 }
 
 
@@ -214,3 +246,152 @@ def test_entry_points_return_or_raise_a_combgrad_error(call):
         z, argmins = enumerate_permutations(args[0])
         assert out.z_star <= z + 1e-9
         assert out.unique == (argmins == [out.perm])
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every public callable on input that is not a real array
+# ---------------------------------------------------------------------------
+
+
+def _concave(w):
+    return -float(np.abs(w).sum())
+
+
+def _record(obj):
+    """The field values of a dataclass instance, in order."""
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+_GRID = AlignGrid(m=np.ones((2, 3)), gamma=1.5)
+_LOGP = np.log(np.full((2, 3), 1.0 / 3.0))
+_OUTCOME = solve_lp(_LP)
+_CHECK = check_lp_grads(_LP, _OUTCOME)
+_MATCHING = solve_assignment(np.eye(2))
+
+# Each public callable but the error types, with well-formed arguments; the
+# fuzz replaces any of them with junk.  A spec is validated after it is built.
+_FRONT_DOOR = {
+    "get_backend": (combgrad.get_backend, ()),
+    "invocations": (combgrad.invocations, ()),
+    "reset_invocations": (combgrad.reset_invocations, ()),
+    "LPSpec": (LPSpec, _record(_LP)),
+    "SolverOutcome": (combgrad.SolverOutcome, (1.0, [1.0, 0.0], [1.0], True)),
+    "GenGrad": (combgrad.GenGrad, (np.ones(2), np.ones(1), -np.ones((1, 2)))),
+    "SupergradReport": (combgrad.SupergradReport, (True, 0.0, 3)),
+    "strong_duality_gap": (combgrad.strong_duality_gap, (_LP, _OUTCOME)),
+    "supergradient_check": (
+        lambda f, w, g, trials, tol: supergradient_check(f, w, g, trials=trials, tol=tol),
+        (_concave, np.zeros(2), np.zeros(2), 3, 1e-9),
+    ),
+    "MatchingResult": (combgrad.MatchingResult, _record(_MATCHING)),
+    "solve_assignment": (solve_assignment, (np.eye(3),)),
+    "assignment_gengrad": (combgrad.assignment_gengrad, (_MATCHING,)),
+    "matching_loss": (matching_loss, (np.log(np.full((2, 2), 0.5)), np.eye(2))),
+    "filter_bag": (filter_bag, (np.eye(2), 0.5)),
+    "AlignGrid": (AlignGrid, (np.ones((2, 3)), 1.5)),
+    "AlignResult": (combgrad.AlignResult, _record(solve_gsa(_GRID))),
+    "build_grid": (build_grid, (_LOGP, np.eye(3)[:2], 1.5)),
+    "solve_gsa": (solve_gsa, (_GRID,)),
+    "gsa_grad_matrix": (gsa_grad_matrix, (_GRID, solve_gsa(_GRID))),
+    "gsa_loss": (gsa_loss, (_LOGP, np.eye(3)[:2], 1.5)),
+    "solve_lp": (solve_lp, (_LP,)),
+    "check_lp_grads": (
+        lambda spec, outcome, eps, rtol: check_lp_grads(spec, outcome, eps=eps, rtol=rtol),
+        (_LP, _OUTCOME, 1e-5, 1e-4),
+    ),
+    "FDReport": (combgrad.FDReport, _record(_CHECK.c_block)),
+    "LPGradCheck": (combgrad.LPGradCheck, _record(_CHECK)),
+    "random_lp": (random_lp, (np.random.default_rng(0), 3, 2)),
+    "TrainConfig.from_dict": (TrainConfig.from_dict, ({"loss": "mle", "lr": 0.01},)),
+    "TrainConfig.from_dict fields": (
+        lambda loss, lr, bag_size: TrainConfig.from_dict({"loss": loss, "lr": lr, "bag_size": bag_size}),
+        ("matching", 0.01, 4),
+    ),
+    "BagDatasetSpec": (lambda *a: BagDatasetSpec(*a).validate(), _record(BagDatasetSpec())),
+    "SeqTaskSpec": (lambda *a: SeqTaskSpec(*a).validate(), _record(SeqTaskSpec())),
+}
+
+# The arguments read as arrays of real numbers, by position: a complex
+# array there must never yield a result.
+_REAL_ARRAYS = {
+    "LPSpec": (0, 1, 2),
+    "SolverOutcome": (1, 2),
+    "GenGrad": (0, 1, 2),
+    "supergradient_check": (1, 2),
+    "solve_assignment": (0,),
+    "matching_loss": (0, 1),
+    "filter_bag": (0,),
+    "AlignGrid": (0,),
+    "build_grid": (0, 1),
+    "gsa_loss": (0, 1),
+}
+
+_ARRAY = _shape().flatmap(_array)
+_JUNK = st.one_of(
+    st.tuples(st.just("none"), st.none()),
+    st.tuples(st.just("text"), st.text(max_size=3) | st.sampled_from(["1.5", "nan"])),
+    st.tuples(st.just("ragged"), st.sampled_from([[[1.0, 2.0], [3.0]], [[0.5], []], [1.0, [2.0, 3.0]]])),
+    st.tuples(
+        st.just("objects"),
+        st.sampled_from([[{}], [None, None], [[None, {"a": 1}]], [[1.0, None]]]).map(
+            lambda x: np.array(x, dtype=object)
+        ),
+    ),
+    st.tuples(st.just("complex"), _ARRAY.map(lambda a: a * (1 + 1j)) | st.just([[1 + 1j]])),
+    st.tuples(st.just("scalar"), st.sampled_from([True, 0, -1, 2.5, np.nan, np.inf, 1e308, 1 + 1j])),
+    st.tuples(st.just("floats"), _ARRAY),
+)
+
+
+@st.composite
+def _front_door_calls(draw):
+    name = draw(st.sampled_from(sorted(_FRONT_DOOR)))
+    call, good = _FRONT_DOOR[name]
+    args, kinds = [], []
+    for arg in good:
+        kind, arg = draw(_JUNK) if draw(st.booleans()) else ("good", arg)
+        args.append(arg)
+        kinds.append(kind)
+    return name, call, args, kinds
+
+
+def test_the_front_door_fuzz_covers_every_public_callable():
+    entries = {
+        name
+        for name, obj in ((name, getattr(combgrad, name)) for name in combgrad.__all__)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, CombgradError))
+    }
+    assert entries <= set(_FRONT_DOOR)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(case=_front_door_calls())
+def test_public_callables_return_or_raise_a_combgrad_error(case):
+    name, call, args, kinds = case
+    try:
+        call(*args)
+    except CombgradError:
+        return
+    assert not any(kinds[i] == "complex" for i in _REAL_ARRAYS.get(name, ())), (name, kinds)
+
+
+# ---------------------------------------------------------------------------
+# one rule for numbers
+# ---------------------------------------------------------------------------
+
+_BOOL_IDIOM = re.compile(r"isinstance\([^()]*,\s*bool\)")
+
+
+def test_only_core_decides_that_a_bool_is_not_a_number():
+    # cli._numbers keeps its own walk: numpy would read a JSON true as 1.0.
+    src = Path(combgrad.__file__).parent
+    lines, start = inspect.getsourcelines(cli._numbers)
+    allowed = {(src / "cli.py", n) for n in range(start, start + len(lines))}
+    found = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "core.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _BOOL_IDIOM.search(line) and (path, n) not in allowed
+    ]
+    assert found == []
