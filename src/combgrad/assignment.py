@@ -105,7 +105,7 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
 def assignment_gengrad(result: MatchingResult) -> GenGrad:
     """Gradient of the optimal cost in the cost matrix: the matching itself."""
     _arg(result, "result", (MatchingResult, None, "a MatchingResult"))
-    return GenGrad(d_c=result.M.ravel(), d_b=None, d_A=None)
+    return GenGrad(d_c=result.M.ravel())
 
 
 def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:

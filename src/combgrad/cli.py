@@ -22,7 +22,9 @@ Input schemas (JSON):
 Numeric fields take JSON numbers only: a boolean, a numeric string or an
 integer beyond the float range is an input error.
 A cmd_solve output document can be fed back to cmd_gradcheck: the echoed
-problem plus the reported gradient become the candidate under test.
+problem plus the reported gradient (an lp's d_A must be -outer(d_b, d_c)
+within --tol) become the candidate under test.  A "problem", "gengrad" or
+"dataset" key must hold a JSON object.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .core import NONNEG, POSITIVE, WHOLE, LPSpec, _arg, _floats, _one_hot, supe
 from .errors import (
     CombgradError,
     DegenerateInstance,
+    DimensionMismatch,
     Infeasible,
     InvalidInput,
     IterationLimit,
@@ -104,6 +107,14 @@ def _numbers(value, key: str) -> np.ndarray:
         elif isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InvalidInput(f"{key!r} must hold only numbers, got {json.dumps(x)[:40]}")
     return _floats(value, repr(key))
+
+
+def _section(doc: dict, key: str, default):
+    """doc[key], which must be a JSON object, or `default` when absent."""
+    value = doc.get(key, default)
+    if key in doc and not isinstance(value, dict):
+        raise InvalidInput(f"{key!r} must be a JSON object")
+    return value
 
 
 def _matrix(doc: dict, key: str) -> np.ndarray:
@@ -198,7 +209,7 @@ def _solve_lp_doc(problem: dict) -> dict:
 
 def _cmd_solve(args) -> int:
     doc = _load_json(args.input)
-    problem = doc.get("problem", doc)
+    problem = _section(doc, "problem", doc)
     solvers = {"assignment": _solve_assignment_doc, "gsa": _solve_gsa_doc, "lp": _solve_lp_doc}
     _emit_json(solvers[args.kind](problem), args.out)
     return 0
@@ -287,22 +298,39 @@ def _draw_gsa(rng: np.random.Generator) -> dict:
     return {"match_costs": rng.uniform(0.1, 2.0, size=(tp, tt)).tolist(), "gamma": 1.5}
 
 
+def _d_A_mismatch(candidate: dict, u: np.ndarray, v: np.ndarray, tol: float) -> Optional[str]:
+    """Why a reported d_A is not -outer(d_b, d_c) within tol; None when it is."""
+    dA = _matrix(candidate, "d_A")
+    if dA.shape != (v.size, u.size):
+        raise DimensionMismatch(f"'d_A' has shape {dA.shape}, expected ({v.size}, {u.size})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float(np.abs(dA + np.outer(v, u)).max(initial=0.0))
+    return None if gap <= tol else f"d_A differs from -outer(d_b, d_c) by up to {gap}"  # a NaN gap fails
+
+
 def _check_lp(problem: dict, candidate, args, rng, trials: int) -> dict:
     # Central differences along one random direction per block; `trials`
-    # has no role here.
+    # has no role here.  A report whose d_A is not -outer(d_b, d_c) fails,
+    # with a note that says so in place of any degeneracy note.
     spec = _lp_spec(problem)
     out = solve_lp(spec)
     u, v = out.u_star, out.v_star
+    mismatch = None
     if candidate is not None:
         u = _matrix(candidate, "d_c")
         v = _matrix(candidate, "d_b")
+        if "d_A" in candidate:
+            mismatch = _d_A_mismatch(candidate, u, v, args.tol)
     if args.perturb_grad:
         u, v = _inflate(u), _inflate(v)
     try:
         chk = check_lp_grads(spec, replace(out, u_star=u, v_star=v), eps=args.eps, rng=rng)
+        report = {"kind": "lp", "passed": bool(chk.passed), "degenerate": False, **asdict(chk)}
     except DegenerateInstance as exc:
-        return {"kind": "lp", "passed": True, "degenerate": True, "note": str(exc)}
-    return {"kind": "lp", "passed": bool(chk.passed), "degenerate": False, **asdict(chk)}
+        report = {"kind": "lp", "passed": True, "degenerate": True, "note": str(exc)}
+    if mismatch:
+        report.update(passed=False, note=mismatch)
+    return report
 
 
 def _draw_lp(rng: np.random.Generator) -> dict:
@@ -351,7 +379,7 @@ def _cmd_gradcheck(args) -> int:
     if args.input:
         doc = _load_json(args.input)
         rng = np.random.default_rng(args.seed)
-        report = check(doc.get("problem", doc), doc.get("gengrad"), args, rng, args.trials)
+        report = check(_section(doc, "problem", doc), _section(doc, "gengrad", None), args, rng, args.trials)
     else:
         report = _gradcheck_suite(args, check, draw)
     _emit_json(report, args.out)
@@ -371,12 +399,8 @@ _TRAINERS = {"bags": (BagDatasetSpec, train_bags), "seq": (SeqTaskSpec, train_se
 
 def _cmd_train(args) -> int:
     raw = _load_json(args.config)
-    dataset_cfg = raw.pop("dataset", {})
-    if not isinstance(dataset_cfg, dict):
-        raise InvalidInput("'dataset' must be a JSON object")
-    if "seed" not in raw:
-        raw["seed"] = args.seed
-    config = TrainConfig.from_dict(raw)
+    dataset_cfg = _section(raw, "dataset", {})
+    config = TrainConfig.from_dict({"seed": args.seed, **{k: v for k, v in raw.items() if k != "dataset"}})
     out = args.out or f"{args.task}_metrics.csv"
     ckpt = (out[:-4] if out.endswith(".csv") else out) + ".params.txt"
     spec_cls, trainer = _TRAINERS[args.task]

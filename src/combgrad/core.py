@@ -11,7 +11,7 @@ returns a generalized gradient of its objective value, and a single solve
 feeds both the forward and the backward pass of a loss built on ``z*``.
 
 This module holds the shared types (the LP data, a solver's witnesses, the
-gradient blocks they form), the pair-cost build both losses share, a
+cost-block gradient `GenGrad`), the pair-cost build both losses share, a
 sampling check of the supergradient inequality, and what a caller may pass:
 every public entry reads arrays with `_floats`, other arguments with `_arg`.
 The chain rule onto model parameters is not here: each loss returns
@@ -144,9 +144,9 @@ class LPSpec:
 class SolverOutcome:
     """Optimal value of an LP with both optimality witnesses.
 
-    ``u_star`` is a primal optimum (arg min), ``v_star`` a dual optimum; the
-    ``unique`` flag records whether the solver certified the primal optimum
-    as the only one.
+    ``u_star``, a primal optimum, is the gradient in ``c``; ``v_star``, a
+    dual optimum, in ``b``; ``-outer(v_star, u_star)`` in ``A``.  ``unique``
+    says whether the solver certified the primal optimum as the only one.
     """
 
     z_star: float
@@ -177,21 +177,15 @@ def strong_duality_gap(spec: LPSpec, outcome: SolverOutcome) -> float:
 
 @dataclass(frozen=True)
 class GenGrad:
-    """Generalized gradient of z* with respect to the problem data blocks.
+    """Generalized gradient of z* in the cost block: d_c, a primal optimum,
+    as a read-only copy.  It is the whole gradient of a combinatorial solve,
+    whose costs alone vary; an LP's b and A blocks are read off its
+    SolverOutcome."""
 
-    d_c is a primal optimum, d_b a dual optimum, and d_A = -outer(d_b, d_c);
-    any block may be absent when the corresponding data does not vary.
-    """
-
-    d_c: Optional[np.ndarray] = None
-    d_b: Optional[np.ndarray] = None
-    d_A: Optional[np.ndarray] = None
+    d_c: np.ndarray
 
     def __post_init__(self):
-        for name in ("d_c", "d_b", "d_A"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(val, name))
+        object.__setattr__(self, "d_c", _freeze(self.d_c, "d_c"))
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,8 @@ def supergradient_check(
     Tests f(w') <= f(w) + <g, w' - w> + tol at `trials` points w' drawn
     uniformly from the ball of radius 0.5 around w, with `rng` (default
     ``np.random.default_rng(0)``).  Reports the worst violation found
-    (positive = violated).  NonFinite when w or g is not finite: every
-    violation would be NaN, and a NaN never counts as violated.
+    (positive = violated).  NonFinite when w, g, f(w) or a sampled f(w') is
+    not finite, since a NaN violation never counts as violated.
     """
     _arg(f, "f", (Callable, None, "a callable"))
     _arg(trials, "trials", WHOLE)
@@ -233,6 +227,8 @@ def supergradient_check(
     if rng is None:
         rng = np.random.default_rng(0)
     fw = float(f(w))
+    if not math.isfinite(fw):
+        raise NonFinite(f"f(w) must be finite, got {fw}")
     worst = -np.inf
     for _ in range(trials):
         d = rng.standard_normal(w.shape)
@@ -241,7 +237,10 @@ def supergradient_check(
             continue
         r = _RADIUS * float(rng.uniform()) ** (1.0 / w.size)
         wp = w + (r / nrm) * d
-        viol = float(f(wp)) - (fw + float(np.vdot(g, wp - w)))
+        fp = float(f(wp))
+        if not math.isfinite(fp):
+            raise NonFinite(f"f must be finite near w, got {fp} at a sampled point")
+        viol = fp - (fw + float(np.vdot(g, wp - w)))
         if viol > worst:
             worst = viol
     return SupergradReport(passed=bool(worst <= tol), worst_violation=float(worst), trials=trials)

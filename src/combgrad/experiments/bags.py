@@ -12,7 +12,7 @@ evaluation path takes no permutation input at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .. import tape
 from ..assignment import filter_bag, matching_loss
 from ..core import _F64_MAX, WHOLE, _arg, _one_hot
 from ..errors import InvalidInput
-from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node, run_epochs
+from .common import MetricsRow, TrainConfig, _Checked, check_field_types, mean_loss_node, run_epochs
 
 _HIDDEN = 64
 # Caps on the data BagDatasetSpec describes, which is generated in memory.
@@ -30,7 +30,7 @@ _MAX_LABEL_ROWS = 10**7
 
 
 @dataclass(frozen=True)
-class BagDatasetSpec:
+class BagDatasetSpec(_Checked):
     """Synthetic classification data: one spherical Gaussian per class.
 
     The data is generated in memory, so n is capped at 10**6 samples,
@@ -88,7 +88,6 @@ def gen_bag_dataset(spec: BagDatasetSpec) -> BagDataset:
     Test labels stay with their samples so per-sample accuracy is always
     computable.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     d, n, dim = spec.num_classes, spec.n, spec.feature_dim
     means = spec.separation * rng.standard_normal((d, dim))
@@ -164,23 +163,17 @@ def eval_accuracy(store: tape.ParamStore, x: np.ndarray, y: np.ndarray) -> float
     return float(np.mean(_logits(store, x).value.argmax(axis=1) == y))
 
 
-def train_bags(
-    config: TrainConfig,
-    spec: Optional[BagDatasetSpec] = None,
-) -> Tuple[List[MetricsRow], tape.ParamStore]:
-    """Run the bag experiment; returns (metrics rows, trained parameters).
+def train_bags(config: TrainConfig, spec: BagDatasetSpec) -> Tuple[List[MetricsRow], tape.ParamStore]:
+    """Run the bag experiment on `spec`'s data; returns (metrics rows,
+    trained parameters).  Each argument checked itself when it was made.
 
     loss='matching' trains on bags; loss='mle' trains on the same streamed
     batches with the true per-sample labels (the supervised baseline with
     identical randomness).  Epochs count from 1 and abort as `run_epochs`
     describes.
     """
-    config.validate()
     if config.loss == "gsa":
         raise InvalidInput("the alignment loss does not apply to the bag task")
-    if spec is None:
-        spec = BagDatasetSpec(seed=config.seed)
-    spec.validate()
     b = config.bag_size
     train = _train_size(spec.n)
     if b > train:

@@ -15,7 +15,7 @@ import csv
 import numbers
 import time
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -42,8 +42,16 @@ def check_field_types(obj) -> None:
         _arg(getattr(obj, f.name), f.name, _FIELD_TYPES[f.type])
 
 
+class _Checked:
+    """Base of the config dataclasses: construction runs `validate()`, so an
+    invalid config raises InvalidInput and never exists."""
+
+    def __post_init__(self):
+        self.validate()
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Checked):
     """Knobs shared by both experiment harnesses.
 
     loss: 'mle' (position/label-supervised baseline), 'matching' (bag loss),
@@ -86,9 +94,7 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown, key=repr)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,8 +122,8 @@ class MetricsRow:
 
     epoch: int
     train_loss: float
-    metrics: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    seconds: float = 0.0
+    metrics: Dict[Tuple[str, str], float]
+    seconds: float
 
 
 def run_epochs(

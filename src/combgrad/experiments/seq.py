@@ -16,7 +16,7 @@ against targets plus the exact-match rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .. import _kernels, tape
 from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
 from ..core import _one_hot
 from ..errors import InvalidInput
-from .common import MetricsRow, TrainConfig, check_field_types, mean_loss_node, run_epochs
+from .common import MetricsRow, TrainConfig, _Checked, check_field_types, mean_loss_node, run_epochs
 
 PAD = 0
 EOS = 1
@@ -51,7 +51,7 @@ def _tau_at(epoch: int) -> float:
 
 
 @dataclass(frozen=True)
-class SeqTaskSpec:
+class SeqTaskSpec(_Checked):
     """Synthetic noisy-copy task over a small token alphabet.
 
     Tokens 0 and 1 are reserved (PAD, EOS); content tokens are 2..vocab-1.
@@ -159,7 +159,6 @@ def gen_seq_dataset(spec: SeqTaskSpec) -> SeqDataset:
     the test comparing the two catches a numpy release that decodes
     differently.
     """
-    spec.validate()
     raw = _raw_draws(np.random.default_rng(spec.seed).bit_generator)
     uint32s = _uint32s(raw)
     length = _bounded_draw(raw, uint32s, spec.min_len, spec.max_len + 1)
@@ -303,9 +302,9 @@ def _batch_loss(
 
 def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: int):
     """Batched greedy decode with the training model's encoder and decoder
-    step: returns per-step log-probs (B, steps, vocab) and argmax tokens
-    (B, steps).  Each step starts from a detached state, so no graph is
-    kept."""
+    step: returns per-step log-probs (B, w, vocab) and argmax tokens (B, w),
+    where w <= steps stops at the first step by which every row emitted EOS.
+    Each step starts from a detached state, so no graph is kept."""
     p = store.params
     B = src.shape[0]
     h = tape.Tensor(_encode(store, src).value)
@@ -319,6 +318,8 @@ def _decode_greedy(store: tape.ParamStore, src: np.ndarray, vocab: int, steps: i
         logps[:, t] = lp
         pick = lp.argmax(axis=1)
         toks[:, t] = pick
+        if (toks[:, : t + 1] == EOS).any(axis=1).all():
+            return logps[:, : t + 1], toks[:, : t + 1]
         feed = _one_hot(pick, vocab)
     return logps, toks
 
@@ -339,7 +340,6 @@ def evaluate(
     solved in groups of equal (decode length, target length), one batched
     kernel call per group.
     """
-    steps = max_len + 4
     by_len: Dict[int, List[int]] = {}
     for i, (s, _) in enumerate(pairs):
         by_len.setdefault(len(s), []).append(i)
@@ -348,11 +348,11 @@ def evaluate(
     for L in sorted(by_len):
         idx = by_len[L]
         src = np.stack([pairs[i][0] for i in idx])
-        logps, toks = _decode_greedy(store, src, vocab, steps)
+        logps, toks = _decode_greedy(store, src, vocab, max_len + 4)
         groups: Dict[Tuple[int, int], List[int]] = {}
         for row, i in enumerate(idx):
             hit = np.flatnonzero(toks[row] == EOS)
-            end = int(hit[0]) + 1 if hit.size else steps
+            end = int(hit[0]) + 1 if hit.size else toks.shape[1]
             tgt = pairs[i][1]
             exact[i] = float(end == len(tgt) and bool(np.all(toks[row, :end] == tgt)))
             groups.setdefault((end, len(tgt)), []).append(row)
@@ -364,25 +364,19 @@ def evaluate(
     return float(costs.mean()), float(exact.mean())
 
 
-def train_seq(
-    config: TrainConfig,
-    spec: Optional[SeqTaskSpec] = None,
-) -> Tuple[List[MetricsRow], tape.ParamStore]:
-    """Run the sequence experiment; returns (metrics rows, trained params).
+def train_seq(config: TrainConfig, spec: SeqTaskSpec) -> Tuple[List[MetricsRow], tape.ParamStore]:
+    """Run the sequence experiment on `spec`'s corpus; returns (metrics
+    rows, trained params).  Each argument checked itself when it was made:
+    here vocab * (max_len + 1) must also be at most 10**6.
 
     Epoch 0 logs the untrained model; epochs >= 1 also log the feed
-    temperature.  Epochs abort as `run_epochs` describes.  The spec must
-    also keep vocab * (max_len + 1) at most 10**6.
+    temperature.  Epochs abort as `run_epochs` describes.
     """
-    config.validate()
     if config.loss == "matching":
         raise InvalidInput("the matching loss does not apply to the sequence task")
     # Held-out quality is an alignment cost whatever the loss, so gamma must
     # be valid before any work starts.
     check_gap_factor(config.gamma)
-    if spec is None:
-        spec = SeqTaskSpec(seed=config.seed)
-    spec.validate()
     if spec.vocab * (spec.max_len + 1) > _MAX_ONE_HOT:
         raise InvalidInput(f"training needs vocab * (max_len + 1) of at most {_MAX_ONE_HOT}")
     data = gen_seq_dataset(spec)

@@ -28,7 +28,8 @@ from .errors import DimensionMismatch, InvalidInput, NonFinite
 
 
 class Tensor:
-    """One node of the tape: a value, its parents, and a backward closure.
+    """One node of the tape: a value, its parents, and a backward closure,
+    which each op passes to the constructor (a leaf has none).
 
     The closure is called with the node's gradient rather than reading it
     off the node, so it holds no reference back to its node: a graph has no
@@ -96,39 +97,32 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value @ b.value, (a, b))
-
     def _bw(g):
         _acc(a, g @ b.value.T)
         _acc(b, a.value.T @ g)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.value @ b.value, (a, b), _bw)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
-    out = Tensor(y, (a,))
 
     def _bw(g):
         _acc(a, g * (1.0 - y * y))
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (a,), _bw)
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b as one node, with the values and gradients of the
     matmul-then-add chain bit for bit."""
-    out = Tensor(x.value @ W.value + b.value, (x, W, b))
 
     def _bw(g):
         _acc(b, g)
         _acc(x, g @ W.value.T)
         _acc(W, x.value.T @ g)
 
-    out._backward = _bw
-    return out
+    return Tensor(x.value @ W.value + b.value, (x, W, b), _bw)
 
 
 def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
@@ -139,7 +133,6 @@ def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
     one-op nodes, so values and gradients equal that chain's bit for
     bit."""
     y = np.tanh(x.value @ Wx.value + h.value @ Wh.value + b.value)
-    out = Tensor(y, (x, Wx, h, Wh, b))
 
     def _bw(gy):
         g = gy * (1.0 - y * y)
@@ -149,8 +142,7 @@ def rnn_cell(x: Tensor, Wx: Tensor, h: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
         _acc(h, g @ Wh.value.T)
         _acc(Wh, h.value.T @ g)
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (x, Wx, h, Wh, b), _bw)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -161,14 +153,12 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     y = shifted - lse
-    out = Tensor(y, (a,))
 
     def _bw(g):
         soft = np.exp(y)
         _acc(a, g - soft * g.sum(axis=1, keepdims=True))
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (a,), _bw)
 
 
 def _tempered_softmax(a: Tensor, x: np.ndarray, tau: float, value: Optional[np.ndarray] = None) -> Tensor:
@@ -180,13 +170,11 @@ def _tempered_softmax(a: Tensor, x: np.ndarray, tau: float, value: Optional[np.n
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y if value is None else value, (a,))
 
     def _bw(gy):
         _acc(a, (y / tau) * (gy - (gy * y).sum(axis=1, keepdims=True)))
 
-    out._backward = _bw
-    return out
+    return Tensor(y if value is None else value, (a,), _bw)
 
 
 def softmax_t(a: Tensor, tau: float) -> Tensor:
@@ -214,15 +202,13 @@ def gumbel_softmax_st(logits: Tensor, tau: float, rng: np.random.Generator) -> T
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather table[ids]; backward scatter-adds (repeats accumulate)."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(table.value[ids], (table,))
 
     def _bw(g):
         gt = np.zeros_like(table.value)
         np.add.at(gt, ids, g)
         _acc(table, gt)
 
-    out._backward = _bw
-    return out
+    return Tensor(table.value[ids], (table,), _bw)
 
 
 def custom_node(parents: Sequence[Tensor], value, vjps: Sequence[Callable]) -> Tensor:
@@ -230,14 +216,12 @@ def custom_node(parents: Sequence[Tensor], value, vjps: Sequence[Callable]) -> T
     were computed outside the tape (e.g. a batched discrete loss)."""
     if len(parents) != len(vjps):
         raise DimensionMismatch("one vjp per parent required")
-    out = Tensor(value, tuple(parents))
 
     def _bw(g):
         for p, vjp in zip(parents, vjps):
             _acc(p, np.asarray(vjp(g), dtype=np.float64))
 
-    out._backward = _bw
-    return out
+    return Tensor(value, parents, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +233,8 @@ def custom_node(parents: Sequence[Tensor], value, vjps: Sequence[Callable]) -> T
 class ParamStore:
     """Named trainable tensors plus optimizer slots and the step counter.
 
+    A store is made empty but for its seed: `add` registers parameters,
+    and `adam_step` fills the Adam moments in `state` and counts `step`.
     Every parameter's value is a view into one flat float64 buffer that
     holds all parameters in insertion order; `add` repacks it.  So a value
     is changed in place (`value[...] = x`): an array bound to `.value`
@@ -257,14 +243,11 @@ class ParamStore:
     `adam_step` updates every parameter in one elementwise pass.
     """
 
-    params: Dict[str, Tensor] = field(default_factory=dict)
+    params: Dict[str, Tensor] = field(default_factory=dict, init=False)
     seed: int = 0
-    state: Dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
-    _values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._repack()
+    state: Dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    step: int = field(default=0, init=False)
+    _values: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     def _repack(self) -> None:
         """Copy every value into one new flat buffer and rebind each

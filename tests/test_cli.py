@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combgrad import InvalidInput, LPSpec, cli, lpref, supergradient_check
@@ -389,6 +389,34 @@ class TestGradcheck:
         doc = json.loads(out)
         assert doc["passed"] is False
 
+    def _lp_document(self, tmp_path, capsys):
+        solved = self._solve_to_file(tmp_path, capsys, "lp", {"c": [1.0, 2.0, 3.0], "A": [[1.0, 1.0, 1.0]], "b": [1.0]})
+        with open(solved) as f:
+            return json.load(f)
+
+    def test_lp_matrix_block_that_is_not_the_outer_product_fails(self, tmp_path, capsys):
+        doc = self._lp_document(tmp_path, capsys)
+        doc["gengrad"]["d_A"] = [[999.0, 999.0, 999.0]]
+        code, out, err = run_cli(["gradcheck", "lp", write_json(tmp_path / "edited.json", doc)], capsys)
+        assert code == 1
+        assert err == "error[check]: lp gradient check failed\n"
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert all(report[block]["passed"] for block in ("c_block", "b_block", "A_block"))
+        assert report["note"] == "d_A differs from -outer(d_b, d_c) by up to 1000.0"
+        # Within --tol it passes: the block is compared, not required to be exact.
+        doc["gengrad"]["d_A"] = [[-1.0 + 1e-12, 0.0, 0.0]]
+        edited = write_json(tmp_path / "edited.json", doc)
+        assert run_cli(["gradcheck", "lp", edited], capsys)[0] == 0
+        assert run_cli(["gradcheck", "lp", edited, "--tol", "1e-13"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("key", ["problem", "gengrad"])
+    @pytest.mark.parametrize("value", ["d_c", [1.0], 0, None])
+    def test_a_section_that_is_not_an_object_exits_two(self, tmp_path, capsys, key, value):
+        doc = dict(self._lp_document(tmp_path, capsys), **{key: value})
+        code, out, err = run_cli(["gradcheck", "lp", write_json(tmp_path / "edited.json", doc)], capsys)
+        assert (code, out, err) == (2, "", f"error[input]: {key!r} must be a JSON object\n")
+
     def test_degenerate_lp_is_flagged_not_failed(self, tmp_path, capsys):
         inst = write_json(
             tmp_path / "lp.json",
@@ -621,9 +649,10 @@ class TestTrain:
     )
     def test_dataset_without_a_held_out_example_exits_two(self, task, config, dataset, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", dict(config, dataset=dataset))
-        code, _, err = run_cli(["train", task, cfg, "--out", str(tmp_path / "m.csv")], capsys)
+        code, out, err = run_cli(["train", task, cfg, "--out", str(tmp_path / "m.csv")], capsys)
         assert code == 2
-        assert err.startswith("error[input]:")
+        assert out == ""  # the dataset is checked before the config is echoed
+        assert err.startswith("error[input]:") and err.count("\n") == 1
         assert "holds one out" in err
         assert not (tmp_path / "m.csv").exists()
 
@@ -878,7 +907,7 @@ def _documents(draw):
         else:
             doc[key] = draw(_JUNK)
     if draw(st.booleans()):
-        keys = st.sampled_from(["d_cost", "d_match_costs", "d_c", "d_b"])
+        keys = st.sampled_from(["d_cost", "d_match_costs", "d_c", "d_b", "d_A"])
         doc = {"problem": doc, "gengrad": draw(st.one_of(st.dictionaries(keys, _JUNK), _JUNK))}
     return doc
 
@@ -930,6 +959,116 @@ def _numeric_fields_read(command, kind, doc) -> list:
     values = [problem[key] for key in keys if key in problem]
     gengrad = doc.get("gengrad") if command == "gradcheck" else None
     if isinstance(gengrad, dict):
-        keys = {"assignment": ["d_cost"], "gsa": ["d_match_costs"], "lp": ["d_c", "d_b"]}[kind]
+        keys = {"assignment": ["d_cost"], "gsa": ["d_match_costs"], "lp": ["d_c", "d_b", "d_A"]}[kind]
         values += [gengrad[key] for key in keys if key in gengrad]
     return values
+
+
+# ---------------------------------------------------------------------------
+# fuzz: tiny training runs, unreadable inputs and unwritable outputs
+# ---------------------------------------------------------------------------
+
+# Each config key, then each dataset key of a task ("dataset." and its
+# name), with values that are valid and values that are not: out of range,
+# of the wrong type, or valid only for the other task.  epochs, loss and n
+# are always set, so a run is at most one epoch over at most 60 examples.
+_CONFIG_KEYS = {
+    "epochs": ([1], [0, 1.0, True, "1"]),
+    "feed": (["softmax", "gumbel_st"], ["", None]),
+    "bag_size": ([1, 2, 4], [0, -1, 2.5, 100, 10**400]),
+    "gamma": ([1.5, 3.0], [1.0, math.nan, "1.5"]),
+    "lr": ([1e-2, 1e-3], [0.0, -1.0, math.inf, 1e308]),
+    "batch_size": ([1, 8, 32], [0, 2.5]),
+    "seed": ([0, 5], [-1, True]),
+    "threshold": ([0.25, 0.5], [0.0, 1.5]),
+}
+_TASK_KEYS = {
+    "bags": {
+        "loss": (["mle", "matching"], ["gsa", "hinge"]),
+        "dataset.n": ([10, 24, 60], [2, -1, 2.5, 10**7, None]),
+        "dataset.num_classes": ([2, 3, 10], [1, 0, 10**6]),
+        "dataset.feature_dim": ([1, 4], [0, -1, 10**6]),
+        "dataset.separation": ([0.0, 1.5], [math.nan, math.inf, 10**400]),
+        "dataset.seed": ([0, 7], [-1, True]),
+    },
+    "seq": {
+        "loss": (["mle", "gsa"], ["matching", "hinge"]),
+        "dataset.n": ([3, 20, 60], [2, -1, 10**7]),
+        "dataset.vocab": ([3, 4, 6], [2, 10**12, "x"]),
+        "dataset.min_len": ([1, 2], [0, 9]),
+        "dataset.max_len": ([3, 5], [0, 2000]),
+        "dataset.p_drop": ([0.0, 0.1], [-0.1, 1.0]),
+        "dataset.p_insert": ([0.0, 0.05], [math.nan, 1.0]),
+        "dataset.seed": ([0, 7], [-1, True]),
+    },
+}
+_ALWAYS_SET = ("epochs", "loss", "dataset.n")
+_UNKNOWN_KEYS = ("momentum", "dataset.noise")
+_SPECS = {"bags": cli.BagDatasetSpec, "seq": cli.SeqTaskSpec}
+_INSTANCES = {
+    ("solve", "assignment"): {"cost": [[0.0, 1.0], [2.0, 0.0]]},
+    ("gradcheck", "lp"): {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "b": [1.0]},
+}
+_RUN_LINE = re.compile(r"error\[(input|aborted)\]: [^\n]+\n")
+
+
+@st.composite
+def _runs(draw):
+    """A command line and the document its input path holds: a training
+    config with a dataset override, mostly valid and then damaged in up to
+    two keys, or a well-formed instance."""
+    command, kind = draw(st.sampled_from([("train", "bags"), ("train", "seq")] * 3 + list(_INSTANCES)))
+    if command != "train":
+        return command, kind, _INSTANCES[command, kind]
+    keys = {**_CONFIG_KEYS, **_TASK_KEYS[kind]}
+    values = {}
+    for key, (valid, _) in keys.items():
+        if key in _ALWAYS_SET or draw(st.booleans()):
+            values[key] = draw(st.sampled_from(valid))
+    for key in draw(st.lists(st.sampled_from(sorted(keys) + list(_UNKNOWN_KEYS)), max_size=2)):
+        values[key] = draw(st.sampled_from(keys[key][1])) if key in keys else 0.9
+    config = {key: value for key, value in values.items() if not key.startswith("dataset.")}
+    config["dataset"] = {key[8:]: value for key, value in values.items() if key.startswith("dataset.")}
+    return command, kind, config
+
+
+def _builds(spec_cls, dataset: dict) -> bool:
+    try:
+        spec_cls(**{"seed": 0, **dataset})
+    except (InvalidInput, TypeError):
+        return False
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@example(run=("train", "bags", {"epochs": 1, "loss": "mle", "lr": 1e308, "dataset": {"n": 60}}), source="document", target="file")
+@given(
+    run=_runs(),
+    source=st.sampled_from(["document"] * 5 + ["directory", "nested", "empty"]),
+    target=st.sampled_from(["file"] * 4 + ["directory", "missing directory"]),
+)
+def test_random_runs_and_paths_end_in_an_exit_code_and_at_most_one_protocol_line(tmp_path_factory, run, source, target):
+    command, kind, doc = run
+    tmp = tmp_path_factory.mktemp("run")
+    path = tmp / "input.json"
+    if source == "directory":
+        path.mkdir()
+    elif source == "nested":
+        path.write_text('{"dataset": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    else:
+        path.write_text(json.dumps(doc) if source == "document" else "")
+    out_path = {"file": tmp / "out.csv", "directory": tmp, "missing directory": tmp / "missing" / "out.csv"}[target]
+    out, err = io.StringIO(), io.StringIO()
+    # A run that diverges (lr=1e308) overflows on its way to exit code 4.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main([command, kind, str(path), "--out", str(out_path)])
+    assert code in (0, 2, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert _RUN_LINE.fullmatch(err.getvalue()), err.getvalue()
+    if source != "document" or target != "file":
+        assert (code, out.getvalue()) == (2, "")
+    elif command == "train" and not _builds(_SPECS[kind], doc["dataset"]):
+        # An invalid dataset override stops the run before the config echo.
+        assert (code, out.getvalue()) == (2, "")

@@ -63,7 +63,7 @@ class TestMetricsSerialization:
     def test_values_round_trip_exactly(self, tmp_path):
         val = float(np.nextafter(1.0, 2.0))  # needs all 17 significant digits
         path = str(tmp_path / "m.csv")
-        write_metrics([MetricsRow(epoch=1, train_loss=val)], path)
+        write_metrics([MetricsRow(epoch=1, train_loss=val, metrics={}, seconds=0.0)], path)
         assert load_metrics(path)[(1, "train", "loss")] == val
 
 
@@ -249,7 +249,7 @@ class TestBagTraining:
 
     def test_alignment_loss_rejected(self):
         with pytest.raises(ValueError):
-            train_bags(TrainConfig(loss="gsa"))
+            train_bags(TrainConfig(loss="gsa"), BagDatasetSpec())
 
     @pytest.mark.parametrize(
         "config,spec,reason",
@@ -637,9 +637,32 @@ class TestSeqTraining:
         assert [r.epoch for r in rows] == [0, 1, 2]
         assert all(np.isfinite(r.train_loss) and r.train_loss > 0.0 for r in rows)
 
+    def test_greedy_decoding_stops_once_every_row_has_ended(self):
+        # After one epoch some row never emits EOS; after two, every row does.
+        spec = SeqTaskSpec(vocab=4, n=80, min_len=3, max_len=5, seed=5)
+        src = np.stack([s for s, _ in gen_seq_dataset(spec).test if len(s) == 3])
+        steps = spec.max_len + 4
+        widths = []
+        for epochs in (1, 2):
+            _, store = train_seq(TrainConfig(loss="gsa", epochs=epochs, seed=4), spec)
+            logps, toks = seq._decode_greedy(store, src, spec.vocab, steps)
+            width = toks.shape[1]
+            assert logps.shape == (len(src), width, spec.vocab)
+            ends = [np.flatnonzero(row == EOS)[:1] for row in toks]
+            if all(end.size for end in ends):
+                assert width == max(int(end[0]) for end in ends) + 1
+            else:
+                assert width == steps
+            # A decode capped one step short gives the same first steps.
+            short_logps, short_toks = seq._decode_greedy(store, src, spec.vocab, width - 1)
+            assert np.array_equal(short_toks, toks[:, : width - 1])
+            assert np.array_equal(short_logps, logps[:, : width - 1])
+            widths.append(width)
+        assert widths[0] == steps > widths[1]
+
     def test_matching_loss_rejected(self):
         with pytest.raises(ValueError):
-            train_seq(TrainConfig(loss="matching"))
+            train_seq(TrainConfig(loss="matching"), SeqTaskSpec())
 
     def test_mle_batch_loss_passes_central_difference_checks(self):
         # The MLE baseline's loss node carries -Y_t / T for each step t; its

@@ -28,6 +28,7 @@ from combgrad import (
     CombgradError,
     InvalidInput,
     LPSpec,
+    NonFinite,
     build_grid,
     check_lp_grads,
     cli,
@@ -157,6 +158,23 @@ def test_each_argument_check_raises_a_combgrad_error(site, tmp_path, monkeypatch
     assert isinstance(info.value, InvalidInput) and isinstance(info.value, ValueError)
 
 
+# Values that are not finite, where a comparison would silently pass: a
+# NaN violation never exceeds the worst one found.
+_NON_FINITE_CHECKS = {
+    "supergradient_check f NaN near w": lambda: supergradient_check(
+        lambda w: np.nan if w[0] > 1 else 0.0, np.ones(2), np.zeros(2)
+    ),
+    "supergradient_check f NaN everywhere": lambda: supergradient_check(lambda w: np.nan, np.ones(2), np.zeros(2)),
+    "supergradient_check f infinite at w": lambda: supergradient_check(lambda w: -np.inf, np.ones(2), np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_NON_FINITE_CHECKS))
+def test_each_non_finite_check_raises_non_finite(site):
+    with pytest.raises(NonFinite):
+        _NON_FINITE_CHECKS[site]()
+
+
 # ---------------------------------------------------------------------------
 # fuzz: the public entry points on damaged arrays
 # ---------------------------------------------------------------------------
@@ -269,14 +287,14 @@ _CHECK = check_lp_grads(_LP, _OUTCOME)
 _MATCHING = solve_assignment(np.eye(2))
 
 # Each public callable but the error types, with well-formed arguments; the
-# fuzz replaces any of them with junk.  A spec is validated after it is built.
+# fuzz replaces any of them with junk.
 _FRONT_DOOR = {
     "get_backend": (combgrad.get_backend, ()),
     "invocations": (combgrad.invocations, ()),
     "reset_invocations": (combgrad.reset_invocations, ()),
     "LPSpec": (LPSpec, _record(_LP)),
     "SolverOutcome": (combgrad.SolverOutcome, (1.0, [1.0, 0.0], [1.0], True)),
-    "GenGrad": (combgrad.GenGrad, (np.ones(2), np.ones(1), -np.ones((1, 2)))),
+    "GenGrad": (combgrad.GenGrad, (np.ones(2),)),
     "SupergradReport": (combgrad.SupergradReport, (True, 0.0, 3)),
     "strong_duality_gap": (combgrad.strong_duality_gap, (_LP, _OUTCOME)),
     "supergradient_check": (
@@ -307,8 +325,8 @@ _FRONT_DOOR = {
         lambda loss, lr, bag_size: TrainConfig.from_dict({"loss": loss, "lr": lr, "bag_size": bag_size}),
         ("matching", 0.01, 4),
     ),
-    "BagDatasetSpec": (lambda *a: BagDatasetSpec(*a).validate(), _record(BagDatasetSpec())),
-    "SeqTaskSpec": (lambda *a: SeqTaskSpec(*a).validate(), _record(SeqTaskSpec())),
+    "BagDatasetSpec": (BagDatasetSpec, _record(BagDatasetSpec())),
+    "SeqTaskSpec": (SeqTaskSpec, _record(SeqTaskSpec())),
 }
 
 # The arguments read as arrays of real numbers, by position: a complex
@@ -316,7 +334,7 @@ _FRONT_DOOR = {
 _REAL_ARRAYS = {
     "LPSpec": (0, 1, 2),
     "SolverOutcome": (1, 2),
-    "GenGrad": (0, 1, 2),
+    "GenGrad": (0,),
     "supergradient_check": (1, 2),
     "solve_assignment": (0,),
     "matching_loss": (0, 1),

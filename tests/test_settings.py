@@ -5,20 +5,23 @@ names of ``combgrad.tape`` and ``combgrad.experiments.__all__``; a class
 counts through its constructor, so a dataclass field with a default is a
 parameter.  A new knob, or a removed one, shows up as an edit to the table
 below in the same change.
+
+Also guards that every object is built whole in one step: no tape node gets
+its backward closure after construction, and no config is checked again
+after it checked itself when it was made.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import combgrad
 import combgrad.experiments
 import combgrad.tape
 
 _SETTINGS = {
-    "combgrad.core.GenGrad": ("d_c", "d_b", "d_A"),
     "combgrad.core.supergradient_check": ("trials", "tol", "rng"),
     "combgrad.experiments.bags.BagDatasetSpec": ("num_classes", "n", "feature_dim", "separation", "seed"),
-    "combgrad.experiments.bags.train_bags": ("spec",),
-    "combgrad.experiments.common.MetricsRow": ("metrics", "seconds"),
     "combgrad.experiments.common.TrainConfig": (
         "loss",
         "feed",
@@ -31,9 +34,8 @@ _SETTINGS = {
         "threshold",
     ),
     "combgrad.experiments.seq.SeqTaskSpec": ("vocab", "min_len", "max_len", "p_drop", "p_insert", "n", "seed"),
-    "combgrad.experiments.seq.train_seq": ("spec",),
     "combgrad.lpref.check_lp_grads": ("eps", "rtol", "rng"),
-    "combgrad.tape.ParamStore": ("params", "seed", "state", "step"),
+    "combgrad.tape.ParamStore": ("seed",),
     "combgrad.tape.Tensor": ("parents", "backward"),
 }
 
@@ -68,4 +70,46 @@ def _settings():
 
 def test_public_settings_match_the_frozen_table():
     assert _settings() == _SETTINGS
-    assert sum(len(names) for names in _SETTINGS.values()) == 40
+    assert sum(len(names) for names in _SETTINGS.values()) == 30
+
+
+class _AfterConstruction(ast.NodeVisitor):
+    """Sites in one module that finish or re-check an object after its
+    constructor: an assignment to a `_backward` attribute outside
+    `Tensor.__init__`, and a `.validate()` call other than `self.validate()`
+    in a `__post_init__`."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.scope = []
+        self.sites = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Attribute(self, node):
+        if node.attr == "_backward" and isinstance(node.ctx, ast.Store) and self.scope[-2:] != ["Tensor", "__init__"]:
+            self.sites.append(f"{self.name}:{node.lineno}")
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "validate":
+            by_self = isinstance(f.value, ast.Name) and f.value.id == "self"
+            if not (by_self and self.scope[-1:] == ["__post_init__"]):
+                self.sites.append(f"{self.name}:{node.lineno}")
+        self.generic_visit(node)
+
+
+def test_no_object_is_finished_or_rechecked_after_its_constructor():
+    src = Path(combgrad.__file__).parent
+    sites = []
+    for path in sorted(src.rglob("*.py")):
+        scan = _AfterConstruction(str(path.relative_to(src)))
+        scan.visit(ast.parse(path.read_text()))
+        sites += scan.sites
+    assert sites == []
