@@ -4,6 +4,10 @@
  * _kernels.py, looped over a C-contiguous stack of instances in one call.
  * The arithmetic and its order match the reference, so with floating-point
  * contraction disabled (-ffp-contract=off) the outputs are bitwise equal.
+ * The ports spend their time on arithmetic, not on branches: a minimum
+ * whose operands depend on the data is picked by selects, which compile
+ * without branches, and the certificate runs its O(n^3) closure only on
+ * instances whose light swaps form a cycle (an O(n^2) test).
  *
  * Both return 0 on success, 1 when the workspace allocation fails and 2
  * when a non-finite cost leaves a step with no finite choice (the caller
@@ -143,13 +147,49 @@ static double min_cycle(double *D, int64_t n, double *col, double *row)
     return best;
 }
 
+/* Port of _acyclic for one n x n graph D: 1 when its edges of weight at
+ * most thr form no directed cycle (the diagonal counts as an edge).  Kahn's
+ * algorithm: queue every node that no light edge enters, and removing a
+ * queued node's edges queues each node it leaves with none; the graph is
+ * acyclic when every node gets queued.  O(n^2), and written without
+ * data-dependent branches: a node joins the queue by a write that only
+ * advances the queue's end when it belongs there.  indeg holds n counts,
+ * queue n + 1 nodes. */
+static int light_acyclic(const double *D, int64_t n, double thr, int64_t *indeg, int64_t *queue)
+{
+    for (int64_t r = 0; r < n; r++)
+        indeg[r] = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t r = 0; r < n; r++)
+            indeg[r] += D[i * n + r] <= thr;
+    int64_t end = 0;
+    for (int64_t r = 0; r < n; r++) {
+        queue[end] = r;
+        end += indeg[r] == 0;
+    }
+    for (int64_t head = 0; head < end; head++) {
+        const double *Di = D + queue[head] * n;
+        for (int64_t r = 0; r < n; r++) {
+            int64_t light = Di[r] <= thr;
+            indeg[r] -= light;
+            queue[end] = r;
+            end += light & (indeg[r] == 0);
+        }
+    }
+    return end == n;
+}
+
 /* Assignment: port of _assign_many_py over a (k, n, n) stack.  Each
  * instance is solved as in _assign_core_py (Jonker-Volgenant shortest
  * augmenting paths with potentials, 1-based with sentinel row and column
  * 0), its matching is refined by lex_refine, and it is certified as in
  * _certify: unique[t] is 1 when min_cycle over the swap costs
  * W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] exceeds tol, with
- * slack = (C - u) - v.  The outputs share one block, in this order: the
+ * slack = (C - u) - v.  The closure is skipped, with unique[t] = 1, when
+ * no W holds a NaN and the swaps of at most
+ * thr = (tol - (n - 1) * min(w_min, 0)) * (1 + 1e-6) form no cycle
+ * (light_acyclic): a cycle of at most n swaps that weighs at most tol uses
+ * only such swaps.  The outputs share one block, in this order: the
  * stacked perms (k * n int64), u and v (k * n doubles each), then unique
  * (k bytes).  One workspace serves every instance.  Returns 2 if an
  * instance has no free column with a finite reduced cost. */
@@ -227,13 +267,22 @@ int assign_many(const double *Cs, int64_t k, int64_t n, double tol, void *out)
         }
         int64_t *perm = perms + t * n;
         lex_refine(C, n, tight, u, v, perm, cols, ends, matchR, rows, nxt, via, fixed, visited);
+        double wmin = INFINITY;
+        int has_nan = 0;
         for (int64_t i = 0; i < n; i++) {
             for (int64_t r = 0; r < n; r++) {
                 int64_t j = perm[r];
-                D[i * n + r] = ((C[i * n + j] - u[i + 1]) - v[j + 1]) - ((C[r * n + j] - u[r + 1]) - v[j + 1]);
+                double w = ((C[i * n + j] - u[i + 1]) - v[j + 1]) - ((C[r * n + j] - u[r + 1]) - v[j + 1]);
+                D[i * n + r] = w;
+                wmin = w < wmin ? w : wmin;
+                has_nan |= w != w;
             }
+            D[i * n + i] = INFINITY;
         }
-        unique[t] = min_cycle(D, n, col, row) > tol;
+        /* lex_refine is done with rows and nxt: the pre-check's queue and
+         * in-degrees. */
+        double thr = (tol - (double)(n - 1) * (wmin < 0.0 ? wmin : 0.0)) * (1.0 + 1e-6);
+        unique[t] = (!has_nan && light_acyclic(D, n, thr, nxt, rows)) || min_cycle(D, n, col, row) > tol;
     }
     status = 0;
 done:
@@ -270,53 +319,44 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
         const double *m = ms + base;
         int8_t *kd = kinds + t * total;
         int64_t *cl = cells + t * total;
-        for (int64_t c = 0; c < nodes; c++) {
-            dist[c] = INFINITY;
-            choice[c] = 0;
-            npaths[c] = 0;
-        }
         dist[0] = 0.0;
+        choice[0] = 0;
         npaths[0] = 1;
         for (int64_t i = 0; i <= Tp; i++) {
             for (int64_t k = 0; k <= Tt; k++) {
                 if (i == 0 && k == 0)
                     continue;
-                double best = INFINITY;
-                int8_t ch = 0;
                 double cand_d = INFINITY, cand_h = INFINITY, cand_v = INFINITY;
+                int64_t n_d = 0, n_h = 0, n_v = 0;
                 if (i > 0 && k > 0) {
                     cand_d = dist[(i - 1) * W + (k - 1)] + m[(i - 1) * Tt + (k - 1)];
-                    if (cand_d < best) {
-                        best = cand_d;
-                        ch = 1;
-                    }
+                    n_d = npaths[(i - 1) * W + (k - 1)];
                 }
                 if (k > 0) {
                     int64_t ic = i < Tp ? i : Tp - 1;
                     cand_h = dist[i * W + (k - 1)] + gamma * m[ic * Tt + (k - 1)];
-                    if (cand_h < best) {
-                        best = cand_h;
-                        ch = 2;
-                    }
+                    n_h = npaths[i * W + (k - 1)];
                 }
                 if (i > 0) {
                     int64_t kc = k < Tt ? k : Tt - 1;
                     cand_v = dist[(i - 1) * W + k] + gamma * m[(i - 1) * Tt + kc];
-                    if (cand_v < best) {
-                        best = cand_v;
-                        ch = 3;
-                    }
+                    n_v = npaths[(i - 1) * W + k];
                 }
+                /* The reference's "if cand < best" steps as selects: the
+                 * comparisons are data dependent, so branches would
+                 * mispredict about half the time. */
+                double best = INFINITY;
+                int8_t ch = 0;
+                ch = cand_d < best ? 1 : ch;
+                best = cand_d < best ? cand_d : best;
+                ch = cand_h < best ? 2 : ch;
+                best = cand_h < best ? cand_h : best;
+                ch = cand_v < best ? 3 : ch;
+                best = cand_v < best ? cand_v : best;
                 dist[i * W + k] = best;
                 choice[i * W + k] = ch;
-                double tie = tol * (1.0 + fabs(best));
-                int64_t cnt = 0;
-                if (cand_d <= best + tie)
-                    cnt += npaths[(i - 1) * W + (k - 1)];
-                if (cand_h <= best + tie)
-                    cnt += npaths[i * W + (k - 1)];
-                if (cand_v <= best + tie)
-                    cnt += npaths[(i - 1) * W + k];
+                double lim = best + tol * (1.0 + fabs(best));
+                int64_t cnt = (cand_d <= lim ? n_d : 0) + (cand_h <= lim ? n_h : 0) + (cand_v <= lim ? n_v : 0);
                 npaths[i * W + k] = cnt < 2 ? cnt : 2;
             }
         }

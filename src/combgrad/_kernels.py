@@ -14,15 +14,18 @@ on the first kernel call: ``c`` when the C library builds and loads,
 otherwise the package warns once and runs on ``numpy``.  A C call that fails
 raises (``MemoryError`` when its workspace cannot be allocated,
 ``NonFinite`` on a non-finite step); it is never re-solved on the other
-backend.
+backend.  The numpy reference raises ``NonFinite`` on the same steps.
 
 Single-instance entry points run a stack of one, so every public kernel
 goes through one path per problem.  Each kernel decides its own ties.  The
 assignment kernel solves, refines each matching to the lexicographically
 smallest near-optimal one (``_lex_refine``, ported as ``lex_refine`` in C)
-and certifies it (``_min_cycle``, ported as ``min_cycle``): the matching
-costs at most its dual sum plus ``_TOL``, and ``unique`` says whether every
-other matching costs more than that matching plus ``_TOL``.  The alignment
+and certifies it (``_certify``): the matching costs at most its dual sum
+plus ``_TOL``, and ``unique`` says whether every other matching costs more
+than that matching plus ``_TOL``.  The certificate is an O(b^2) test that
+the swaps light enough to lie on a near-tie form no cycle (``_acyclic``,
+ported as ``light_acyclic``), and only where they do an O(b^3) closure
+(``_min_cycle``, ported as ``min_cycle``).  The alignment
 kernel solves, counts the paths tied within ``_TOL * (1 + |z|)``, and
 returns the winning path as each step's kind and the cell whose cost it
 paid, gap clamp included; :func:`gsa_grads` turns those into gradients.
@@ -82,8 +85,10 @@ def get_backend() -> str:
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # No floating-point contraction: a fused multiply-add rounds differently from
-# the numpy reference, and the backends must agree bit for bit.
-_C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# the numpy reference, and the backends must agree bit for bit.  -O3, because
+# -O2 leaves the certificate closure's inner loop (min_cycle) scalar; vector
+# code keeps every operation's rounding, so the bits stay the reference's.
+_C_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBRARY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
 
 
@@ -157,7 +162,7 @@ def _raise_status(status: int) -> None:
     """Raise the error a nonzero C kernel status stands for."""
     if status == 1:
         raise MemoryError("the C kernel could not allocate its workspace")
-    raise NonFinite("a non-finite cost left the C kernel without a finite step")
+    raise NonFinite(_NO_FINITE_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,10 @@ def _raise_status(status: int) -> None:
 # certificate calls a matching unique when every other one costs more than
 # it + _TOL.
 _TOL = 1e-9
+
+# What both bodies raise, as NonFinite, when a non-finite cost leaves a step
+# with no finite choice.
+_NO_FINITE_STEP = "a non-finite cost left the kernel without a finite step"
 
 
 def _assign_core_py(C, u, v, p, way, minv, used, perm):
@@ -205,6 +214,8 @@ def _assign_core_py(C, u, v, p, way, minv, used, perm):
             masked = np.where(free, minv[1:], np.inf)
             j1 = int(np.argmin(masked)) + 1
             delta = masked[j1 - 1]
+            if not delta < np.inf:
+                raise NonFinite(_NO_FINITE_STEP)
             u[p[used]] += delta
             v[used] -= delta
             minv[1:][free] -= delta
@@ -319,6 +330,20 @@ def _min_cycle(W: np.ndarray) -> np.ndarray:
     return diag.min(axis=1, initial=np.inf)
 
 
+def _acyclic(light: np.ndarray) -> np.ndarray:
+    """Per graph of a (k, b, b) boolean adjacency stack: has it no directed
+    cycle (the diagonal counts as an edge)?  Kahn's rule: a node that no
+    remaining node's edge enters lies on no cycle, so drop it, until no node
+    is left (acyclic) or none can go.  The reference for light_acyclic in
+    _kernels.c, which queues the nodes one at a time instead."""
+    alive = np.ones(light.shape[:2], np.bool_)
+    while True:
+        kept = alive & np.any(light & alive[:, :, None], axis=1)
+        if np.array_equal(kept, alive):
+            return ~alive.any(axis=1)
+        alive = kept
+
+
 def _certify(Cs, perms, us, vs):
     """Per instance: does every other matching cost more than perm's + _TOL?
 
@@ -326,12 +351,27 @@ def _certify(Cs, perms, us, vs):
     perm[r].  W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] is the extra
     cost of one such swap (perm's own edges may keep up to _TOL / b slack,
     which is subtracted), so a cycle of W weighs what its matching costs
-    beyond perm's.
+    beyond perm's, and perm is unique when the lightest cycle weighs more
+    than _TOL.
+
+    The O(b^3) closure runs only where a near-tie may exist.  No swap weighs
+    less than w_min, so a cycle of at most b swaps that weighs at most _TOL
+    uses only swaps of at most thr = _TOL - (b - 1) * min(w_min, 0); the
+    factor 1 + 1e-6 covers the closure's rounding.  Where those light swaps
+    form no cycle (an O(b^2) test), perm is unique.  A NaN weight leaves
+    the verdict to the closure.
     """
     slack = Cs - us[:, :, None] - vs[:, None, :]
     S = np.take_along_axis(slack, perms[:, None, :], axis=2)
     W = S - np.diagonal(S, axis1=1, axis2=2)[:, None, :]
-    return _min_cycle(W) > _TOL
+    k, b, _ = W.shape
+    w_min = W.min(axis=(1, 2), initial=np.inf)
+    W.reshape(k, b * b)[:, :: b + 1] = np.inf
+    thr = (_TOL - (b - 1) * np.minimum(w_min, 0.0)) * (1.0 + 1e-6)
+    unique = ~np.isnan(w_min) & _acyclic(W <= thr[:, None, None])
+    near = ~unique
+    unique[near] = _min_cycle(W[near]) > _TOL
+    return unique
 
 
 def _assign_many_py(Cs):
@@ -423,38 +463,34 @@ def _gsa_py(m, gamma):
         for k in range(Tt + 1):
             if i == 0 and k == 0:
                 continue
-            best = np.inf
-            ch = 0
-            cand_d = np.inf
-            cand_h = np.inf
-            cand_v = np.inf
+            cand_d = cand_h = cand_v = np.inf
+            n_d = n_h = n_v = 0
             if i > 0 and k > 0:
                 cand_d = dist[i - 1, k - 1] + m[i - 1, k - 1]
-                if cand_d < best:
-                    best = cand_d
-                    ch = 1
+                n_d = npaths[i - 1, k - 1]
             if k > 0:
                 ic = i if i < Tp else Tp - 1
                 cand_h = dist[i, k - 1] + gamma * m[ic, k - 1]
-                if cand_h < best:
-                    best = cand_h
-                    ch = 2
+                n_h = npaths[i, k - 1]
             if i > 0:
                 kc = k if k < Tt else Tt - 1
                 cand_v = dist[i - 1, k] + gamma * m[i - 1, kc]
-                if cand_v < best:
-                    best = cand_v
-                    ch = 3
+                n_v = npaths[i - 1, k]
+            best = np.inf
+            ch = 0
+            if cand_d < best:
+                best = cand_d
+                ch = 1
+            if cand_h < best:
+                best = cand_h
+                ch = 2
+            if cand_v < best:
+                best = cand_v
+                ch = 3
             dist[i, k] = best
             choice[i, k] = ch
-            tie = _TOL * (1.0 + abs(best))
-            cnt = 0
-            if cand_d <= best + tie:
-                cnt += npaths[i - 1, k - 1]
-            if cand_h <= best + tie:
-                cnt += npaths[i, k - 1]
-            if cand_v <= best + tie:
-                cnt += npaths[i - 1, k]
+            lim = best + _TOL * (1.0 + abs(best))
+            cnt = (n_d if cand_d <= lim else 0) + (n_h if cand_h <= lim else 0) + (n_v if cand_v <= lim else 0)
             npaths[i, k] = min(cnt, 2)
     total = Tp + Tt
     kinds = np.zeros(total, np.int8)
@@ -473,6 +509,8 @@ def _gsa_py(m, gamma):
             k -= 1
             cell = (i if i < Tp else Tp - 1) * Tt + k
         else:
+            if i == 0:
+                raise NonFinite(_NO_FINITE_STEP)
             ch = 3
             i -= 1
             cell = i * Tt + (k if k < Tt else Tt - 1)

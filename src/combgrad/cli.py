@@ -420,8 +420,11 @@ def _cmd_train(args) -> int:
         "checkpoint_path": ckpt,
     }
     print(json.dumps(echo, indent=2, sort_keys=True))
+    # A diverging run overflows on its way to backward()'s check of the
+    # loss, which aborts it; that abort is the run's one line on stderr.
     try:
-        rows, store = trainer(config, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, store = trainer(config, spec)
     except TrainAborted as exc:
         write_metrics(exc.rows, out)
         _err("aborted", str(exc))

@@ -1,12 +1,16 @@
-"""Brute-force enumeration oracles for the solver tests, a scalar count of
-distinct bag rows, and the plain numpy loops the sequence corpus and its
-batches are checked against.
+"""Brute-force enumeration oracles for the solver tests, second-best
+oracles for instances past enumeration size, a scalar count of distinct bag
+rows, and the plain numpy loops the sequence corpus and its batches are
+checked against.
 
 The solver oracles share no code with the production solvers: the vertex
 oracle tries every rank-sized column set of an LP, the assignment oracle
 scores every permutation, and the alignment oracle walks every monotone
 lattice path.  Each is meant for desk-scale instances only, and each uses
-the reference simplex's tolerance for feasibility and tie sets.
+the reference simplex's tolerance for feasibility and tie sets.  The
+second-best oracles find the cheapest solution other than a given one:
+every other solution leaves it somewhere, so the cheapest way of leaving it
+at one place, minimized over the places, is the second-best cost.
 """
 
 import itertools
@@ -133,6 +137,75 @@ def step_string(code: int) -> str:
         code, digit = divmod(int(code), 4)
         letters.append("DPT"[digit - 1])
     return "".join(reversed(letters))
+
+
+def second_best_matching(C: np.ndarray, perm) -> float:
+    """The cost of the cheapest matching other than perm, inf when there is
+    none: b scipy re-solves, each with one of perm's edges banned."""
+    from scipy.optimize import linear_sum_assignment
+
+    C = np.asarray(C, dtype=np.float64)
+    best = np.inf
+    for i, j in enumerate(perm):
+        banned = C.copy()
+        banned[i, j] = np.inf
+        try:
+            rows, cols = linear_sum_assignment(banned)
+        except ValueError:  # b = 1: no matching avoids the edge
+            continue
+        best = min(best, float(banned[rows, cols].sum()))
+    return best
+
+
+def _lattice_edges_into(m: np.ndarray, gamma: float, i: int, k: int):
+    """The edges into lattice node (i, k) as (kind, source node, weight): a
+    match (1) from (i - 1, k - 1) pays m[i - 1, k - 1]; a gap along the
+    target (2) from (i, k - 1) and one along the prediction (3) from
+    (i - 1, k) pay gamma times the match cost at their source node, its
+    indices clamped to the last cell."""
+    Tp, Tt = m.shape
+    if i > 0 and k > 0:
+        yield 1, (i - 1, k - 1), m[i - 1, k - 1]
+    if k > 0:
+        yield 2, (i, k - 1), gamma * m[min(i, Tp - 1), k - 1]
+    if i > 0:
+        yield 3, (i - 1, k), gamma * m[i - 1, min(k, Tt - 1)]
+
+
+def second_best_path(m: np.ndarray, gamma: float, kinds) -> tuple:
+    """(z*, second): the cheapest lattice path's cost, and the cost of the
+    cheapest path other than the one whose step kinds are kinds (1 match,
+    2 and 3 gaps; 0 pads the front).
+
+    A forward DP F (cheapest cost from the origin) and a backward DP B
+    (cheapest cost to the sink) price the cheapest path through each edge
+    as F[source] + weight + B[target]; the second-best cost is the minimum
+    over the edges the given path does not take.  F at the sink is z*.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    gamma = float(gamma)
+    Tp, Tt = m.shape
+    nodes = [(i, k) for i in range(Tp + 1) for k in range(Tt + 1)]
+    F = np.full((Tp + 1, Tt + 1), np.inf)
+    F[0, 0] = 0.0
+    for i, k in nodes:
+        for _, src, w in _lattice_edges_into(m, gamma, i, k):
+            F[i, k] = min(F[i, k], F[src] + w)
+    B = np.full((Tp + 1, Tt + 1), np.inf)
+    B[Tp, Tt] = 0.0
+    for i, k in reversed(nodes):
+        for _, src, w in _lattice_edges_into(m, gamma, i, k):
+            B[src] = min(B[src], w + B[i, k])
+    taken, i, k = set(), 0, 0
+    for kind in (int(x) for x in kinds if x):
+        i, k = i + (kind != 2), k + (kind != 3)
+        taken.add((kind, i, k))
+    second = np.inf
+    for i, k in nodes:
+        for kind, src, w in _lattice_edges_into(m, gamma, i, k):
+            if (kind, i, k) not in taken:
+                second = min(second, F[src] + w + B[i, k])
+    return float(F[Tp, Tt]), float(second)
 
 
 def distinct_row_counts(Ys: np.ndarray) -> list:

@@ -22,7 +22,7 @@ from combgrad import (
 from combgrad import _kernels
 from combgrad._kernels import _gsa_many_c, _gsa_many_py, _gsa_py
 
-from oracles import enumerate_path_costs, enumerate_paths, step_string
+from oracles import enumerate_path_costs, enumerate_paths, second_best_path, step_string
 
 # AlignResult.kinds codes for a diagonal, a target-skipping and a
 # prediction-skipping step.
@@ -128,6 +128,31 @@ class TestOracleAgreement:
             assert abs(res.z_star - zmin) <= 1e-9
             n_opt = int(np.sum(costs <= zmin + 1e-9))
             assert res.unique == (n_opt == 1)
+
+    def test_z_and_unique_agree_with_the_second_best_path(self, backend):
+        # Past enumeration size: z* is the forward DP's, and unique says every
+        # other path costs more than z* + tol * (1 + |z*|).  Integer costs in
+        # 0..side/2 tie on about half the grids at every size, so both
+        # verdicts are checked everywhere.
+        rng = np.random.default_rng(97)
+        for Tp, Tt, n in [(16, 17, 12), (24, 24, 10), (32, 33, 8), (48, 50, 6), (64, 66, 5)]:
+            ms = rng.integers(0, Tp // 2 + 1, size=(n, Tp, Tt)).astype(np.float64)
+            zs, kinds, _, unique = _kernels.gsa_kernel_many(ms, 1.5)
+            for m, z, path, verdict in zip(ms, zs, kinds, unique):
+                z_star, second = second_best_path(m, 1.5, path)
+                assert abs(z - z_star) <= 1e-9 * (1.0 + abs(z_star)), (Tp, Tt)
+                assert verdict == (second > z_star + 1e-9 * (1.0 + abs(z_star))), (Tp, Tt)
+            assert 0.2 <= 1.0 - unique.mean() <= 0.8, (Tp, Tt)
+
+    def test_a_path_exactly_tol_dearer_is_a_tie(self, backend):
+        # The optimum DPD and the runner-up PDD meet at node (1, 2), whose
+        # best cost is 0, where PDD arrives one unit dearer.  Ties are
+        # decided where paths meet: a unit of tol = 1e-9 is within
+        # tol * (1 + 0) of 0, so the optimum is tied; 1.5e-9 is not.
+        for unit, unique in ((1e-9, False), (1.5e-9, True)):
+            res = solve_gsa(AlignGrid(m=np.array([[0.0, unit, 0.0], [unit, 0.0, 1.0]]), gamma=1.5))
+            assert res.step_string() == "DPD"
+            assert res.unique == unique
 
     def test_enumeration_counts_all_lattice_paths(self):
         # Path counts over an (n, n) grid: 3, 13, ..., 48639 for n = 7.

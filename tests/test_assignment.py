@@ -26,11 +26,11 @@ from combgrad import (
     solve_assignment,
 )
 from combgrad import _kernels
-from combgrad._kernels import _assign_core_py, _assign_many_c, _assign_many_py, _lex_refine, _min_cycle
+from combgrad._kernels import _assign_core_py, _assign_many_c, _assign_many_py, _certify, _lex_refine, _min_cycle
 from combgrad.core import _log_costs
 
 from helpers import central_fd
-from oracles import distinct_row_counts, enumerate_permutations
+from oracles import distinct_row_counts, enumerate_permutations, second_best_matching
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
 
@@ -107,6 +107,21 @@ class TestOracleAgreement:
             u, v = res.duals_u, res.duals_v
             assert (C - u[:, None] - v[None, :]).min() >= -1e-9
             assert abs(float(u.sum() + v.sum()) - res.z_star) <= 1e-9
+
+    def test_unique_agrees_with_the_second_best_matching(self, backend):
+        # Past enumeration size: unique says every other matching costs more
+        # than perm's + tol.  Integer costs in 0..top, with top grown with b,
+        # tie on about half the instances at every size, so both verdicts are
+        # checked everywhere.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(89)
+        for b, top, n in [(9, 9, 12), (16, 32, 10), (32, 128, 8), (64, 192, 5), (128, 512, 4)]:
+            Cs = rng.integers(0, top + 1, size=(n, b, b)).astype(np.float64)
+            perms, _, _, unique = _kernels.assignment_kernel_many(Cs)
+            for C, perm, verdict in zip(Cs, perms, unique):
+                z = float(C[np.arange(b), perm].sum())
+                assert verdict == (second_best_matching(C, perm) > z + 1e-9), b
+            assert 0.2 <= 1.0 - unique.mean() <= 0.8, b
 
     def test_long_tie_chain_refines_without_recursion(self):
         # Zero cost on the diagonal and on (i, i+1 mod b), rows reversed: the
@@ -248,10 +263,12 @@ def test_the_backend_is_whether_the_c_library_loads_decided_once(library, monkey
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_kernel_source_compiles_without_warnings():
-    proc = subprocess.run(
-        ["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", _kernels._C_SOURCE], capture_output=True, text=True
-    )
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # With the flags the library ships with: some warnings only appear when
+    # the compiler optimizes.
+    warn = ["-Wall", "-Wextra", "-Werror"]
+    cmd = ["cc", *_kernels._C_FLAGS, *warn, "-o", str(tmp_path / "kernels.so"), _kernels._C_SOURCE]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -316,7 +333,51 @@ def _certificate_instances(sizes, seed):
                 yield f"integers x {scale:g}", scale * rng.integers(0, 4, size=(b, b))
 
 
+def _swap_weights(Cs, perms, us, vs):
+    # The certificate's graph written out: W[i, r] = slack[i, perm[r]] -
+    # slack[r, perm[r]], with slack = (C - u) - v.
+    slack = Cs - us[:, :, None] - vs[:, None, :]
+    S = np.take_along_axis(slack, perms[:, None, :], axis=2)
+    return S - np.diagonal(S, axis1=1, axis2=2)[:, None, :]
+
+
+def _pre_check_families(rng, b, k):
+    i = np.arange(b, dtype=np.float64)
+    yield "uniform", rng.uniform(-1.0, 1.0, size=(k, b, b))
+    yield "integers", rng.integers(0, 4, size=(k, b, b)).astype(np.float64)
+    yield "+-1e6", rng.uniform(-1e6, 1e6, size=(k, b, b))
+    yield "outer(i, i)", np.repeat(np.outer(i, i)[None], k, axis=0)
+    for scale in (0.3e-9, 0.45e-9, 1e-9):
+        yield f"integers x {scale:g}", scale * rng.integers(0, 4, size=(k, b, b))
+    # Two matchings of equal cost planted under duals near 1e7, whose slacks
+    # round off by about tol: a near-tie whose cycle can hold a swap dearer
+    # than tol, offset by negative ones.  Only the pre-check's (b - 1) * w_min
+    # term keeps such a cycle among the light swaps.
+    planted = rng.uniform(0.0, 1.0, size=(k, b, b))
+    for t in range(k):
+        order = rng.permutation(b)
+        planted[t, order, order] = 0.0
+        planted[t, order, np.roll(order, 1)] = 0.0
+    yield "planted tie near 1e7", rng.uniform(-1e7, 1e7, size=(k, b, 1)) + rng.uniform(-1e7, 1e7, size=(k, 1, b)) + planted
+
+
 class TestUniquenessCertificate:
+    def test_the_pre_check_keeps_the_closure_verdict(self, backend):
+        # The certificate skips its O(b^3) closure where the light swaps form
+        # no cycle.  Its verdict must be the closure's, byte for byte, from
+        # the kernel and from the numpy certificate alike.
+        rng = np.random.default_rng(73)
+        verdicts = set()
+        for b in [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 128]:
+            for family, Cs in _pre_check_families(rng, b, max(2, 96 // b)):
+                perms, us, vs, unique = _kernels.assignment_kernel_many(Cs)
+                closure = _min_cycle(_swap_weights(Cs, perms, us, vs)) > 1e-9
+                assert unique.tobytes() == closure.tobytes(), (family, b)
+                assert _certify(Cs, perms, us, vs).tobytes() == closure.tobytes(), (family, b)
+                verdicts.update((family, bool(v)) for v in unique)
+        assert len(verdicts) == 13  # uniform, +-1e6 and outer(i, i) never tie
+
+
     def test_agrees_with_enumeration(self, backend):
         seen = set()
         for family, C in _certificate_instances([(b, 6) for b in range(1, 9)], seed=61):

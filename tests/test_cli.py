@@ -692,6 +692,24 @@ class TestTrain:
         assert rows[0] == ["epoch", "split", "metric", "value", "seconds"]
         assert not (tmp_path / "diverged.params.txt").exists()
 
+    @pytest.mark.parametrize("task", ["bags", "seq"])
+    def test_a_diverging_run_prints_one_stderr_line(self, task, tmp_path):
+        # A subprocess with numpy's default error handling, so overflow
+        # warnings would reach stderr as they do for a user.  The backend is
+        # decided first, so a machine without C warns about that beforehand.
+        cfg = write_json(tmp_path / "cfg.json", {"loss": "mle", "lr": 1e308, "epochs": 1, "dataset": {"n": 60}})
+        probe = (
+            "import sys, warnings; from combgrad import cli, get_backend\n"
+            "with warnings.catch_warnings():\n"
+            "    warnings.simplefilter('ignore')\n"
+            "    get_backend()\n"
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        argv = [sys.executable, "-c", probe, "train", task, cfg, "--out", str(tmp_path / "m.csv")]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert re.fullmatch(r"error\[aborted\]: [^\n]*\n", proc.stderr), proc.stderr
+
 
 # ---------------------------------------------------------------------------
 # bench

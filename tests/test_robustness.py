@@ -43,6 +43,7 @@ from combgrad import (
     supergradient_check,
     tape,
 )
+from combgrad import _kernels
 from combgrad.alignment import check_gap_factor
 from combgrad.experiments import BagDatasetSpec, SeqTaskSpec, TrainConfig
 from combgrad.experiments.bags import make_bags, train_bags
@@ -173,6 +174,50 @@ _NON_FINITE_CHECKS = {
 def test_each_non_finite_check_raises_non_finite(site):
     with pytest.raises(NonFinite):
         _NON_FINITE_CHECKS[site]()
+
+
+# The kernels themselves, below the public range checks: a cost that leaves
+# a step with no finite choice raises NonFinite from either body.
+_NO_FINITE_STEP = {
+    "assignment: a row of infinite costs": lambda: _kernels.assignment_kernel(np.array([[np.inf, np.inf], [1.0, 1.0]])),
+    "gsa: an infinite first cell walls off the sink's backtrack": lambda: _kernels.gsa_kernel(
+        np.array([[np.inf, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0]]), 1.5
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_NO_FINITE_STEP))
+def test_a_kernel_without_a_finite_step_raises_non_finite(site, backend):
+    with pytest.raises(NonFinite):
+        _NO_FINITE_STEP[site]()
+
+
+def _outcome(body, *args):
+    try:
+        return [a.tobytes() for a in body(*args)]
+    except NonFinite:
+        return "NonFinite"
+
+
+@pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
+def test_both_kernel_bodies_fail_alike_on_infinite_costs():
+    # Either both bodies raise, or both return the same bytes: an
+    # unreachable node reads no path count from outside the lattice.
+    rng = np.random.default_rng(83)
+    failed = {"assignment": 0, "gsa": 0}
+    for _ in range(200):
+        b = int(rng.integers(1, 6))
+        Cs = rng.integers(0, 3, size=(1, b, b)).astype(np.float64)
+        Cs[rng.random(Cs.shape) < 0.3] = np.inf
+        outcome = _outcome(_kernels._assign_many_c, Cs)
+        assert outcome == _outcome(_kernels._assign_many_py, Cs), Cs
+        failed["assignment"] += outcome == "NonFinite"
+        ms = rng.integers(0, 3, size=(1, *rng.integers(1, 6, size=2))).astype(np.float64)
+        ms[rng.random(ms.shape) < 0.3] = np.inf
+        outcome = _outcome(_kernels._gsa_many_c, ms, 1.5)
+        assert outcome == _outcome(_kernels._gsa_many_py, ms, 1.5), ms
+        failed["gsa"] += outcome == "NonFinite"
+    assert 0 < failed["assignment"] < 200 and 0 < failed["gsa"] < 200
 
 
 # ---------------------------------------------------------------------------
