@@ -2,33 +2,35 @@
 
 Each problem has exactly two bodies:
 
-* the numpy reference (``_assign_core_py``, ``_gsa_py``), which is the
+* the numpy reference (``_assign_many_py``, ``_gsa_py``), which is the
   readable oracle;
-* a statement-for-statement C port (``assign_many``, ``gsa_many`` in
-  ``_kernels.c``), compiled with the system C compiler on first use (never
-  on import) into a per-user cache directory and loaded through ctypes.
+* the C port (``assign_many``, ``gsa_many`` in ``_kernels.c``), compiled
+  with the system C compiler on first use (never on import) into a
+  per-user cache directory and loaded through ctypes.
 
-Both follow the same arithmetic order, so the ``c`` and ``numpy`` backends
-produce bitwise-identical outputs.  The backend is decided once per process,
-on the first kernel call: ``c`` when the C library builds and loads,
-otherwise the package warns once and runs on ``numpy``.  A C call that fails
-raises (``MemoryError`` when its workspace cannot be allocated,
-``NonFinite`` on a non-finite step); it is never re-solved on the other
-backend.  The numpy reference raises ``NonFinite`` on the same steps.
+The port repeats the solve, the refinement, the certificate's closure and
+the lattice DP statement for statement, in the same arithmetic order, so
+the ``c`` and ``numpy`` backends produce bitwise-identical outputs.  Its
+one shortcut, ``light_acyclic``, skips the closure where no near-tie can
+exist; the bitwise tests check that it keeps the closure's verdict.  The
+backend is decided once per process, on the first kernel call: ``c`` when
+the C library builds and loads, otherwise the package warns once and runs
+on ``numpy``.  A C call that fails raises (``MemoryError`` when its
+workspace cannot be allocated, ``NonFinite`` on a non-finite step); it is
+never re-solved on the other backend.  The numpy reference raises
+``NonFinite`` on the same steps.
 
 Single-instance entry points run a stack of one, so every public kernel
 goes through one path per problem.  Each kernel decides its own ties.  The
 assignment kernel solves, refines each matching to the lexicographically
-smallest near-optimal one (``_lex_refine``, ported as ``lex_refine`` in C)
-and certifies it (``_certify``): the matching costs at most its dual sum
-plus ``_TOL``, and ``unique`` says whether every other matching costs more
-than that matching plus ``_TOL``.  The certificate is an O(b^2) test that
-the swaps light enough to lie on a near-tie form no cycle (``_acyclic``,
-ported as ``light_acyclic``), and only where they do an O(b^3) closure
-(``_min_cycle``, ported as ``min_cycle``).  The alignment
-kernel solves, counts the paths tied within ``_TOL * (1 + |z|)``, and
-returns the winning path as each step's kind and the cell whose cost it
-paid, gap clamp included; :func:`gsa_grads` turns those into gradients.
+smallest near-optimal one (``_lex_refine``) and certifies it
+(``_certify``): the matching costs at most its dual sum plus ``_TOL``, and
+``unique`` says whether every other matching costs more than that matching
+plus ``_TOL``, as an O(b^3) closure over the swaps decides (``_min_cycle``).
+The alignment kernel solves, counts the paths tied at each node within
+``_TOL * (1 + |best|)`` of its best cost, and returns the winning path as
+each step's kind and the cell whose cost it paid, gap clamp included;
+:func:`gsa_grads` turns those into gradients.
 Every dispatch increments an invocation counter per kernel kind so callers
 can assert how many solver runs a code path costs.
 """
@@ -187,22 +189,21 @@ _TOL = 1e-9
 _NO_FINITE_STEP = "a non-finite cost left the kernel without a finite step"
 
 
-def _assign_core_py(C, u, v, p, way, minv, used, perm):
-    # Workspace-reusing core: all arrays are caller-allocated and fully
-    # reset here, so batched callers pay no per-instance allocations.  The
+def _assign_core_py(C):
+    # Returns (perm, u, v): the optimal matching and its feasible duals.  The
     # inner column scan is the only vectorized part and is elementwise, so
     # results match the solve in assign_many (_kernels.c) bit for bit.
     n = C.shape[0]
-    u[:] = 0.0
-    v[:] = 0.0
-    p[:] = 0  # p[j]: row matched to column j (0 = free)
-    way[:] = 0
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, np.int64)  # p[j]: row matched to column j (0 = free)
+    way = np.zeros(n + 1, np.int64)
     cols = np.arange(1, n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv[:] = np.inf
-        used[:] = False
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, np.bool_)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -228,8 +229,9 @@ def _assign_core_py(C, u, v, p, way, minv, used, perm):
             j0 = j1
             if j0 == 0:
                 break
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
+    perm = np.empty(n, np.int64)
+    perm[p[1:] - 1] = cols - 1
+    return perm, u[1:], v[1:]
 
 
 def _lex_refine(C: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,20 +332,6 @@ def _min_cycle(W: np.ndarray) -> np.ndarray:
     return diag.min(axis=1, initial=np.inf)
 
 
-def _acyclic(light: np.ndarray) -> np.ndarray:
-    """Per graph of a (k, b, b) boolean adjacency stack: has it no directed
-    cycle (the diagonal counts as an edge)?  Kahn's rule: a node that no
-    remaining node's edge enters lies on no cycle, so drop it, until no node
-    is left (acyclic) or none can go.  The reference for light_acyclic in
-    _kernels.c, which queues the nodes one at a time instead."""
-    alive = np.ones(light.shape[:2], np.bool_)
-    while True:
-        kept = alive & np.any(light & alive[:, :, None], axis=1)
-        if np.array_equal(kept, alive):
-            return ~alive.any(axis=1)
-        alive = kept
-
-
 def _certify(Cs, perms, us, vs):
     """Per instance: does every other matching cost more than perm's + _TOL?
 
@@ -352,26 +340,11 @@ def _certify(Cs, perms, us, vs):
     cost of one such swap (perm's own edges may keep up to _TOL / b slack,
     which is subtracted), so a cycle of W weighs what its matching costs
     beyond perm's, and perm is unique when the lightest cycle weighs more
-    than _TOL.
-
-    The O(b^3) closure runs only where a near-tie may exist.  No swap weighs
-    less than w_min, so a cycle of at most b swaps that weighs at most _TOL
-    uses only swaps of at most thr = _TOL - (b - 1) * min(w_min, 0); the
-    factor 1 + 1e-6 covers the closure's rounding.  Where those light swaps
-    form no cycle (an O(b^2) test), perm is unique.  A NaN weight leaves
-    the verdict to the closure.
+    than _TOL.  A NaN weight reads as a tie.
     """
     slack = Cs - us[:, :, None] - vs[:, None, :]
     S = np.take_along_axis(slack, perms[:, None, :], axis=2)
-    W = S - np.diagonal(S, axis1=1, axis2=2)[:, None, :]
-    k, b, _ = W.shape
-    w_min = W.min(axis=(1, 2), initial=np.inf)
-    W.reshape(k, b * b)[:, :: b + 1] = np.inf
-    thr = (_TOL - (b - 1) * np.minimum(w_min, 0.0)) * (1.0 + 1e-6)
-    unique = ~np.isnan(w_min) & _acyclic(W <= thr[:, None, None])
-    near = ~unique
-    unique[near] = _min_cycle(W[near]) > _TOL
-    return unique
+    return _min_cycle(S - np.diagonal(S, axis1=1, axis2=2)[:, None, :]) > _TOL
 
 
 def _assign_many_py(Cs):
@@ -379,18 +352,9 @@ def _assign_many_py(Cs):
     perms = np.empty((k, n), np.int64)
     us = np.empty((k, n))
     vs = np.empty((k, n))
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
-    minv = np.empty(n + 1)
-    used = np.zeros(n + 1, np.bool_)
-    perm = np.empty(n, np.int64)
     for t in range(k):
-        _assign_core_py(Cs[t], u, v, p, way, minv, used, perm)
-        perms[t] = _lex_refine(Cs[t], perm, u[1:], v[1:])
-        us[t] = u[1:]
-        vs[t] = v[1:]
+        perm, us[t], vs[t] = _assign_core_py(Cs[t])
+        perms[t] = _lex_refine(Cs[t], perm, us[t], vs[t])
     return perms, us, vs, _certify(Cs, perms, us, vs)
 
 
@@ -445,9 +409,11 @@ def assignment_kernel_many(Cs: np.ndarray):
 # (vertical).  Gap edges read the match cost at the source node with
 # out-of-range indices clamped to the last valid cell, scaled by gamma; the
 # backtrack records each step's kind and the flat index of the cell it read.
-# Ties prefer diagonal, then horizontal gap, then vertical gap.  A candidate
-# within _TOL * (1 + |best|) of a node's best cost counts as tied when paths
-# are counted.
+# Ties prefer diagonal, then horizontal gap, then vertical gap.  Paths are
+# counted node by node: a candidate within _TOL * (1 + |best|) of its node's
+# best cost counts as tied there.  So a runner-up path within _TOL * (1 + |z|)
+# of the optimum z is dropped where it meets the optimal path if it is dearer
+# there than that node's tolerance (solve_gsa gives an example).
 # ---------------------------------------------------------------------------
 
 

@@ -86,7 +86,8 @@ class AlignResult:
     kinds (1 match, 2 skip-target, 3 skip-pred) and cells, the flat index
     into m of the cost the step paid: a match step costs m.flat[cell] and a
     gap step gamma times it.  unique is True when the kernel counted exactly
-    one optimal path, so the path's edge counts are the whole gradient.
+    one optimal path, so the path's edge counts are the whole gradient; ties
+    are counted node by node, as solve_gsa describes.
     """
 
     z_star: float
@@ -104,7 +105,10 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
 
     Ties break deterministically: match beats skip-target beats skip-pred.
     The same kernel pass counts the optimal paths, so the uniqueness verdict
-    costs nothing extra.
+    costs nothing extra.  Ties count within 1e-9 * (1 + |c|) of each lattice
+    node's best cost c: on m = [[0, 1.5e-9, 0], [1.5e-9, 0, 1]], gamma 1.5,
+    path DPD (cost 1) is unique though PDD costs 1 + 1.5e-9, as the two
+    meet at a node of cost 0, where 1.5e-9 exceeds the tolerance.
     """
     _arg(grid, "grid", (AlignGrid, None, "an AlignGrid"))
     z, kinds, cells, unique = _kernels.gsa_kernel(grid.m, grid.gamma)

@@ -80,7 +80,8 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
     of the optimum, so equal-cost inputs always yield the same answer, and
     certifies it: any other matching differs from perm by cycles of swaps,
     and an O(b^3) closure over the swaps' costs finds the cheapest without
-    a second solve.
+    a second solve (the C port skips it where an O(b^2) test rules out a
+    near-tie, with the closure's verdict).
     """
     C = _validate_cost(C)
     b = C.shape[0]

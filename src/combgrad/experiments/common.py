@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .. import tape
+from ..alignment import check_gap_factor
 from ..core import POSITIVE, REAL, WHOLE, _arg
 from ..errors import CombgradError, InvalidInput, TrainAborted
 
@@ -77,8 +78,8 @@ class TrainConfig(_Checked):
         if self.feed not in _FEEDS:
             raise InvalidInput(f"feed must be one of {_FEEDS}, got {self.feed!r}")
         _arg(self.bag_size, "bag_size", WHOLE)
-        if self.loss == "gsa" and not self.gamma > 1.0:
-            raise InvalidInput("the gap factor gamma must be > 1 for the alignment loss")
+        # Sequence evaluation scores by alignment cost whatever the loss.
+        check_gap_factor(self.gamma)
         _arg(self.epochs, "epochs", WHOLE)
         _arg(self.lr, "lr", POSITIVE)
         _arg(self.batch_size, "batch_size", WHOLE)

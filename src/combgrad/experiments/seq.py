@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, List, Tuple
 import numpy as np
 
 from .. import _kernels, tape
-from ..alignment import _match_costs, check_gap_factor, check_grids, gsa_loss
+from ..alignment import _match_costs, check_grids, gsa_loss
 from ..core import _one_hot
 from ..errors import InvalidInput
 from .common import MetricsRow, TrainConfig, _Checked, check_field_types, mean_loss_node, run_epochs
@@ -374,9 +374,6 @@ def train_seq(config: TrainConfig, spec: SeqTaskSpec) -> Tuple[List[MetricsRow],
     """
     if config.loss == "matching":
         raise InvalidInput("the matching loss does not apply to the sequence task")
-    # Held-out quality is an alignment cost whatever the loss, so gamma must
-    # be valid before any work starts.
-    check_gap_factor(config.gamma)
     if spec.vocab * (spec.max_len + 1) > _MAX_ONE_HOT:
         raise InvalidInput(f"training needs vocab * (max_len + 1) of at most {_MAX_ONE_HOT}")
     data = gen_seq_dataset(spec)

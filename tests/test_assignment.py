@@ -289,14 +289,8 @@ class TestDualCertificates:
 def _raw_kernel_many(Cs):
     # The solve without the lexicographic refinement: the numpy core, one
     # instance at a time.  Returns (perms, us, vs) like assignment_kernel_many.
-    k, n, _ = Cs.shape
-    perms, us, vs = np.empty((k, n), np.int64), np.empty((k, n)), np.empty((k, n))
-    u, v, minv = np.zeros(n + 1), np.zeros(n + 1), np.empty(n + 1)
-    p, way, used = np.zeros(n + 1, np.int64), np.zeros(n + 1, np.int64), np.zeros(n + 1, np.bool_)
-    for t in range(k):
-        _assign_core_py(Cs[t], u, v, p, way, minv, used, perms[t])
-        us[t], vs[t] = u[1:], v[1:]
-    return perms, us, vs
+    perms, us, vs = zip(*(_assign_core_py(C) for C in Cs))
+    return np.array(perms), np.array(us), np.array(vs)
 
 
 def _refined_reference(C):

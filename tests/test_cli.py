@@ -636,11 +636,18 @@ class TestTrain:
         assert "unknown config keys" in err
         assert "momentum" in err
 
-    def test_invalid_gamma_exits_two(self, tmp_path, capsys):
-        bad = dict(SEQ_CONFIG, gamma=1.0)
-        cfg = write_json(tmp_path / "cfg.json", bad)
-        code, _, err = run_cli(["train", "seq", cfg, "--out", str(tmp_path / "m.csv")], capsys)
+    @pytest.mark.parametrize(
+        "loss,gamma",
+        # 1e400 is JSON text that json reads as inf.
+        [("gsa", "1.0"), ("gsa", "1e400"), ("mle", "1.0")],
+    )
+    def test_invalid_gamma_exits_two(self, loss, gamma, tmp_path, capsys):
+        doc = json.dumps(dict(SEQ_CONFIG, loss=loss, gamma="GAMMA")).replace('"GAMMA"', gamma)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        code, out, err = run_cli(["train", "seq", str(cfg), "--out", str(tmp_path / "m.csv")], capsys)
         assert code == 2
+        assert out == ""  # the config is checked before it is echoed
         assert err.startswith("error[input]:")
 
     @pytest.mark.parametrize(
@@ -1050,6 +1057,10 @@ def _runs(draw):
     return command, kind, config
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
 def _builds(spec_cls, dataset: dict) -> bool:
     try:
         spec_cls(**{"seed": 0, **dataset})
@@ -1060,6 +1071,7 @@ def _builds(spec_cls, dataset: dict) -> bool:
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @example(run=("train", "bags", {"epochs": 1, "loss": "mle", "lr": 1e308, "dataset": {"n": 60}}), source="document", target="file")
+@example(run=("train", "bags", {"epochs": 1, "loss": "mle", "gamma": math.nan, "dataset": {"n": 60}}), source="document", target="file")
 @given(
     run=_runs(),
     source=st.sampled_from(["document"] * 5 + ["directory", "nested", "empty"]),
@@ -1081,6 +1093,8 @@ def test_random_runs_and_paths_end_in_an_exit_code_and_at_most_one_protocol_line
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
         code = main([command, kind, str(path), "--out", str(out_path)])
     assert code in (0, 2, 4)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_not_json)  # strict JSON: no NaN or Infinity
     if code == 0:
         assert err.getvalue() == ""
     else:
