@@ -122,12 +122,24 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
 def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     """Gradient of the optimal path cost, shaped like the match-cost matrix.
 
-    Each matched cell gets 1 per visit and each gap charges gamma to the
-    cell it paid: the exact gradient of the cost actually paid.
+    Each matched cell gets 1 per visit and each gap charges grid.gamma, which
+    the result does not record, to the cell it paid: the exact gradient of
+    the cost actually paid.  DimensionMismatch unless every step of the
+    result is a match, skip-target or skip-pred step and the steps end at
+    (Tp, Tt), as a path solved on this grid does; the cells are not
+    re-checked.
     """
     _arg(grid, "grid", (AlignGrid, None, "an AlignGrid"))
     _arg(result, "result", (AlignResult, None, "an AlignResult"))
-    G = _kernels.gsa_grads(result.kinds[None], result.cells[None], *grid.m.shape, grid.gamma)[0]
+    Tp, Tt = grid.m.shape
+    try:
+        # Steps per kind, 0 to the largest; a negative or non-integer kind raises.
+        n = np.bincount(result.kinds, minlength=4).tolist()
+    except (ValueError, TypeError):
+        n = []
+    if not (len(n) == 4 and n[0] == 0 and n[1] + n[2] == Tt and n[1] + n[3] == Tp):
+        raise DimensionMismatch(f"the path does not cross the {Tp}x{Tt} grid from (0, 0) to ({Tp}, {Tt})")
+    G = _kernels.gsa_grads(result.kinds[None], result.cells[None], Tp, Tt, grid.gamma)[0]
     G.setflags(write=False)
     return G
 

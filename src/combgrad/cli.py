@@ -406,12 +406,13 @@ def _cmd_train(args) -> int:
     spec_cls, trainer = _TRAINERS[args.task]
     # The data follows the run's seed unless the dataset override names one.
     spec = spec_cls(**{"seed": config.seed, **dataset_cfg})
-    # Fail now, not after training, when the metrics file cannot be written;
-    # a file this check creates is removed again.
-    existed = os.path.exists(out)
-    open(out, "a").close()
-    if not existed:
-        os.remove(out)
+    # Fail now, not after training, when the metrics or the checkpoint file
+    # cannot be written; a file this check creates is removed again.
+    for path in (out, ckpt):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
     echo = {
         "task": args.task,
         "config": config.to_dict(),

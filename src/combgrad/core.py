@@ -146,7 +146,8 @@ class SolverOutcome:
 
     ``u_star``, a primal optimum, is the gradient in ``c``; ``v_star``, a
     dual optimum, in ``b``; ``-outer(v_star, u_star)`` in ``A``.  ``unique``
-    says whether the solver certified the primal optimum as the only one.
+    says whether the solver certified the primal optimum as the only one:
+    a bool or numpy bool, stored as bool, else InvalidInput.
     """
 
     z_star: float
@@ -156,6 +157,10 @@ class SolverOutcome:
 
     def __post_init__(self):
         object.__setattr__(self, "z_star", float(_arg(self.z_star, "z_star", REAL)))
+        # Not _arg: its number rules reject every bool.
+        if not isinstance(self.unique, (bool, np.bool_)):
+            raise InvalidInput(f"unique must be a bool, got {self.unique!r:.60}")
+        object.__setattr__(self, "unique", bool(self.unique))
         for name in ("u_star", "v_star"):
             object.__setattr__(self, name, np.atleast_1d(_freeze(getattr(self, name), name)))
 
@@ -198,6 +203,14 @@ class SupergradReport:
 _RADIUS = 0.5
 
 
+def _value(y) -> float:
+    """A value f returned, as a float: InvalidInput unless it is one real number."""
+    y = _floats(y, "f's value")
+    if y.size != 1:
+        raise InvalidInput(f"f must return one number, got an array of shape {y.shape}")
+    return float(y.reshape(()))
+
+
 def supergradient_check(
     f: Callable[[np.ndarray], float],
     w: np.ndarray,
@@ -212,21 +225,27 @@ def supergradient_check(
     Tests f(w') <= f(w) + <g, w' - w> + tol at `trials` points w' drawn
     uniformly from the ball of radius 0.5 around w, with `rng` (default
     ``np.random.default_rng(0)``).  Reports the worst violation found
-    (positive = violated).  NonFinite when w, g, f(w) or a sampled f(w') is
-    not finite, since a NaN violation never counts as violated.
+    (positive = violated).  Each value of f is read as `_floats` reads an
+    array and must hold exactly one real number, else InvalidInput; an
+    exception raised inside f propagates unchanged.  DimensionMismatch when
+    w is empty or g has another shape.  NonFinite when w, g, f(w) or a
+    sampled f(w') is not finite, since a NaN violation never counts as
+    violated.
     """
     _arg(f, "f", (Callable, None, "a callable"))
     _arg(trials, "trials", WHOLE)
     _arg(tol, "tol", NONNEG)
     w = _floats(w, "w")
     g = _floats(g, "g")
+    if w.size == 0:
+        raise DimensionMismatch("the point w must have at least one entry")
     if g.shape != w.shape:
         raise DimensionMismatch(f"gradient shape {g.shape} != parameter shape {w.shape}")
     if not (np.isfinite(w).all() and np.isfinite(g).all()):
         raise NonFinite("the point w and the gradient g must be finite")
     if rng is None:
         rng = np.random.default_rng(0)
-    fw = float(f(w))
+    fw = _value(f(w))
     if not math.isfinite(fw):
         raise NonFinite(f"f(w) must be finite, got {fw}")
     worst = -np.inf
@@ -237,7 +256,7 @@ def supergradient_check(
             continue
         r = _RADIUS * float(rng.uniform()) ** (1.0 / w.size)
         wp = w + (r / nrm) * d
-        fp = float(f(wp))
+        fp = _value(f(wp))
         if not math.isfinite(fp):
             raise NonFinite(f"f must be finite near w, got {fp} at a sampled point")
         viol = fp - (fw + float(np.vdot(g, wp - w)))

@@ -11,7 +11,7 @@ feasibility tests and tie sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import NONNEG, POSITIVE, WHOLE, LPSpec, SolverOutcome, _arg, _check_w
 from .errors import (
     DegenerateInstance,
     Infeasible,
+    InvalidInput,
     IterationLimit,
     NonFinite,
     Unbounded,
@@ -28,13 +29,15 @@ from .errors import (
 
 _MAX_PIVOTS = 20000
 _TOL = 1e-9
+# The largest constraint matrix random_lp draws.
+_MAX_ENTRIES = 10**6
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col, None] * T[row]
     basis[row] = col
 
 
@@ -51,14 +54,10 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray) -> None:
     for _ in range(_MAX_PIVOTS):
         cb = cost[basis]
         reduced = cost[:ncols] - cb @ T[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(reduced < -_TOL)
+        if not improving.size:
             return
-        col = T[:, entering]
+        col = T[:, improving[0]]
         best_ratio = np.inf
         leave = -1
         for r in range(m):
@@ -71,7 +70,7 @@ def _simplex_iterate(T: np.ndarray, basis: list, cost: np.ndarray) -> None:
                     leave = r
         if leave < 0:
             raise Unbounded("improving direction with no blocking constraint")
-        _pivot(T, basis, leave, entering)
+        _pivot(T, basis, leave, improving[0])
     raise IterationLimit(f"simplex did not terminate within the pivot budget of {_MAX_PIVOTS}")
 
 
@@ -112,29 +111,21 @@ def _two_phase(spec: LPSpec) -> SolverOutcome:
     # Pivot artificials out of the basis; rows that cannot be cleared are
     # redundant and get dropped (their dual component is reported as zero).
     keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= p:
-            piv = -1
-            for j in range(p):
-                if abs(T[r, j]) > _TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(T, basis, r, piv)
-            else:
-                keep[r] = False
-    if not keep.all():
-        T = T[keep]
-        basis = [basis[r] for r in range(m) if keep[r]]
+    for r in np.flatnonzero(np.array(basis) >= p):
+        piv = np.flatnonzero(np.abs(T[r, :p]) > _TOL)
+        if piv.size:
+            _pivot(T, basis, r, piv[0])
+        else:
+            keep[r] = False
+    T = T[keep]
+    basis = [j for j, kept in zip(basis, keep) if kept]
 
     # Phase 2 on the original columns only.
     T2 = np.hstack([T[:, :p], T[:, -1:]])
-    cost2 = spec.c.copy()
-    _simplex_iterate(T2, basis, cost2)
+    _simplex_iterate(T2, basis, spec.c)
 
     u = np.zeros(p)
-    for r, j in enumerate(basis):
-        u[j] = T2[r, -1]
+    u[basis] = T2[:, -1]
     z = float(spec.c @ u)
 
     B = A[keep][:, basis]
@@ -145,7 +136,7 @@ def _two_phase(spec: LPSpec) -> SolverOutcome:
     reduced = spec.c - A[keep].T @ v_kept
     nonbasic = np.ones(p, dtype=bool)
     nonbasic[basis] = False
-    unique = bool(np.all(reduced[nonbasic] > _TOL)) if nonbasic.any() else True
+    unique = bool(np.all(reduced[nonbasic] > _TOL))
     return SolverOutcome(z_star=z, u_star=u, v_star=v, unique=unique)
 
 
@@ -216,30 +207,27 @@ def check_lp_grads(
     if rng is None:
         rng = np.random.default_rng(0)
     u, v = outcome.u_star, outcome.v_star
-
-    dc = rng.standard_normal(spec.num_vars)
-    z_hi = solve_lp(LPSpec(spec.c + eps * dc, spec.A, spec.b)).z_star
-    z_lo = solve_lp(LPSpec(spec.c - eps * dc, spec.A, spec.b)).z_star
-    rep_c = _fd_report(float(u @ dc), (z_hi - z_lo) / (2 * eps), rtol)
-
-    db = rng.standard_normal(m)
-    z_hi = solve_lp(LPSpec(spec.c, spec.A, spec.b + eps * db)).z_star
-    z_lo = solve_lp(LPSpec(spec.c, spec.A, spec.b - eps * db)).z_star
-    rep_b = _fd_report(float(v @ db), (z_hi - z_lo) / (2 * eps), rtol)
-
-    dA = rng.standard_normal((m, spec.num_vars))
-    z_hi = solve_lp(LPSpec(spec.c, spec.A + eps * dA, spec.b)).z_star
-    z_lo = solve_lp(LPSpec(spec.c, spec.A - eps * dA, spec.b)).z_star
-    rep_A = _fd_report(float(-(v @ dA @ u)), (z_hi - z_lo) / (2 * eps), rtol)
-
-    return LPGradCheck(c_block=rep_c, b_block=rep_b, A_block=rep_A)
+    reports = []
+    for name, slope in (("c", lambda d: u @ d), ("b", lambda d: v @ d), ("A", lambda d: -(v @ d @ u))):
+        x = getattr(spec, name)
+        d = rng.standard_normal(x.shape)
+        z_hi = solve_lp(replace(spec, **{name: x + eps * d})).z_star
+        z_lo = solve_lp(replace(spec, **{name: x - eps * d})).z_star
+        reports.append(_fd_report(float(slope(d)), (z_hi - z_lo) / (2 * eps), rtol))
+    return LPGradCheck(*reports)
 
 
 def random_lp(rng: np.random.Generator, p: int, m: int) -> LPSpec:
-    """A random feasible bounded instance: b = A x0 with x0 > 0 and c > 0."""
+    """A random feasible bounded instance: b = A x0 with x0 > 0 and c > 0.
+
+    The instance is drawn in memory, so p * m, the size of A, is capped at
+    10**6; a larger one is InvalidInput, raised before any draw.
+    """
     _arg(rng, "rng", (np.random.Generator, None, "a numpy Generator"))
     _arg(p, "p", WHOLE)
     _arg(m, "m", WHOLE)
+    if p * m > _MAX_ENTRIES:
+        raise InvalidInput(f"p * m must be at most {_MAX_ENTRIES}, got {p} * {m}")
     A = rng.standard_normal((m, p))
     x0 = rng.uniform(0.5, 1.5, size=p)
     c = rng.uniform(0.5, 1.5, size=p)

@@ -8,6 +8,7 @@ import pytest
 
 from combgrad import (
     AlignGrid,
+    AlignResult,
     DimensionMismatch,
     NonFinite,
     build_grid,
@@ -297,6 +298,19 @@ class TestValidation:
     def test_non_finite_costs_rejected(self):
         with pytest.raises(NonFinite):
             AlignGrid(m=np.array([[np.nan, 1.0]]), gamma=1.5)
+
+    def test_gradient_of_a_path_that_does_not_cross_the_grid_rejected(self):
+        small = AlignGrid(m=[[1, 2]], gamma=1.5)
+        big = AlignGrid(m=[[1, 2, 3], [4, 5, 6]], gamma=1.5)
+        for grid, other in ((big, small), (small, big)):
+            # Too short a path never reaches the sink; too long a one
+            # would index past the grid.
+            with pytest.raises(DimensionMismatch):
+                gsa_grad_matrix(grid, solve_gsa(other))
+        path = solve_gsa(small)
+        for kinds in ([1, 0], [1, 4], [-1, 1, 2], [1.0, 2.0]):
+            with pytest.raises(DimensionMismatch):
+                gsa_grad_matrix(small, AlignResult(0.0, True, np.array(kinds), path.cells))
 
     @pytest.mark.parametrize(
         "m, gamma",

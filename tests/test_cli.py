@@ -618,6 +618,19 @@ class TestTrain:
         assert out == ""
         assert err.startswith("error[input]:") and len(err.splitlines()) == 1
 
+    def test_checkpoint_path_that_is_a_directory_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("trained although the checkpoint file cannot be written")
+
+        monkeypatch.setitem(cli._TRAINERS, "bags", (cli.BagDatasetSpec, never))
+        (tmp_path / "m.params.txt").mkdir()
+        cfg = write_json(tmp_path / "cfg.json", {"loss": "mle", "epochs": 1, "dataset": {"n": 40, "num_classes": 2}})
+        code, out, err = run_cli(["train", "bags", cfg, "--out", str(tmp_path / "m.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[input]:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("dataset", [[], None, 0, "n=40"])
     def test_dataset_that_is_not_an_object_exits_two(self, dataset, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", dict(BAGS_CONFIG, dataset=dataset))
@@ -1072,10 +1085,11 @@ def _builds(spec_cls, dataset: dict) -> bool:
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @example(run=("train", "bags", {"epochs": 1, "loss": "mle", "lr": 1e308, "dataset": {"n": 60}}), source="document", target="file")
 @example(run=("train", "bags", {"epochs": 1, "loss": "mle", "gamma": math.nan, "dataset": {"n": 60}}), source="document", target="file")
+@example(run=("train", "bags", {"epochs": 1, "loss": "mle", "dataset": {"n": 40, "num_classes": 2}}), source="document", target="checkpoint")
 @given(
     run=_runs(),
     source=st.sampled_from(["document"] * 5 + ["directory", "nested", "empty"]),
-    target=st.sampled_from(["file"] * 4 + ["directory", "missing directory"]),
+    target=st.sampled_from(["file"] * 4 + ["directory", "missing directory", "checkpoint"]),
 )
 def test_random_runs_and_paths_end_in_an_exit_code_and_at_most_one_protocol_line(tmp_path_factory, run, source, target):
     command, kind, doc = run
@@ -1087,7 +1101,10 @@ def test_random_runs_and_paths_end_in_an_exit_code_and_at_most_one_protocol_line
         path.write_text('{"dataset": ' + "[" * 100_000 + "]" * 100_000 + "}")
     else:
         path.write_text(json.dumps(doc) if source == "document" else "")
-    out_path = {"file": tmp / "out.csv", "directory": tmp, "missing directory": tmp / "missing" / "out.csv"}[target]
+    out_path = {"directory": tmp, "missing directory": tmp / "missing" / "out.csv"}.get(target, tmp / "out.csv")
+    if target == "checkpoint":
+        # The metrics path is a plain file; the checkpoint path beside it is not.
+        (tmp / "out.params.txt").mkdir()
     out, err = io.StringIO(), io.StringIO()
     # A run that diverges (lr=1e308) overflows on its way to exit code 4.
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
@@ -1099,7 +1116,8 @@ def test_random_runs_and_paths_end_in_an_exit_code_and_at_most_one_protocol_line
         assert err.getvalue() == ""
     else:
         assert _RUN_LINE.fullmatch(err.getvalue()), err.getvalue()
-    if source != "document" or target != "file":
+    # Only training writes a checkpoint.
+    if source != "document" or target not in ("file", "checkpoint") or (target, command) == ("checkpoint", "train"):
         assert (code, out.getvalue()) == (2, "")
     elif command == "train" and not _builds(_SPECS[kind], doc["dataset"]):
         # An invalid dataset override stops the run before the config echo.

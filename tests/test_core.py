@@ -51,6 +51,9 @@ class TestSolverOutcome:
         with pytest.raises(ValueError):
             out.u_star[0] = 9.0
 
+    def test_numpy_bool_stored_as_bool(self):
+        assert SolverOutcome(1.0, [1.0], [1.0], np.bool_(True)).unique is True
+
 
 class TestStrongDuality:
     def test_gap_value(self):
@@ -108,6 +111,15 @@ class TestSupergradientCheck:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             supergradient_check(lambda x: 0.0, np.zeros(2), np.zeros(3))
+
+    def test_empty_point_rejected(self):
+        # Every trial would be skipped, reporting a pass at -inf.
+        with pytest.raises(DimensionMismatch):
+            supergradient_check(lambda x: 0.0, np.zeros(0), np.zeros(0))
+
+    def test_an_error_inside_f_propagates_unchanged(self):
+        with pytest.raises(ZeroDivisionError):
+            supergradient_check(lambda x: 1 / 0, np.zeros(2), np.zeros(2))
 
     @pytest.mark.parametrize("w,g", [([np.nan, 1.0], [1.0, 0.0]), ([1.0, 2.0], [np.nan, 0.0]), ([1.0, np.inf], [1.0, 0.0])])
     def test_non_finite_point_or_gradient_rejected(self, w, g):

@@ -29,6 +29,7 @@ from combgrad import (
     InvalidInput,
     LPSpec,
     NonFinite,
+    SolverOutcome,
     build_grid,
     check_lp_grads,
     cli,
@@ -144,6 +145,14 @@ _ARGUMENT_CHECKS = {
     "LPSpec ragged": lambda *_: LPSpec(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0]], b=[1.0, 1.0]),
     "random_lp size": lambda *_: random_lp(np.random.default_rng(0), -1, 2),
     "random_lp generator": lambda *_: random_lp(None, 3, 2),
+    "random_lp beyond the size cap": lambda *_: random_lp(np.random.default_rng(0), 10**7, 10**7),
+    "random_lp beyond int64": lambda *_: random_lp(np.random.default_rng(0), 2**62, 1),
+    "SolverOutcome unique text": lambda *_: SolverOutcome(1.0, [1.0], [1.0], "no"),
+    "supergradient_check f array": lambda *_: supergradient_check(lambda w: np.zeros(2), np.zeros(2), np.zeros(2)),
+    "supergradient_check f text": lambda *_: supergradient_check(lambda w: "abc", np.zeros(2), np.zeros(2)),
+    "supergradient_check f complex": lambda *_: supergradient_check(
+        lambda w: np.complex128(1 + 1j), np.zeros(2), np.zeros(2)
+    ),
     "supergradient_check callable": lambda *_: supergradient_check(None, np.zeros(1), np.zeros(1)),
     "TrainConfig.from_dict mapping": lambda *_: TrainConfig.from_dict([]),
     "solve_lp spec": lambda *_: solve_lp(None),
