@@ -1,24 +1,33 @@
 /* Compiled solver kernels for combgrad._kernels.
  *
- * Each function is a statement-for-statement port of the numpy reference in
- * _kernels.py, looped over a C-contiguous stack of instances in one call.
- * The arithmetic and its order match the reference, so with floating-point
- * contraction disabled (-ffp-contract=off) the outputs are bitwise equal.
- * The ports spend their time on arithmetic, not on branches: a minimum
- * whose operands depend on the data is picked by selects, which compile
- * without branches, and the certificate runs its O(n^3) closure only on
- * instances whose light swaps form a cycle (an O(n^2) test).
+ * The solve, the refinement, the certificate's closure and the lattice DP
+ * repeat the numpy reference in _kernels.py statement for statement, looped
+ * over a C-contiguous stack of instances in one call.  The arithmetic and
+ * its order match the reference, so with floating-point contraction
+ * disabled (-ffp-contract=off) the outputs are bitwise equal.  The code
+ * spends its time on arithmetic, not on branches: a minimum whose operands
+ * depend on the data is picked by selects, which compile without branches.
+ * assign_many checks its costs' range before it solves, with the
+ * predicate of _check_cost_range, which the numpy body calls at entry.
+ * One step has no numpy counterpart: light_acyclic, an O(n^2) test, lets
+ * assign_many skip the O(n^3) closure on instances whose light swaps form
+ * no cycle, and its verdict must equal the closure's, which the bitwise
+ * tests check.
  *
  * Both return 0 on success, 1 when the workspace allocation fails and 2
  * when a non-finite cost leaves a step with no finite choice (the caller
- * raises MemoryError and NonFinite).  Status 0 does not mean the costs were
- * in range: [[1e308, -1e308], [-1e308, 1e308]] overflows the reduced costs
- * and still returns 0.  The range checks of the public entry points
- * (assignment._check_cost_range, alignment.check_grids) keep such costs out.
+ * raises MemoryError and NonFinite).  assign_many returns 3, before it
+ * solves anything, when a cost is NaN, infinite or so large that a sum over
+ * a matching can overflow (the caller raises NonFinite with
+ * _check_cost_range's message), so status 0 means its costs were in range
+ * and its duals, costs and cycle sums finite.  gsa_many checks no range:
+ * alignment.check_grids keeps overflowing grids out.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Augmenting search of _lex_refine's rematch: re-match row r along tight
  * columns, depth first with explicit stacks, skipping visited columns and
@@ -66,7 +75,7 @@ static int rematch(int64_t r, const int64_t *cols, const int64_t *ends, int64_t 
     return 0;
 }
 
-/* Port of _lex_refine: turn the optimal matching matchL of the n x n costs
+/* _lex_refine's procedure: turn the optimal matching matchL of the n x n costs
  * C into the lexicographically smallest perfect matching of the tight graph
  * {(i, j) : (C[i, j] - u[i]) - v[j] <= tight}, fixing rows in order, where
  * tight is tol / n.  u and v are the solve's 1-based potentials.  cols holds
@@ -124,7 +133,7 @@ static double np_minimum(double a, double b)
     return b != b ? b : m;
 }
 
-/* Port of _min_cycle for one n x n graph D, which it overwrites: the weight
+/* _min_cycle for one n x n graph D, which it overwrites: the weight
  * of the lightest directed cycle, inf when there is none.  numpy forms the
  * whole sum D[:, m] + D[m, :] before it takes the minimum, so step m reads
  * column m and row m from copies taken before the step (col and row). */
@@ -147,8 +156,10 @@ static double min_cycle(double *D, int64_t n, double *col, double *row)
     return best;
 }
 
-/* Port of _acyclic for one n x n graph D: 1 when its edges of weight at
- * most thr form no directed cycle (the diagonal counts as an edge).  Kahn's
+/* The closure's shortcut for one n x n graph D: 1 when its edges of weight
+ * at most thr form no directed cycle (the diagonal counts as an edge), so
+ * no cycle weighs at most tol and the closure would say unique.  It has no
+ * numpy counterpart; its verdict must equal the closure's.  Kahn's
  * algorithm: queue every node that no light edge enters, and removing a
  * queued node's edges queues each node it leaves with none; the graph is
  * acyclic when every node gets queued.  O(n^2), and written without
@@ -179,25 +190,44 @@ static int light_acyclic(const double *D, int64_t n, double thr, int64_t *indeg,
     return end == n;
 }
 
-/* Assignment: port of _assign_many_py over a (k, n, n) stack.  Each
- * instance is solved as in _assign_core_py (Jonker-Volgenant shortest
+/* Assignment: _assign_many_py over a (k, n, n) stack.  First one pass over
+ * every cost returns 3 if any is NaN, infinite or larger in magnitude than
+ * lim = DBL_MAX / (32 max(n, 1)), which is _check_cost_range's predicate:
+ * a branch-free OR of !(fabs(c) <= lim) over the stack.  Each instance
+ * is then solved as in _assign_core_py (Jonker-Volgenant shortest
  * augmenting paths with potentials, 1-based with sentinel row and column
- * 0), its matching is refined by lex_refine, and it is certified as in
- * _certify: unique[t] is 1 when min_cycle over the swap costs
+ * 0), its matching is refined by lex_refine, and unique[t] is the verdict
+ * of _certify: 1 when min_cycle over the swap costs
  * W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] exceeds tol, with
- * slack = (C - u) - v.  The closure is skipped, with unique[t] = 1, when
- * no W holds a NaN and the swaps of at most
- * thr = (tol - (n - 1) * min(w_min, 0)) * (1 + 1e-6) form no cycle
- * (light_acyclic): a cycle of at most n swaps that weighs at most tol uses
- * only such swaps.  The outputs share one block, in this order: the
- * stacked perms (k * n int64), u and v (k * n doubles each), then unique
- * (k bytes).  One workspace serves every instance.  Returns 2 if an
- * instance has no free column with a finite reduced cost. */
+ * slack = (C - u) - v.  The closure runs only when light_acyclic cannot
+ * settle it: with no W a NaN and no cycle among the swaps of at most
+ * thr = (tol - (n - 1) * min(w_min, 0)) * (1 + 1e-6), unique[t] = 1, since
+ * a cycle of at most n swaps that weighs at most tol uses only such swaps.
+ * The outputs share one block, in this order: the stacked perms (k * n
+ * int64), u and v (k * n doubles each), then unique (k bytes).  One
+ * workspace serves every instance.  Returns 2 if an instance has no free
+ * column with a finite reduced cost: a second line of defence, since costs
+ * that pass the range check keep every reduced cost finite. */
 int assign_many(const double *Cs, int64_t k, int64_t n, double tol, void *out)
 {
     int64_t *perms = out;
     double *us = (double *)(perms + k * n), *vs = us + k * n;
     char *unique = (char *)(vs + k * n);
+    /* !(fabs(c) <= lim) for every cost, on bit patterns, which vectorizes
+     * where the double comparison does not: with the sign bit cleared, a
+     * double's pattern orders like its magnitude and NaN's lie above inf's,
+     * so lim's pattern minus a cost's borrows into the top bit exactly when
+     * the cost fails. */
+    const double lim = DBL_MAX / (32.0 * (double)(n > 1 ? n : 1));
+    uint64_t lim_bits, borrow = 0;
+    memcpy(&lim_bits, &lim, sizeof lim_bits);
+    for (int64_t e = 0; e < k * n * n; e++) {
+        uint64_t bits;
+        memcpy(&bits, Cs + e, sizeof bits);
+        borrow |= lim_bits - (bits & 0x7fffffffffffffff);
+    }
+    if (borrow >> 63)
+        return 3;
     double *u = malloc(sizeof(double) * (n * n + 5 * n + 3) + sizeof(int64_t) * (n * n + 7 * n + 6) + 3 * n + 1);
     if (u == NULL)
         return 1;
@@ -290,7 +320,7 @@ done:
     return status;
 }
 
-/* Alignment: port of _gsa_py (lattice DP with tie counting, then the
+/* Alignment: _gsa_py (lattice DP with tie counting, then the
  * backtrack) over a (nb, Tp, Tt) stack.  A candidate within
  * tol * (1 + |best|) of a node's best cost counts as tied.  Per instance t
  * it writes zs[t], the path of length Tp + Tt at offset t * (Tp + Tt) (each

@@ -20,8 +20,18 @@ workspace cannot be allocated, ``NonFinite`` on a non-finite step); it is
 never re-solved on the other backend.  The numpy reference raises
 ``NonFinite`` on the same steps.
 
-Single-instance entry points run a stack of one, so every public kernel
-goes through one path per problem.  Each kernel decides its own ties.  The
+Both assignment bodies check their cost range before they solve
+(``_check_cost_range``: NonFinite when a cost is NaN, infinite or large
+enough that a sum over a matching can overflow), so the public entry
+points leave that check to the kernel.  The C body tests the same
+predicate in one pass and reports it as a status, on which Python raises
+the same error.  Alignment grids are range-checked where they are built
+(``alignment.check_grids``).
+
+A single instance goes to the C body as it is: the body copies it into its
+output block and returns 1-D arrays and scalars, with no stack axis to
+strip.  The numpy body solves it as a stack of one.  Each kernel returns
+read-only arrays and decides its own ties.  The
 assignment kernel solves, refines each matching to the lexicographically
 smallest near-optimal one (``_lex_refine``) and certifies it
 (``_certify``): the matching costs at most its dual sum plus ``_TOL``, and
@@ -41,14 +51,17 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import re
+import struct
 import subprocess
 import tempfile
 import warnings
 
 import numpy as np
 
+from .core import _F64_MAX
 from .errors import DimensionMismatch, NonFinite, NonSquare
 
 _COUNTS = {"assignment": 0, "gsa": 0, "lp": 0}
@@ -145,25 +158,47 @@ def c_library():
 
 # Each C entry point writes all its outputs into one fresh byte block, which
 # the caller splits into the typed arrays it returns, widest dtype first so
-# every array is aligned.  A call looks up two addresses.  The block's comes
-# from a ctypes view of its buffer: about 0.8 us on a 2-core Xeon, against
-# 2.2 us for ndarray.ctypes.data.  Such a view needs a writable buffer of at
-# least one byte, so an empty stack still gets a one-byte block.  The input
-# may be read-only, so its address stays ndarray.ctypes.data; copying the
-# input into the block instead made `combgrad bench assignment`'s b = 8
-# solve slower (2.4 to 3.0 us per instance).
+# every array is aligned.  The block's address comes from a ctypes view of
+# its buffer: about 0.4 us on a 2-core Xeon, against 1.1 us for
+# ndarray.ctypes.data.  Such a view needs a writable buffer of at least one
+# byte, so an empty stack still gets a one-byte block.  A single instance,
+# whose input may be read-only, is copied into the block ahead of the
+# outputs, so that one view gives both addresses: about 0.5 us saved per
+# call up to 32x33 costs.  A stack is read in place: copying it made
+# `combgrad bench assignment` slower at b = 8 (1.64 against 1.32 us per
+# instance).  The block is frozen once the kernel has written it, so every
+# array split from it is read-only.
 
 
-def _out_block(nbytes: int):
-    """A fresh output block of at least nbytes bytes, and its address."""
+def _block(x, nbytes: int):
+    """A fresh block for nbytes bytes of output and the addresses a C body
+    reads and writes: (block, costs, out, at), the outputs starting at byte
+    at.  One (n, m) instance x is copied into the block as C-ordered float64
+    first; a stack x must already be C-contiguous float64."""
+    if x.ndim == 2:
+        at = 8 * x.size
+        block = np.empty(at + nbytes, np.uint8)
+        np.ndarray(x.shape, np.float64, block)[...] = x
+        costs = ctypes.addressof(ctypes.c_char.from_buffer(block))
+        return block, costs, costs + at, at
     block = np.empty(max(nbytes, 1), np.uint8)
-    return block, ctypes.addressof(ctypes.c_char.from_buffer(block))
+    return block, x.ctypes.data, ctypes.addressof(ctypes.c_char.from_buffer(block)), 0
 
 
-def _raise_status(status: int) -> None:
-    """Raise the error a nonzero C kernel status stands for."""
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only in place: the numpy bodies' outputs are
+    frozen like the C bodies' blocks."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _raise_status(status: int, x) -> None:
+    """Raise the error a nonzero C kernel status on input x stands for."""
     if status == 1:
         raise MemoryError("the C kernel could not allocate its workspace")
+    if status == 3:
+        _check_cost_range(x)  # raises: status 3 is its predicate failing
     raise NonFinite(_NO_FINITE_STEP)
 
 
@@ -187,6 +222,30 @@ _TOL = 1e-9
 # What both bodies raise, as NonFinite, when a non-finite cost leaves a step
 # with no finite choice.
 _NO_FINITE_STEP = "a non-finite cost left the kernel without a finite step"
+
+
+def _check_cost_range(Cs: np.ndarray) -> None:
+    """Reject costs whose sums can overflow, for one matrix or a stack.
+
+    Both assignment bodies check this at entry: _assign_many_py calls it,
+    and assign_many tests the same predicate in C and returns status 3,
+    which _assign_many_c turns into this error.  A phase of the kernel ends
+    with every column's v in [-2 max|C|, 0] (a column it never scanned
+    keeps v = 0 and bounds the others through dual feasibility) and every u
+    within 3 max|C|, and no step inside a phase moves them by more than
+    max|C|.  So reduced costs stay within 8 max|C|, and each edge of the
+    certificate's swap graph within 16 max|C|.  The closure adds two paths
+    of at most b edges, and a matching sums b costs, so requiring
+    32 b max|C| to be finite keeps the duals, z* and every cycle sum
+    finite.  Costs that pass elementwise can still fail this: a sum of
+    5e307 costs overflows.
+    """
+    b = Cs.shape[-1]
+    top = float(np.abs(Cs).max(initial=0.0))  # NaN or inf when any cost is
+    if not math.isfinite(top):
+        raise NonFinite("cost matrix must be finite")
+    if top > _F64_MAX / (32.0 * max(b, 1)):
+        raise NonFinite(f"costs up to {top:.3g} can overflow a sum over a {b}x{b} matching")
 
 
 def _assign_core_py(C):
@@ -348,6 +407,7 @@ def _certify(Cs, perms, us, vs):
 
 
 def _assign_many_py(Cs):
+    _check_cost_range(Cs)
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
     us = np.empty((k, n))
@@ -355,43 +415,61 @@ def _assign_many_py(Cs):
     for t in range(k):
         perm, us[t], vs[t] = _assign_core_py(Cs[t])
         perms[t] = _lex_refine(Cs[t], perm, us[t], vs[t])
-    return perms, us, vs, _certify(Cs, perms, us, vs)
+    return _frozen(perms, us, vs, _certify(Cs, perms, us, vs))
 
 
 def _assign_many_c(Cs):
-    k, n, _ = Cs.shape
+    # Cs is a C-contiguous float64 (k, n, n) stack, or one (n, n) instance
+    # of any layout whose outputs have no stack axis: 1-D arrays and unique
+    # as a numpy bool.
+    lead, n = Cs.shape[:-2], Cs.shape[-1]
+    k = Cs.shape[0] if lead else 1
     kn = k * n
-    block, out = _out_block(24 * kn + k)
-    status = c_library().assign_many(Cs.ctypes.data, k, n, _TOL, out)
+    block, costs, out, at = _block(Cs, 24 * kn + k)
+    status = c_library().assign_many(costs, k, n, _TOL, out)
     if status:
-        _raise_status(status)
-    us = np.ndarray((k, n), np.float64, block, 8 * kn)
-    vs = np.ndarray((k, n), np.float64, block, 16 * kn)
-    return np.ndarray((k, n), np.int64, block), us, vs, np.ndarray(k, np.bool_, block, 24 * kn)
+        _raise_status(status, Cs)
+    block.setflags(write=False)
+    row = lead + (n,)
+    at_unique = at + 24 * kn
+    unique = np.ndarray(lead, np.bool_, block, at_unique) if lead else block[at_unique] == 1
+    return (
+        np.ndarray(row, np.int64, block, at),
+        np.ndarray(row, np.float64, block, at + 8 * kn),
+        np.ndarray(row, np.float64, block, at + 16 * kn),
+        unique,
+    )
 
 
 def _assign_many(Cs):
-    if Cs.ndim != 3:
-        raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
-    if Cs.shape[1] != Cs.shape[2]:
-        raise NonSquare(f"cost matrices must be square, got {Cs.shape[1:]}")
-    Cs = np.ascontiguousarray(Cs, dtype=np.float64)
-    return _assign_many_c(Cs) if get_backend() == "c" else _assign_many_py(Cs)
+    # One (n, n) instance or a (k, n, n) stack; the callers check the rank.
+    # The numpy body solves stacks only, so it gets a single instance as a
+    # stack of one.
+    if Cs.shape[-1] != Cs.shape[-2]:
+        raise NonSquare(f"cost matrices must be square, got {Cs.shape[-2:]}")
+    if Cs.ndim == 2 and get_backend() == "c":
+        return _assign_many_c(Cs)
+    stack = np.ascontiguousarray(Cs if Cs.ndim == 3 else Cs[None], dtype=np.float64)
+    out = _assign_many_c(stack) if get_backend() == "c" else _assign_many_py(stack)
+    return out if Cs.ndim == 3 else tuple(a[0] for a in out)
 
 
 def assignment_kernel(C: np.ndarray):
     """Solve and certify one square assignment instance.
 
-    Returns (perm, u, v, unique).  (u, v) are feasible duals of the exact
-    optimum.  perm is the lexicographically smallest matching whose edges
-    each have slack C[i, j] - u[i] - v[j] of at most _TOL / b, so it costs
-    at most sum(u) + sum(v) + _TOL, within _TOL of the minimum; on exact
-    ties it is the lex-min optimum.  unique is True when every other
-    matching costs more than perm's cost + _TOL.
+    Returns (perm, u, v, unique), the arrays read-only.  (u, v) are feasible
+    duals of the exact optimum.  perm is the lexicographically smallest
+    matching whose edges each have slack C[i, j] - u[i] - v[j] of at most
+    _TOL / b, so it costs at most sum(u) + sum(v) + _TOL, within _TOL of
+    the minimum; on exact ties it is the lex-min optimum.  unique is True
+    when every other matching costs more than perm's cost + _TOL.
+    NonFinite when a cost is not finite or so large that a sum over a
+    matching can overflow (_check_cost_range).
     """
     increment("assignment")
-    perms, us, vs, unique = _assign_many(C[None, :, :])
-    return perms[0], us[0], vs[0], unique[0]
+    if C.ndim != 2:
+        raise DimensionMismatch(f"expected an (n, n) cost matrix, got shape {C.shape}")
+    return _assign_many(C)
 
 
 def assignment_kernel_many(Cs: np.ndarray):
@@ -399,6 +477,8 @@ def assignment_kernel_many(Cs: np.ndarray):
     dispatch; returns assignment_kernel's outputs stacked (unique as a (k,)
     bool array)."""
     increment("assignment", int(Cs.shape[0]))
+    if Cs.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
     return _assign_many(Cs)
 
 
@@ -493,48 +573,65 @@ def _gsa_many_py(ms, gamma):
         zs[t], kinds[t], cells[t], unique[t] = _gsa_py(ms[t], gamma)
     # Stack-flat cells, padding included, as gsa_many writes them.
     cells += np.arange(0, nb * Tp * Tt, Tp * Tt)[:, None]
-    return zs, kinds, cells, unique
+    return _frozen(zs, kinds, cells, unique)
 
 
 def _gsa_many_c(ms, gamma):
-    nb, Tp, Tt = ms.shape
+    # ms is a C-contiguous float64 (nb, Tp, Tt) stack, or one (Tp, Tt) grid
+    # of any layout whose outputs have no stack axis: 1-D paths, z as a
+    # float and unique as a numpy bool.
+    lead, (Tp, Tt) = ms.shape[:-2], ms.shape[-2:]
+    nb = ms.shape[0] if lead else 1
     steps = nb * (Tp + Tt)
-    block, out = _out_block(8 * nb + 9 * steps + nb)
-    status = c_library().gsa_many(ms.ctypes.data, nb, Tp, Tt, gamma, _TOL, out)
+    block, costs, out, at = _block(ms, 8 * nb + 9 * steps + nb)
+    status = c_library().gsa_many(costs, nb, Tp, Tt, gamma, _TOL, out)
     if status:
-        _raise_status(status)
-    cells = np.ndarray((nb, Tp + Tt), np.int64, block, 8 * nb)
-    kinds = np.ndarray((nb, Tp + Tt), np.int8, block, 8 * nb + 8 * steps)
-    return np.ndarray(nb, np.float64, block), kinds, cells, np.ndarray(nb, np.bool_, block, 8 * nb + 9 * steps)
+        _raise_status(status, ms)
+    block.setflags(write=False)
+    path = lead + (Tp + Tt,)
+    at_unique = at + 8 * nb + 9 * steps
+    kinds = np.ndarray(path, np.int8, block, at + 8 * nb + 8 * steps)
+    cells = np.ndarray(path, np.int64, block, at + 8 * nb)
+    if lead:
+        return np.ndarray(lead, np.float64, block, at), kinds, cells, np.ndarray(lead, np.bool_, block, at_unique)
+    return struct.unpack_from("d", block, at)[0], kinds, cells, block[at_unique] == 1
 
 
 def _gsa_many(ms, gamma):
-    if ms.ndim != 3 or ms.shape[1] < 1 or ms.shape[2] < 1:
-        raise DimensionMismatch(f"expected a (k, Tp, Tt) stack of non-empty grids, got shape {ms.shape}")
-    ms = np.ascontiguousarray(ms, dtype=np.float64)
+    # One (Tp, Tt) grid or a (nb, Tp, Tt) stack, as _assign_many takes them.
+    if ms.shape[-2] < 1 or ms.shape[-1] < 1:
+        raise DimensionMismatch(f"expected non-empty grids, got shape {ms.shape}")
     gamma = float(gamma)
-    return _gsa_many_c(ms, gamma) if get_backend() == "c" else _gsa_many_py(ms, gamma)
+    if ms.ndim == 2 and get_backend() == "c":
+        return _gsa_many_c(ms, gamma)
+    stack = np.ascontiguousarray(ms if ms.ndim == 3 else ms[None], dtype=np.float64)
+    out = _gsa_many_c(stack, gamma) if get_backend() == "c" else _gsa_many_py(stack, gamma)
+    return out if ms.ndim == 3 else tuple(a[0] for a in out)
 
 
 def gsa_grads(kinds, cells, Tp, Tt, gamma):
-    """Dense (k, Tp, Tt) gradients from stacked gsa paths with stack-flat
-    cells: each step adds 1 (match) or gamma (gap) to the cell it paid,
-    accumulated in path order by one np.bincount.  The padding before a
-    path's first step has kind 0 and weighs 0."""
-    nb = kinds.shape[0]
+    """Dense gradients from gsa paths: kinds and cells of one path give a
+    (Tp, Tt) matrix, and a stack of paths with stack-flat cells a (k, Tp,
+    Tt) stack.  Each step adds 1 (match) or gamma (gap) to the cell it
+    paid, accumulated in path order by one np.bincount.  The padding before
+    a path's first step has kind 0 and weighs 0."""
+    lead = kinds.shape[:-1]
     gamma = float(gamma)
     weights = np.array([0.0, 1.0, gamma, gamma]).take(kinds)
-    return np.bincount(cells.ravel(), weights.ravel(), minlength=nb * Tp * Tt).reshape(nb, Tp, Tt)
+    G = np.bincount(cells.ravel(), weights.ravel(), minlength=math.prod(lead) * Tp * Tt)
+    return G.reshape(lead + (Tp, Tt))
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):
     """Solve one alignment grid.  Returns (z, kinds, cells, unique): the
     optimal cost, the path (each step's kind and the flat index into m of
-    the cost it paid, filled from the end, kind 0 before the first step) and
-    whether the optimal path is unique."""
+    the cost it paid, filled from the end, kind 0 before the first step, as
+    read-only arrays) and whether the optimal path is unique."""
     increment("gsa")
-    zs, kinds, cells, unique = _gsa_many(m[None, :, :], gamma)
-    return float(zs[0]), kinds[0], cells[0], unique[0]
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a non-empty (Tp, Tt) grid, got shape {m.shape}")
+    z, kinds, cells, unique = _gsa_many(m, gamma)
+    return float(z), kinds, cells, unique
 
 
 def gsa_kernel_many(ms: np.ndarray, gamma: float):
@@ -542,4 +639,6 @@ def gsa_kernel_many(ms: np.ndarray, gamma: float):
     stacked, with grid t's cells (padding included) offset by t * Tp * Tt,
     so they index the stack's flat cost array."""
     increment("gsa", int(ms.shape[0]))
+    if ms.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, Tp, Tt) stack of non-empty grids, got shape {ms.shape}")
     return _gsa_many(ms, gamma)

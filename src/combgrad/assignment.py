@@ -11,44 +11,22 @@ matching.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import _F64_MAX, NONNEG, GenGrad, _arg, _floats, _log_costs
-from .errors import DimensionMismatch, InvalidInput, NonFinite, NonSquare
-
-
-def _check_cost_range(Cs: np.ndarray) -> None:
-    """Reject costs whose sums can overflow, for one matrix or a stack.
-
-    A phase of the kernel ends with every column's v in [-2 max|C|, 0] (a
-    column it never scanned keeps v = 0 and bounds the others through dual
-    feasibility) and every u within 3 max|C|, and no step inside a phase
-    moves them by more than max|C|.  So reduced costs stay within
-    8 max|C|, and each edge of the certificate's swap graph within
-    16 max|C|.  The closure adds two paths of at most b edges, and a
-    matching sums b costs, so requiring 32 b max|C| to be finite keeps
-    the duals, z* and every cycle sum finite.  Costs that pass elementwise
-    can still fail this: a sum of 5e307 costs overflows.
-    """
-    b = Cs.shape[-1]
-    top = float(np.abs(Cs).max(initial=0.0))  # NaN or inf when any cost is
-    if not math.isfinite(top):
-        raise NonFinite("cost matrix must be finite")
-    if top > _F64_MAX / (32.0 * max(b, 1)):
-        raise NonFinite(f"costs up to {top:.3g} can overflow a sum over a {b}x{b} matching")
+from .core import NONNEG, GenGrad, _arg, _floats, _log_costs
+from .errors import DimensionMismatch, InvalidInput, NonSquare
 
 
 def _validate_cost(C: np.ndarray) -> np.ndarray:
+    # The cost range is the kernel's own check (_kernels._check_cost_range).
     C = _floats(C, "cost matrix")
     if C.ndim != 2:
         raise DimensionMismatch("cost matrix must be 2-D")
     if C.shape[0] != C.shape[1]:
         raise NonSquare(f"cost matrix must be square, got {C.shape}")
-    _check_cost_range(C)
     return C
 
 
@@ -81,22 +59,23 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
     certifies it: any other matching differs from perm by cycles of swaps,
     and an O(b^3) closure over the swaps' costs finds the cheapest without
     a second solve (the C port skips it where an O(b^2) test rules out a
-    near-tie, with the closure's verdict).
+    near-tie, with the closure's verdict).  NonFinite when a cost is not
+    finite or so large that a sum over a matching can overflow; the kernel
+    checks this before it solves.
     """
     C = _validate_cost(C)
     b = C.shape[0]
     perm, u, v, unique = _kernels.assignment_kernel(C)
-    rows = np.arange(b)
-    M = np.zeros((b, b))
-    M[rows, perm] = 1.0
-    # M, u and v are fresh arrays that nothing else holds: freezing them in
-    # place needs no copy.
-    for a in (M, u, v):
-        a.setflags(write=False)
+    # The matched entries' flat indices serve M and z*: C.take sums the same
+    # costs in the same order as C[rows, perm].  u and v come read-only.
+    flat = np.arange(0, b * b, max(b, 1)) + perm
+    M = np.zeros(b * b)
+    M[flat] = 1.0
+    M.setflags(write=False)
     return MatchingResult(
         perm=tuple(perm.tolist()),
-        M=M,
-        z_star=float(C[rows, perm].sum()),
+        M=M.reshape(b, b),
+        z_star=float(C.take(flat).sum()),
         duals_u=u,
         duals_v=v,
         unique=bool(unique),
@@ -106,7 +85,7 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
 def assignment_gengrad(result: MatchingResult) -> GenGrad:
     """Gradient of the optimal cost in the cost matrix: the matching itself."""
     _arg(result, "result", (MatchingResult, None, "a MatchingResult"))
-    return GenGrad(d_c=result.M.ravel())
+    return GenGrad._own(result.M.flatten())
 
 
 def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
@@ -126,7 +105,8 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     The inputs are checked in this order, and the first failing check
     raises: the shapes (DimensionMismatch), Y finite, then logP free of NaN
     and +inf (NonFinite), every logP row normalized (InvalidInput), and
-    the costs in range (NonFinite).
+    the costs in range (NonFinite), which the kernel checks before it
+    solves.
     """
     logP = _floats(logP, "logP")
     Y = _floats(Y, "Y")
@@ -142,7 +122,6 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     with np.errstate(over="ignore", divide="ignore"):
         if not np.abs(np.log(np.exp(logPs).sum(axis=-1))).max() <= 1e-6:
             raise InvalidInput("each logP row must be a normalized log-distribution")
-    _check_cost_range(Cs)
     perms = _kernels.assignment_kernel_many(Cs)[0]
     k, b = perms.shape
     rows = np.arange(k)[:, None]

@@ -192,6 +192,15 @@ class GenGrad:
     def __post_init__(self):
         object.__setattr__(self, "d_c", _freeze(self.d_c, "d_c"))
 
+    @classmethod
+    def _own(cls, d_c: np.ndarray) -> "GenGrad":
+        """A GenGrad that keeps d_c itself, frozen: for a fresh float64 array
+        that nothing else holds, which needs no checked copy."""
+        d_c.setflags(write=False)
+        grad = object.__new__(cls)
+        object.__setattr__(grad, "d_c", d_c)
+        return grad
+
 
 @dataclass(frozen=True)
 class SupergradReport:

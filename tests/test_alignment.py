@@ -313,6 +313,19 @@ class TestValidation:
                 gsa_grad_matrix(small, AlignResult(0.0, True, np.array(kinds), path.cells))
 
     @pytest.mark.parametrize(
+        "cells",
+        [[100, 0], [-1, 0], [0.0, 1.0], [0]],
+        ids=["past the grid", "negative", "float", "one cell short"],
+    )
+    def test_gradient_of_a_path_whose_cells_leave_the_grid_rejected(self, cells):
+        # The path PD crosses the 1x2 grid; only its cells are wrong.
+        grid = AlignGrid(m=[[1, 2]], gamma=1.5)
+        path = solve_gsa(grid)
+        assert path.step_string() == "PD"
+        with pytest.raises(DimensionMismatch, match="cells"):
+            gsa_grad_matrix(grid, AlignResult(path.z_star, path.unique, path.kinds, np.array(cells)))
+
+    @pytest.mark.parametrize(
         "m, gamma",
         [
             ([[1e308, 1e308]], 1.5),  # gamma * m overflows on the gap step
@@ -542,13 +555,17 @@ class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_reference(self):
         # Bit patterns, not values: the locked alignment costs and the
         # determinism gate hold on either backend only if the two agree
-        # exactly.  A stack of one is what the single-grid kernel runs.
+        # exactly.  A single grid, which the C body copies into its output
+        # block and returns without a stack axis (z as a float), is what
+        # the numpy body solves as a stack of one.
         for family, ms, gamma in _grid_stacks():
             where = (family, ms.shape, gamma)
             for stack in (ms, ms[:1]):
                 for a, b in zip(_gsa_many_c(stack, gamma), _gsa_many_py(stack, gamma)):
                     assert a.dtype == b.dtype and a.shape == b.shape, where
                     assert a.tobytes() == b.tobytes(), where
+            for a, b in zip(_gsa_many_c(ms[0], gamma), _gsa_many_py(ms[:1], gamma)):
+                assert np.asarray(a).tobytes() == b[0].tobytes(), where
             # The gradient scatter is shared by both backends, so check it
             # against an independent per-edge accumulation over the path.
             _, kinds, cells, _ = _gsa_many_c(ms, gamma)

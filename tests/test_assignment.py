@@ -163,18 +163,22 @@ def _kernel_stacks():
 class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_mirror(self):
         # Bit patterns, not values: the locked accuracies and the determinism
-        # gate hold on either backend only if the two agree exactly.  A stack
-        # of one is what the single-instance kernel runs.
+        # gate hold on either backend only if the two agree exactly.  A
+        # single instance, which the C body copies into its output block and
+        # returns without a stack axis, is what the numpy body solves as a
+        # stack of one.
         for family, stack in _kernel_stacks():
             for Cs in (stack, stack[:1]):
                 for a, b in zip(_assign_many_c(Cs), _assign_many_py(Cs)):
                     assert a.dtype == b.dtype and a.shape == b.shape, (family, Cs.shape)
                     assert a.tobytes() == b.tobytes(), (family, Cs.shape)
+            for a, b in zip(_assign_many_c(stack[0]), _assign_many_py(stack[:1])):
+                assert a.dtype == b.dtype and a.shape == b.shape[1:], family
+                assert a.tobytes() == b[0].tobytes(), family
 
     def test_a_failed_c_call_raises_instead_of_re_solving(self, monkeypatch):
-        # Infinite costs leave the solve without a finite step.  The public
-        # entry points reject them first; the kernel itself must not hand
-        # them to the reference, which cannot solve them either.
+        # Infinite costs fail the C body's range guard.  It must raise, not
+        # hand them to the reference, which cannot solve them either.
         def unreachable(*args):
             raise AssertionError("the numpy reference ran inside a C call")
 
@@ -502,6 +506,42 @@ class TestSolverInterface:
                 assert res.z_star == pytest.approx(top * small.z_star, rel=1e-15, abs=1e-15 * b * top), b
             with pytest.raises(NonFinite):
                 solve_assignment(np.full((b, b), np.nextafter(top, np.inf)))
+
+
+# Both assignment bodies, called directly: each guards its own cost range.
+_ASSIGN_BODIES = [
+    pytest.param(_assign_many_py, id="numpy"),
+    pytest.param(
+        _assign_many_c,
+        id="c",
+        marks=pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built"),
+    ),
+]
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 16])
+@pytest.mark.parametrize("body", _ASSIGN_BODIES)
+def test_each_kernel_body_guards_its_cost_range(body, b):
+    # The guard admits |c| <= F64_MAX / (32 b) and nothing else, and one bad
+    # instance fails the whole stack with _check_cost_range's message.
+    top = np.finfo(np.float64).max / (32.0 * b)
+    signs = np.sign(np.random.default_rng(b).standard_normal((3, b, b)))
+    with np.errstate(all="raise"):
+        _, us, vs, _ = body(top * signs)
+    assert np.isfinite(us).all() and np.isfinite(vs).all()
+    over = np.nextafter(top, np.inf)
+    too_large = f"costs up to {over:.3g} can overflow a sum over a {b}x{b} matching"
+    for bad, message in (
+        (over, too_large),
+        (-over, too_large),
+        (np.nan, "cost matrix must be finite"),
+        (np.inf, "cost matrix must be finite"),
+        (-np.inf, "cost matrix must be finite"),
+    ):
+        Cs = np.ones((3, b, b))
+        Cs[1, b - 1, 0] = bad
+        with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+            body(Cs)
 
 
 class TestMatchingLoss:

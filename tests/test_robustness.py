@@ -185,8 +185,10 @@ def test_each_non_finite_check_raises_non_finite(site):
         _NON_FINITE_CHECKS[site]()
 
 
-# The kernels themselves, below the public range checks: a cost that leaves
-# a step with no finite choice raises NonFinite from either body.
+# The kernels themselves, below the public range checks: non-finite costs
+# raise NonFinite from either body.  The assignment kernel's own range guard
+# rejects its row of inf before the solve; a step with no finite choice,
+# the guard's second line of defence, is what the alignment case reaches.
 _NO_FINITE_STEP = {
     "assignment: a row of infinite costs": lambda: _kernels.assignment_kernel(np.array([[np.inf, np.inf], [1.0, 1.0]])),
     "gsa: an infinite first cell walls off the sink's backtrack": lambda: _kernels.gsa_kernel(
