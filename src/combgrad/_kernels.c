@@ -9,10 +9,14 @@
  * depend on the data is picked by selects, which compile without branches.
  * assign_many checks its costs' range before it solves, with the
  * predicate of _check_cost_range, which the numpy body calls at entry.
- * One step has no numpy counterpart: light_acyclic, an O(n^2) test, lets
- * assign_many skip the O(n^3) closure on instances whose light swaps form
- * no cycle, and its verdict must equal the closure's, which the bitwise
- * tests check.
+ * Two steps have no numpy counterpart: two O(n^2) tests that let
+ * assign_many skip the O(n^3) closure, light_acyclic on instances whose
+ * light swaps form no cycle and light_two_cycle on those where two rows
+ * trade columns within tol.  Their verdicts must equal the closure's,
+ * which the bitwise tests check.  The alignment DP keeps only the nodes'
+ * costs and picks the path's steps on the backtrack, as _gsa_py does, but
+ * runs each row in one loop where _gsa_py takes the row's diagonal and
+ * vertical candidates as one vector op.
  *
  * Both return 0 on success, 1 when the workspace allocation fails and 2
  * when a non-finite cost leaves a step with no finite choice (the caller
@@ -190,6 +194,21 @@ static int light_acyclic(const double *D, int64_t n, double thr, int64_t *indeg,
     return end == n;
 }
 
+/* The closure's second shortcut, for one n x n graph D whose diagonal is
+ * inf: 1 when some 2-cycle weighs at most tol, so the closure would say
+ * tied.  Its entries only ever fall and IEEE addition is monotone, so the
+ * closure's D[i][i] is at most D[i][r] + D[r][i] (or NaN, which also reads
+ * as a tie).  It has no numpy counterpart either.  O(n^2), with no
+ * data-dependent branch. */
+static int light_two_cycle(const double *D, int64_t n, double tol)
+{
+    int light = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t r = i + 1; r < n; r++)
+            light |= D[i * n + r] + D[r * n + i] <= tol;
+    return light;
+}
+
 /* Assignment: _assign_many_py over a (k, n, n) stack.  First one pass over
  * every cost returns 3 if any is NaN, infinite or larger in magnitude than
  * lim = DBL_MAX / (32 max(n, 1)), which is _check_cost_range's predicate:
@@ -199,10 +218,13 @@ static int light_acyclic(const double *D, int64_t n, double thr, int64_t *indeg,
  * 0), its matching is refined by lex_refine, and unique[t] is the verdict
  * of _certify: 1 when min_cycle over the swap costs
  * W[i, r] = slack[i, perm[r]] - slack[r, perm[r]] exceeds tol, with
- * slack = (C - u) - v.  The closure runs only when light_acyclic cannot
+ * slack = (C - u) - v.  The closure runs only when neither shortcut can
  * settle it: with no W a NaN and no cycle among the swaps of at most
  * thr = (tol - (n - 1) * min(w_min, 0)) * (1 + 1e-6), unique[t] = 1, since
- * a cycle of at most n swaps that weighs at most tol uses only such swaps.
+ * a cycle of at most n swaps that weighs at most tol uses only such swaps
+ * (light_acyclic); failing that, a 2-cycle of at most tol makes
+ * unique[t] = 0 (light_two_cycle), which only instances with a cycle of
+ * light swaps pay for.
  * The outputs share one block, in this order: the stacked perms (k * n
  * int64), u and v (k * n doubles each), then unique (k bytes).  One
  * workspace serves every instance.  Returns 2 if an instance has no free
@@ -312,7 +334,8 @@ int assign_many(const double *Cs, int64_t k, int64_t n, double tol, void *out)
         /* lex_refine is done with rows and nxt: the pre-check's queue and
          * in-degrees. */
         double thr = (tol - (double)(n - 1) * (wmin < 0.0 ? wmin : 0.0)) * (1.0 + 1e-6);
-        unique[t] = (!has_nan && light_acyclic(D, n, thr, nxt, rows)) || min_cycle(D, n, col, row) > tol;
+        unique[t] = (!has_nan && light_acyclic(D, n, thr, nxt, rows))
+                    || (!light_two_cycle(D, n, tol) && min_cycle(D, n, col, row) > tol);
     }
     status = 0;
 done:
@@ -320,17 +343,34 @@ done:
     return status;
 }
 
-/* Alignment: _gsa_py (lattice DP with tie counting, then the
- * backtrack) over a (nb, Tp, Tt) stack.  A candidate within
- * tol * (1 + |best|) of a node's best cost counts as tied.  Per instance t
- * it writes zs[t], the path of length Tp + Tt at offset t * (Tp + Tt) (each
- * step's kind and the stack-flat index t * Tp * Tt + cell of the cost it
- * paid, where cell indexes grid t with the gap clamp included; filled from
- * the end, with kind 0 and cell t * Tp * Tt before the first step) and
+/* Alignment: _gsa_py over a (nb, Tp, Tt) stack.  Per instance t it writes
+ * zs[t], the path of length Tp + Tt at offset t * (Tp + Tt) (each step's
+ * kind and the stack-flat index t * Tp * Tt + cell of the cost it paid,
+ * where cell indexes grid t with the gap clamp included; filled from the
+ * end, with kind 0 and cell t * Tp * Tt before the first step) and
  * unique[t].  The outputs share one block, in this order: zs (nb doubles),
  * cells (nb * (Tp + Tt) int64), kinds (as many int8), then unique (nb
  * bytes).  Returns 2 if the backtrack would leave the lattice, which only
- * unreachable (infinite-cost) nodes cause. */
+ * unreachable (infinite-cost) nodes cause.
+ *
+ * The forward DP keeps only each node's cost, under a row of inf where no
+ * diagonal or vertical step starts.  The diagonal and vertical candidates
+ * read the row above, so only the horizontal step is a serial chain: its
+ * source cost stays in a register (left).  Each minimum is a select, so
+ * of equal candidates the first is kept; equal costs have equal bits, since
+ * no cost is -0 (the origin's is +0, and a sum is -0 only when both terms
+ * are).
+ *
+ * The backtrack recomputes, at each node v on the path, the candidates
+ * into v, bit for bit as the DP did.  The step it takes is their minimum
+ * in the tie order match, skip-target, skip-pred.  unique is the global
+ * rule the test oracle second_best_path checks: every other path costs
+ * more than z + tol * (1 + |z|).  Another path leaves this one and rejoins
+ * it at some node v by a step this path does not take; the cheapest such
+ * path costs that step's candidate plus the cost from v to the end,
+ * z - dist[v].  So the path is tied when, at some node v, a second
+ * candidate is within tol * (1 + |z|) of dist[v].  A step that does not
+ * exist is NaN, which no comparison picks or counts. */
 int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, void *out)
 {
     int64_t W = Tt + 1, nodes = (Tp + 1) * W, total = Tp + Tt;
@@ -338,65 +378,58 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
     int64_t *cells = (int64_t *)(zs + nb);
     int8_t *kinds = (int8_t *)(cells + nb * total);
     char *unique = (char *)(kinds + nb * total);
-    double *dist = malloc((sizeof(double) + sizeof(int64_t) + 1) * nodes);
-    if (dist == NULL)
+    double *above = malloc(sizeof(double) * (nodes + W));
+    if (above == NULL)
         return 1;
-    int64_t *npaths = (int64_t *)(dist + nodes);
-    int8_t *choice = (int8_t *)(npaths + nodes);
+    double *dist = above + W;
+    for (int64_t k = 0; k <= Tt; k++)
+        above[k] = INFINITY;
     int status = 2;
     for (int64_t t = 0; t < nb; t++) {
         int64_t base = t * Tp * Tt;
         const double *m = ms + base;
         int8_t *kd = kinds + t * total;
         int64_t *cl = cells + t * total;
-        dist[0] = 0.0;
-        choice[0] = 0;
-        npaths[0] = 1;
         for (int64_t i = 0; i <= Tp; i++) {
-            for (int64_t k = 0; k <= Tt; k++) {
-                if (i == 0 && k == 0)
-                    continue;
-                double cand_d = INFINITY, cand_h = INFINITY, cand_v = INFINITY;
-                int64_t n_d = 0, n_h = 0, n_v = 0;
-                if (i > 0 && k > 0) {
-                    cand_d = dist[(i - 1) * W + (k - 1)] + m[(i - 1) * Tt + (k - 1)];
-                    n_d = npaths[(i - 1) * W + (k - 1)];
-                }
-                if (k > 0) {
-                    int64_t ic = i < Tp ? i : Tp - 1;
-                    cand_h = dist[i * W + (k - 1)] + gamma * m[ic * Tt + (k - 1)];
-                    n_h = npaths[i * W + (k - 1)];
-                }
-                if (i > 0) {
-                    int64_t kc = k < Tt ? k : Tt - 1;
-                    cand_v = dist[(i - 1) * W + k] + gamma * m[(i - 1) * Tt + kc];
-                    n_v = npaths[(i - 1) * W + k];
-                }
-                /* The reference's "if cand < best" steps as selects: the
-                 * comparisons are data dependent, so branches would
-                 * mispredict about half the time. */
-                double best = INFINITY;
-                int8_t ch = 0;
-                ch = cand_d < best ? 1 : ch;
-                best = cand_d < best ? cand_d : best;
-                ch = cand_h < best ? 2 : ch;
-                best = cand_h < best ? cand_h : best;
-                ch = cand_v < best ? 3 : ch;
+            double *cur = dist + i * W;
+            const double *up = cur - W, *mu = m + (i > 0 ? i - 1 : 0) * Tt, *mh = m + (i < Tp ? i : Tp - 1) * Tt;
+            /* Node (i, 0) has only a vertical step, and (0, 0) none. */
+            double cand_v = up[0] + gamma * mu[0];
+            double left = i > 0 ? (cand_v < INFINITY ? cand_v : INFINITY) : 0.0;
+            cur[0] = left;
+            for (int64_t k = 1; k <= Tt; k++) {
+                double cand_d = up[k - 1] + mu[k - 1];
+                cand_v = up[k] + gamma * mu[k < Tt ? k : Tt - 1];
+                double best = cand_d < INFINITY ? cand_d : INFINITY;
                 best = cand_v < best ? cand_v : best;
-                dist[i * W + k] = best;
-                choice[i * W + k] = ch;
-                double lim = best + tol * (1.0 + fabs(best));
-                int64_t cnt = (cand_d <= lim ? n_d : 0) + (cand_h <= lim ? n_h : 0) + (cand_v <= lim ? n_v : 0);
-                npaths[i * W + k] = cnt < 2 ? cnt : 2;
+                double cand_h = left + gamma * mh[k - 1];
+                left = cand_h < best ? cand_h : best;
+                cur[k] = left;
             }
         }
         for (int64_t e = 0; e < total; e++) {
             kd[e] = 0;
             cl[e] = base;
         }
-        int64_t i = Tp, k = Tt, p = total;
+        double z = dist[Tp * W + Tt], slack = tol * (1.0 + fabs(z));
+        int64_t i = Tp, k = Tt, p = total, tied = 0;
         while (i != 0 || k != 0) {
-            int8_t ch = choice[i * W + k];
+            double cand_d = NAN, cand_h = NAN, cand_v = NAN;
+            if (i > 0 && k > 0)
+                cand_d = dist[(i - 1) * W + (k - 1)] + m[(i - 1) * Tt + (k - 1)];
+            if (k > 0)
+                cand_h = dist[i * W + (k - 1)] + gamma * m[(i < Tp ? i : Tp - 1) * Tt + (k - 1)];
+            if (i > 0)
+                cand_v = dist[(i - 1) * W + k] + gamma * m[(i - 1) * Tt + (k < Tt ? k : Tt - 1)];
+            double lim = dist[i * W + k] + slack;
+            tied |= (cand_d <= lim) + (cand_h <= lim) + (cand_v <= lim) > 1;
+            double best = INFINITY;
+            int8_t ch = 0;
+            ch = cand_d < best ? 1 : ch;
+            best = cand_d < best ? cand_d : best;
+            ch = cand_h < best ? 2 : ch;
+            best = cand_h < best ? cand_h : best;
+            ch = cand_v < best ? 3 : ch;
             int64_t cell;
             p -= 1;
             if (ch == 1) {
@@ -416,11 +449,11 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
             kd[p] = ch;
             cl[p] = base + cell;
         }
-        zs[t] = dist[Tp * W + Tt];
-        unique[t] = npaths[Tp * W + Tt] == 1;
+        zs[t] = z;
+        unique[t] = !tied;
     }
     status = 0;
 done:
-    free(dist);
+    free(above);
     return status;
 }

@@ -11,8 +11,9 @@ Each problem has exactly two bodies:
 The port repeats the solve, the refinement, the certificate's closure and
 the lattice DP statement for statement, in the same arithmetic order, so
 the ``c`` and ``numpy`` backends produce bitwise-identical outputs.  Its
-one shortcut, ``light_acyclic``, skips the closure where no near-tie can
-exist; the bitwise tests check that it keeps the closure's verdict.  The
+two shortcuts skip the closure: ``light_acyclic`` where no near-tie can
+exist, and ``light_two_cycle`` where a 2-cycle weighs at most ``_TOL``;
+the bitwise tests check that they keep the closure's verdict.  The
 backend is decided once per process, on the first kernel call: ``c`` when
 the C library builds and loads, otherwise the package warns once and runs
 on ``numpy``.  A C call that fails raises (``MemoryError`` when its
@@ -37,10 +38,10 @@ smallest near-optimal one (``_lex_refine``) and certifies it
 (``_certify``): the matching costs at most its dual sum plus ``_TOL``, and
 ``unique`` says whether every other matching costs more than that matching
 plus ``_TOL``, as an O(b^3) closure over the swaps decides (``_min_cycle``).
-The alignment kernel solves, counts the paths tied at each node within
-``_TOL * (1 + |best|)`` of its best cost, and returns the winning path as
-each step's kind and the cell whose cost it paid, gap clamp included;
-:func:`gsa_grads` turns those into gradients.
+The alignment kernel solves, returns the winning path as each step's kind
+and the cell whose cost it paid, gap clamp included, and calls it unique
+when every other path costs more than z* + ``_TOL * (1 + |z*|)``;
+:func:`gsa_grads` turns the path into gradients.
 Every dispatch increments an invocation counter per kernel kind so callers
 can assert how many solver runs a code path costs.
 """
@@ -489,63 +490,73 @@ def assignment_kernel_many(Cs: np.ndarray):
 # (vertical).  Gap edges read the match cost at the source node with
 # out-of-range indices clamped to the last valid cell, scaled by gamma; the
 # backtrack records each step's kind and the flat index of the cell it read.
-# Ties prefer diagonal, then horizontal gap, then vertical gap.  Paths are
-# counted node by node: a candidate within _TOL * (1 + |best|) of its node's
-# best cost counts as tied there.  So a runner-up path within _TOL * (1 + |z|)
-# of the optimum z is dropped where it meets the optimal path if it is dearer
-# there than that node's tolerance (solve_gsa gives an example).
+# The forward DP keeps only each node's cost; the backtrack recomputes the
+# candidates into each node it visits and takes the cheapest, preferring
+# diagonal, then horizontal gap, then vertical gap.  Ties are global (the
+# test oracle second_best_path checks the rule): the path is unique when
+# every other path costs more than z* + _TOL * (1 + |z*|).  Another path
+# rejoins this one at some node by a step this one does not take, and
+# costs at least that step's candidate plus the cost from there to the
+# end, so the backtrack calls the path tied when a second candidate into
+# one of its nodes is within _TOL * (1 + |z*|) of the node's cost.  A step
+# that does not exist is NaN, which no comparison picks or counts.
 # ---------------------------------------------------------------------------
 
 
 def _gsa_py(m, gamma):
-    # The reference; gsa_many in _kernels.c repeats it statement for statement.
+    # The reference; gsa_many in _kernels.c repeats it statement for statement,
+    # with each row's diagonal and vertical candidates as one vector op here.
     Tp, Tt = m.shape
-    dist = np.full((Tp + 1, Tt + 1), np.inf)
-    choice = np.zeros((Tp + 1, Tt + 1), np.int8)
-    npaths = np.zeros((Tp + 1, Tt + 1), np.int64)
-    dist[0, 0] = 0.0
-    npaths[0, 0] = 1
+    dist = np.empty((Tp + 1, Tt + 1))
+    above = np.full(Tt + 1, np.inf)
+    # Each node's clamped column for a vertical step's cost, k = 1..Tt.
+    kc = np.minimum(np.arange(1, Tt + 1), Tt - 1)
     for i in range(Tp + 1):
-        for k in range(Tt + 1):
-            if i == 0 and k == 0:
-                continue
-            cand_d = cand_h = cand_v = np.inf
-            n_d = n_h = n_v = 0
-            if i > 0 and k > 0:
-                cand_d = dist[i - 1, k - 1] + m[i - 1, k - 1]
-                n_d = npaths[i - 1, k - 1]
-            if k > 0:
-                ic = i if i < Tp else Tp - 1
-                cand_h = dist[i, k - 1] + gamma * m[ic, k - 1]
-                n_h = npaths[i, k - 1]
-            if i > 0:
-                kc = k if k < Tt else Tt - 1
-                cand_v = dist[i - 1, k] + gamma * m[i - 1, kc]
-                n_v = npaths[i - 1, k]
-            best = np.inf
-            ch = 0
-            if cand_d < best:
-                best = cand_d
-                ch = 1
-            if cand_h < best:
-                best = cand_h
-                ch = 2
-            if cand_v < best:
-                best = cand_v
-                ch = 3
-            dist[i, k] = best
-            choice[i, k] = ch
-            lim = best + _TOL * (1.0 + abs(best))
-            cnt = (n_d if cand_d <= lim else 0) + (n_h if cand_h <= lim else 0) + (n_v if cand_v <= lim else 0)
-            npaths[i, k] = min(cnt, 2)
+        up, mu = (dist[i - 1], m[i - 1]) if i > 0 else (above, m[0])
+        gap = (gamma * m[i if i < Tp else Tp - 1]).tolist()
+        # Node (i, 0) has only a vertical step, and (0, 0) none.
+        cand_v = float(up[0] + gamma * mu[0])
+        left = (cand_v if cand_v < math.inf else math.inf) if i > 0 else 0.0
+        cand_d = up[:-1] + mu
+        cand_v = up[1:] + gamma * mu[kc]
+        best = np.where(cand_d < np.inf, cand_d, np.inf)
+        best = np.where(cand_v < best, cand_v, best).tolist()
+        row = [left]
+        for k in range(1, Tt + 1):
+            cand_h = left + gap[k - 1]
+            left = cand_h if cand_h < best[k - 1] else best[k - 1]
+            row.append(left)
+        dist[i] = row
+    z = float(dist[Tp, Tt])
+    slack = _TOL * (1.0 + abs(z))
+    dist, m = dist.tolist(), m.tolist()
     total = Tp + Tt
     kinds = np.zeros(total, np.int8)
     cells = np.zeros(total, np.int64)
     i = Tp
     k = Tt
     pos = total
+    tied = False
     while i != 0 or k != 0:
-        ch = choice[i, k]
+        cand_d = cand_h = cand_v = math.nan
+        if i > 0 and k > 0:
+            cand_d = dist[i - 1][k - 1] + m[i - 1][k - 1]
+        if k > 0:
+            cand_h = dist[i][k - 1] + gamma * m[i if i < Tp else Tp - 1][k - 1]
+        if i > 0:
+            cand_v = dist[i - 1][k] + gamma * m[i - 1][k if k < Tt else Tt - 1]
+        lim = dist[i][k] + slack
+        tied |= (cand_d <= lim) + (cand_h <= lim) + (cand_v <= lim) > 1
+        best = math.inf
+        ch = 0
+        if cand_d < best:
+            best = cand_d
+            ch = 1
+        if cand_h < best:
+            best = cand_h
+            ch = 2
+        if cand_v < best:
+            ch = 3
         pos -= 1
         if ch == 1:
             i -= 1
@@ -562,7 +573,7 @@ def _gsa_py(m, gamma):
             cell = i * Tt + (k if k < Tt else Tt - 1)
         kinds[pos] = ch
         cells[pos] = cell
-    return float(dist[Tp, Tt]), kinds, cells, npaths[Tp, Tt] == 1
+    return z, kinds, cells, not tied
 
 
 def _gsa_many_py(ms, gamma):

@@ -89,9 +89,9 @@ class AlignResult:
     The path is kept as the kernel's read-only arrays, one entry per step:
     kinds (1 match, 2 skip-target, 3 skip-pred) and cells, the flat index
     into m of the cost the step paid: a match step costs m.flat[cell] and a
-    gap step gamma times it.  unique is True when the kernel counted exactly
-    one optimal path, so the path's edge counts are the whole gradient; ties
-    are counted node by node, as solve_gsa describes.
+    gap step gamma times it.  unique is True when every other path costs
+    more than z_star + 1e-9 * (1 + |z_star|), so the path's edge counts are
+    the whole gradient (solve_gsa describes the rule).
     """
 
     z_star: float
@@ -108,11 +108,12 @@ def solve_gsa(grid: AlignGrid) -> AlignResult:
     """Min-cost monotone path from (0, 0) to (Tp, Tt).
 
     Ties break deterministically: match beats skip-target beats skip-pred.
-    The same kernel pass counts the optimal paths, so the uniqueness verdict
-    costs nothing extra.  Ties count within 1e-9 * (1 + |c|) of each lattice
-    node's best cost c: on m = [[0, 1.5e-9, 0], [1.5e-9, 0, 1]], gamma 1.5,
-    path DPD (cost 1) is unique though PDD costs 1 + 1.5e-9, as the two
-    meet at a node of cost 0, where 1.5e-9 exceeds the tolerance.
+    The kernel's backtrack also decides uniqueness, so the verdict costs
+    O(Tp + Tt) on top of the O(Tp Tt) solve.  A path within
+    1e-9 * (1 + |z*|) of the optimal cost z* is a tie, wherever it meets the
+    optimal path: on m = [[0, u, 0], [u, 0, 3]], gamma 1.5, the optimum DPD
+    costs 3, and PDD, u dearer, ties with it for every u up to 4e-9, though
+    the two meet at a node of cost 0.
     """
     _arg(grid, "grid", (AlignGrid, None, "an AlignGrid"))
     z, kinds, cells, unique = _kernels.gsa_kernel(grid.m, grid.gamma)

@@ -119,8 +119,11 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     logPs = logP.reshape(Ys.shape)
     Cs, active = _log_costs(logPs, Ys)
     # Rows of -inf (log 0) or with exp overflow fail anyway; past _log_costs none is NaN.
+    # The largest deviation is read with argmax, as check_grids reads its
+    # maximum: a NaN deviation is the first argmax and fails the test too.
     with np.errstate(over="ignore", divide="ignore"):
-        if not np.abs(np.log(np.exp(logPs).sum(axis=-1))).max() <= 1e-6:
+        deviation = np.abs(np.log(np.exp(logPs).sum(axis=-1))).ravel()
+        if not deviation[deviation.argmax()] <= 1e-6:
             raise InvalidInput("each logP row must be a normalized log-distribution")
     perms = _kernels.assignment_kernel_many(Cs)[0]
     k, b = perms.shape

@@ -145,13 +145,36 @@ class TestOracleAgreement:
                 assert verdict == (second > z_star + 1e-9 * (1.0 + abs(z_star))), (Tp, Tt)
             assert 0.2 <= 1.0 - unique.mean() <= 0.8, (Tp, Tt)
 
+    def test_matches_enumeration_on_near_ties(self, backend):
+        # Path costs a fraction of tol apart, on sums large enough that the
+        # tolerance tol * (1 + |z*|) spans several such fractions: unique
+        # says no other path costs at most z* + tol * (1 + |z*|), however
+        # far from the end the paths meet.
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for values in ([0.0, 6e-10, 1.0, 2.0], [0.0, 5e-9, 10.0, -10.0, 1.0]):
+            for _ in range(300):
+                m = rng.choice(values, size=rng.integers(1, 5, size=2))
+                res = solve_gsa(AlignGrid(m=m, gamma=1.5))
+                costs = enumerate_path_costs(m, 1.5)
+                z = float(costs.min())
+                assert res.z_star == z, m
+                assert res.unique == (np.sum(costs <= z + 1e-9 * (1.0 + abs(z))) == 1), m
+                verdicts.add((values[1], res.unique))
+        assert len(verdicts) == 4
+        # TPD costs 1.2e-9 more than DD (z* = 2 + 6e-10), within 3e-9, though
+        # where the two meet, at (1, 1), TP's cost exceeds DD's by more than
+        # tol * (1 + 6e-10).
+        assert solve_gsa(AlignGrid(m=np.array([[6e-10, 2.0], [6e-10, 2.0]]), gamma=1.5)).unique is False
+
     def test_a_path_exactly_tol_dearer_is_a_tie(self, backend):
-        # The optimum DPD and the runner-up PDD meet at node (1, 2), whose
-        # best cost is 0, where PDD arrives one unit dearer.  Ties are
-        # decided where paths meet: a unit of tol = 1e-9 is within
-        # tol * (1 + 0) of 0, so the optimum is tied; 1.5e-9 is not.
-        for unit, unique in ((1e-9, False), (1.5e-9, True)):
-            res = solve_gsa(AlignGrid(m=np.array([[0.0, unit, 0.0], [unit, 0.0, 1.0]]), gamma=1.5))
+        # The optimum DPD (cost z* = 3) and the runner-up PDD, one unit
+        # dearer, meet at node (1, 2), whose best cost is 0.  Ties are global:
+        # a path within tol * (1 + |z*|) = 4e-9 of z* is a tie, wherever it
+        # meets the optimum.  Every sum the verdict reads is 0 + unit or
+        # 1e-9 * 4, exact in binary, so rounding does not decide it.
+        for unit, unique in ((1.5e-9, False), (4e-9, False), (np.nextafter(4e-9, 1.0), True)):
+            res = solve_gsa(AlignGrid(m=np.array([[0.0, unit, 0.0], [unit, 0.0, 3.0]]), gamma=1.5))
             assert res.step_string() == "DPD"
             assert res.unique == unique
 

@@ -357,13 +357,30 @@ def _pre_check_families(rng, b, k):
         planted[t, order, order] = 0.0
         planted[t, order, np.roll(order, 1)] = 0.0
     yield "planted tie near 1e7", rng.uniform(-1e7, 1e7, size=(k, b, 1)) + rng.uniform(-1e7, 1e7, size=(k, 1, b)) + planted
+    # A zero-cost matching among costs of 1 to 2, and rows that can trade
+    # its columns along one short cycle, each trade costing `unit`.  The
+    # duals stay 0, so a cycle weighs its units exactly.  A 2-cycle of at
+    # most tol settles the verdict without the closure (tied at 0 and at
+    # exactly tol); at 1.5 tol, or along a 3-cycle with every 2-cycle dear,
+    # only the closure weighs it (tied at 0, unique at 1.5 tol).  Grids too
+    # small for the cycle get none.
+    for length, unit in ((2, 0.0), (2, 0.5e-9), (2, 0.75e-9), (3, 0.0), (3, 0.5e-9)):
+        Cs = rng.uniform(1.0, 2.0, size=(k, b, b))
+        for C in Cs:
+            perm = rng.permutation(b)
+            C[np.arange(b), perm] = 0.0
+            rows = rng.permutation(b)[:length]
+            if rows.size == length:
+                C[rows, perm[np.roll(rows, 1)]] = unit
+        yield f"planted {length}-cycle at {unit:g}", Cs
 
 
 class TestUniquenessCertificate:
     def test_the_pre_check_keeps_the_closure_verdict(self, backend):
         # The certificate skips its O(b^3) closure where the light swaps form
-        # no cycle.  Its verdict must be the closure's, byte for byte, from
-        # the kernel and from the numpy certificate alike.
+        # no cycle, or where a 2-cycle weighs at most tol.  Its verdict must
+        # be the closure's, byte for byte, from the kernel and from the
+        # numpy certificate alike.
         rng = np.random.default_rng(73)
         verdicts = set()
         for b in [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 128]:
@@ -373,7 +390,9 @@ class TestUniquenessCertificate:
                 assert unique.tobytes() == closure.tobytes(), (family, b)
                 assert _certify(Cs, perms, us, vs).tobytes() == closure.tobytes(), (family, b)
                 verdicts.update((family, bool(v)) for v in unique)
-        assert len(verdicts) == 13  # uniform, +-1e6 and outer(i, i) never tie
+        # uniform, +-1e6 and outer(i, i) never tie, nor do the cycles of
+        # 1.5 tol.
+        assert len(verdicts) == 21
 
 
     def test_agrees_with_enumeration(self, backend):

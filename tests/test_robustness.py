@@ -213,7 +213,7 @@ def _outcome(body, *args):
 @pytest.mark.skipif(_kernels.c_library() is None, reason="the C kernel library could not be built")
 def test_both_kernel_bodies_fail_alike_on_infinite_costs():
     # Either both bodies raise, or both return the same bytes: an
-    # unreachable node reads no path count from outside the lattice.
+    # unreachable node reads no cost from outside the lattice.
     rng = np.random.default_rng(83)
     failed = {"assignment": 0, "gsa": 0}
     for _ in range(200):
