@@ -1,4 +1,5 @@
-/* Compiled solver kernels for combgrad._kernels.
+/* Compiled solver kernels for combgrad._kernels, built as the CPython
+ * extension module combgrad._ckernels against the numpy C-API.
  *
  * The solve, the refinement, the certificate's closure and the lattice DP
  * repeat the numpy reference in _kernels.py statement for statement, looped
@@ -13,20 +14,33 @@
  * assign_many skip the O(n^3) closure, light_acyclic on instances whose
  * light swaps form no cycle and light_two_cycle on those where two rows
  * trade columns within tol.  Their verdicts must equal the closure's,
- * which the bitwise tests check.  The alignment DP keeps only the nodes'
- * costs and picks the path's steps on the backtrack, as _gsa_py does, but
- * runs each row in one loop where _gsa_py takes the row's diagonal and
- * vertical candidates as one vector op.
+ * which the bitwise tests check, and the module counts the closures it
+ * runs (closures()), so a test can tell that the shortcuts do run.  The
+ * alignment DP keeps only the nodes' costs and picks the path's steps on
+ * the backtrack, as _gsa_py does, but runs each row in one loop where
+ * _gsa_py takes the row's diagonal and vertical candidates as one vector
+ * op.
  *
- * Both return 0 on success, 1 when the workspace allocation fails and 2
- * when a non-finite cost leaves a step with no finite choice (the caller
- * raises MemoryError and NonFinite).  assign_many returns 3, before it
- * solves anything, when a cost is NaN, infinite or so large that a sum over
- * a matching can overflow (the caller raises NonFinite with
- * _check_cost_range's message), so status 0 means its costs were in range
- * and its duals, costs and cycle sums finite.  gsa_many checks no range:
- * alignment.check_grids keeps overflowing grids out.
+ * The module's two entry points, assign_many and gsa_many, take one
+ * instance or a stack of them as any array numpy can read as float64,
+ * allocate their outputs as read-only numpy arrays and hand them to the
+ * bodies, which write into them directly.  The bodies return 0 on
+ * success, 1 when the workspace allocation fails and 2 when a non-finite
+ * cost leaves a step with no finite choice; an entry point returns such a
+ * nonzero status as an int, and _raise_status in _kernels.py raises the
+ * error it stands for (MemoryError or NonFinite).  assign_many's body
+ * returns 3, before it solves anything, when a cost is NaN, infinite or so
+ * large that a sum over a matching can overflow (the caller raises
+ * NonFinite with _check_cost_range's message), so status 0 means its costs
+ * were in range and its duals, costs and cycle sums finite.  gsa_many
+ * checks no range: alignment.check_grids keeps overflowing grids out.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
+#include <numpy/arrayscalars.h>
+
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -224,17 +238,15 @@ static int light_two_cycle(const double *D, int64_t n, double tol)
  * a cycle of at most n swaps that weighs at most tol uses only such swaps
  * (light_acyclic); failing that, a 2-cycle of at most tol makes
  * unique[t] = 0 (light_two_cycle), which only instances with a cycle of
- * light swaps pay for.
- * The outputs share one block, in this order: the stacked perms (k * n
- * int64), u and v (k * n doubles each), then unique (k bytes).  One
- * workspace serves every instance.  Returns 2 if an instance has no free
- * column with a finite reduced cost: a second line of defence, since costs
- * that pass the range check keep every reduced cost finite. */
-int assign_many(const double *Cs, int64_t k, int64_t n, double tol, void *out)
+ * light swaps pay for.  Each closure run adds one to *closures.
+ * It writes the stacked perms (k * n int64), u and v (k * n doubles each)
+ * and unique (k bytes).  One workspace serves every instance.  Returns 2
+ * if an instance has no free column with a finite reduced cost: a second
+ * line of defence, since costs that pass the range check keep every
+ * reduced cost finite. */
+static int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *us, double *vs,
+                       char *unique, int64_t *closures)
 {
-    int64_t *perms = out;
-    double *us = (double *)(perms + k * n), *vs = us + k * n;
-    char *unique = (char *)(vs + k * n);
     /* !(fabs(c) <= lim) for every cost, on bit patterns, which vectorizes
      * where the double comparison does not: with the sign bit cleared, a
      * double's pattern orders like its magnitude and NaN's lie above inf's,
@@ -334,8 +346,12 @@ int assign_many(const double *Cs, int64_t k, int64_t n, double tol, void *out)
         /* lex_refine is done with rows and nxt: the pre-check's queue and
          * in-degrees. */
         double thr = (tol - (double)(n - 1) * (wmin < 0.0 ? wmin : 0.0)) * (1.0 + 1e-6);
-        unique[t] = (!has_nan && light_acyclic(D, n, thr, nxt, rows))
-                    || (!light_two_cycle(D, n, tol) && min_cycle(D, n, col, row) > tol);
+        int verdict = !has_nan && light_acyclic(D, n, thr, nxt, rows);
+        if (!verdict && !light_two_cycle(D, n, tol)) {
+            *closures += 1;
+            verdict = min_cycle(D, n, col, row) > tol;
+        }
+        unique[t] = verdict;
     }
     status = 0;
 done:
@@ -348,10 +364,8 @@ done:
  * kind and the stack-flat index t * Tp * Tt + cell of the cost it paid,
  * where cell indexes grid t with the gap clamp included; filled from the
  * end, with kind 0 and cell t * Tp * Tt before the first step) and
- * unique[t].  The outputs share one block, in this order: zs (nb doubles),
- * cells (nb * (Tp + Tt) int64), kinds (as many int8), then unique (nb
- * bytes).  Returns 2 if the backtrack would leave the lattice, which only
- * unreachable (infinite-cost) nodes cause.
+ * unique[t].  Returns 2 if the backtrack would leave the lattice, which
+ * only unreachable (infinite-cost) nodes cause.
  *
  * The forward DP keeps only each node's cost, under a row of inf where no
  * diagonal or vertical step starts.  The diagonal and vertical candidates
@@ -371,13 +385,10 @@ done:
  * z - dist[v].  So the path is tied when, at some node v, a second
  * candidate is within tol * (1 + |z|) of dist[v].  A step that does not
  * exist is NaN, which no comparison picks or counts. */
-int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, void *out)
+static int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma, double tol, double *zs,
+                    int8_t *kinds, int64_t *cells, char *unique)
 {
     int64_t W = Tt + 1, nodes = (Tp + 1) * W, total = Tp + Tt;
-    double *zs = out;
-    int64_t *cells = (int64_t *)(zs + nb);
-    int8_t *kinds = (int8_t *)(cells + nb * total);
-    char *unique = (char *)(kinds + nb * total);
     double *above = malloc(sizeof(double) * (nodes + W));
     if (above == NULL)
         return 1;
@@ -456,4 +467,192 @@ int gsa_many(const double *ms, int64_t nb, int64_t Tp, int64_t Tt, double gamma,
 done:
     free(above);
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * The module.  Each entry point takes one instance or a stack of them.  A
+ * stack of k gives stacked arrays and a (k,) bool array; one instance
+ * gives 1-D arrays, gsa_many's z as a float and unique as a numpy bool.
+ * The bodies run without the GIL on pointers taken before it is released:
+ * they touch no Python object.
+ * ------------------------------------------------------------------------ */
+
+/* The closures assign_many has run in this process. */
+static int64_t closures_run;
+
+/* A new read-only array of the given shape and type, or NULL with an
+ * exception set: the bodies write it through its data pointer, which the
+ * flag does not guard. */
+static PyObject *frozen_empty(int nd, npy_intp *dims, int type)
+{
+    PyObject *a = PyArray_EMPTY(nd, dims, type, 0);
+    if (a != NULL)
+        PyArray_CLEARFLAGS((PyArrayObject *)a, NPY_ARRAY_WRITEABLE);
+    return a;
+}
+
+static void *data(PyObject *a)
+{
+    return PyArray_DATA((PyArrayObject *)a);
+}
+
+/* The costs in args[0] as a C-contiguous float64 array of rank 2 or 3, a
+ * new reference that copies nothing when they already are one, and the
+ * other want - 1 arguments as doubles; NULL with an exception set on
+ * failure. */
+static PyArrayObject *parse(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want, double *scalars,
+                            const char *usage)
+{
+    if (nargs != want) {
+        PyErr_SetString(PyExc_TypeError, usage);
+        return NULL;
+    }
+    for (Py_ssize_t a = 1; a < want; a++) {
+        scalars[a - 1] = PyFloat_AsDouble(args[a]);
+        if (scalars[a - 1] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    return (PyArrayObject *)PyArray_FROMANY(args[0], NPY_DOUBLE, 2, 3, NPY_ARRAY_IN_ARRAY);
+}
+
+/* A single instance's unique as a numpy bool, a new reference. */
+static PyObject *bool_scalar(char unique)
+{
+    PyObject *scalar = unique ? PyArrayScalar_True : PyArrayScalar_False;
+    Py_INCREF(scalar);
+    return scalar;
+}
+
+/* What an entry point returns once it is done with its four outputs: the
+ * body's status as an int when it is nonzero, else the outputs as a tuple,
+ * or NULL with numpy's exception set when one of them could not be made
+ * (and the body did not run).  Releases the entry point's references. */
+static PyObject *result(PyObject **out, int status)
+{
+    PyObject *res = NULL;
+    if (status)
+        res = PyLong_FromLong(status);
+    else if (out[0] != NULL && out[1] != NULL && out[2] != NULL && out[3] != NULL)
+        res = PyTuple_Pack(4, out[0], out[1], out[2], out[3]);
+    for (int i = 0; i < 4; i++)
+        Py_XDECREF(out[i]);
+    return res;
+}
+
+/* assign_many(costs, tol) -> (perm, u, v, unique) or a nonzero status. */
+static PyObject *py_assign_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    double tol;
+    PyArrayObject *costs = parse(args, nargs, 2, &tol, "assign_many(costs, tol)");
+    if (costs == NULL)
+        return NULL;
+    int nd = PyArray_NDIM(costs), stacked = nd == 3;
+    npy_intp *shape = PyArray_DIMS(costs), n = shape[nd - 1];
+    if (shape[nd - 2] != n) {
+        Py_DECREF(costs);
+        PyErr_SetString(PyExc_ValueError, "cost matrices must be square");
+        return NULL;
+    }
+    /* The stack's (k, n) rows; one instance's (n,) is dims + 1. */
+    npy_intp dims[2] = {stacked ? shape[0] : 1, n};
+    char one = 0;
+    PyObject *out[4] = {
+        frozen_empty(nd - 1, dims + !stacked, NPY_INT64),
+        frozen_empty(nd - 1, dims + !stacked, NPY_FLOAT64),
+        frozen_empty(nd - 1, dims + !stacked, NPY_FLOAT64),
+        stacked ? frozen_empty(1, dims, NPY_BOOL) : NULL,
+    };
+    int status = 0;
+    if (out[0] != NULL && out[1] != NULL && out[2] != NULL && (out[3] != NULL || !stacked)) {
+        const double *C = data((PyObject *)costs);
+        int64_t *perms = data(out[0]), closures = 0;
+        double *us = data(out[1]), *vs = data(out[2]);
+        char *unique = stacked ? data(out[3]) : &one;
+        Py_BEGIN_ALLOW_THREADS
+        status = assign_many(C, dims[0], n, tol, perms, us, vs, unique, &closures);
+        Py_END_ALLOW_THREADS
+        closures_run += closures;
+        if (!stacked)
+            out[3] = bool_scalar(one);
+    }
+    Py_DECREF(costs);
+    return result(out, status);
+}
+
+/* gsa_many(costs, gamma, tol) -> (z, kinds, cells, unique) or a nonzero
+ * status. */
+static PyObject *py_gsa_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    double gamma_tol[2];
+    PyArrayObject *costs = parse(args, nargs, 3, gamma_tol, "gsa_many(costs, gamma, tol)");
+    if (costs == NULL)
+        return NULL;
+    int nd = PyArray_NDIM(costs), stacked = nd == 3;
+    npy_intp *shape = PyArray_DIMS(costs), Tp = shape[nd - 2], Tt = shape[nd - 1];
+    if (Tp < 1 || Tt < 1) {
+        Py_DECREF(costs);
+        PyErr_SetString(PyExc_ValueError, "grids must be non-empty");
+        return NULL;
+    }
+    /* The stack's (nb, Tp + Tt) paths; one grid's (Tp + Tt,) is dims + 1. */
+    npy_intp dims[2] = {stacked ? shape[0] : 1, Tp + Tt};
+    double z = 0.0;
+    char one = 0;
+    PyObject *out[4] = {
+        stacked ? frozen_empty(1, dims, NPY_FLOAT64) : NULL,
+        frozen_empty(nd - 1, dims + !stacked, NPY_INT8),
+        frozen_empty(nd - 1, dims + !stacked, NPY_INT64),
+        stacked ? frozen_empty(1, dims, NPY_BOOL) : NULL,
+    };
+    int status = 0;
+    if (out[1] != NULL && out[2] != NULL && (!stacked || (out[0] != NULL && out[3] != NULL))) {
+        const double *ms = data((PyObject *)costs);
+        double *zs = stacked ? data(out[0]) : &z;
+        int8_t *kinds = data(out[1]);
+        int64_t *cells = data(out[2]);
+        char *unique = stacked ? data(out[3]) : &one;
+        Py_BEGIN_ALLOW_THREADS
+        status = gsa_many(ms, dims[0], Tp, Tt, gamma_tol[0], gamma_tol[1], zs, kinds, cells, unique);
+        Py_END_ALLOW_THREADS
+        if (!stacked) {
+            out[0] = PyFloat_FromDouble(z);
+            out[3] = bool_scalar(one);
+        }
+    }
+    Py_DECREF(costs);
+    return result(out, status);
+}
+
+/* closures() -> the number of O(n^3) certificate closures assign_many has
+ * run in this process: a test's view of whether the shortcuts run. */
+static PyObject *py_closures(PyObject *self, PyObject *unused)
+{
+    (void)self;
+    (void)unused;
+    return PyLong_FromLongLong(closures_run);
+}
+
+static PyMethodDef methods[] = {
+    {"assign_many", (PyCFunction)(void (*)(void))py_assign_many, METH_FASTCALL,
+     "Solve and certify one (n, n) assignment instance or a (k, n, n) stack."},
+    {"gsa_many", (PyCFunction)(void (*)(void))py_gsa_many, METH_FASTCALL,
+     "Solve one (Tp, Tt) alignment grid or a (nb, Tp, Tt) stack."},
+    {"closures", py_closures, METH_NOARGS, "The certificate closures assign_many has run."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_ckernels",
+    .m_doc = "Compiled solver kernels for combgrad._kernels.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__ckernels(void)
+{
+    import_array();
+    return PyModule_Create(&module);
 }

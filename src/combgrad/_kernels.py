@@ -6,7 +6,9 @@ Each problem has exactly two bodies:
   readable oracle;
 * the C port (``assign_many``, ``gsa_many`` in ``_kernels.c``), compiled
   with the system C compiler on first use (never on import) into a
-  per-user cache directory and loaded through ctypes.
+  per-user cache directory and imported as the extension module
+  ``combgrad._ckernels``, which builds against the Python and numpy
+  headers.
 
 The port repeats the solve, the refinement, the certificate's closure and
 the lattice DP statement for statement, in the same arithmetic order, so
@@ -15,8 +17,8 @@ two shortcuts skip the closure: ``light_acyclic`` where no near-tie can
 exist, and ``light_two_cycle`` where a 2-cycle weighs at most ``_TOL``;
 the bitwise tests check that they keep the closure's verdict.  The
 backend is decided once per process, on the first kernel call: ``c`` when
-the C library builds and loads, otherwise the package warns once and runs
-on ``numpy``.  A C call that fails raises (``MemoryError`` when its
+the C module builds and imports, otherwise the package warns once and
+runs on ``numpy``.  A C call that fails raises (``MemoryError`` when its
 workspace cannot be allocated, ``NonFinite`` on a non-finite step); it is
 never re-solved on the other backend.  The numpy reference raises
 ``NonFinite`` on the same steps.
@@ -25,19 +27,21 @@ Both assignment bodies check their cost range before they solve
 (``_check_cost_range``: NonFinite when a cost is NaN, infinite or large
 enough that a sum over a matching can overflow), so the public entry
 points leave that check to the kernel.  The C body tests the same
-predicate in one pass and reports it as a status, on which Python raises
+predicate in one pass and returns it as a status, on which Python raises
 the same error.  Alignment grids are range-checked where they are built
 (``alignment.check_grids``).
 
-A single instance goes to the C body as it is: the body copies it into its
-output block and returns 1-D arrays and scalars, with no stack axis to
-strip.  The numpy body solves it as a stack of one.  Each kernel returns
-read-only arrays and decides its own ties.  The
-assignment kernel solves, refines each matching to the lexicographically
-smallest near-optimal one (``_lex_refine``) and certifies it
-(``_certify``): the matching costs at most its dual sum plus ``_TOL``, and
-``unique`` says whether every other matching costs more than that matching
-plus ``_TOL``, as an O(b^3) closure over the swaps decides (``_min_cycle``).
+The C module takes a single instance or a stack in any layout, reads it in
+place when it is C-contiguous float64, and returns read-only numpy arrays
+that it allocated and its body wrote, with no stack axis on a single
+instance's 1-D arrays and scalars.  The numpy body solves a single
+instance as a stack of one.  Each kernel returns read-only arrays and
+decides its own ties.  The assignment kernel solves, refines each
+matching to the lexicographically smallest near-optimal one
+(``_lex_refine``) and certifies it (``_certify``): the matching costs at
+most its dual sum plus ``_TOL``, and ``unique`` says whether every other
+matching costs more than that matching plus ``_TOL``, as an O(b^3)
+closure over the swaps decides (``_min_cycle``).
 The alignment kernel solves, returns the winning path as each step's kind
 and the cell whose cost it paid, gap clamp included, and calls it unique
 when every other path costs more than z* + ``_TOL * (1 + |z*|)``;
@@ -49,14 +53,14 @@ can assert how many solver runs a code path costs.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import hashlib
+import importlib.util
 import math
 import os
 import re
-import struct
 import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -87,7 +91,7 @@ _BACKEND = None
 
 
 def get_backend() -> str:
-    """Name of the active backend: "c" when the C library builds or loads
+    """Name of the active backend: "c" when the C module builds or imports
     here, else "numpy".  The first call decides it for the process."""
     global _BACKEND
     if _BACKEND is None:
@@ -96,30 +100,59 @@ def get_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# The compiled C library.
+# The compiled C module.
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
-# No floating-point contraction: a fused multiply-add rounds differently from
-# the numpy reference, and the backends must agree bit for bit.  -O3, because
-# -O2 leaves the certificate closure's inner loop (min_cycle) scalar; vector
-# code keeps every operation's rounding, so the bits stay the reference's.
-_C_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBRARY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
 
 
-def _c_library_path() -> str:
-    """Path of the compiled kernel library, building it if no process has.
+@functools.cache
+def _c_flags() -> tuple:
+    """The compiler flags of the C module, read as the module attribute
+    _C_FLAGS.
 
-    The file name carries a hash of the source and flags, so a library is
-    compiled at most once per version.  The compiler writes to a temporary
+    No floating-point contraction: a fused multiply-add rounds differently
+    from the numpy reference, and the backends must agree bit for bit.
+    -O3, because -O2 leaves the certificate closure's inner loop
+    (min_cycle) scalar; vector code keeps every operation's rounding, so
+    the bits stay the reference's.  The Python and numpy headers are
+    system headers (-isystem), so their own warnings never fail a -Wall
+    -Wextra -Werror build of the source.  macOS links an extension module
+    with the interpreter's symbols left unresolved.  sysconfig is imported
+    here, not with the package, whose import it would slow by about 1.4 ms.
+    """
+    import sysconfig
+
+    darwin = ("-undefined", "dynamic_lookup") if sys.platform == "darwin" else ()
+    includes = ("-isystem", sysconfig.get_config_var("INCLUDEPY"), "-isystem", np.get_include())
+    return ("-O3", "-ffp-contract=off", "-shared", "-fPIC", *darwin, *includes)
+
+
+def __getattr__(name):
+    if name == "_C_FLAGS":
+        return _c_flags()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _c_library_path() -> str:
+    """Path of the compiled kernel module, building it if no process has.
+
+    The file name carries a hash of the source, the flags, the
+    interpreter's extension suffix and the numpy version, so a module is
+    compiled at most once per version and never loaded by an interpreter
+    or a numpy it was not built for.  The compiler writes to a temporary
     name that is renamed into place, so a concurrent process never loads a
-    partial file.  A new build then removes the libraries of every other
+    partial file.  A new build then removes the modules of every other
     version, so the cache does not grow with each edit of the source; a
     process that has one of them loaded keeps its mapping.
     """
+    import sysconfig  # as in _c_flags
+
     with open(_C_SOURCE, "rb") as f:
-        digest = hashlib.sha256(f.read() + " ".join(_C_FLAGS).encode()).hexdigest()[:16]
+        source = f.read()
+    build = " ".join([*_c_flags(), sysconfig.get_config_var("EXT_SUFFIX"), np.__version__])
+    digest = hashlib.sha256(source + build.encode()).hexdigest()[:16]
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "combgrad"
     )
@@ -129,7 +162,7 @@ def _c_library_path() -> str:
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
         os.close(fd)
         try:
-            subprocess.run(["cc", *_C_FLAGS, "-o", tmp, _C_SOURCE], check=True, capture_output=True)
+            subprocess.run(["cc", *_c_flags(), "-o", tmp, _C_SOURCE], check=True, capture_output=True)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -143,52 +176,22 @@ def _c_library_path() -> str:
 
 @functools.cache
 def c_library():
-    """The loaded kernel library, or None if it cannot be built here."""
+    """The imported kernel module, or None if it cannot be built or
+    imported here (no compiler, no Python headers, or a module this
+    interpreter cannot load)."""
     try:
-        lib = ctypes.CDLL(_c_library_path())
-    except (OSError, subprocess.CalledProcessError) as exc:
+        spec = importlib.util.spec_from_file_location("combgrad._ckernels", _c_library_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError, subprocess.CalledProcessError) as exc:
         warnings.warn(f"C kernel library unavailable, using numpy: {exc}", RuntimeWarning, stacklevel=2)
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.assign_many.argtypes = [ptr, i64, i64, ctypes.c_double, ptr]
-    lib.assign_many.restype = ctypes.c_int
-    lib.gsa_many.argtypes = [ptr, i64, i64, i64, ctypes.c_double, ctypes.c_double, ptr]
-    lib.gsa_many.restype = ctypes.c_int
-    return lib
-
-
-# Each C entry point writes all its outputs into one fresh byte block, which
-# the caller splits into the typed arrays it returns, widest dtype first so
-# every array is aligned.  The block's address comes from a ctypes view of
-# its buffer: about 0.4 us on a 2-core Xeon, against 1.1 us for
-# ndarray.ctypes.data.  Such a view needs a writable buffer of at least one
-# byte, so an empty stack still gets a one-byte block.  A single instance,
-# whose input may be read-only, is copied into the block ahead of the
-# outputs, so that one view gives both addresses: about 0.5 us saved per
-# call up to 32x33 costs.  A stack is read in place: copying it made
-# `combgrad bench assignment` slower at b = 8 (1.64 against 1.32 us per
-# instance).  The block is frozen once the kernel has written it, so every
-# array split from it is read-only.
-
-
-def _block(x, nbytes: int):
-    """A fresh block for nbytes bytes of output and the addresses a C body
-    reads and writes: (block, costs, out, at), the outputs starting at byte
-    at.  One (n, m) instance x is copied into the block as C-ordered float64
-    first; a stack x must already be C-contiguous float64."""
-    if x.ndim == 2:
-        at = 8 * x.size
-        block = np.empty(at + nbytes, np.uint8)
-        np.ndarray(x.shape, np.float64, block)[...] = x
-        costs = ctypes.addressof(ctypes.c_char.from_buffer(block))
-        return block, costs, costs + at, at
-    block = np.empty(max(nbytes, 1), np.uint8)
-    return block, x.ctypes.data, ctypes.addressof(ctypes.c_char.from_buffer(block)), 0
+    return module
 
 
 def _frozen(*arrays) -> tuple:
     """The arrays, made read-only in place: the numpy bodies' outputs are
-    frozen like the C bodies' blocks."""
+    frozen like the C module's."""
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -420,26 +423,13 @@ def _assign_many_py(Cs):
 
 
 def _assign_many_c(Cs):
-    # Cs is a C-contiguous float64 (k, n, n) stack, or one (n, n) instance
-    # of any layout whose outputs have no stack axis: 1-D arrays and unique
-    # as a numpy bool.
-    lead, n = Cs.shape[:-2], Cs.shape[-1]
-    k = Cs.shape[0] if lead else 1
-    kn = k * n
-    block, costs, out, at = _block(Cs, 24 * kn + k)
-    status = c_library().assign_many(costs, k, n, _TOL, out)
-    if status:
-        _raise_status(status, Cs)
-    block.setflags(write=False)
-    row = lead + (n,)
-    at_unique = at + 24 * kn
-    unique = np.ndarray(lead, np.bool_, block, at_unique) if lead else block[at_unique] == 1
-    return (
-        np.ndarray(row, np.int64, block, at),
-        np.ndarray(row, np.float64, block, at + 8 * kn),
-        np.ndarray(row, np.float64, block, at + 16 * kn),
-        unique,
-    )
+    # One (n, n) instance or a (k, n, n) stack, of any layout; a single
+    # instance's outputs have no stack axis: 1-D arrays and unique as a
+    # numpy bool.
+    out = c_library().assign_many(Cs, _TOL)
+    if type(out) is int:
+        _raise_status(out, Cs)
+    return out
 
 
 def _assign_many(Cs):
@@ -448,10 +438,9 @@ def _assign_many(Cs):
     # stack of one.
     if Cs.shape[-1] != Cs.shape[-2]:
         raise NonSquare(f"cost matrices must be square, got {Cs.shape[-2:]}")
-    if Cs.ndim == 2 and get_backend() == "c":
+    if get_backend() == "c":
         return _assign_many_c(Cs)
-    stack = np.ascontiguousarray(Cs if Cs.ndim == 3 else Cs[None], dtype=np.float64)
-    out = _assign_many_c(stack) if get_backend() == "c" else _assign_many_py(stack)
+    out = _assign_many_py(np.ascontiguousarray(Cs if Cs.ndim == 3 else Cs[None], dtype=np.float64))
     return out if Cs.ndim == 3 else tuple(a[0] for a in out)
 
 
@@ -588,24 +577,13 @@ def _gsa_many_py(ms, gamma):
 
 
 def _gsa_many_c(ms, gamma):
-    # ms is a C-contiguous float64 (nb, Tp, Tt) stack, or one (Tp, Tt) grid
-    # of any layout whose outputs have no stack axis: 1-D paths, z as a
-    # float and unique as a numpy bool.
-    lead, (Tp, Tt) = ms.shape[:-2], ms.shape[-2:]
-    nb = ms.shape[0] if lead else 1
-    steps = nb * (Tp + Tt)
-    block, costs, out, at = _block(ms, 8 * nb + 9 * steps + nb)
-    status = c_library().gsa_many(costs, nb, Tp, Tt, gamma, _TOL, out)
-    if status:
-        _raise_status(status, ms)
-    block.setflags(write=False)
-    path = lead + (Tp + Tt,)
-    at_unique = at + 8 * nb + 9 * steps
-    kinds = np.ndarray(path, np.int8, block, at + 8 * nb + 8 * steps)
-    cells = np.ndarray(path, np.int64, block, at + 8 * nb)
-    if lead:
-        return np.ndarray(lead, np.float64, block, at), kinds, cells, np.ndarray(lead, np.bool_, block, at_unique)
-    return struct.unpack_from("d", block, at)[0], kinds, cells, block[at_unique] == 1
+    # One (Tp, Tt) grid or a (nb, Tp, Tt) stack, of any layout; a single
+    # grid's outputs have no stack axis: 1-D paths, z as a float and unique
+    # as a numpy bool.
+    out = c_library().gsa_many(ms, gamma, _TOL)
+    if type(out) is int:
+        _raise_status(out, ms)
+    return out
 
 
 def _gsa_many(ms, gamma):
@@ -613,10 +591,9 @@ def _gsa_many(ms, gamma):
     if ms.shape[-2] < 1 or ms.shape[-1] < 1:
         raise DimensionMismatch(f"expected non-empty grids, got shape {ms.shape}")
     gamma = float(gamma)
-    if ms.ndim == 2 and get_backend() == "c":
+    if get_backend() == "c":
         return _gsa_many_c(ms, gamma)
-    stack = np.ascontiguousarray(ms if ms.ndim == 3 else ms[None], dtype=np.float64)
-    out = _gsa_many_c(stack, gamma) if get_backend() == "c" else _gsa_many_py(stack, gamma)
+    out = _gsa_many_py(np.ascontiguousarray(ms if ms.ndim == 3 else ms[None], dtype=np.float64), gamma)
     return out if ms.ndim == 3 else tuple(a[0] for a in out)
 
 

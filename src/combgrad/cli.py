@@ -500,7 +500,7 @@ def _cmd_bench(args) -> int:
         # Amortize timer resolution and call overhead over a batch of
         # identical instances solved by the vectorized kernel; the reported
         # seconds are per solve-plus-gradient.  One untimed pass per size
-        # builds the C library on first use and primes caches and branch
+        # builds the C module on first use and primes caches and branch
         # predictors, so the first timed repeat is not inflated.
         k, base, solve_grad = _bench_gsa(size, rng) if args.kind == "gsa" else _bench_assignment(size)
         batch = np.repeat(base[None, :, :], k, axis=0)

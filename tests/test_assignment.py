@@ -6,6 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,6 +188,58 @@ class TestCompiledKernel:
         with pytest.raises(NonFinite):
             _assign_many_c(np.full((2, 3, 3), np.inf))
 
+    def test_the_certificate_shortcuts_settle_ties_without_the_closure(self):
+        # The module counts the O(b^3) closures it runs.  An untied instance
+        # has no light cycle (light_acyclic), and a 2-cycle of at most tol is
+        # a tie (light_two_cycle); only a longer light cycle whose 2-cycles
+        # are all dear needs the closure.  The 2-cycle here weighs exactly
+        # tol, every sum exact in binary, so a strict test would miss it.
+        t = _kernels._TOL
+        cases = [
+            ("untied", np.ones((4, 4)) - np.eye(4), True, 0),
+            ("2-cycle of tol", np.array([[0.0, t], [0.0, 0.0]]), False, 0),
+            ("3-cycle", np.array([[0.0, 0.0, 5.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]]), False, 1),
+        ]
+        lib = _kernels.c_library()
+        for name, C, unique, closures in cases:
+            before = lib.closures()
+            assert _assign_many_c(C)[3] == unique == _assign_many_py(C[None])[3][0], name
+            assert lib.closures() - before == closures, name
+
+    def test_the_c_module_leaks_nothing(self):
+        # Each entry point, a few thousand times on a single instance, a
+        # stack, an input it must copy and each failing status, holds no
+        # reference to its input and leaves no numpy memory behind.
+        lib = _kernels.c_library()
+        rng = np.random.default_rng(11)
+        calls = [
+            (lib.assign_many, rng.uniform(size=(4, 4)), (_kernels._TOL,)),
+            (lib.assign_many, rng.uniform(size=(3, 4, 4)), (_kernels._TOL,)),
+            (lib.assign_many, np.asfortranarray(rng.uniform(size=(5, 5))), (_kernels._TOL,)),
+            (lib.assign_many, np.full((2, 3, 3), np.inf), (_kernels._TOL,)),  # status 3
+            (lib.gsa_many, rng.uniform(size=(5, 6)), (1.5, _kernels._TOL)),
+            (lib.gsa_many, rng.uniform(size=(3, 5, 6)), (1.5, _kernels._TOL)),
+            (lib.gsa_many, np.asfortranarray(rng.uniform(size=(5, 6))), (1.5, _kernels._TOL)),
+            (lib.gsa_many, np.full((2, 2, 3), np.inf), (1.5, _kernels._TOL)),  # status 2
+        ]
+        assert [type(entry(x, *rest)) for entry, x, rest in calls[3::4]] == [int, int]
+
+        numpy_domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+        def numpy_bytes():
+            return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(numpy_domain).traces)
+
+        tracemalloc.start()
+        try:
+            for entry, x, rest in calls:
+                entry(x, *rest)
+                refs, held = sys.getrefcount(x), numpy_bytes()
+                for _ in range(2000):
+                    entry(x, *rest)
+                assert (sys.getrefcount(x), numpy_bytes()) == (refs, held), (entry.__name__, x.shape)
+        finally:
+            tracemalloc.stop()
+
     def test_built_once_and_never_on_import(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -222,6 +276,26 @@ class TestCompiledKernel:
         (cache / stale[0]).write_text("")
         assert _kernels._c_library_path() == path
         assert (cache / stale[0]).exists()
+
+
+def test_a_module_is_built_for_one_interpreter_and_numpy(tmp_path, monkeypatch):
+    # Another extension suffix or numpy version is another module file, so
+    # no interpreter loads a module built for another.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+    def compiler(cmd, **kwargs):
+        with open(cmd[cmd.index("-o") + 1], "w") as f:
+            f.write("built")
+
+    monkeypatch.setattr(_kernels.subprocess, "run", compiler)
+    paths = [_kernels._c_library_path()]
+    monkeypatch.setattr(np, "__version__", np.__version__ + ".other")
+    paths.append(_kernels._c_library_path())
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: ".other" + config_var(name))
+    paths.append(_kernels._c_library_path())
+    assert len(set(paths)) == 3
+    assert os.listdir(tmp_path / "combgrad") == [os.path.basename(paths[-1])]
 
 
 def test_without_a_c_build_the_numpy_reference_runs(tmp_path):
