@@ -1,11 +1,12 @@
 /* Compiled solver kernels for combgrad._kernels, built as the CPython
  * extension module combgrad._ckernels against the numpy C-API.
  *
- * The solve, the refinement, the certificate's closure and the lattice DP
- * repeat the numpy reference in _kernels.py statement for statement, looped
- * over a C-contiguous stack of instances in one call.  The arithmetic and
- * its order match the reference, so with floating-point contraction
- * disabled (-ffp-contract=off) the outputs are bitwise equal.  The code
+ * The solve, the refinement, the certificate's closure, the lattice DP and
+ * the alignment gradient scatter repeat the numpy reference in _kernels.py
+ * statement for statement, looped over a C-contiguous stack of instances in
+ * one call.  The arithmetic and its order match the reference, so with
+ * floating-point contraction disabled (-ffp-contract=off) the outputs are
+ * bitwise equal.  The code
  * spends its time on arithmetic, not on branches: a minimum whose operands
  * depend on the data is picked by selects, which compile without branches.
  * assign_many checks its costs' range before it solves, with the
@@ -21,19 +22,29 @@
  * _gsa_py takes the row's diagonal and vertical candidates as one vector
  * op.
  *
- * The module's two entry points, assign_many and gsa_many, take one
+ * assign_many also returns each matching's cost z, summed in numpy's
+ * pairwise order (pairwise_sum) so that it equals C[rows, perm].sum() bit
+ * for bit, and for a single instance its 0/1 matrix M: a certified single
+ * solve needs nothing else from Python.  gsa_grads checks a path and
+ * scatters its gradient in one pass over its steps.
+ *
+ * The module's solver entry points, assign_many and gsa_many, take one
  * instance or a stack of them as any array numpy can read as float64,
  * allocate their outputs as read-only numpy arrays and hand them to the
- * bodies, which write into them directly.  The bodies return 0 on
- * success, 1 when the workspace allocation fails and 2 when a non-finite
- * cost leaves a step with no finite choice; an entry point returns such a
- * nonzero status as an int, and _raise_status in _kernels.py raises the
- * error it stands for (MemoryError or NonFinite).  assign_many's body
+ * bodies, which write into them directly; gsa_grads does the same with
+ * int8 kinds and int64 cells.  The bodies return 0 on success, 1 when the
+ * workspace allocation fails and 2 when a non-finite cost leaves a step
+ * with no finite choice; an entry point returns such a nonzero status as an
+ * int, and _raise_status in _kernels.py raises the error it stands for
+ * (MemoryError or NonFinite).  assign_many's body
  * returns 3, before it solves anything, when a cost is NaN, infinite or so
  * large that a sum over a matching can overflow (the caller raises
  * NonFinite with _check_cost_range's message), so status 0 means its costs
  * were in range and its duals, costs and cycle sums finite.  gsa_many
  * checks no range: alignment.check_grids keeps overflowing grids out.
+ * gsa_grads returns 4 on a bad kind (or one path that does not cross its
+ * grid) and 5 on a cell outside it, on which _kernels.py raises
+ * DimensionMismatch.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -223,6 +234,38 @@ static int light_two_cycle(const double *D, int64_t n, double tol)
     return light;
 }
 
+/* numpy's pairwise summation of a[0..n) (pairwise_sum_DOUBLE in numpy's
+ * loops_utils.h.src), which np.add.reduce applies to a contiguous row: in
+ * order below 8 terms, eight interleaved partial sums combined as
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the remainder
+ * up to 128, and halves at a multiple of 8 above.  np.sum adds the result
+ * to add's identity, 0.0, so a sum of -0.0 terms reads +0.0. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
 /* Assignment: _assign_many_py over a (k, n, n) stack.  First one pass over
  * every cost returns 3 if any is NaN, infinite or larger in magnitude than
  * lim = DBL_MAX / (32 max(n, 1)), which is _check_cost_range's predicate:
@@ -239,13 +282,14 @@ static int light_two_cycle(const double *D, int64_t n, double tol)
  * (light_acyclic); failing that, a 2-cycle of at most tol makes
  * unique[t] = 0 (light_two_cycle), which only instances with a cycle of
  * light swaps pay for.  Each closure run adds one to *closures.
- * It writes the stacked perms (k * n int64), u and v (k * n doubles each)
- * and unique (k bytes).  One workspace serves every instance.  Returns 2
- * if an instance has no free column with a finite reduced cost: a second
- * line of defence, since costs that pass the range check keep every
- * reduced cost finite. */
+ * It writes the stacked perms (k * n int64), u and v (k * n doubles each),
+ * unique (k bytes) and each matching's cost zs[t], the sum of C[i, perm[i]]
+ * over the rows i as np.sum takes it (0.0 + pairwise_sum).  One workspace
+ * serves every instance.  Returns 2 if an instance has no free column with
+ * a finite reduced cost: a second line of defence, since costs that pass
+ * the range check keep every reduced cost finite. */
 static int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64_t *perms, double *us, double *vs,
-                       char *unique, int64_t *closures)
+                       char *unique, double *zs, int64_t *closures)
 {
     /* !(fabs(c) <= lim) for every cost, on bit patterns, which vectorizes
      * where the double comparison does not: with the sign bit cleared, a
@@ -352,6 +396,13 @@ static int assign_many(const double *Cs, int64_t k, int64_t n, double tol, int64
             verdict = min_cycle(D, n, col, row) > tol;
         }
         unique[t] = verdict;
+        /* The matched costs, gathered into col, which the closure is done
+         * with.  Done here, past the certificate: summed between the
+         * refinement and the swap weights, it slowed the solve of a b = 32
+         * product-cost stack by 15% (gcc 12 -O3, 2-core Xeon). */
+        for (int64_t i = 0; i < n; i++)
+            col[i] = C[i * n + perm[i]];
+        zs[t] = 0.0 + pairwise_sum(col, n);
     }
     status = 0;
 done:
@@ -469,6 +520,32 @@ done:
     return status;
 }
 
+/* The gradient scatter: _gsa_grads_py over `steps` path steps, kinds and
+ * cells in path order, into G, which holds `bound` zeros.  Each step adds
+ * its kind's weight (0, 1, gamma, gamma) to G[cell], as np.bincount adds
+ * them.  Returns 4 when a kind is not 0 to 3, or when `path` (one whole
+ * path) is set and the kinds have a 0 or do not cross the Tp x Tt grid;
+ * else 5 when a cell is not in [0, bound), which it never writes; else 0. */
+static int gsa_grads(const int8_t *kinds, const int64_t *cells, int64_t steps, int path, int64_t Tp, int64_t Tt,
+                     double gamma, double *G, int64_t bound)
+{
+    const double weight[4] = {0.0, 1.0, gamma, gamma};
+    int64_t n[4] = {0, 0, 0, 0};
+    int bad_kind = 0, bad_cell = 0;
+    for (int64_t e = 0; e < steps; e++) {
+        int kind = kinds[e] & 3;
+        bad_kind |= (uint8_t)kinds[e] > 3;
+        n[kind] += 1;
+        if ((uint64_t)cells[e] < (uint64_t)bound)
+            G[cells[e]] += weight[kind];
+        else
+            bad_cell = 1;
+    }
+    if (bad_kind || (path && (n[0] != 0 || n[1] + n[2] != Tt || n[1] + n[3] != Tp)))
+        return 4;
+    return bad_cell ? 5 : 0;
+}
+
 /* ------------------------------------------------------------------------
  * The module.  Each entry point takes one instance or a stack of them.  A
  * stack of k gives stacked arrays and a (k,) bool array; one instance
@@ -523,23 +600,40 @@ static PyObject *bool_scalar(char unique)
     return scalar;
 }
 
-/* What an entry point returns once it is done with its four outputs: the
+/* 1 when none of the first count outputs is NULL. */
+static int made(PyObject **out, int count)
+{
+    for (int i = 0; i < count; i++)
+        if (out[i] == NULL)
+            return 0;
+    return 1;
+}
+
+/* What an entry point returns once it is done with its count outputs: the
  * body's status as an int when it is nonzero, else the outputs as a tuple,
  * or NULL with numpy's exception set when one of them could not be made
  * (and the body did not run).  Releases the entry point's references. */
-static PyObject *result(PyObject **out, int status)
+static PyObject *result(PyObject **out, int count, int status)
 {
     PyObject *res = NULL;
     if (status)
         res = PyLong_FromLong(status);
-    else if (out[0] != NULL && out[1] != NULL && out[2] != NULL && out[3] != NULL)
-        res = PyTuple_Pack(4, out[0], out[1], out[2], out[3]);
-    for (int i = 0; i < 4; i++)
+    else if (made(out, count)) {
+        res = PyTuple_New(count);
+        for (int i = 0; res != NULL && i < count; i++) {
+            Py_INCREF(out[i]);
+            PyTuple_SET_ITEM(res, i, out[i]);
+        }
+    }
+    for (int i = 0; i < count; i++)
         Py_XDECREF(out[i]);
     return res;
 }
 
-/* assign_many(costs, tol) -> (perm, u, v, unique) or a nonzero status. */
+/* assign_many(costs, tol) -> (perms, us, vs, unique, zs) for a stack,
+ * (perm, u, v, unique, z, M) for one instance, or a nonzero status.  M, the
+ * instance's 0/1 matching matrix, is made for one instance only: a stack
+ * would pay O(n^2) per instance for it. */
 static PyObject *py_assign_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)self;
@@ -554,30 +648,40 @@ static PyObject *py_assign_many(PyObject *self, PyObject *const *args, Py_ssize_
         PyErr_SetString(PyExc_ValueError, "cost matrices must be square");
         return NULL;
     }
-    /* The stack's (k, n) rows; one instance's (n,) is dims + 1. */
-    npy_intp dims[2] = {stacked ? shape[0] : 1, n};
+    /* The stack's (k, n) rows; one instance's (n,) is dims + 1 and its M
+     * (n, n) is square. */
+    npy_intp dims[2] = {stacked ? shape[0] : 1, n}, square[2] = {n, n};
+    double z = 0.0;
     char one = 0;
-    PyObject *out[4] = {
+    PyObject *out[6] = {
         frozen_empty(nd - 1, dims + !stacked, NPY_INT64),
         frozen_empty(nd - 1, dims + !stacked, NPY_FLOAT64),
         frozen_empty(nd - 1, dims + !stacked, NPY_FLOAT64),
         stacked ? frozen_empty(1, dims, NPY_BOOL) : NULL,
+        stacked ? frozen_empty(1, dims, NPY_FLOAT64) : NULL,
+        stacked ? NULL : PyArray_ZEROS(2, square, NPY_FLOAT64, 0),
     };
     int status = 0;
-    if (out[0] != NULL && out[1] != NULL && out[2] != NULL && (out[3] != NULL || !stacked)) {
+    if (made(out, 3) && (stacked ? made(out + 3, 2) : out[5] != NULL)) {
         const double *C = data((PyObject *)costs);
         int64_t *perms = data(out[0]), closures = 0;
-        double *us = data(out[1]), *vs = data(out[2]);
+        double *us = data(out[1]), *vs = data(out[2]), *zs = stacked ? data(out[4]) : &z;
         char *unique = stacked ? data(out[3]) : &one;
         Py_BEGIN_ALLOW_THREADS
-        status = assign_many(C, dims[0], n, tol, perms, us, vs, unique, &closures);
+        status = assign_many(C, dims[0], n, tol, perms, us, vs, unique, zs, &closures);
         Py_END_ALLOW_THREADS
         closures_run += closures;
-        if (!stacked)
+        if (!stacked) {
+            double *M = data(out[5]);
+            for (npy_intp i = 0; status == 0 && i < n; i++)
+                M[i * n + perms[i]] = 1.0;
+            PyArray_CLEARFLAGS((PyArrayObject *)out[5], NPY_ARRAY_WRITEABLE);
             out[3] = bool_scalar(one);
+            out[4] = PyFloat_FromDouble(z);
+        }
     }
     Py_DECREF(costs);
-    return result(out, status);
+    return result(out, stacked ? 5 : 6, status);
 }
 
 /* gsa_many(costs, gamma, tol) -> (z, kinds, cells, unique) or a nonzero
@@ -622,7 +726,51 @@ static PyObject *py_gsa_many(PyObject *self, PyObject *const *args, Py_ssize_t n
         }
     }
     Py_DECREF(costs);
-    return result(out, status);
+    return result(out, 4, status);
+}
+
+/* gsa_grads(kinds, cells, Tp, Tt, gamma) -> G or a nonzero status.  One
+ * whole path of int8 kinds and int64 cells gives its (Tp, Tt) gradient; a
+ * (nb, steps) stack of padded paths with stack-flat cells gives the
+ * (nb, Tp, Tt) stack.  A path is O(Tp + Tt) steps, too short to be worth
+ * releasing the GIL for. */
+static PyObject *py_gsa_grads(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "gsa_grads(kinds, cells, Tp, Tt, gamma)");
+        return NULL;
+    }
+    long long Tp = PyLong_AsLongLong(args[2]), Tt = PyLong_AsLongLong(args[3]);
+    double gamma = PyFloat_AsDouble(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    PyArrayObject *kinds = (PyArrayObject *)PyArray_FROMANY(args[0], NPY_INT8, 1, 2, NPY_ARRAY_IN_ARRAY);
+    PyArrayObject *cells = kinds == NULL ? NULL
+                                         : (PyArrayObject *)PyArray_FROMANY(args[1], NPY_INT64, 1, 2, NPY_ARRAY_IN_ARRAY);
+    PyObject *G = NULL;
+    int status = 0;
+    if (cells != NULL) {
+        int nd = PyArray_NDIM(kinds), path = nd == 1;
+        if (!PyArray_SAMESHAPE(kinds, cells))
+            PyErr_SetString(PyExc_ValueError, "kinds and cells must share a shape");
+        else {
+            npy_intp dims[3] = {PyArray_DIM(kinds, 0), Tp, Tt};
+            G = PyArray_ZEROS(nd + 1, dims + path, NPY_FLOAT64, 0);
+        }
+        if (G != NULL) {
+            status = gsa_grads(data((PyObject *)kinds), data((PyObject *)cells), PyArray_SIZE(kinds), path, Tp, Tt,
+                               gamma, data(G), PyArray_SIZE((PyArrayObject *)G));
+            PyArray_CLEARFLAGS((PyArrayObject *)G, NPY_ARRAY_WRITEABLE);
+        }
+    }
+    Py_XDECREF(kinds);
+    Py_XDECREF(cells);
+    if (status) {
+        Py_DECREF(G);
+        return PyLong_FromLong(status);
+    }
+    return G;
 }
 
 /* closures() -> the number of O(n^3) certificate closures assign_many has
@@ -639,6 +787,8 @@ static PyMethodDef methods[] = {
      "Solve and certify one (n, n) assignment instance or a (k, n, n) stack."},
     {"gsa_many", (PyCFunction)(void (*)(void))py_gsa_many, METH_FASTCALL,
      "Solve one (Tp, Tt) alignment grid or a (nb, Tp, Tt) stack."},
+    {"gsa_grads", (PyCFunction)(void (*)(void))py_gsa_grads, METH_FASTCALL,
+     "Scatter one alignment path, or a stack of them, into its gradient."},
     {"closures", py_closures, METH_NOARGS, "The certificate closures assign_many has run."},
     {NULL, NULL, 0, NULL},
 };

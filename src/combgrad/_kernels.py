@@ -2,23 +2,23 @@
 
 Each problem has exactly two bodies:
 
-* the numpy reference (``_assign_many_py``, ``_gsa_py``), which is the
-  readable oracle;
-* the C port (``assign_many``, ``gsa_many`` in ``_kernels.c``), compiled
-  with the system C compiler on first use (never on import) into a
-  per-user cache directory and imported as the extension module
-  ``combgrad._ckernels``, which builds against the Python and numpy
+* the numpy reference (``_assign_many_py``, ``_gsa_py``, ``_gsa_grads_py``),
+  which is the readable oracle;
+* the C port (``assign_many``, ``gsa_many``, ``gsa_grads`` in
+  ``_kernels.c``), compiled with the system C compiler on first use (never
+  on import) into a per-user cache directory and imported as the extension
+  module ``combgrad._ckernels``, which builds against the Python and numpy
   headers.
 
-The port repeats the solve, the refinement, the certificate's closure and
-the lattice DP statement for statement, in the same arithmetic order, so
-the ``c`` and ``numpy`` backends produce bitwise-identical outputs.  Its
-two shortcuts skip the closure: ``light_acyclic`` where no near-tie can
-exist, and ``light_two_cycle`` where a 2-cycle weighs at most ``_TOL``;
-the bitwise tests check that they keep the closure's verdict.  The
-backend is decided once per process, on the first kernel call: ``c`` when
-the C module builds and imports, otherwise the package warns once and
-runs on ``numpy``.  A C call that fails raises (``MemoryError`` when its
+The port repeats the solve, the refinement, the certificate's closure, the
+lattice DP and the gradient scatter statement for statement, in the same
+arithmetic order, so the ``c`` and ``numpy`` backends produce
+bitwise-identical outputs.  Its two shortcuts skip the closure:
+``light_acyclic`` where no near-tie can exist, and ``light_two_cycle``
+where a 2-cycle weighs at most ``_TOL``; the bitwise tests check that they
+keep the closure's verdict.  The backend is decided once per process, on
+the first kernel call: ``c`` when the C module builds and imports,
+otherwise the package warns once and runs on ``numpy``.  A C call that fails raises (``MemoryError`` when its
 workspace cannot be allocated, ``NonFinite`` on a non-finite step); it is
 never re-solved on the other backend.  The numpy reference raises
 ``NonFinite`` on the same steps.
@@ -41,11 +41,16 @@ matching to the lexicographically smallest near-optimal one
 (``_lex_refine``) and certifies it (``_certify``): the matching costs at
 most its dual sum plus ``_TOL``, and ``unique`` says whether every other
 matching costs more than that matching plus ``_TOL``, as an O(b^3)
-closure over the swaps decides (``_min_cycle``).
+closure over the swaps decides (``_min_cycle``).  It also returns each
+matching's cost z, summed in numpy's pairwise order so that it is
+C[rows, perm].sum() bit for bit, and a single instance's read-only 0/1
+matrix M, so a certified single solve comes back finished from one call.
 The alignment kernel solves, returns the winning path as each step's kind
 and the cell whose cost it paid, gap clamp included, and calls it unique
 when every other path costs more than z* + ``_TOL * (1 + |z*|)``;
-:func:`gsa_grads` turns the path into gradients.
+:func:`gsa_grads` checks the path (its kinds, and whether one whole path
+crosses the grid, then its cells) and scatters it into gradients in one
+pass.
 Every dispatch increments an invocation counter per kernel kind so callers
 can assert how many solver runs a code path costs.
 """
@@ -104,7 +109,7 @@ def get_backend() -> str:
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
-_LIBRARY_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
+_LIBRARY_NAME = re.compile(r"kernels-([0-9a-f]{8})-[0-9a-f]{16}\.so")
 
 
 @functools.cache
@@ -138,25 +143,27 @@ def __getattr__(name):
 def _c_library_path() -> str:
     """Path of the compiled kernel module, building it if no process has.
 
-    The file name carries a hash of the source, the flags, the
-    interpreter's extension suffix and the numpy version, so a module is
-    compiled at most once per version and never loaded by an interpreter
-    or a numpy it was not built for.  The compiler writes to a temporary
-    name that is renamed into place, so a concurrent process never loads a
-    partial file.  A new build then removes the modules of every other
-    version, so the cache does not grow with each edit of the source; a
-    process that has one of them loaded keeps its mapping.
+    The file name is kernels-<key>-<build>.so.  The key hashes the
+    interpreter's extension suffix and the numpy version, so no interpreter
+    or numpy loads a module built for another; the build hashes the source
+    and the flags, so a module is compiled at most once per version of
+    them.  The compiler writes to a temporary name that is renamed into
+    place, so a concurrent process never loads a partial file.  A new build
+    then removes the older builds of its own key, so the cache does not grow
+    with each edit of the source, and keeps every other key's, which another
+    interpreter or numpy sharing the cache still loads; a process that has
+    a removed module loaded keeps its mapping.
     """
     import sysconfig  # as in _c_flags
 
     with open(_C_SOURCE, "rb") as f:
         source = f.read()
-    build = " ".join([*_c_flags(), sysconfig.get_config_var("EXT_SUFFIX"), np.__version__])
-    digest = hashlib.sha256(source + build.encode()).hexdigest()[:16]
+    key = hashlib.sha256(f"{sysconfig.get_config_var('EXT_SUFFIX')} {np.__version__}".encode()).hexdigest()[:8]
+    build = hashlib.sha256(source + " ".join(_c_flags()).encode()).hexdigest()[:16]
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "combgrad"
     )
-    path = os.path.join(cache, f"kernels-{digest}.so")
+    path = os.path.join(cache, f"kernels-{key}-{build}.so")
     if not os.path.exists(path):
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
@@ -168,7 +175,8 @@ def _c_library_path() -> str:
             if os.path.exists(tmp):
                 os.remove(tmp)
         for name in os.listdir(cache):
-            if _LIBRARY_NAME.fullmatch(name) and name != os.path.basename(path):
+            match = _LIBRARY_NAME.fullmatch(name)
+            if match and match[1] == key and name != os.path.basename(path):
                 with contextlib.suppress(OSError):  # another process removed it first
                     os.remove(os.path.join(cache, name))
     return path
@@ -411,6 +419,10 @@ def _certify(Cs, perms, us, vs):
 
 
 def _assign_many_py(Cs):
+    # One (n, n) instance or a (k, n, n) stack, as assign_many takes them; a
+    # single instance is solved as a stack of one.
+    single = Cs.ndim == 2
+    Cs = np.ascontiguousarray(Cs[None] if single else Cs, dtype=np.float64)
     _check_cost_range(Cs)
     k, n, _ = Cs.shape
     perms = np.empty((k, n), np.int64)
@@ -419,13 +431,19 @@ def _assign_many_py(Cs):
     for t in range(k):
         perm, us[t], vs[t] = _assign_core_py(Cs[t])
         perms[t] = _lex_refine(Cs[t], perm, us[t], vs[t])
-    return _frozen(perms, us, vs, _certify(Cs, perms, us, vs))
+    zs = Cs[np.arange(k)[:, None], np.arange(n), perms].sum(axis=1)
+    out = _frozen(perms, us, vs, _certify(Cs, perms, us, vs), zs)
+    if not single:
+        return out
+    M = np.zeros(n * n)
+    M[np.arange(0, n * n, max(n, 1)) + perms[0]] = 1.0
+    return (*(a[0] for a in out[:4]), float(zs[0]), *_frozen(M.reshape(n, n)))
 
 
 def _assign_many_c(Cs):
     # One (n, n) instance or a (k, n, n) stack, of any layout; a single
-    # instance's outputs have no stack axis: 1-D arrays and unique as a
-    # numpy bool.
+    # instance's outputs have no stack axis: 1-D arrays, unique as a numpy
+    # bool and z as a float, and its M besides.
     out = c_library().assign_many(Cs, _TOL)
     if type(out) is int:
         _raise_status(out, Cs)
@@ -434,27 +452,26 @@ def _assign_many_c(Cs):
 
 def _assign_many(Cs):
     # One (n, n) instance or a (k, n, n) stack; the callers check the rank.
-    # The numpy body solves stacks only, so it gets a single instance as a
-    # stack of one.
     if Cs.shape[-1] != Cs.shape[-2]:
         raise NonSquare(f"cost matrices must be square, got {Cs.shape[-2:]}")
     if get_backend() == "c":
         return _assign_many_c(Cs)
-    out = _assign_many_py(np.ascontiguousarray(Cs if Cs.ndim == 3 else Cs[None], dtype=np.float64))
-    return out if Cs.ndim == 3 else tuple(a[0] for a in out)
+    return _assign_many_py(Cs)
 
 
 def assignment_kernel(C: np.ndarray):
     """Solve and certify one square assignment instance.
 
-    Returns (perm, u, v, unique), the arrays read-only.  (u, v) are feasible
-    duals of the exact optimum.  perm is the lexicographically smallest
-    matching whose edges each have slack C[i, j] - u[i] - v[j] of at most
-    _TOL / b, so it costs at most sum(u) + sum(v) + _TOL, within _TOL of
-    the minimum; on exact ties it is the lex-min optimum.  unique is True
-    when every other matching costs more than perm's cost + _TOL.
-    NonFinite when a cost is not finite or so large that a sum over a
-    matching can overflow (_check_cost_range).
+    Returns (perm, u, v, unique, z, M), the arrays read-only.  (u, v) are
+    feasible duals of the exact optimum.  perm is the lexicographically
+    smallest matching whose edges each have slack C[i, j] - u[i] - v[j] of
+    at most _TOL / b, so it costs at most sum(u) + sum(v) + _TOL, within
+    _TOL of the minimum; on exact ties it is the lex-min optimum.  unique is
+    True when every other matching costs more than perm's cost + _TOL.  z
+    is perm's cost as a float, bit for bit C[np.arange(n), perm].sum(), and
+    M the (n, n) 0/1 matrix of the matching.  NonFinite when a cost is not
+    finite or so large that a sum over a matching can overflow
+    (_check_cost_range).
     """
     increment("assignment")
     if C.ndim != 2:
@@ -464,8 +481,9 @@ def assignment_kernel(C: np.ndarray):
 
 def assignment_kernel_many(Cs: np.ndarray):
     """Solve and certify a (k, n, n) stack of assignment instances in one
-    dispatch; returns assignment_kernel's outputs stacked (unique as a (k,)
-    bool array)."""
+    dispatch; returns assignment_kernel's outputs but M, stacked: (perms,
+    us, vs, unique, zs), with unique a (k,) bool array and zs the (k,)
+    costs, bit for bit Cs[rows, np.arange(n), perms].sum(axis=1)."""
     increment("assignment", int(Cs.shape[0]))
     if Cs.ndim != 3:
         raise DimensionMismatch(f"expected a (k, n, n) stack of cost matrices, got shape {Cs.shape}")
@@ -597,17 +615,56 @@ def _gsa_many(ms, gamma):
     return out if ms.ndim == 3 else tuple(a[0] for a in out)
 
 
-def gsa_grads(kinds, cells, Tp, Tt, gamma):
-    """Dense gradients from gsa paths: kinds and cells of one path give a
-    (Tp, Tt) matrix, and a stack of paths with stack-flat cells a (k, Tp,
-    Tt) stack.  Each step adds 1 (match) or gamma (gap) to the cell it
-    paid, accumulated in path order by one np.bincount.  The padding before
-    a path's first step has kind 0 and weighs 0."""
+def _path_error(status: int, stacked: bool, Tp: int, Tt: int) -> DimensionMismatch:
+    """The error a path the gradient scatter rejects gets: status 4 for its
+    kinds, 5 for its cells."""
+    if status == 4 and not stacked:
+        return DimensionMismatch(f"the path does not cross the {Tp}x{Tt} grid from (0, 0) to ({Tp}, {Tt})")
+    if status == 4:
+        return DimensionMismatch("the paths' step kinds must be 0 (padding), 1, 2 or 3")
+    where = f"a stack of {Tp}x{Tt} grids" if stacked else f"the {Tp}x{Tt} grid"
+    return DimensionMismatch(f"the path's cells must be one flat index into {where} per step")
+
+
+def _gsa_grads_py(kinds, cells, Tp, Tt, gamma):
+    # The reference; gsa_grads in _kernels.c repeats it in one pass over
+    # the steps.
     lead = kinds.shape[:-1]
-    gamma = float(gamma)
+    size = math.prod(lead) * Tp * Tt
+    if not np.all((0 <= kinds) & (kinds <= 3)):
+        raise _path_error(4, bool(lead), Tp, Tt)
+    if not lead:
+        n = np.bincount(kinds, minlength=4).tolist()
+        if n[0] or n[1] + n[2] != Tt or n[1] + n[3] != Tp:
+            raise _path_error(4, False, Tp, Tt)
+    if not np.all((0 <= cells) & (cells < size)):
+        raise _path_error(5, bool(lead), Tp, Tt)
     weights = np.array([0.0, 1.0, gamma, gamma]).take(kinds)
-    G = np.bincount(cells.ravel(), weights.ravel(), minlength=math.prod(lead) * Tp * Tt)
-    return G.reshape(lead + (Tp, Tt))
+    G = np.bincount(cells.ravel(), weights.ravel(), minlength=size)
+    return _frozen(G.reshape(lead + (Tp, Tt)))[0]
+
+
+def _gsa_grads_c(kinds, cells, Tp, Tt, gamma):
+    out = c_library().gsa_grads(kinds, cells, Tp, Tt, gamma)
+    if type(out) is int:
+        raise _path_error(out, kinds.ndim > 1, Tp, Tt)
+    return out
+
+
+def gsa_grads(kinds, cells, Tp, Tt, gamma):
+    """Dense gradients from gsa paths, read-only: one whole path's int8
+    kinds and intp cells give a (Tp, Tt) matrix, and a (k, steps) stack of
+    paths with stack-flat cells a (k, Tp, Tt) stack.  Each step adds 1
+    (match) or gamma (gap) to the cell it paid, in path order, as one
+    np.bincount adds them.  The padding before a stacked path's first step
+    has kind 0 and weighs 0.  DimensionMismatch when a kind is not 0 to 3,
+    or one path has a kind 0 or does not cross the grid from (0, 0) to
+    (Tp, Tt), and otherwise when a cell is not a flat index into the grid
+    (the stack)."""
+    gamma = float(gamma)
+    if get_backend() == "c":
+        return _gsa_grads_c(kinds, cells, Tp, Tt, gamma)
+    return _gsa_grads_py(kinds, cells, Tp, Tt, gamma)
 
 
 def gsa_kernel(m: np.ndarray, gamma: float):

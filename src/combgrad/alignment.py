@@ -127,9 +127,10 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
 
     Each matched cell gets 1 per visit and each gap charges grid.gamma, which
     the result does not record, to the cell it paid: the exact gradient of
-    the cost actually paid.  DimensionMismatch unless every step of the
-    result is a match, skip-target or skip-pred step, the steps end at
-    (Tp, Tt), as a path solved on this grid does, and the cells are one
+    the cost actually paid, read-only.  One kernel call checks the path and
+    scatters it.  DimensionMismatch unless every step of the result is a
+    match, skip-target or skip-pred step and the steps end at (Tp, Tt), as
+    a path solved on this grid does, and then unless the cells are one
     integer per step, each a flat index into the grid.  Which cells they
     are is not re-checked.
     """
@@ -137,29 +138,22 @@ def gsa_grad_matrix(grid: AlignGrid, result: AlignResult) -> np.ndarray:
     _arg(result, "result", (AlignResult, None, "an AlignResult"))
     Tp, Tt = grid.m.shape
     kinds, cells = np.asarray(result.kinds), np.asarray(result.cells)
-    try:
-        # Steps per kind, 0 to the largest; a negative or non-integer kind raises.
-        n = np.bincount(kinds, minlength=4).tolist()
-    except (ValueError, TypeError):
-        n = []
-    if not (len(n) == 4 and n[0] == 0 and n[1] + n[2] == Tt and n[1] + n[3] == Tp):
-        raise DimensionMismatch(f"the path does not cross the {Tp}x{Tt} grid from (0, 0) to ({Tp}, {Tt})")
-    # np.bincount sizes the gradient by the largest cell, so that is bounded
-    # before it runs (by argmax, as in check_grids); a negative cell it
-    # rejects itself, with ValueError, before it allocates.  It takes intp
-    # cells, not uint64 ones.
-    G = None
-    if cells.dtype.kind in "iu" and cells.shape == kinds.shape:
-        cells = cells.astype(np.intp, copy=False)
-        if cells[cells.argmax()] < Tp * Tt:
-            try:
-                G = _kernels.gsa_grads(kinds, cells, Tp, Tt, grid.gamma)
-            except ValueError:
-                pass
-    if G is None:
-        raise DimensionMismatch(f"the path's cells must be one flat index into the {Tp}x{Tt} grid per step")
-    G.setflags(write=False)
-    return G
+    # The kernel reads one path of int8 kinds and intp cells, as solve_gsa
+    # returns them.  Other input is converted without casting any value into
+    # range: an integer kind outside 0..3 becomes 4, kinds that are not one
+    # integer per step become a lone 4, and cells that are not one integer
+    # per step become -1s; uint64 cells wrap to intp, so those past 2**63
+    # turn negative.  The kernel rejects a 4 or a -1, kinds first.
+    if kinds.dtype != np.int8 or kinds.ndim != 1:
+        if kinds.ndim == 1 and kinds.dtype.kind in "biu":
+            kinds = np.where((0 <= kinds) & (kinds <= 3), kinds, 4).astype(np.int8)
+        else:
+            kinds = np.full(1, 4, np.int8)
+    if cells.dtype.kind not in "iu" or cells.shape != kinds.shape:
+        cells = np.full(kinds.shape, -1, np.intp)
+    elif cells.dtype != np.intp:
+        cells = cells.astype(np.intp)
+    return _kernels.gsa_grads(kinds, cells, Tp, Tt, grid.gamma)
 
 
 def _match_costs(logP: np.ndarray, Y: np.ndarray) -> tuple:

@@ -59,27 +59,13 @@ def solve_assignment(C: np.ndarray) -> MatchingResult:
     certifies it: any other matching differs from perm by cycles of swaps,
     and an O(b^3) closure over the swaps' costs finds the cheapest without
     a second solve (the C port skips it where an O(b^2) test rules out a
-    near-tie, with the closure's verdict).  NonFinite when a cost is not
-    finite or so large that a sum over a matching can overflow; the kernel
-    checks this before it solves.
+    near-tie, with the closure's verdict).  The same call returns M, the
+    duals and z*, which is C[np.arange(b), perm].sum() bit for bit, all
+    read-only.  NonFinite when a cost is not finite or so large that a sum
+    over a matching can overflow; the kernel checks this before it solves.
     """
-    C = _validate_cost(C)
-    b = C.shape[0]
-    perm, u, v, unique = _kernels.assignment_kernel(C)
-    # The matched entries' flat indices serve M and z*: C.take sums the same
-    # costs in the same order as C[rows, perm].  u and v come read-only.
-    flat = np.arange(0, b * b, max(b, 1)) + perm
-    M = np.zeros(b * b)
-    M[flat] = 1.0
-    M.setflags(write=False)
-    return MatchingResult(
-        perm=tuple(perm.tolist()),
-        M=M.reshape(b, b),
-        z_star=float(C.take(flat).sum()),
-        duals_u=u,
-        duals_v=v,
-        unique=bool(unique),
-    )
+    perm, u, v, unique, z, M = _kernels.assignment_kernel(_validate_cost(C))
+    return MatchingResult(perm=tuple(perm.tolist()), M=M, z_star=z, duals_u=u, duals_v=v, unique=bool(unique))
 
 
 def assignment_gengrad(result: MatchingResult) -> GenGrad:
@@ -99,7 +85,8 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
     logP is at or below the floor — the exact gradient of the optimal cost,
     read off the matching with no extra solve.  For stacks (k, b, d) it
     returns the (k,) losses and the (k, b, d) gradients.  Either way one
-    batched kernel call solves every instance, and ties resolve to the
+    batched kernel call solves every instance and returns the losses, each
+    the sum of its matched costs as np.sum takes it, and ties resolve to the
     lexicographically smallest optimum exactly as solve_assignment does.
 
     The inputs are checked in this order, and the first failing check
@@ -125,11 +112,8 @@ def matching_loss(logP: np.ndarray, Y: np.ndarray) -> tuple:
         deviation = np.abs(np.log(np.exp(logPs).sum(axis=-1))).ravel()
         if not deviation[deviation.argmax()] <= 1e-6:
             raise InvalidInput("each logP row must be a normalized log-distribution")
-    perms = _kernels.assignment_kernel_many(Cs)[0]
-    k, b = perms.shape
-    rows = np.arange(k)[:, None]
-    zs = Cs[rows, np.arange(b), perms].sum(axis=1)
-    grad = -Ys[rows, perms] * active
+    perms, _, _, _, zs = _kernels.assignment_kernel_many(Cs)
+    grad = -Ys[np.arange(perms.shape[0])[:, None], perms] * active
     if logP.ndim == 2:
         return float(zs[0]), grad[0]
     return zs, grad

@@ -21,7 +21,7 @@ from combgrad import (
     supergradient_check,
 )
 from combgrad import _kernels
-from combgrad._kernels import _gsa_many_c, _gsa_many_py, _gsa_py
+from combgrad._kernels import _gsa_grads_c, _gsa_grads_py, _gsa_many_c, _gsa_many_py, _gsa_py
 
 from oracles import enumerate_path_costs, enumerate_paths, second_best_path, step_string
 
@@ -348,6 +348,43 @@ class TestValidation:
         with pytest.raises(DimensionMismatch, match="cells"):
             gsa_grad_matrix(grid, AlignResult(path.z_star, path.unique, path.kinds, np.array(cells)))
 
+    def test_each_backend_rejects_a_bad_path_with_the_same_error(self, backend):
+        # One kernel call checks the path and scatters it, on either backend,
+        # kinds before cells: a path with bad kinds and bad cells gets the
+        # kinds' message.  No value is cast into range on the way in.
+        grid = AlignGrid(m=[[1, 2, 3], [4, 5, 6]], gamma=1.5)
+        path = solve_gsa(grid)
+        kinds, cells = path.kinds, path.cells
+        cross = "the path does not cross the 2x3 grid from (0, 0) to (2, 3)"
+        index = "the path's cells must be one flat index into the 2x3 grid per step"
+        wide = np.array(kinds, np.int64)
+        cases = {
+            "kind 0 in a single path": (np.r_[np.int8(0), kinds], np.r_[0, cells], cross),
+            "kind 4": (np.r_[np.int8(4), kinds[1:]], cells, cross),
+            "kind 257, 1 as an int8": (np.r_[257, wide[1:]], cells, cross),
+            "negative int8 kind": (np.r_[np.int8(-1), kinds[1:]], cells, cross),
+            "negative kind": (np.r_[-1, wide[1:]], cells, cross),
+            "float kinds": (kinds.astype(np.float64), cells, cross),
+            "uint64 kind past 2**63": (np.r_[np.uint64(2**63 + 1), kinds[1:].astype(np.uint64)], cells, cross),
+            "a stack of one path": (kinds[None], cells[None], cross),
+            "a short path": (kinds[1:], cells[1:], cross),
+            "a short path, float cells": (kinds[1:], cells[1:] + 0.0, cross),
+            "uint64 cells past 2**63": (kinds, np.r_[np.uint64(2**64 - 1), cells[1:].astype(np.uint64)], index),
+            "cell = Tp * Tt": (kinds, np.r_[6, cells[1:]], index),
+            "negative cell": (kinds, np.r_[-1, cells[1:]], index),
+            "float cells": (kinds, cells.astype(np.float64), index),
+            "bool cells": (kinds, cells.astype(bool), index),
+            "mismatched shapes": (kinds, cells[:-1], index),
+        }
+        for k, c, message in cases.values():
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+                gsa_grad_matrix(grid, AlignResult(path.z_star, path.unique, k, c))
+        G = gsa_grad_matrix(grid, path)
+        accepted = [(wide, cells.astype(np.uint64)), (kinds.astype(np.uint64), cells.astype(np.int32))]
+        accepted += [(kinds.astype(np.uint8), list(cells)), (list(kinds), cells.astype(np.uint32))]
+        for k, c in accepted:
+            assert gsa_grad_matrix(grid, AlignResult(path.z_star, path.unique, k, c)).tobytes() == G.tobytes()
+
     @pytest.mark.parametrize(
         "m, gamma",
         [
@@ -578,21 +615,28 @@ class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_reference(self):
         # Bit patterns, not values: the locked alignment costs and the
         # determinism gate hold on either backend only if the two agree
-        # exactly.  A single grid, which the C body copies into its output
-        # block and returns without a stack axis (z as a float), is what
-        # the numpy body solves as a stack of one.
+        # exactly.  Every output is compared, so the bodies must return as
+        # many.  A single grid, which the C body solves in place and returns
+        # without a stack axis (z as a float), is what the numpy body solves
+        # as a stack of one.
         for family, ms, gamma in _grid_stacks():
             where = (family, ms.shape, gamma)
             for stack in (ms, ms[:1]):
-                for a, b in zip(_gsa_many_c(stack, gamma), _gsa_many_py(stack, gamma)):
+                c, py = _gsa_many_c(stack, gamma), _gsa_many_py(stack, gamma)
+                assert len(c) == len(py) == 4, where
+                for a, b in zip(c, py):
                     assert a.dtype == b.dtype and a.shape == b.shape, where
                     assert a.tobytes() == b.tobytes(), where
-            for a, b in zip(_gsa_many_c(ms[0], gamma), _gsa_many_py(ms[:1], gamma)):
+            c, py = _gsa_many_c(ms[0], gamma), _gsa_many_py(ms[:1], gamma)
+            assert len(c) == len(py) == 4, where
+            for a, b in zip(c, py):
                 assert np.asarray(a).tobytes() == b[0].tobytes(), where
-            # The gradient scatter is shared by both backends, so check it
-            # against an independent per-edge accumulation over the path.
+            # The gradient scatter: C against the numpy reference on the
+            # padded stack and on each grid's whole path, and both against an
+            # independent per-edge accumulation over the path.
             _, kinds, cells, _ = _gsa_many_c(ms, gamma)
-            Gs = _kernels.gsa_grads(kinds, cells, *ms.shape[1:], gamma)
+            Gs = _gsa_grads_c(kinds, cells, *ms.shape[1:], gamma)
+            assert Gs.tobytes() == _gsa_grads_py(kinds, cells, *ms.shape[1:], gamma).tobytes(), where
             for t, m in enumerate(ms):
                 grid = AlignGrid(m=m, gamma=gamma)
                 grad = {}
@@ -604,6 +648,9 @@ class TestCompiledKernel:
                 for (i, k), g in grad.items():
                     G[i, k] += g
                 assert G.tobytes() == Gs[t].tobytes(), where
+                one = _gsa_grads_c(res.kinds, res.cells, *m.shape, gamma)
+                assert one.tobytes() == _gsa_grads_py(res.kinds, res.cells, *m.shape, gamma).tobytes(), where
+                assert one.tobytes() == G.tobytes(), where
 
     def test_a_failed_c_call_raises_instead_of_re_solving(self, monkeypatch):
         # Infinite costs leave a node unreachable, so the backtrack has no

@@ -119,7 +119,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(89)
         for b, top, n in [(9, 9, 12), (16, 32, 10), (32, 128, 8), (64, 192, 5), (128, 512, 4)]:
             Cs = rng.integers(0, top + 1, size=(n, b, b)).astype(np.float64)
-            perms, _, _, unique = _kernels.assignment_kernel_many(Cs)
+            perms, _, _, unique, _ = _kernels.assignment_kernel_many(Cs)
             for C, perm, verdict in zip(Cs, perms, unique):
                 z = float(C[np.arange(b), perm].sum())
                 assert verdict == (second_best_matching(C, perm) > z + 1e-9), b
@@ -165,18 +165,20 @@ def _kernel_stacks():
 class TestCompiledKernel:
     def test_bitwise_equal_to_numpy_mirror(self):
         # Bit patterns, not values: the locked accuracies and the determinism
-        # gate hold on either backend only if the two agree exactly.  A
-        # single instance, which the C body copies into its output block and
-        # returns without a stack axis, is what the numpy body solves as a
+        # gate hold on either backend only if the two agree exactly.  Every
+        # output is compared, so the bodies must return as many: a stack's
+        # five, and a single instance's six, with no stack axis and with its
+        # z and M, which the C body solves in place and the numpy body as a
         # stack of one.
         for family, stack in _kernel_stacks():
-            for Cs in (stack, stack[:1]):
-                for a, b in zip(_assign_many_c(Cs), _assign_many_py(Cs)):
+            for Cs in (stack, stack[:1], stack[0]):
+                c, py = _assign_many_c(Cs), _assign_many_py(Cs)
+                assert len(c) == len(py) == 8 - Cs.ndim, (family, Cs.shape)
+                for a, b in zip(c, py):
+                    assert type(a) is type(b), (family, Cs.shape)
+                    a, b = np.asarray(a), np.asarray(b)
                     assert a.dtype == b.dtype and a.shape == b.shape, (family, Cs.shape)
                     assert a.tobytes() == b.tobytes(), (family, Cs.shape)
-            for a, b in zip(_assign_many_c(stack[0]), _assign_many_py(stack[:1])):
-                assert a.dtype == b.dtype and a.shape == b.shape[1:], family
-                assert a.tobytes() == b[0].tobytes(), family
 
     def test_a_failed_c_call_raises_instead_of_re_solving(self, monkeypatch):
         # Infinite costs fail the C body's range guard.  It must raise, not
@@ -209,9 +211,12 @@ class TestCompiledKernel:
     def test_the_c_module_leaks_nothing(self):
         # Each entry point, a few thousand times on a single instance, a
         # stack, an input it must copy and each failing status, holds no
-        # reference to its input and leaves no numpy memory behind.
+        # reference to its array arguments and leaves no numpy memory behind.
         lib = _kernels.c_library()
         rng = np.random.default_rng(11)
+        _, kinds, cells, _ = lib.gsa_many(rng.uniform(size=(3, 5, 6)), 1.5, _kernels._TOL)
+        _, kind, cell, _ = lib.gsa_many(rng.uniform(size=(5, 6)), 1.5, _kernels._TOL)
+        kind, cell = kind[kind != 0], cell[kind != 0]  # one whole path
         calls = [
             (lib.assign_many, rng.uniform(size=(4, 4)), (_kernels._TOL,)),
             (lib.assign_many, rng.uniform(size=(3, 4, 4)), (_kernels._TOL,)),
@@ -221,8 +226,14 @@ class TestCompiledKernel:
             (lib.gsa_many, rng.uniform(size=(3, 5, 6)), (1.5, _kernels._TOL)),
             (lib.gsa_many, np.asfortranarray(rng.uniform(size=(5, 6))), (1.5, _kernels._TOL)),
             (lib.gsa_many, np.full((2, 2, 3), np.inf), (1.5, _kernels._TOL)),  # status 2
+            (lib.gsa_grads, kind, (cell, 5, 6, 1.5)),
+            (lib.gsa_grads, kinds, (cells, 5, 6, 1.5)),
+            (lib.gsa_grads, kind[::-1], (cell[::-1].astype(np.int32), 5, 6, 1.5)),
+            (lib.gsa_grads, np.zeros_like(kind), (cell, 5, 6, 1.5)),  # status 4
+            (lib.gsa_grads, kind, (cell + 30, 5, 6, 1.5)),  # status 5
         ]
-        assert [type(entry(x, *rest)) for entry, x, rest in calls[3::4]] == [int, int]
+        statuses = [type(entry(x, *rest)) for entry, x, rest in calls[3:8:4] + calls[11:]]
+        assert statuses == [int, int, int, int]
 
         numpy_domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
@@ -232,11 +243,12 @@ class TestCompiledKernel:
         tracemalloc.start()
         try:
             for entry, x, rest in calls:
+                arrays = [a for a in (x, *rest) if isinstance(a, np.ndarray)]
                 entry(x, *rest)
-                refs, held = sys.getrefcount(x), numpy_bytes()
+                refs, held = [sys.getrefcount(a) for a in arrays], numpy_bytes()
                 for _ in range(2000):
                     entry(x, *rest)
-                assert (sys.getrefcount(x), numpy_bytes()) == (refs, held), (entry.__name__, x.shape)
+                assert ([sys.getrefcount(a) for a in arrays], numpy_bytes()) == (refs, held), (entry.__name__, x.shape)
         finally:
             tracemalloc.stop()
 
@@ -263,16 +275,21 @@ class TestCompiledKernel:
     def test_a_new_build_removes_the_other_versions(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = tmp_path / "combgrad"
-        cache.mkdir()
-        stale = ["kernels-0123456789abcdef.so", "kernels-fedcba9876543210.so"]
-        # A build in flight, and files that are no library of any version.
-        kept = ["kernels-0123456789abcdef.so.tmp", "x1y2.so.tmp", "kernels-0123.so", "kernels-0123456789ABCDEF.so"]
-        kept += ["kernels-0123456789abcdef.so.bak", "notes.txt"]
+        path = _kernels._c_library_path()
+        key = os.path.basename(path).split("-")[1]
+        os.remove(path)
+        stale = [f"kernels-{key}-0123456789abcdef.so", f"kernels-{key}-fedcba9876543210.so"]
+        # Another key's build, a build in flight, and files that are no
+        # module of any version.
+        other = "0123abcd" if key != "0123abcd" else "4567cdef"
+        kept = [f"kernels-{other}-0123456789abcdef.so", f"kernels-{key}-0123456789abcdef.so.tmp", "x1y2.so.tmp"]
+        kept += ["kernels-0123456789abcdef.so", f"kernels-{key}-0123.so", f"kernels-{key}-0123456789ABCDEF.so"]
+        kept += [f"kernels-{key}-0123456789abcdef.so.bak", "notes.txt"]
         for name in stale + kept:
             (cache / name).write_text("")
-        path = _kernels._c_library_path()
+        assert _kernels._c_library_path() == path
         assert sorted(os.listdir(cache)) == sorted(kept + [os.path.basename(path)])
-        # A cached library is loaded as it is: nothing is built or removed.
+        # A cached module is loaded as it is: nothing is built or removed.
         (cache / stale[0]).write_text("")
         assert _kernels._c_library_path() == path
         assert (cache / stale[0]).exists()
@@ -280,7 +297,9 @@ class TestCompiledKernel:
 
 def test_a_module_is_built_for_one_interpreter_and_numpy(tmp_path, monkeypatch):
     # Another extension suffix or numpy version is another module file, so
-    # no interpreter loads a module built for another.
+    # no interpreter loads a module built for another, and each keeps its
+    # own: a build removes only the older builds of its own suffix and
+    # numpy, as a rebuild after an edit of the source shows.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
 
     def compiler(cmd, **kwargs):
@@ -295,7 +314,14 @@ def test_a_module_is_built_for_one_interpreter_and_numpy(tmp_path, monkeypatch):
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: ".other" + config_var(name))
     paths.append(_kernels._c_library_path())
     assert len(set(paths)) == 3
-    assert os.listdir(tmp_path / "combgrad") == [os.path.basename(paths[-1])]
+    assert sorted(os.listdir(tmp_path / "combgrad")) == sorted(os.path.basename(p) for p in paths)
+    source = tmp_path / "_kernels.c"
+    with open(_kernels._C_SOURCE, "rb") as f:
+        source.write_bytes(f.read() + b"/* edited */\n")
+    monkeypatch.setattr(_kernels, "_C_SOURCE", str(source))
+    paths[-1] = _kernels._c_library_path()
+    assert len(set(paths)) == 3
+    assert sorted(os.listdir(tmp_path / "combgrad")) == sorted(os.path.basename(p) for p in paths)
 
 
 def test_without_a_c_build_the_numpy_reference_runs(tmp_path):
@@ -459,7 +485,7 @@ class TestUniquenessCertificate:
         verdicts = set()
         for b in [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 128]:
             for family, Cs in _pre_check_families(rng, b, max(2, 96 // b)):
-                perms, us, vs, unique = _kernels.assignment_kernel_many(Cs)
+                perms, us, vs, unique, _ = _kernels.assignment_kernel_many(Cs)
                 closure = _min_cycle(_swap_weights(Cs, perms, us, vs)) > 1e-9
                 assert unique.tobytes() == closure.tobytes(), (family, b)
                 assert _certify(Cs, perms, us, vs).tobytes() == closure.tobytes(), (family, b)
@@ -612,6 +638,28 @@ _ASSIGN_BODIES = [
 ]
 
 
+@pytest.mark.parametrize("body", _ASSIGN_BODIES)
+def test_z_is_the_matched_costs_summed_as_numpy_sums_them(body):
+    # numpy sums a row in order below 8 terms, in eight interleaved partial
+    # sums up to 128 and in halves at a multiple of 8 above, after 0.0.
+    # Costs of both signs over 1e-3..1e12 round differently in any other
+    # order; sizes 1 to 300 cross the 8- and 128-term edges and two halvings.
+    # Dear costs off a planted matching keep each solve to one scan per row.
+    rng = np.random.default_rng(2024)
+    for b in range(1, 301):
+        Cs = np.full((2, b, b), 1e13)
+        for C in Cs:
+            C[np.arange(b), rng.permutation(b)] = rng.choice([-1.0, 1.0], b) * 10.0 ** rng.uniform(-3, 12, b)
+        perm, _, _, _, z, _ = body(Cs[0])
+        assert type(z) is float and np.float64(z).tobytes() == Cs[0][np.arange(b), perm].sum().tobytes(), b
+        if b % 7 == 1:
+            perms, _, _, _, zs = body(Cs)
+            assert zs.tobytes() == Cs[np.arange(2)[:, None], np.arange(b), perms].sum(axis=1).tobytes(), b
+    # An all -0.0 matching costs +0.0, as np.sum reads it.
+    Cs = np.full((2, 5, 5), -0.0)
+    assert np.float64(body(Cs[0])[4]).tobytes() == body(Cs)[4][0].tobytes() == np.float64(0.0).tobytes()
+
+
 @pytest.mark.parametrize("b", [1, 2, 5, 16])
 @pytest.mark.parametrize("body", _ASSIGN_BODIES)
 def test_each_kernel_body_guards_its_cost_range(body, b):
@@ -620,7 +668,7 @@ def test_each_kernel_body_guards_its_cost_range(body, b):
     top = np.finfo(np.float64).max / (32.0 * b)
     signs = np.sign(np.random.default_rng(b).standard_normal((3, b, b)))
     with np.errstate(all="raise"):
-        _, us, vs, _ = body(top * signs)
+        _, us, vs, _, _ = body(top * signs)
     assert np.isfinite(us).all() and np.isfinite(vs).all()
     over = np.nextafter(top, np.inf)
     too_large = f"costs up to {over:.3g} can overflow a sum over a {b}x{b} matching"
@@ -999,7 +1047,7 @@ class TestLexRefinedKernel:
     def test_perm_is_the_lex_min_perfect_matching_of_the_tight_graph(self, C):
         # Enumeration in lexicographic order: the first permutation whose
         # every edge has slack <= tol / b under the kernel's own duals.
-        perm, u, v, _ = _kernels.assignment_kernel(C)
+        perm, u, v, *_ = _kernels.assignment_kernel(C)
         slack = C - u[:, None] - v[None, :]
         b = C.shape[0]
         want = next(p for p in itertools.permutations(range(b)) if all(slack[i, p[i]] <= 1e-9 / b for i in range(b)))
@@ -1011,7 +1059,7 @@ class TestLexRefinedKernel:
         # so the kernel keeps the optimum and certifies it unique.
         C = np.array([[0.6e-9, 0.0], [0.0, 0.6e-9]])
         assert _raw_kernel_many(C[None])[0][0].tolist() == [1, 0]
-        perms, _, _, unique = _kernels.assignment_kernel_many(C[None])
+        perms, _, _, unique, _ = _kernels.assignment_kernel_many(C[None])
         assert perms[0].tolist() == [1, 0] and unique.tolist() == [True]
         res = solve_assignment(C)
         assert res.perm == (1, 0) and res.z_star == 0.0 and res.unique is True

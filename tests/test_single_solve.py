@@ -68,7 +68,7 @@ def _frozen_bytes(arrays):
 def test_assignment_outputs_match_the_stacked_kernel_and_never_alias_the_input(layout, integers, backend):
     x, owner = _layout(layout, (6, 6), integers)
     ref = np.array(x, dtype=np.float64, order="C")
-    perms, us, vs, unique = _kernels.assignment_kernel_many(ref[None])
+    perms, us, vs, unique, _ = _kernels.assignment_kernel_many(ref[None])
     perm = perms[0]
     b = ref.shape[0]
 
